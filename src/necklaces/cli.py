@@ -22,7 +22,7 @@ from .deform import (
     homotopy_check,
     verify_deformation_invariance,
 )
-from .errors import NecklacesError, ParseError
+from .errors import GenusMismatch, NecklacesError, ParseError
 from .expansion import (
     Expansion,
     compare_expansions,
@@ -40,7 +40,7 @@ from .lie import (
     mu_alg,
     schedler_delta,
 )
-from .tensors import Tensor
+from .tensors import Tensor, axpy
 from .verify import bialgebra_suite, bimodule_suite, matrix_identity_suite
 
 
@@ -168,6 +168,7 @@ def parse_wedge(text: str, g: int) -> ChainVector:
             head = head[cut:]
         first = _parse_necklace_text(head)
         second = _parse_necklace_text(parts[1].strip())
+        W.check_letters(first + second, g)
         wgt = len(first) + len(second)
         if weight is None:
             weight = wgt
@@ -220,11 +221,15 @@ def _parse_necklace_text(text: str) -> W.WordKey:
 
 
 def parse_range(text: str) -> tuple[int, int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return int(lo), int(hi)
-    v = int(text)
-    return v, v
+    """'lo..hi' or a single 'n', as an inclusive nonempty range."""
+    lo, hi = text.split("..", 1) if ".." in text else (text, text)
+    try:
+        lo, hi = int(lo), int(hi)
+    except ValueError:
+        raise ParseError(f"bad range {text!r}; expected 'n' or 'lo..hi'", 0) from None
+    if lo > hi:
+        raise ParseError(f"empty range {text!r}", 0)
+    return lo, hi
 
 
 # -- handles from flags ----------------------------------------------------------
@@ -318,9 +323,9 @@ def _cmd_cobracket(args) -> int:
     else:
         acc: dict = {}
         for nw, c in x.terms.items():
-            for (wa, wb), c2 in handle.delta_word(nw).items():
-                acc[(wa, wb)] = acc.get((wa, wb), 0) + c * c2
-                acc[(wb, wa)] = acc.get((wb, wa), 0) - c * c2
+            wedge = handle.delta_word(nw)
+            axpy(acc, c, wedge.items())
+            axpy(acc, -c, (((wb, wa), c2) for (wa, wb), c2 in wedge.items()))
         result = BiDerivationElem(args.g, acc)
     _emit({"op": "cobracket", "delta": args.delta, "result": _element_json(result)}, args)
     return 0
@@ -336,8 +341,7 @@ def _cmd_mu(args) -> int:
     else:
         acc: dict = {}
         for wd, c in x.terms.items():
-            for (w2, nk), c2 in handle.mu_word(wd).items():
-                acc[(w2, nk)] = acc.get((w2, nk), 0) + c * c2
+            axpy(acc, c, handle.mu_word(wd).items())
         result = TensorDerivElem(args.g, acc)
     _emit({"op": "mu", "mu": args.mu, "result": _element_json(result)}, args)
     return 0
@@ -434,6 +438,8 @@ def _cmd_deform(args) -> int:
 
 
 def _cmd_expand(args) -> int:
+    if args.degree < 2:
+        raise ParseError("expand needs --degree >= 2", 0)
     theta = symplectic_expansion(args.g, args.degree)
     rep = theta.to_json_dict()
     rep["checks"] = {
@@ -553,11 +559,11 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        if args.g < 1:
+            raise ParseError(f"--g must be >= 1, got {args.g}", 0)
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ParseError, FileNotFoundError, GenusMismatch) as exc:
+        # a letter outside the alphabet of --g is bad input too
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NecklacesError as exc:

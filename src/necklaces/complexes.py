@@ -23,7 +23,7 @@ the canonical (Schedler) structure are :class:`AlgCobracket` and
 """
 
 from bisect import bisect_left
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product
 from typing import Iterable, Mapping, Protocol, Sequence
 
@@ -31,7 +31,7 @@ from . import words as W
 from .errors import GenusMismatch
 from .lie import DerivationElem, NecklaceContext, algebra
 from .linalg import SparseRationalMatrix
-from .tensors import Coeff, coeff_str, parse_coeff, _prune
+from .tensors import Coeff, TermMap, axpy, coeff_str, parse_coeff, _prune
 
 WedgeKey = tuple[int, ...]
 ModKey = tuple[W.WordKey, WedgeKey]
@@ -187,76 +187,47 @@ def mod_wedge_basis(g: int, p: int, w: int) -> ModWedgeBasis:
 # -- chain vectors ----------------------------------------------------------
 
 
-class ChainVector:
-    """Sparse element of a wedge cell: basis positions -> coefficients."""
+class _CellVector(TermMap):
+    """Sparse element of a cell: basis positions -> coefficients."""
 
     __slots__ = ("basis", "coeffs")
 
-    def __init__(self, basis: WedgeBasis, coeffs: Mapping[int, Coeff] | None = None):
+    def __init__(self, basis, coeffs: Mapping[int, Coeff] | None = None):
         self.basis = basis
         self.coeffs: dict[int, Coeff] = _prune(dict(coeffs or {}))
 
     @classmethod
-    def from_terms(cls, basis: WedgeBasis, terms: Iterable[tuple[WedgeKey, Coeff]]):
+    def from_terms(cls, basis, terms: Iterable[tuple[tuple, Coeff]]):
         acc: dict[int, Coeff] = {}
-        for t, c in terms:
-            i = basis.position[t]
-            acc[i] = acc.get(i, 0) + c
+        axpy(acc, 1, ((basis.position[t], c) for t, c in terms))
         return cls(basis, acc)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def cell(self) -> tuple[int, int]:
         return (self.basis.p, self.basis.w)
 
-    def _check(self, other: "ChainVector"):
-        if self.basis is not other.basis and (
-            self.basis.g != other.basis.g
-            or self.basis.p != other.basis.p
-            or self.basis.w != other.basis.w
-        ):
-            raise ValueError("chain vectors live in different cells")
+    def terms(self) -> list[tuple[tuple, Coeff]]:
+        return [(self.basis.monomials[i], c) for i, c in self.sorted_terms()]
 
-    def __add__(self, other: "ChainVector") -> "ChainVector":
-        self._check(other)
-        out = dict(self.coeffs)
-        for i, c in other.coeffs.items():
-            out[i] = out.get(i, 0) + c
-        return ChainVector(self.basis, out)
+    def _map(self) -> dict:
+        return self.coeffs
 
-    def __sub__(self, other: "ChainVector") -> "ChainVector":
-        self._check(other)
-        out = dict(self.coeffs)
-        for i, c in other.coeffs.items():
-            out[i] = out.get(i, 0) - c
-        return ChainVector(self.basis, out)
+    def _space(self) -> tuple:
+        return (self.basis.g, self.basis.p, self.basis.w)
 
-    def __neg__(self) -> "ChainVector":
-        return ChainVector(self.basis, {i: -c for i, c in self.coeffs.items()})
+    def _like(self, coeffs: dict) -> "_CellVector":
+        out = object.__new__(type(self))
+        out.basis = self.basis
+        out.coeffs = coeffs
+        return out
 
-    def scale(self, c: Coeff) -> "ChainVector":
-        if c == 0:
-            return ChainVector(self.basis)
-        return ChainVector(self.basis, {i: c * v for i, v in self.coeffs.items()})
+    def _term_str(self, i: int) -> str:
+        return self.basis.describe(i)
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, ChainVector)
-            and self.cell() == other.cell()
-            and self.basis.g == other.basis.g
-            and self.coeffs == other.coeffs
-        )
 
-    def terms(self) -> list[tuple[WedgeKey, Coeff]]:
-        return [(self.basis.monomials[i], self.coeffs[i]) for i in sorted(self.coeffs)]
+class ChainVector(_CellVector):
+    """Sparse element of a wedge cell: basis positions -> coefficients."""
 
-    def __repr__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        return " + ".join(
-            f"{coeff_str(c)}*{self.basis.describe(i)}" for i, c in sorted(self.coeffs.items())
-        )
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         ctx = algebra(self.basis.g)
@@ -265,11 +236,8 @@ class ChainVector:
             "p": self.basis.p,
             "w": self.basis.w,
             "terms": [
-                {
-                    "wedge": [W.word_name(ctx.word_at(k)) for k in self.basis.monomials[i]],
-                    "coeff": coeff_str(c),
-                }
-                for i, c in sorted(self.coeffs.items())
+                {"wedge": [W.word_name(ctx.word_at(k)) for k in t], "coeff": coeff_str(c)}
+                for t, c in self.terms()
             ],
         }
 
@@ -288,63 +256,10 @@ class ChainVector:
         return cls.from_terms(basis, terms)
 
 
-class ModChainVector:
+class ModChainVector(_CellVector):
     """Sparse element of a module cell (word tensor wedge)."""
 
-    __slots__ = ("basis", "coeffs")
-
-    def __init__(self, basis: ModWedgeBasis, coeffs: Mapping[int, Coeff] | None = None):
-        self.basis = basis
-        self.coeffs: dict[int, Coeff] = _prune(dict(coeffs or {}))
-
-    @classmethod
-    def from_terms(cls, basis: ModWedgeBasis, terms: Iterable[tuple[ModKey, Coeff]]):
-        acc: dict[int, Coeff] = {}
-        for t, c in terms:
-            i = basis.position[t]
-            acc[i] = acc.get(i, 0) + c
-        return cls(basis, acc)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def cell(self) -> tuple[int, int]:
-        return (self.basis.p, self.basis.w)
-
-    def __add__(self, other: "ModChainVector") -> "ModChainVector":
-        out = dict(self.coeffs)
-        for i, c in other.coeffs.items():
-            out[i] = out.get(i, 0) + c
-        return ModChainVector(self.basis, out)
-
-    def __sub__(self, other: "ModChainVector") -> "ModChainVector":
-        out = dict(self.coeffs)
-        for i, c in other.coeffs.items():
-            out[i] = out.get(i, 0) - c
-        return ModChainVector(self.basis, out)
-
-    def scale(self, c: Coeff) -> "ModChainVector":
-        if c == 0:
-            return ModChainVector(self.basis)
-        return ModChainVector(self.basis, {i: c * v for i, v in self.coeffs.items()})
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, ModChainVector)
-            and self.cell() == other.cell()
-            and self.basis.g == other.basis.g
-            and self.coeffs == other.coeffs
-        )
-
-    def terms(self) -> list[tuple[ModKey, Coeff]]:
-        return [(self.basis.monomials[i], self.coeffs[i]) for i in sorted(self.coeffs)]
-
-    def __repr__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        return " + ".join(
-            f"{coeff_str(c)}*{self.basis.describe(i)}" for i, c in sorted(self.coeffs.items())
-        )
+    __slots__ = ()
 
 
 # -- sign helpers ------------------------------------------------------------
@@ -470,15 +385,52 @@ def mod_cochain_monomial(
     # it to -1 given our splitting conventions.  A p-dependent sign here
     # provably breaks the p = 2 module cells (genus 2, weight 6).
     word, tup = mono
+    return module_coboundary(mu.mu_terms(word), cochain_monomial(ctx, delta, tup), mono)
+
+
+def module_coboundary(mu_terms, d_terms, mono: ModKey):
+    """mu(m) ^ xi - m (x) d xi on one module monomial m (x) xi, given
+    mu(m) as ((word, necklace index, coeff), ...) and d xi as ((wedge,
+    coeff), ...).  The deformation pieces pass the differences mu' - mu and
+    d' - d instead."""
+    word, tup = mono
     out = []
-    for w2, k, c in mu.mu_terms(word):
+    for w2, k, c in mu_terms:
         ins = _insert1(tup, k)
         if ins:
             sgn, newtup = ins
             out.append(((w2, newtup), c * sgn))
-    for newtup, c in cochain_monomial(ctx, delta, tup):
+    for newtup, c in d_terms:
         out.append(((word, newtup), -c))
     return out
+
+
+# -- emitter paths: to a vector and to a matrix --------------------------------
+
+
+def emit_vector(x: _CellVector, tgt, emit) -> _CellVector:
+    """Image of a chain vector under the operator whose value on a basis
+    monomial is emit(monomial), as a vector of the same type in tgt."""
+    acc: dict = {}
+    monomials = x.basis.monomials
+    for i, c in x.coeffs.items():
+        axpy(acc, c, emit(monomials[i]))
+    return type(x).from_terms(tgt, acc.items())
+
+
+def emit_matrix(src, tgt, emit) -> SparseRationalMatrix:
+    """Matrix of the operator whose value on a basis monomial is
+    emit(monomial): column j is the image of the j-th monomial of src, in
+    the tgt basis."""
+    pos = tgt.position
+    columns = []
+    for mono in src.monomials:
+        col: dict[int, Coeff] = {}
+        for t, s in emit(mono):
+            j = pos[t]
+            col[j] = col.get(j, 0) + s
+        columns.append(col)
+    return SparseRationalMatrix(tgt.dim(), src.dim(), columns)
 
 
 # -- operators on chain vectors ----------------------------------------------
@@ -489,14 +441,8 @@ def boundary(x: ChainVector) -> ChainVector:
     b = x.basis
     if b.p < 1:
         raise ValueError("boundary needs p >= 1")
-    ctx = algebra(b.g)
-    target = wedge_basis(b.g, b.p - 1, b.w - 2) if b.w >= 2 else wedge_basis(b.g, b.p - 1, 0)
-    acc: dict[int, Coeff] = {}
-    for i, c in x.coeffs.items():
-        for t, s in boundary_monomial(ctx, b.monomials[i]):
-            j = target.position[t]
-            acc[j] = acc.get(j, 0) + c * s
-    return ChainVector(target, acc)
+    target = wedge_basis(b.g, b.p - 1, max(b.w - 2, 0))
+    return emit_vector(x, target, partial(boundary_monomial, algebra(b.g)))
 
 
 def sigma_wedge(y: DerivationElem, x: ChainVector) -> ChainVector:
@@ -509,33 +455,23 @@ def sigma_wedge(y: DerivationElem, x: ChainVector) -> ChainVector:
         raise GenusMismatch(f"genus {y.g} != {b.g}")
     if not ws:
         return ChainVector(wedge_basis(b.g, b.p, b.w))
-    target = wedge_basis(b.g, b.p, max(b.w + ws[0] - 2, 0))
+    out = ChainVector(wedge_basis(b.g, b.p, max(b.w + ws[0] - 2, 0)))
     if x.is_zero():
-        return ChainVector(target)
+        return out
     ctx = algebra(b.g)
-    acc: dict[int, Coeff] = {}
     for nw, cy in y.terms.items():
-        y_idx = ctx.index_of_word(nw)
-        for i, c in x.coeffs.items():
-            for t, s in sigma_monomial(ctx, y_idx, b.monomials[i]):
-                j = target.position[t]
-                acc[j] = acc.get(j, 0) + c * cy * s
-    return ChainVector(target, acc)
+        emit = partial(sigma_monomial, ctx, ctx.index_of_word(nw))
+        out = out + emit_vector(x, out.basis, emit).scale(cy)
+    return out
 
 
 def cochain_d(x: ChainVector, delta: CobracketHandle) -> ChainVector:
     """Cobracket-induced coboundary; lands in (p+1, w-2); 0 on scalars."""
     b = x.basis
-    ctx = algebra(b.g)
+    target = wedge_basis(b.g, b.p + 1, max(b.w - 2, 0))
     if b.p == 0 or b.w < 2:
-        return ChainVector(wedge_basis(b.g, b.p + 1, max(b.w - 2, 0)))
-    target = wedge_basis(b.g, b.p + 1, b.w - 2)
-    acc: dict[int, Coeff] = {}
-    for i, c in x.coeffs.items():
-        for t, s in cochain_monomial(ctx, delta, b.monomials[i]):
-            j = target.position[t]
-            acc[j] = acc.get(j, 0) + c * s
-    return ChainVector(target, acc)
+        return ChainVector(target)
+    return emit_vector(x, target, partial(cochain_monomial, algebra(b.g), delta))
 
 
 def mod_boundary(x: ModChainVector) -> ModChainVector:
@@ -543,31 +479,20 @@ def mod_boundary(x: ModChainVector) -> ModChainVector:
     b = x.basis
     if b.p < 1:
         raise ValueError("module boundary needs p >= 1")
-    ctx = algebra(b.g)
-    target = mod_wedge_basis(b.g, b.p - 1, b.w - 2) if b.w >= 2 else mod_wedge_basis(b.g, b.p - 1, 0)
-    acc: dict[int, Coeff] = {}
-    for i, c in x.coeffs.items():
-        for t, s in mod_boundary_monomial(ctx, b.monomials[i]):
-            j = target.position[t]
-            acc[j] = acc.get(j, 0) + c * s
-    return ModChainVector(target, acc)
+    target = mod_wedge_basis(b.g, b.p - 1, max(b.w - 2, 0))
+    return emit_vector(x, target, partial(mod_boundary_monomial, algebra(b.g)))
 
 
 def mod_cochain_d(
     x: ModChainVector, delta: CobracketHandle, mu: ComoduleHandle
 ) -> ModChainVector:
-    """Module coboundary mu(m)^xi + (-1)^p m (x) d xi; lands in (p+1, w-2)."""
+    """Module coboundary mu(m)^xi - m (x) d xi (a constant relative sign);
+    lands in (p+1, w-2)."""
     b = x.basis
-    ctx = algebra(b.g)
     if b.w < 2:
         return ModChainVector(mod_wedge_basis(b.g, b.p + 1, 0))
     target = mod_wedge_basis(b.g, b.p + 1, b.w - 2)
-    acc: dict[int, Coeff] = {}
-    for i, c in x.coeffs.items():
-        for t, s in mod_cochain_monomial(ctx, delta, mu, b.monomials[i]):
-            j = target.position[t]
-            acc[j] = acc.get(j, 0) + c * s
-    return ModChainVector(target, acc)
+    return emit_vector(x, target, partial(mod_cochain_monomial, algebra(b.g), delta, mu))
 
 
 def wedge_product(x: ChainVector, y: ChainVector) -> ChainVector:
@@ -576,20 +501,13 @@ def wedge_product(x: ChainVector, y: ChainVector) -> ChainVector:
     if bx.g != by.g:
         raise GenusMismatch(f"genus {bx.g} != {by.g}")
     target = wedge_basis(bx.g, bx.p + by.p, bx.w + by.w)
-    acc: dict[int, Coeff] = {}
-    for i, ci in x.coeffs.items():
-        ti = bx.monomials[i]
-        for j, cj in y.coeffs.items():
-            t, s = _sort_wedge(ti + by.monomials[j])
-            if s == 0:
-                continue
-            k = target.position[t]
-            v = acc.get(k, 0) + ci * cj * s
-            if v:
-                acc[k] = v
-            elif k in acc:
-                del acc[k]
-    return ChainVector(target, acc)
+    acc: dict[WedgeKey, Coeff] = {}
+    for ti, ci in x.terms():
+        for tj, cj in y.terms():
+            t, s = _sort_wedge(ti + tj)
+            if s:
+                axpy(acc, ci * cj, ((t, s),))
+    return ChainVector.from_terms(target, acc.items())
 
 
 # -- matrix assembly -----------------------------------------------------------
@@ -614,28 +532,20 @@ def assemble(
     ctx = algebra(g)
     if op == "boundary":
         tgt = wedge_basis(g, p - 1, w - 2) if p >= 1 and w >= 2 else None
-        emit = lambda mono: boundary_monomial(ctx, mono) if p >= 1 else []
+        emit = partial(boundary_monomial, ctx)
     elif op == "cochain_d":
         tgt = wedge_basis(g, p + 1, w - 2) if w >= 2 else None
         if delta is None:
             raise ValueError("cochain_d needs a cobracket handle")
-        emit = lambda mono: cochain_monomial(ctx, delta, mono)
+        emit = partial(cochain_monomial, ctx, delta)
     elif op == "mod_boundary":
         tgt = mod_wedge_basis(g, p - 1, w - 2) if p >= 1 and w >= 2 else None
-        emit = lambda mono: mod_boundary_monomial(ctx, mono)
+        emit = partial(mod_boundary_monomial, ctx)
     else:
         tgt = mod_wedge_basis(g, p + 1, w - 2) if w >= 2 else None
         if delta is None or mu is None:
             raise ValueError("mod_cochain_d needs cobracket and comodule handles")
-        emit = lambda mono: mod_cochain_monomial(ctx, delta, mu, mono)
+        emit = partial(mod_cochain_monomial, ctx, delta, mu)
     if tgt is None or not src.monomials:
         return SparseRationalMatrix(tgt.dim() if tgt else 0, src.dim() if src else 0)
-    columns = []
-    pos = tgt.position
-    for mono in src.monomials:
-        col: dict[int, Coeff] = {}
-        for t, s in emit(mono):
-            j = pos[t]
-            col[j] = col.get(j, 0) + s
-        columns.append(col)
-    return SparseRationalMatrix(tgt.dim(), src.dim(), columns)
+    return emit_matrix(src, tgt, emit)

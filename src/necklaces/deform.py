@@ -25,15 +25,16 @@ equivalent deformation elements A_k = (1/k!) sigma(u)^{k-1}(delta u).
 """
 
 from fractions import Fraction
+from functools import partial
 from typing import Sequence
 
 from . import complexes as C
 from . import words as W
 from .errors import ConditionFailed, MinWeightTooLow, NotInN
 from .homology import HomologyEngine
-from .lie import DerivationElem, algebra, bracket, schedler_delta
+from .lie import DerivationElem, algebra, bracket, exp_derivation, mu_alg, schedler_delta
 from .linalg import SparseRationalMatrix, kernel_basis
-from .tensors import Coeff, Tensor
+from .tensors import Coeff, Tensor, axpy
 
 
 # -- deformation elements -----------------------------------------------------
@@ -57,11 +58,7 @@ class DeformationElement:
         return self._nabla
 
     def wedge_pairs(self) -> list[tuple[int, int, Coeff]]:
-        out = []
-        for i, c in sorted(self.chain.coeffs.items()):
-            a, b = self.chain.basis.monomials[i]
-            out.append((a, b, c))
-        return out
+        return [(a, b, c) for (a, b), c in self.chain.terms()]
 
     def sigma_of(self, x_idx: int) -> tuple[tuple[int, int, Coeff], ...]:
         """sigma(N_x)(A) in wedge coordinates ((a, b, coeff), a < b)."""
@@ -70,25 +67,16 @@ class DeformationElement:
             return memo
         ctx = algebra(self.g)
         acc: dict[tuple[int, int], Coeff] = {}
-
-        def put(a, b, c):
-            if a == b:
-                return
-            key, cc = ((a, b), c) if a < b else ((b, a), -c)
-            v = acc.get(key, 0) + cc
-            if v:
-                acc[key] = v
-            elif key in acc:
-                del acc[key]
-
         for a, b, alpha in self.wedge_pairs():
-            for k, c in ctx.bracket_idx(x_idx, a):
-                put(k, b, alpha * c)
-            for k, c in ctx.bracket_idx(x_idx, b):
-                put(a, k, alpha * c)
+            # [N_x, N_a] ^ N_b + N_a ^ [N_x, N_b]
+            axpy(acc, alpha, _deriv_wedge_emit(ctx.bracket_idx(x_idx, a), (b,)))
+            axpy(acc, -alpha, _deriv_wedge_emit(ctx.bracket_idx(x_idx, b), (a,)))
         memo = tuple((a, b, c) for (a, b), c in sorted(acc.items()))
         self._sigma_memo[x_idx] = memo
         return memo
+
+    # as a cobracket handle, A stands for its piece X -> sigma(X)(A)
+    wedge_terms = sigma_of
 
     def to_json_dict(self) -> dict:
         return self.chain.to_json_dict()
@@ -106,11 +94,8 @@ def nabla_contract_chain(x: C.ChainVector) -> DerivationElem:
     """Bracket contraction of a 2-vector, sum over wedge pairs of [a, b]."""
     ctx = algebra(x.basis.g)
     acc: dict = {}
-    for i, c in x.coeffs.items():
-        a, b = x.basis.monomials[i]
-        for k, s in ctx.bracket_idx(a, b):
-            w = ctx.word_at(k)
-            acc[w] = acc.get(w, 0) + c * s
+    for (a, b), c in x.terms():
+        axpy(acc, c, ((ctx.word_at(k), s) for k, s in ctx.bracket_idx(a, b)))
     return DerivationElem(x.basis.g, acc)
 
 
@@ -176,10 +161,8 @@ class DeformedCobracket:
         idx = ctx.index_of_word(nw)
         acc: dict = {}
         for _, fn in self.pieces():
-            for a, b, c in fn(idx):
-                key = (ctx.word_at(a), ctx.word_at(b))
-                acc[key] = acc.get(key, 0) + c
-        return {k: v for k, v in acc.items() if v != 0}
+            axpy(acc, 1, (((ctx.word_at(a), ctx.word_at(b)), c) for a, b, c in fn(idx)))
+        return acc
 
 
 class DeformedComodule:
@@ -228,10 +211,8 @@ class DeformedComodule:
         ctx = self._ctx
         acc: dict = {}
         for _, fn in self.pieces():
-            for w2, k, c in fn(word):
-                key = (w2, ctx.word_at(k))
-                acc[key] = acc.get(key, 0) + c
-        return {k: v for k, v in acc.items() if v != 0}
+            axpy(acc, 1, (((w2, ctx.word_at(k)), c) for w2, k, c in fn(word)))
+        return acc
 
 
 def deform_delta(a, require_cojacobi_weight: int | None = None) -> DeformedCobracket:
@@ -283,12 +264,7 @@ def check_cojacobi(handle, max_weight: int) -> bool:
                 for (u, v), s in (((wa, wb), c), ((wb, wa), -c)):
                     for (u1, u2), c2 in handle.delta_word(u).items():
                         for (x, y), s2 in (((u1, u2), c2), ((u2, u1), -c2)):
-                            for trip in ((x, y, v), (y, v, x), (v, x, y)):
-                                nv = acc.get(trip, 0) + s * s2
-                                if nv:
-                                    acc[trip] = nv
-                                elif trip in acc:
-                                    del acc[trip]
+                            axpy(acc, s * s2, (((x, y, v), 1), ((y, v, x), 1), ((v, x, y), 1)))
             if acc:
                 return False
     return True
@@ -322,102 +298,74 @@ def check_coaction(delta_handle, mu_handle, max_weight: int, g: int,
         mw = mu_of(word)
         for (m1, n1), c in mw.items():
             for (wa, wb), c2 in delta_of(n1).items():
-                for key, s in ((((m1, wa, wb)), 1), ((m1, wb, wa), -1)):
-                    nv = acc.get(key, 0) + s * c * c2
-                    if nv:
-                        acc[key] = nv
-                    elif key in acc:
-                        del acc[key]
+                axpy(acc, c * c2, (((m1, wa, wb), 1), ((m1, wb, wa), -1)))
         for (m1, n1), c in mw.items():
             for (m2, n2), c2 in mu_of(m1).items():
-                for key, s in (((m2, n2, n1), 1), ((m2, n1, n2), -1)):
-                    nv = acc.get(key, 0) + s * c * c2
-                    if nv:
-                        acc[key] = nv
-                    elif key in acc:
-                        del acc[key]
+                axpy(acc, c * c2, (((m2, n2, n1), 1), ((m2, n1, n2), -1)))
         if acc:
             return False
     return True
 
 
-# -- piece assembly -------------------------------------------------------------
+# -- emissions and piece assembly ------------------------------------------------
+#
+# An emitter maps one basis monomial to its image, a list of (monomial,
+# coeff).  The piece matrices go through C.emit_matrix; the homotopy checks
+# compose emitters per source monomial and compare the columns one by one,
+# so the large intermediate cell is never materialized.  As a cobracket
+# handle a DeformationElement stands for its piece X -> sigma(X)(A), so
+# C.cochain_monomial emits the sigma piece d(delta') - d(delta).
+
+
+def _wedge_emit(pairs, tup: C.WedgeKey):
+    """A ^ x on one wedge monomial x, for A given as ((a, b, coeff), ...)
+    with a < b."""
+    out = []
+    for x, y, c in pairs:
+        ins = C._insert2(tup, x, y)
+        if ins:
+            out.append((ins[1], ins[0] * c))
+    return out
+
+
+def _mod_wedge_emit(pairs, mono: C.ModKey):
+    """m (x) (A ^ xi) on one module monomial m (x) xi."""
+    word, tup = mono
+    return [((word, t), c) for t, c in _wedge_emit(pairs, tup)]
+
+
+def _deriv_wedge_emit(terms, tup: C.WedgeKey):
+    """Y ^ x on one wedge monomial x, for Y given as ((index, coeff), ...)."""
+    out = []
+    for k, c in terms:
+        ins = C._insert1(tup, k)
+        if ins:
+            out.append((ins[1], ins[0] * c))
+    return out
+
+
+def _mod_piece_emit(ctx, mu_handle, a, d_index: int, mono: C.ModKey):
+    """(mu' - mu)(m) ^ xi - m (x) (d' - d) xi for deformation d_index of
+    mu_handle, where a is the matching cobracket deformation (None when
+    the cobracket is not deformed)."""
+    word, tup = mono
+    mu_terms = mu_handle.piece_terms(d_index, word)
+    d_terms = C.cochain_monomial(ctx, a, tup) if a is not None else ()
+    return C.module_coboundary(mu_terms, d_terms, mono)
+
+
+def _compose_into(acc: dict, c: Coeff, first, then, mono) -> None:
+    """acc += c * (then . first)(mono) for two emitters."""
+    for t, s in first(mono):
+        axpy(acc, c * s, then(t))
 
 
 def assemble_sigma_piece(a: DeformationElement, p: int, w: int) -> SparseRationalMatrix:
     """Matrix of x -> sum_i (-1)^i sigma(X_i)(A) ^ (rest): the difference
     d(delta') - d(delta) out of cell (p, w), landing in (p+1, w + wt(A) - 2)."""
-    g = a.g
-    src = C.wedge_basis(g, p, w)
-    tgt = C.wedge_basis(g, p + 1, w + a.weight - 2)
-    cols = []
-    for tup in src.monomials:
-        col: dict[int, Coeff] = {}
-        for ii in range(len(tup)):
-            rest = tup[:ii] + tup[ii + 1 :]
-            s0 = -1 if ii % 2 == 0 else 1
-            for x, y, c in a.sigma_of(tup[ii]):
-                ins = C._insert2(rest, x, y)
-                if ins:
-                    sgn, newtup = ins
-                    j = tgt.position[newtup]
-                    v = col.get(j, 0) + s0 * sgn * c
-                    if v:
-                        col[j] = v
-                    elif j in col:
-                        del col[j]
-        cols.append(col)
-    return SparseRationalMatrix(tgt.dim(), src.dim(), cols)
-
-
-def assemble_wedge_mult(a: DeformationElement, p: int, w: int) -> SparseRationalMatrix:
-    """Matrix of E_A: x -> A ^ x from (p, w) to (p+2, w + wt(A))."""
-    g = a.g
-    src = C.wedge_basis(g, p, w)
-    tgt = C.wedge_basis(g, p + 2, w + a.weight)
-    cols = []
-    for tup in src.monomials:
-        col: dict[int, Coeff] = {}
-        for x, y, c in a.wedge_pairs():
-            ins = C._insert2(tup, x, y)
-            if ins:
-                sgn, newtup = ins
-                j = tgt.position[newtup]
-                v = col.get(j, 0) + sgn * c
-                if v:
-                    col[j] = v
-                elif j in col:
-                    del col[j]
-        cols.append(col)
-    return SparseRationalMatrix(tgt.dim(), src.dim(), cols)
-
-
-def assemble_deriv_mult(g: int, y: DerivationElem, p: int, w: int) -> SparseRationalMatrix:
-    """Matrix of x -> Y ^ x for a weight-homogeneous derivation Y."""
-    ws = y.weight_support()
-    src = C.wedge_basis(g, p, w)
-    if not ws:
-        return SparseRationalMatrix(C.wedge_basis(g, p + 1, w).dim(), src.dim())
-    if len(ws) > 1:
-        raise ValueError("need a weight-homogeneous element")
-    ctx = algebra(g)
-    tgt = C.wedge_basis(g, p + 1, w + ws[0])
-    cols = []
-    terms = [(ctx.index_of_word(nw), c) for nw, c in y.sorted_terms()]
-    for tup in src.monomials:
-        col: dict[int, Coeff] = {}
-        for k, c in terms:
-            ins = C._insert1(tup, k)
-            if ins:
-                sgn, newtup = ins
-                j = tgt.position[newtup]
-                v = col.get(j, 0) + sgn * c
-                if v:
-                    col[j] = v
-                elif j in col:
-                    del col[j]
-        cols.append(col)
-    return SparseRationalMatrix(tgt.dim(), src.dim(), cols)
+    src = C.wedge_basis(a.g, p, w)
+    tgt = C.wedge_basis(a.g, p + 1, w + a.weight - 2)
+    return C.emit_matrix(src, tgt, partial(C.cochain_monomial, algebra(a.g), a))
 
 
 def homotopy_check(a: DeformationElement | C.ChainVector, p: int, w: int) -> bool:
@@ -430,57 +378,18 @@ def homotopy_check(a: DeformationElement | C.ChainVector, p: int, w: int) -> boo
     so the large intermediate cell (p+2, w + wt A) is never materialized."""
     if isinstance(a, C.ChainVector):
         a = DeformationElement(a)
-    g = a.g
-    ctx = algebra(g)
-    src = C.wedge_basis(g, p, w)
-    pairs = a.wedge_pairs()
-    nabla_terms = [
-        (ctx.index_of_word(nw), c) for nw, c in a.nabla().sorted_terms()
-    ]
-
-    def put(acc, key, c):
-        v = acc.get(key, 0) + c
-        if v:
-            acc[key] = v
-        elif key in acc:
-            del acc[key]
-
+    ctx = algebra(a.g)
+    src = C.wedge_basis(a.g, p, w)
+    bnd = partial(C.boundary_monomial, ctx)
+    wedge_a = partial(_wedge_emit, a.wedge_pairs())
+    nabla = [(ctx.index_of_word(nw), c) for nw, c in a.nabla().sorted_terms()]
     for tup in src.monomials:
         lhs: dict = {}
-        # boundary(A ^ x)
-        for x, y, alpha in pairs:
-            ins = C._insert2(tup, x, y)
-            if ins is None:
-                continue
-            s, t2 = ins
-            for t3, c2 in C.boundary_monomial(ctx, t2):
-                put(lhs, t3, alpha * s * c2)
-        # - A ^ boundary(x)
-        if p >= 1:
-            for t2, c2 in C.boundary_monomial(ctx, tup):
-                for x, y, alpha in pairs:
-                    ins = C._insert2(t2, x, y)
-                    if ins is None:
-                        continue
-                    s, t3 = ins
-                    put(lhs, t3, -alpha * c2 * s)
-        # + (nabla A) ^ x
-        for k, c in nabla_terms:
-            ins = C._insert1(tup, k)
-            if ins is None:
-                continue
-            s, t3 = ins
-            put(lhs, t3, c * s)
+        _compose_into(lhs, 1, wedge_a, bnd, tup)  # boundary(A ^ x)
+        _compose_into(lhs, -1, bnd, wedge_a, tup)  # - A ^ boundary(x)
+        axpy(lhs, 1, _deriv_wedge_emit(nabla, tup))  # + (nabla A) ^ x
         rhs: dict = {}
-        for ii in range(len(tup)):
-            rest = tup[:ii] + tup[ii + 1 :]
-            s0 = -1 if ii % 2 == 0 else 1
-            for x, y, c in a.sigma_of(tup[ii]):
-                ins = C._insert2(rest, x, y)
-                if ins is None:
-                    continue
-                s, t3 = ins
-                put(rhs, t3, s0 * s * c)
+        axpy(rhs, 1, C.cochain_monomial(ctx, a, tup))
         if lhs != rhs:
             return False
     return True
@@ -499,58 +408,8 @@ def assemble_mod_piece(
     a = mu_handle.deformations[d_index]
     src = C.mod_wedge_basis(g, p, w)
     tgt = C.mod_wedge_basis(g, p + 1, w + a.weight - 2)
-    ctx = algebra(g)
     ad = delta_handle.deformations[d_index] if d_index < len(delta_handle.deformations) else None
-    cols = []
-    for word, tup in src.monomials:
-        col: dict[int, Coeff] = {}
-
-        def put(key, c):
-            j = tgt.position[key]
-            v = col.get(j, 0) + c
-            if v:
-                col[j] = v
-            elif j in col:
-                del col[j]
-
-        for w2, k, c in mu_handle.piece_terms(d_index, word):
-            ins = C._insert1(tup, k)
-            if ins:
-                sgn, newtup = ins
-                put((w2, newtup), c * sgn)
-        if ad is not None:
-            for ii in range(len(tup)):
-                rest = tup[:ii] + tup[ii + 1 :]
-                s0 = -1 if ii % 2 == 0 else 1
-                for x, y, c in ad.sigma_of(tup[ii]):
-                    ins = C._insert2(rest, x, y)
-                    if ins:
-                        sgn, newtup = ins
-                        put((word, newtup), -s0 * sgn * c)
-        cols.append(col)
-    return SparseRationalMatrix(tgt.dim(), src.dim(), cols)
-
-
-def assemble_mod_wedge_mult(b: DeformationElement, p: int, w: int) -> SparseRationalMatrix:
-    """Matrix of E_B: m (x) xi -> m (x) (B ^ xi) on module cells."""
-    g = b.g
-    src = C.mod_wedge_basis(g, p, w)
-    tgt = C.mod_wedge_basis(g, p + 2, w + b.weight)
-    cols = []
-    for word, tup in src.monomials:
-        col: dict[int, Coeff] = {}
-        for x, y, c in b.wedge_pairs():
-            ins = C._insert2(tup, x, y)
-            if ins:
-                sgn, newtup = ins
-                j = tgt.position[(word, newtup)]
-                v = col.get(j, 0) + sgn * c
-                if v:
-                    col[j] = v
-                elif j in col:
-                    del col[j]
-        cols.append(col)
-    return SparseRationalMatrix(tgt.dim(), src.dim(), cols)
+    return C.emit_matrix(src, tgt, partial(_mod_piece_emit, algebra(g), mu_handle, ad, d_index))
 
 
 def mod_homotopy_check(
@@ -562,57 +421,17 @@ def mod_homotopy_check(
     -sigma(X)(A) for all X, in particular for B = -A (our conventions; the
     relative sign is pinned the same way as the other module-side
     identities).  Direct column emission, as in homotopy_check."""
-    g = a.g
-    ctx = algebra(g)
-    mu_h = DeformedComodule(g, [b])
-    delta_h = DeformedCobracket(g, [a], require_in_n=False)
-    src = C.mod_wedge_basis(g, p, w)
-    pairs_b = b.wedge_pairs()
-
-    def put(acc, key, c):
-        v = acc.get(key, 0) + c
-        if v:
-            acc[key] = v
-        elif key in acc:
-            del acc[key]
-
+    ctx = algebra(a.g)
+    src = C.mod_wedge_basis(a.g, p, w)
+    bnd = partial(C.mod_boundary_monomial, ctx)
+    wedge_b = partial(_mod_wedge_emit, b.wedge_pairs())
+    piece = partial(_mod_piece_emit, ctx, DeformedComodule(a.g, [b]), a, 0)
     for mono in src.monomials:
-        word, tup = mono
         lhs: dict = {}
-        # mod_boundary(m (x) B ^ xi)
-        for x, y, beta in pairs_b:
-            ins = C._insert2(tup, x, y)
-            if ins is None:
-                continue
-            s, t2 = ins
-            for key2, c2 in C.mod_boundary_monomial(ctx, (word, t2)):
-                put(lhs, key2, beta * s * c2)
-        # - E_B(mod_boundary(m (x) xi))
-        if p >= 1:
-            for (w2, t2), c2 in C.mod_boundary_monomial(ctx, mono):
-                for x, y, beta in pairs_b:
-                    ins = C._insert2(t2, x, y)
-                    if ins is None:
-                        continue
-                    s, t3 = ins
-                    put(lhs, (w2, t3), -beta * c2 * s)
-        # the deformation piece: (mu'-mu)(m) ^ xi - m (x) (d'-d) xi
+        _compose_into(lhs, 1, wedge_b, bnd, mono)  # mod_boundary(m (x) B ^ xi)
+        _compose_into(lhs, -1, bnd, wedge_b, mono)  # - E_B(mod_boundary(m (x) xi))
         rhs: dict = {}
-        for w2, k, c in mu_h.piece_terms(0, word):
-            ins = C._insert1(tup, k)
-            if ins is None:
-                continue
-            s, t3 = ins
-            put(rhs, (w2, t3), c * s)
-        for ii in range(len(tup)):
-            rest = tup[:ii] + tup[ii + 1 :]
-            s0 = -1 if ii % 2 == 0 else 1
-            for x, y, c in a.sigma_of(tup[ii]):
-                ins = C._insert2(rest, x, y)
-                if ins is None:
-                    continue
-                s, t3 = ins
-                put(rhs, (word, t3), -s0 * s * c)
+        axpy(rhs, 1, piece(mono))
         if lhs != rhs:
             return False
     return True
@@ -689,10 +508,8 @@ def verify_deformation_invariance(
         def sigma_table(defs, x_idx, sign=1):
             acc: dict = {}
             for d in defs:
-                for x, y, c in d.sigma_of(x_idx):
-                    key = (d.weight, x, y)
-                    acc[key] = acc.get(key, 0) + sign * c
-            return {k: v for k, v in acc.items() if v != 0}
+                axpy(acc, sign, (((d.weight, x, y), c) for x, y, c in d.sigma_of(x_idx)))
+            return acc
 
         for m in range(1, check_weight + 1):
             for nw in ctx.basis_words(m):
@@ -760,12 +577,6 @@ def _exp_ad_deriv(u: DerivationElem, v: DerivationElem, cutoff: int) -> Derivati
     return acc
 
 
-def _exp_deriv_tensor(u: DerivationElem, t: Tensor, cutoff: int) -> Tensor:
-    from .lie import exp_derivation
-
-    return exp_derivation(u, t, cutoff)
-
-
 class ExpAdCobracket:
     """The conjugated cobracket (e^{ad u} (x) e^{ad u}) delta e^{-ad u},
     evaluated lazily below a weight cutoff."""
@@ -803,7 +614,7 @@ class ExpAdCobracket:
                     if len(na) + len(nb) > out_bound:
                         continue
                     _wedge_put(acc, na, nb, half * c * ca * cb)
-        return {k: v for k, v in acc.items() if v != 0}
+        return acc
 
     def equivalent_deformations(self) -> list[DeformationElement]:
         """The coboundary elements sum_k (1/k!) sigma(u)^{k-1}(delta u),
@@ -812,7 +623,6 @@ class ExpAdCobracket:
         # represent Lambda^2 elements as wedge-coefficient maps keyed by
         # necklace-word pairs (a < b in basis order)
         def sigma_u(pairs):
-            ctx = algebra(g)
             out: dict = {}
             for (wa, wb), c in pairs.items():
                 da = bracket(self.u, DerivationElem.necklace(g, wa))
@@ -821,7 +631,7 @@ class ExpAdCobracket:
                     _wedge_put(out, nk, wb, c * ck)
                 for nk, ck in db.terms.items():
                     _wedge_put(out, wa, nk, c * ck)
-            return {k: v for k, v in out.items() if v != 0}
+            return out
 
         base: dict = {}
         for (wa, wb), c in schedler_delta(self.u).terms.items():
@@ -839,13 +649,7 @@ class ExpAdCobracket:
             }
             if not power:
                 break
-            f = Fraction(1, _factorial(k))
-            for key, c in power.items():
-                v = total.get(key, 0) + f * c
-                if v:
-                    total[key] = v
-                elif key in total:
-                    del total[key]
+            axpy(total, Fraction(1, _factorial(k)), power.items())
             k += 1
         # split by total weight into chain vectors
         ctx = algebra(g)
@@ -867,12 +671,7 @@ def _wedge_put(acc: dict, wa: W.WordKey, wb: W.WordKey, c: Coeff) -> None:
     ka, kb = (len(wa), wa), (len(wb), wb)
     if ka == kb:
         return
-    key, cc = ((wa, wb), c) if ka < kb else ((wb, wa), -c)
-    v = acc.get(key, 0) + cc
-    if v:
-        acc[key] = v
-    elif key in acc:
-        del acc[key]
+    axpy(acc, c, (((wa, wb), 1),) if ka < kb else (((wb, wa), -1),))
 
 
 def _factorial(n: int) -> int:
@@ -896,25 +695,17 @@ class ExpAdComodule:
     def mu_word(self, word: W.WordKey) -> dict[tuple[W.WordKey, W.WordKey], Coeff]:
         """Complete up to total output weight cutoff - 2, as for the
         conjugated cobracket; incomplete weights are not returned."""
-        from .lie import mu_alg
-
         g, cutoff = self.g, self.max_weight
         out_bound = cutoff - 2
-        inner = _exp_deriv_tensor(self.u.scale(-1), Tensor.word(g, word), cutoff)
+        inner = exp_derivation(self.u.scale(-1), Tensor.word(g, word), cutoff)
         acc: dict = {}
         for (m1, n1), c in mu_alg(inner).terms.items():
-            um = _exp_deriv_tensor(self.u, Tensor.word(g, m1), cutoff)
+            um = exp_derivation(self.u, Tensor.word(g, m1), cutoff)
             un = _exp_ad_deriv(self.u, DerivationElem.necklace(g, n1), cutoff)
             for w2, c2 in um.terms.items():
-                for nk, ck in un.terms.items():
-                    if len(w2) + len(nk) > out_bound:
-                        continue
-                    key = (w2, nk)
-                    v = acc.get(key, 0) + c * c2 * ck
-                    if v:
-                        acc[key] = v
-                    elif key in acc:
-                        del acc[key]
+                axpy(acc, c * c2, (
+                    ((w2, nk), ck) for nk, ck in un.terms.items() if len(w2) + len(nk) <= out_bound
+                ))
         return acc
 
 

@@ -31,7 +31,8 @@ from typing import Mapping
 
 from . import words as W
 from .errors import GenusMismatch, NotCyclic
-from .tensors import Coeff, Tensor, coeff_str, parse_coeff, _prune
+from .tensors import Coeff, Tensor, TermMap, axpy, coeff_str, cyclicize, parse_coeff, _prune
+from .tensors import by_total_weight, by_weight
 
 
 def _as_int_if_whole(c: Coeff) -> Coeff:
@@ -61,7 +62,8 @@ def necklace_count(g: int, m: int) -> int:
     for d in range(1, m + 1):
         if m % d == 0:
             total += _euler_phi(d) * (2 * g) ** (m // d)
-    assert total % m == 0
+    if total % m:
+        raise ArithmeticError(f"Burnside sum {total} is not divisible by {m}")
     return total // m
 
 
@@ -146,7 +148,8 @@ class NecklaceContext:
             m = len(word)
             basis = self.basis_words(m)
             pos = bisect_left(basis, word)
-            assert pos < len(basis) and basis[pos] == word, word
+            if pos == len(basis) or basis[pos] != word:
+                raise ValueError(f"{word} is not a canonical basis word")
             idx = self._offsets[m] + pos
             self._index_cache[word] = idx
         return idx
@@ -330,11 +333,13 @@ def necklace_basis(g: int, m: int) -> list[Necklace]:
     return [Necklace(w) for w in algebra(g).basis_words(m)]
 
 
-class DerivationElem:
+class DerivationElem(TermMap):
     """Element of the necklace Lie algebra: a finite map Necklace -> coeff,
     stored over canonical words."""
 
     __slots__ = ("g", "terms")
+
+    _order = staticmethod(by_weight)
 
     def __init__(self, g: int, terms: Mapping[W.WordKey, Coeff] | None = None):
         self.g = g
@@ -355,9 +360,6 @@ class DerivationElem:
     def necklace(cls, g: int, word: W.WordKey, coeff: Coeff = 1) -> "DerivationElem":
         return cls(g, {tuple(word): coeff})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def weight_support(self) -> list[int]:
         return sorted({len(w) for w in self.terms})
 
@@ -365,59 +367,13 @@ class DerivationElem:
         return min((len(w) for w in self.terms), default=0)
 
     def component(self, m: int) -> "DerivationElem":
-        return DerivationElem(self.g, {w: c for w, c in self.terms.items() if len(w) == m})
+        return self._like({w: c for w, c in self.terms.items() if len(w) == m})
 
     def truncate(self, cutoff: int) -> "DerivationElem":
-        return DerivationElem(
-            self.g, {w: c for w, c in self.terms.items() if len(w) <= cutoff}
-        )
+        return self._like({w: c for w, c in self.terms.items() if len(w) <= cutoff})
 
-    def _check_genus(self, other: "DerivationElem") -> None:
-        if self.g != other.g:
-            raise GenusMismatch(f"genus {self.g} != {other.g}")
-
-    def __add__(self, other: "DerivationElem") -> "DerivationElem":
-        self._check_genus(other)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, 0) + c
-        return DerivationElem(self.g, out)
-
-    def __sub__(self, other: "DerivationElem") -> "DerivationElem":
-        self._check_genus(other)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, 0) - c
-        return DerivationElem(self.g, out)
-
-    def __neg__(self) -> "DerivationElem":
-        return DerivationElem(self.g, {w: -c for w, c in self.terms.items()})
-
-    def scale(self, c: Coeff) -> "DerivationElem":
-        if c == 0:
-            return DerivationElem(self.g)
-        return DerivationElem(self.g, {w: c * v for w, v in self.terms.items()})
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, DerivationElem)
-            and self.g == other.g
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.g, frozenset(self.terms.items())))
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for w in sorted(self.terms, key=lambda w: (len(w), w)):
-            bits.append(f"{coeff_str(self.terms[w])}*N({W.word_name(w)})")
-        return " + ".join(bits)
-
-    def sorted_terms(self) -> list[tuple[W.WordKey, Coeff]]:
-        return [(w, self.terms[w]) for w in sorted(self.terms, key=lambda w: (len(w), w))]
+    def _term_str(self, w: W.WordKey) -> str:
+        return f"N({W.word_name(w)})"
 
     def to_json_dict(self) -> dict:
         return {
@@ -430,19 +386,19 @@ class DerivationElem:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "DerivationElem":
-        g = int(data["g"])
         terms: dict[W.WordKey, Coeff] = {}
-        for item in data["terms"]:
-            w = W.parse_word(item["necklace"])
-            terms[w] = terms.get(w, 0) + parse_coeff(item["coeff"])
-        return cls(g, terms)
+        items = data["terms"]
+        axpy(terms, 1, ((W.parse_word(i["necklace"]), parse_coeff(i["coeff"])) for i in items))
+        return cls(int(data["g"]), terms)
 
 
-class BiDerivationElem:
+class BiDerivationElem(TermMap):
     """Finite map (Necklace, Necklace) -> coeff: a two-factor derivation
     tensor, e.g. the value of the cobracket."""
 
     __slots__ = ("g", "terms")
+
+    _order = staticmethod(by_total_weight)
 
     def __init__(
         self, g: int, terms: Mapping[tuple[W.WordKey, W.WordKey], Coeff] | None = None
@@ -456,48 +412,12 @@ class BiDerivationElem:
             clean[key] = clean.get(key, 0) + c
         self.terms = _prune(clean)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def swap(self) -> "BiDerivationElem":
-        return BiDerivationElem(self.g, {(v, u): c for (u, v), c in self.terms.items()})
+        return self._like({(v, u): c for (u, v), c in self.terms.items()})
 
-    def __add__(self, other: "BiDerivationElem") -> "BiDerivationElem":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, 0) + c
-        return BiDerivationElem(self.g, out)
-
-    def __sub__(self, other: "BiDerivationElem") -> "BiDerivationElem":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, 0) - c
-        return BiDerivationElem(self.g, out)
-
-    def __neg__(self) -> "BiDerivationElem":
-        return BiDerivationElem(self.g, {k: -c for k, c in self.terms.items()})
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, BiDerivationElem)
-            and self.g == other.g
-            and self.terms == other.terms
-        )
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for (u, v) in sorted(self.terms, key=lambda p: (len(p[0]) + len(p[1]), p)):
-            c = self.terms[(u, v)]
-            bits.append(f"{coeff_str(c)}*N({W.word_name(u)})(x)N({W.word_name(v)})")
-        return " + ".join(bits)
-
-    def sorted_terms(self):
-        return [
-            (k, self.terms[k])
-            for k in sorted(self.terms, key=lambda p: (len(p[0]) + len(p[1]), p))
-        ]
+    def _term_str(self, key: tuple[W.WordKey, W.WordKey]) -> str:
+        u, v = key
+        return f"N({W.word_name(u)})(x)N({W.word_name(v)})"
 
     def to_json_dict(self) -> dict:
         return {
@@ -509,10 +429,12 @@ class BiDerivationElem:
         }
 
 
-class TensorDerivElem:
+class TensorDerivElem(TermMap):
     """Finite map (word, Necklace) -> coeff: the target of mu."""
 
     __slots__ = ("g", "terms")
+
+    _order = staticmethod(by_total_weight)
 
     def __init__(
         self, g: int, terms: Mapping[tuple[W.WordKey, W.WordKey], Coeff] | None = None
@@ -526,44 +448,9 @@ class TensorDerivElem:
             clean[key] = clean.get(key, 0) + c
         self.terms = _prune(clean)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "TensorDerivElem") -> "TensorDerivElem":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, 0) + c
-        return TensorDerivElem(self.g, out)
-
-    def __sub__(self, other: "TensorDerivElem") -> "TensorDerivElem":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, 0) - c
-        return TensorDerivElem(self.g, out)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, TensorDerivElem)
-            and self.g == other.g
-            and self.terms == other.terms
-        )
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for (m, v) in sorted(self.terms, key=lambda p: (len(p[0]) + len(p[1]), p)):
-            c = self.terms[(m, v)]
-            bits.append(
-                f"{coeff_str(c)}*({W.word_name(m) or '1'})(x)N({W.word_name(v)})"
-            )
-        return " + ".join(bits)
-
-    def sorted_terms(self):
-        return [
-            (k, self.terms[k])
-            for k in sorted(self.terms, key=lambda p: (len(p[0]) + len(p[1]), p))
-        ]
+    def _term_str(self, key: tuple[W.WordKey, W.WordKey]) -> str:
+        m, v = key
+        return f"({W.word_name(m) or '1'})(x)N({W.word_name(v)})"
 
     def to_json_dict(self) -> dict:
         return {
@@ -609,11 +496,7 @@ def necklace_normal_form(t: Tensor) -> DerivationElem:
 
 def derivation_tensor(u: DerivationElem) -> Tensor:
     """The cyclic-invariant tensor sum c_w N(w) represented by u."""
-    out: dict[W.WordKey, Coeff] = {}
-    for w, c in u.terms.items():
-        for rot in W.rotations(w):
-            out[rot] = out.get(rot, 0) + c
-    return Tensor(u.g, out)
+    return cyclicize(Tensor(u.g, u.terms))
 
 
 def derivation_apply(u: DerivationElem, t: Tensor) -> Tensor:
@@ -625,10 +508,8 @@ def derivation_apply(u: DerivationElem, t: Tensor) -> Tensor:
     out: dict[W.WordKey, Coeff] = {}
     for nw, cn in u.terms.items():
         for word, cw in t.terms.items():
-            c = cn * cw
-            for neww, s in ctx.act_word(nw, word):
-                out[neww] = out.get(neww, 0) + c * s
-    return Tensor(t.g, out)
+            axpy(out, cn * cw, ctx.act_word(nw, word))
+    return t._like(out)
 
 
 def module_action(u: DerivationElem, t: Tensor) -> Tensor:
@@ -644,15 +525,13 @@ def sigma_bar(t: Tensor, u: DerivationElem) -> Tensor:
 def bracket(u: DerivationElem, v: DerivationElem) -> DerivationElem:
     """Lie bracket in closed splice form; certified against the commutator
     of derivation actions by the verification suite."""
-    u._check_genus(v)
+    u._check_space(v)
     ctx = algebra(u.g)
     acc: dict[W.WordKey, Coeff] = {}
     for wu, cu in u.terms.items():
         for wv, cv in v.terms.items():
-            c = cu * cv
-            for k, s in ctx.bracket_words(wu, wv).items():
-                acc[k] = acc.get(k, 0) + c * s
-    return DerivationElem(u.g, acc)
+            axpy(acc, cu * cv, ctx.bracket_words(wu, wv).items())
+    return u._like(acc)
 
 
 def schedler_delta(u: DerivationElem) -> BiDerivationElem:
@@ -697,7 +576,5 @@ def mu_alg(t: Tensor) -> TensorDerivElem:
     ctx = algebra(t.g)
     acc: dict[tuple[W.WordKey, W.WordKey], Coeff] = {}
     for word, c in t.terms.items():
-        for rest, neck, s in ctx.mu_word(word):
-            key = (rest, neck)
-            acc[key] = acc.get(key, 0) + c * s
+        axpy(acc, c, (((rest, neck), s) for rest, neck, s in ctx.mu_word(word)))
     return TensorDerivElem(t.g, acc)

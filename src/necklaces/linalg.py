@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 import scipy.sparse as _sp
 
-from .tensors import Coeff, coeff_str, parse_coeff
+from .tensors import Coeff, axpy, coeff_str, parse_coeff
 
 Vec = dict[int, Coeff]
 
@@ -71,11 +71,8 @@ class SparseRationalMatrix:
     def matvec(self, vec: Vec) -> Vec:
         out: Vec = {}
         for j, c in vec.items():
-            if c == 0:
-                continue
-            for i, v in self.columns[j].items():
-                out[i] = out.get(i, 0) + c * v
-        return {i: v for i, v in out.items() if v != 0}
+            axpy(out, c, self.columns[j].items())
+        return out
 
     def __matmul__(self, other: "SparseRationalMatrix") -> "SparseRationalMatrix":
         if self.cols != other.rows:
@@ -89,8 +86,7 @@ class SparseRationalMatrix:
         cols = []
         for a, b in zip(self.columns, other.columns):
             c = dict(a)
-            for r, v in b.items():
-                c[r] = c.get(r, 0) + v
+            axpy(c, 1, b.items())
             cols.append(c)
         return SparseRationalMatrix(self.rows, self.cols, cols)
 
@@ -265,32 +261,15 @@ def rref(matrix: SparseRationalMatrix) -> tuple[list[int], list[Vec]]:
                 # stored rows contain no pivot column but their own lead,
                 # so one pass suffices and cannot disturb the lead
                 for pc in [c for c in row if c != lead and c in pivot_rows]:
-                    cv = row[pc]
-                    for c, v in pivot_rows[pc].items():
-                        nv = row.get(c, 0) - cv * v
-                        if nv:
-                            row[c] = nv
-                        elif c in row:
-                            del row[c]
+                    axpy(row, -row[pc], pivot_rows[pc].items())
                 # back-eliminate the new pivot column from existing rows
-                for pc, prow in pivot_rows.items():
+                for prow in pivot_rows.values():
                     cv = prow.get(lead)
                     if cv:
-                        for c, v in row.items():
-                            nv = prow.get(c, 0) - cv * v
-                            if nv:
-                                prow[c] = nv
-                            elif c in prow:
-                                del prow[c]
+                        axpy(prow, -cv, row.items())
                 pivot_rows[lead] = row
                 break
-            cv = row[lead]
-            for c, v in piv.items():
-                nv = row.get(c, 0) - cv * v
-                if nv:
-                    row[c] = nv
-                elif c in row:
-                    del row[c]
+            axpy(row, -row[lead], piv.items())
     pivots = sorted(pivot_rows)
     return pivots, [pivot_rows[p] for p in pivots]
 
@@ -355,12 +334,7 @@ class EchelonReducer:
             evec, tag = entry
             c = rem[lead]
             used[tag] = used.get(tag, 0) + c
-            for r, v in evec.items():
-                nv = rem.get(r, 0) - c * v
-                if nv:
-                    rem[r] = nv
-                elif r in rem:
-                    del rem[r]
+            axpy(rem, -c, evec.items())
         return rem, used
 
     def insert(self, vec: Vec, tag, back_eliminate: bool = False) -> bool:
@@ -383,12 +357,7 @@ class EchelonReducer:
             for other, _tag in self._by_lead.values():
                 cv = other.get(lead)
                 if cv:
-                    for r, v in rem.items():
-                        nv = other.get(r, 0) - cv * v
-                        if nv:
-                            other[r] = nv
-                        elif r in other:
-                            del other[r]
+                    axpy(other, -cv, rem.items())
         self._by_lead[lead] = (rem, tag)
         return True
 
@@ -409,18 +378,8 @@ def solve_columns(columns: Sequence[Vec], target: Vec) -> list[Coeff] | None:
                 break
             evec, eexpr = entry
             c = rem[lead]
-            for r, v in evec.items():
-                nv = rem.get(r, 0) - c * v
-                if nv:
-                    rem[r] = nv
-                elif r in rem:
-                    del rem[r]
-            for j, v in eexpr.items():
-                nv = expr.get(j, 0) + c * v
-                if nv:
-                    expr[j] = nv
-                elif j in expr:
-                    del expr[j]
+            axpy(rem, -c, evec.items())
+            axpy(expr, c, eexpr.items())
         return rem, expr
 
     for j, col in enumerate(columns):
@@ -431,28 +390,12 @@ def solve_columns(columns: Sequence[Vec], target: Vec) -> list[Coeff] | None:
         scale = 1 / rem[lead]
         nvec = {r: v * scale for r, v in rem.items()}
         nexpr: dict[int, Fraction] = {j: Fraction(scale)}
-        for jj, cc in expr.items():
-            nv = nexpr.get(jj, 0) - scale * cc
-            if nv:
-                nexpr[jj] = nv
-            elif jj in nexpr:
-                del nexpr[jj]
+        axpy(nexpr, -scale, expr.items())
         for ovec, oexpr in by_lead.values():
             cv = ovec.get(lead)
-            if not cv:
-                continue
-            for r, v in nvec.items():
-                nv = ovec.get(r, 0) - cv * v
-                if nv:
-                    ovec[r] = nv
-                elif r in ovec:
-                    del ovec[r]
-            for jj, cc in nexpr.items():
-                nv = oexpr.get(jj, 0) - cv * cc
-                if nv:
-                    oexpr[jj] = nv
-                elif jj in oexpr:
-                    del oexpr[jj]
+            if cv:
+                axpy(ovec, -cv, nvec.items())
+                axpy(oexpr, -cv, nexpr.items())
         by_lead[lead] = (nvec, nexpr)
 
     rem, expr = reduce(target)

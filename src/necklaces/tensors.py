@@ -18,7 +18,7 @@ Conventions fixed here:
 """
 
 from fractions import Fraction
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from . import words as W
 from .errors import GenusMismatch, PrecisionError
@@ -38,10 +38,133 @@ def _prune(terms: dict) -> dict:
     return {k: v for k, v in terms.items() if v != 0}
 
 
-class Tensor:
+def axpy(acc: dict, c: Coeff, terms: Iterable) -> None:
+    """acc += c * terms, for (key, coeff) pairs such as a dict's items; a
+    key whose coefficient reaches zero is deleted, so acc stays zero-free."""
+    get = acc.get
+    unit = type(c) is int and c == 1  # plain sums skip a product per term
+    for k, v in terms:
+        v = get(k, 0) + (v if unit else c * v)
+        if v:
+            acc[k] = v
+        elif k in acc:
+            del acc[k]
+
+
+def by_weight(word: W.WordKey):
+    """Term order of word-keyed maps: weight-major, then lexicographic."""
+    return (len(word), word)
+
+
+def by_total_weight(pair: tuple[W.WordKey, W.WordKey]):
+    """Term order of maps keyed by two words: total weight, then the pair."""
+    return (len(pair[0]) + len(pair[1]), pair)
+
+
+class TermMap:
+    """A finite sparse map from canonical keys to exact coefficients.
+
+    Every sparse element of the package is one: tensors, necklace
+    derivations and their two-factor forms, and chain vectors.  Keys are
+    canonical and no stored coefficient is zero, so equality is map
+    equality.  A subclass canonicalises keys in its public constructor and
+    supplies its term order, term names and JSON; it stores its map in
+    ``terms`` over the genus ``g`` unless it overrides the hooks below
+    (chain vectors store ``coeffs`` over a basis).
+
+    Arithmetic needs two operands of the same type over the same space:
+    other types raise TypeError, another genus GenusMismatch, and another
+    cell of the same genus ValueError.  Results are built from keys that
+    are canonical already, without canonicalising them again.
+    """
+
+    __slots__ = ()
+
+    _order = None  # sort key of the term order; None sorts the keys
+
+    # -- hooks ----------------------------------------------------------
+
+    def _map(self) -> dict:
+        return self.terms
+
+    def _space(self) -> tuple:
+        """(genus, cell...) of the space the element lives in."""
+        return (self.g,)
+
+    def _like(self, terms: dict) -> "TermMap":
+        """An element of the same type and space; terms must be canonical
+        and zero-free."""
+        out = object.__new__(type(self))
+        out.g = self.g
+        out.terms = terms
+        return out
+
+    def _term_str(self, key) -> str:
+        raise NotImplementedError
+
+    # -- shared behaviour -----------------------------------------------
+
+    def _check_space(self, other: "TermMap") -> None:
+        if type(other) is not type(self):
+            raise TypeError(
+                f"cannot combine {type(self).__name__} with {type(other).__name__}"
+            )
+        mine, theirs = self._space(), other._space()
+        if mine != theirs:
+            if mine[0] != theirs[0]:
+                raise GenusMismatch(f"genus {mine[0]} != {theirs[0]}")
+            raise ValueError(f"{type(self).__name__}s live in different cells")
+
+    def is_zero(self) -> bool:
+        return not self._map()
+
+    def __add__(self, other: "TermMap") -> "TermMap":
+        self._check_space(other)
+        out = dict(self._map())
+        axpy(out, 1, other._map().items())
+        return self._like(out)
+
+    def __sub__(self, other: "TermMap") -> "TermMap":
+        self._check_space(other)
+        out = dict(self._map())
+        axpy(out, -1, other._map().items())
+        return self._like(out)
+
+    def __neg__(self) -> "TermMap":
+        return self._like({k: -v for k, v in self._map().items()})
+
+    def scale(self, c: Coeff) -> "TermMap":
+        if c == 0:
+            return self._like({})
+        return self._like({k: c * v for k, v in self._map().items()})
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            type(other) is type(self)
+            and self._space() == other._space()
+            and self._map() == other._map()
+        )
+
+    def __hash__(self):
+        return hash((self._space(), frozenset(self._map().items())))
+
+    def sorted_terms(self) -> list:
+        """(key, coeff) pairs in the canonical term order."""
+        terms = self._map()
+        return [(k, terms[k]) for k in sorted(terms, key=self._order)]
+
+    def __repr__(self) -> str:
+        return " + ".join(
+            f"{coeff_str(c)}*{self._term_str(k)}" for k, c in self.sorted_terms()
+        ) or "0"
+
+
+class Tensor(TermMap):
     """Sparse element of the free tensor algebra: a finite map word -> coeff."""
 
     __slots__ = ("g", "terms")
+
+    _order = staticmethod(by_weight)
 
     def __init__(self, g: int, terms: Mapping[W.WordKey, Coeff] | None = None):
         if g < 1:
@@ -71,74 +194,26 @@ class Tensor:
 
     # -- basic structure ----------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def weight_support(self) -> list[int]:
         return sorted({len(w) for w in self.terms})
 
     def component(self, weight: int) -> "Tensor":
-        return Tensor(self.g, {w: c for w, c in self.terms.items() if len(w) == weight})
+        return self._like({w: c for w, c in self.terms.items() if len(w) == weight})
 
     def max_weight(self) -> int:
         return max((len(w) for w in self.terms), default=0)
 
     def truncate(self, cutoff: int) -> "Tensor":
-        return Tensor(self.g, {w: c for w, c in self.terms.items() if len(w) <= cutoff})
+        return self._like({w: c for w, c in self.terms.items() if len(w) <= cutoff})
 
     def coefficient(self, word: W.WordKey) -> Coeff:
         return self.terms.get(tuple(word), 0)
 
-    def _check_genus(self, other: "Tensor") -> None:
-        if self.g != other.g:
-            raise GenusMismatch(f"genus {self.g} != {other.g}")
-
-    # -- arithmetic ---------------------------------------------------
-
-    def __add__(self, other: "Tensor") -> "Tensor":
-        self._check_genus(other)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, 0) + c
-        return Tensor(self.g, out)
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        self._check_genus(other)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, 0) - c
-        return Tensor(self.g, out)
-
-    def __neg__(self) -> "Tensor":
-        return Tensor(self.g, {w: -c for w, c in self.terms.items()})
-
-    def scale(self, c: Coeff) -> "Tensor":
-        if c == 0:
-            return Tensor(self.g)
-        return Tensor(self.g, {w: c * v for w, v in self.terms.items()})
-
     def __mul__(self, other: "Tensor") -> "Tensor":
         return concat_mul(self, other)
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Tensor)
-            and self.g == other.g
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.g, frozenset(self.terms.items())))
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for w in sorted(self.terms, key=lambda w: (len(w), w)):
-            c = self.terms[w]
-            name = W.word_name(w) if w else "1"
-            bits.append(f"{coeff_str(c)}*{name}")
-        return " + ".join(bits)
+    def _term_str(self, w: W.WordKey) -> str:
+        return W.word_name(w) if w else "1"
 
     # -- serialization ------------------------------------------------
 
@@ -146,30 +221,28 @@ class Tensor:
         return {
             "g": self.g,
             "terms": [
-                {"word": W.word_name(w), "coeff": coeff_str(self.terms[w])}
-                for w in sorted(self.terms, key=lambda w: (len(w), w))
+                {"word": W.word_name(w), "coeff": coeff_str(c)}
+                for w, c in self.sorted_terms()
             ],
         }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Tensor":
-        g = int(data["g"])
         terms: dict[W.WordKey, Coeff] = {}
-        for item in data["terms"]:
-            w = W.parse_word(item["word"])
-            terms[w] = terms.get(w, 0) + parse_coeff(item["coeff"])
-        return cls(g, terms)
+        items = data["terms"]
+        axpy(terms, 1, ((W.parse_word(i["word"]), parse_coeff(i["coeff"])) for i in items))
+        return cls(int(data["g"]), terms)
 
 
 def concat_mul(x: Tensor, y: Tensor) -> Tensor:
     """Bilinear extension of word concatenation; weight-additive."""
-    x._check_genus(y)
+    x._check_space(y)
     out: dict[W.WordKey, Coeff] = {}
     for wx, cx in x.terms.items():
         for wy, cy in y.terms.items():
             w = wx + wy
             out[w] = out.get(w, 0) + cx * cy
-    return Tensor(x.g, out)
+    return x._like(_prune(out))
 
 
 def pairing(x: W.Letter | int, y: W.Letter | int) -> int:
@@ -200,43 +273,27 @@ def cyclicize(t: Tensor) -> Tensor:
     return Tensor(t.g, out)
 
 
-class PairTensor:
+class PairTensor(TermMap):
     """Finite map (word, word) -> coeff; the two-factor analogue of Tensor."""
 
     __slots__ = ("g", "terms")
+
+    _order = staticmethod(by_total_weight)
 
     def __init__(self, g: int, terms: Mapping[tuple[W.WordKey, W.WordKey], Coeff] | None = None):
         self.g = g
         self.terms: dict[tuple[W.WordKey, W.WordKey], Coeff] = _prune(dict(terms or {}))
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, PairTensor)
-            and self.g == other.g
-            and self.terms == other.terms
-        )
-
-    def __repr__(self) -> str:
-        bits = []
-        for (u, v) in sorted(self.terms, key=lambda p: (len(p[0]) + len(p[1]), p)):
-            c = self.terms[(u, v)]
-            bits.append(
-                f"{coeff_str(c)}*({W.word_name(u) or '1'} (x) {W.word_name(v) or '1'})"
-            )
-        return " + ".join(bits) if bits else "0"
+    def _term_str(self, key: tuple[W.WordKey, W.WordKey]) -> str:
+        u, v = key
+        return f"({W.word_name(u) or '1'} (x) {W.word_name(v) or '1'})"
 
     def to_json_dict(self) -> dict:
         return {
             "g": self.g,
             "terms": [
-                {
-                    "left": W.word_name(u),
-                    "right": W.word_name(v),
-                    "coeff": coeff_str(self.terms[(u, v)]),
-                }
-                for (u, v) in sorted(
-                    self.terms, key=lambda p: (len(p[0]) + len(p[1]), p)
-                )
+                {"left": W.word_name(u), "right": W.word_name(v), "coeff": coeff_str(c)}
+                for (u, v), c in self.sorted_terms()
             ],
         }
 
@@ -283,7 +340,7 @@ class TruncatedSeries:
         return TruncatedSeries(self.tensor.scale(c), self.cutoff)
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self.tensor._check_genus(other.tensor)
+        self.tensor._check_space(other.tensor)
         d = self._common_cutoff(other)
         out: dict[W.WordKey, Coeff] = {}
         for wx, cx in self.tensor.terms.items():
@@ -295,7 +352,7 @@ class TruncatedSeries:
                     continue
                 w = wx + wy
                 out[w] = out.get(w, 0) + cx * cy
-        return TruncatedSeries(Tensor(self.g, out), d)
+        return TruncatedSeries(self.tensor._like(_prune(out)), d)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -380,16 +437,10 @@ def coproduct(s: TruncatedSeries) -> PairTensor:
 
 def outer_square(s: TruncatedSeries) -> PairTensor:
     """s (x) s truncated to total weight <= cutoff."""
-    d = s.cutoff
-    out: dict[tuple[W.WordKey, W.WordKey], Coeff] = {}
-    for wx, cx in s.tensor.terms.items():
-        room = d - len(wx)
-        for wy, cy in s.tensor.terms.items():
-            if len(wy) > room:
-                continue
-            key = (wx, wy)
-            out[key] = out.get(key, 0) + cx * cy
-    return PairTensor(s.g, out)
+    terms = s.tensor.terms.items()
+    return PairTensor(s.g, {
+        (wx, wy): cx * cy for wx, cx in terms for wy, cy in terms if len(wx) + len(wy) <= s.cutoff
+    })
 
 
 def is_grouplike(s: TruncatedSeries) -> bool:

@@ -7,6 +7,7 @@ reproducible from its seed.
 """
 
 import random
+from functools import partial
 
 from . import words as W
 from .lie import (
@@ -20,7 +21,7 @@ from .lie import (
     necklace_basis,
     schedler_delta,
 )
-from .tensors import Tensor, omega
+from .tensors import Tensor, axpy, omega
 from . import complexes as C
 from .linalg import int_csc, product_bound_ok
 
@@ -56,14 +57,10 @@ def sigma_on_bideriv(x: DerivationElem, b: BiDerivationElem) -> BiDerivationElem
     """Diagonal action on a two-factor element: [x, .](x)1 + 1(x)[x, .]."""
     acc: dict = {}
     for (u, v), c in b.terms.items():
-        du = DerivationElem.necklace(x.g, u)
-        dv = DerivationElem.necklace(x.g, v)
-        for w2, c2 in bracket(x, du).terms.items():
-            key = (w2, v)
-            acc[key] = acc.get(key, 0) + c * c2
-        for w2, c2 in bracket(x, dv).terms.items():
-            key = (u, w2)
-            acc[key] = acc.get(key, 0) + c * c2
+        du = bracket(x, DerivationElem.necklace(x.g, u))
+        dv = bracket(x, DerivationElem.necklace(x.g, v))
+        axpy(acc, c, (((w2, v), c2) for w2, c2 in du.terms.items()))
+        axpy(acc, c, (((u, w2), c2) for w2, c2 in dv.terms.items()))
     return BiDerivationElem(x.g, acc)
 
 
@@ -83,10 +80,7 @@ def cojacobi_defect(u: DerivationElem) -> dict:
     for (a, b), c in schedler_delta(u).terms.items():
         da = schedler_delta(DerivationElem.necklace(u.g, a))
         for (a1, a2), c2 in da.terms.items():
-            for trip in ((a1, a2, b), (a2, b, a1), (b, a1, a2)):
-                acc[trip] = acc.get(trip, 0) + c * c2
-                if acc[trip] == 0:
-                    del acc[trip]
+            axpy(acc, c * c2, (((a1, a2, b), 1), ((a2, b, a1), 1), ((b, a1, a2), 1)))
     return acc
 
 
@@ -112,16 +106,10 @@ def comodule_defect(t: Tensor) -> dict:
     acc: dict = {}
     mt = mu_alg(t)
     for (m1, n1), c in mt.terms.items():
-        for (a, b), c2 in schedler_delta(DerivationElem.necklace(t.g, n1)).terms.items():
-            key = (m1, a, b)
-            acc[key] = acc.get(key, 0) + c * c2
-            if acc[key] == 0:
-                del acc[key]
+        delta = schedler_delta(DerivationElem.necklace(t.g, n1))
+        axpy(acc, c, (((m1, a, b), c2) for (a, b), c2 in delta.terms.items()))
         for (m2, n2), c2 in mu_alg(Tensor.word(t.g, m1)).terms.items():
-            for key, s in (((m2, n2, n1), 1), ((m2, n1, n2), -1)):
-                acc[key] = acc.get(key, 0) + s * c * c2
-                if acc[key] == 0:
-                    del acc[key]
+            axpy(acc, c * c2, (((m2, n2, n1), 1), ((m2, n1, n2), -1)))
     return acc
 
 
@@ -135,20 +123,15 @@ def bimodule_compat_defect(t: Tensor, y: DerivationElem) -> TensorDerivElem:
     acc: dict = {}
     for (m1, n1), c in mu_alg(t).terms.items():
         ym = derivation_apply(y, Tensor.word(g, m1))
-        for w2, c2 in ym.terms.items():
-            key = (w2, n1)
-            acc[key] = acc.get(key, 0) + c * c2
-        for n2, c2 in bracket(y, DerivationElem.necklace(g, n1)).terms.items():
-            key = (m1, n2)
-            acc[key] = acc.get(key, 0) + c * c2
+        yn = bracket(y, DerivationElem.necklace(g, n1))
+        axpy(acc, c, (((w2, n1), c2) for w2, c2 in ym.terms.items()))
+        axpy(acc, c, (((m1, n2), c2) for n2, c2 in yn.terms.items()))
     first = TensorDerivElem(g, acc)
     second = mu_alg(derivation_apply(y, t))
     acc2: dict = {}
     for (n1, n2), c in schedler_delta(y).terms.items():
         n1m = derivation_apply(DerivationElem.necklace(g, n1), t)
-        for w2, c2 in n1m.terms.items():
-            key = (w2, n2)
-            acc2[key] = acc2.get(key, 0) - c * c2
+        axpy(acc2, -c, (((w2, n2), c2) for w2, c2 in n1m.terms.items()))
     third = TensorDerivElem(g, acc2)
     return first - second + third
 
@@ -385,27 +368,12 @@ def bracket_oracle_sweep(g: int, max_weight_sum: int) -> dict:
                     for y in letters:
                         lhs: dict = {}
                         for k, c in cl.items():
-                            for w2, s in ctx.act_word(k, y):
-                                v = lhs.get(w2, 0) + c * s
-                                if v:
-                                    lhs[w2] = v
-                                elif w2 in lhs:
-                                    del lhs[w2]
+                            axpy(lhs, c, ctx.act_word(k, y))
                         rhs: dict = {}
                         for w1, s1 in ctx.act_word(wv, y):
-                            for w2, s2 in ctx.act_word(wu, w1):
-                                v = rhs.get(w2, 0) + s1 * s2
-                                if v:
-                                    rhs[w2] = v
-                                elif w2 in rhs:
-                                    del rhs[w2]
+                            axpy(rhs, s1, ctx.act_word(wu, w1))
                         for w1, s1 in ctx.act_word(wu, y):
-                            for w2, s2 in ctx.act_word(wv, w1):
-                                v = rhs.get(w2, 0) - s1 * s2
-                                if v:
-                                    rhs[w2] = v
-                                elif w2 in rhs:
-                                    del rhs[w2]
+                            axpy(rhs, -s1, ctx.act_word(wv, w1))
                         if lhs != rhs:
                             ok, detail = False, f"oracle mismatch on {wu}, {wv}"
                             break
@@ -454,6 +422,18 @@ def bracket_oracle_sweep(g: int, max_weight_sum: int) -> dict:
 # overflow bound is checked before any product is trusted).
 
 
+# source columns emitted per int64 product: bounds the streamed working set
+CHUNK_COLUMNS = 40000
+
+
+def _certified_product(a, b):
+    """a @ b in int64, once product_bound_ok has certified that no entry
+    can overflow; raises OverflowError otherwise."""
+    if not product_bound_ok(a, b):
+        raise OverflowError("int64 product bound exceeded; the product cannot be certified")
+    return a @ b
+
+
 def _cell_dims(g: int, p: int, w: int, module: bool) -> int:
     if p < 0 or w < 0:
         return 0
@@ -464,14 +444,8 @@ def _cell_dims(g: int, p: int, w: int, module: bool) -> int:
 def _emit_ops(g: int, module: bool, delta, mu):
     ctx = algebra(g)
     if module:
-        return (
-            lambda mono: C.mod_boundary_monomial(ctx, mono),
-            lambda mono: C.mod_cochain_monomial(ctx, delta, mu, mono),
-        )
-    return (
-        lambda mono: C.boundary_monomial(ctx, mono),
-        lambda mono: C.cochain_monomial(ctx, delta, mono),
-    )
+        return partial(C.mod_boundary_monomial, ctx), partial(C.mod_cochain_monomial, ctx, delta, mu)
+    return partial(C.boundary_monomial, ctx), partial(C.cochain_monomial, ctx, delta)
 
 
 def _small_csc(g: int, op: str, p: int, w: int, module: bool, delta, mu, cache: dict):
@@ -495,13 +469,7 @@ def _small_csc(g: int, op: str, p: int, w: int, module: bool, delta, mu, cache: 
     return out
 
 
-def matrix_identity_suite(
-    g: int,
-    pmax: int,
-    wmax: int,
-    module: bool = False,
-    chunk_size: int = 40000,
-) -> dict:
+def matrix_identity_suite(g: int, pmax: int, wmax: int, module: bool = False) -> dict:
     """boundary^2 = 0, d^2 = 0 and the anticommutator identity on every
     cell p <= pmax, w <= wmax, as exact matrix identities."""
     delta = C.AlgCobracket(g)
@@ -554,8 +522,8 @@ def matrix_identity_suite(
                 else C.wedge_basis(g, p, w).monomials
             )
             ok_bb = ok_dd = ok_anti = True
-            for lo in range(0, dim, chunk_size):
-                cols = source[lo : lo + chunk_size]
+            for lo in range(0, dim, CHUNK_COLUMNS):
+                cols = source[lo : lo + CHUNK_COLUMNS]
                 n = len(cols)
                 rb, cb, vb = [], [], []
                 rd, cd, vd = [], [], []
@@ -575,23 +543,19 @@ def matrix_identity_suite(
                 mb = int_csc(dim_b, n, rb, cb, vb) if tgt_b is not None else None
                 md = int_csc(dim_d, n, rd, cd, vd) if tgt_d is not None else None
                 if need_bb and mb is not None:
-                    assert product_bound_ok(s_bb, mb)
-                    z = s_bb @ mb
+                    z = _certified_product(s_bb, mb)
                     z.eliminate_zeros()
                     ok_bb = ok_bb and z.nnz == 0
                 if need_dd and md is not None:
-                    assert product_bound_ok(s_dd, md)
-                    z = s_dd @ md
+                    z = _certified_product(s_dd, md)
                     z.eliminate_zeros()
                     ok_dd = ok_dd and z.nnz == 0
                 if need_anti:
                     za = None
                     if s_anti_d is not None and mb is not None:
-                        assert product_bound_ok(s_anti_d, mb)
-                        za = s_anti_d @ mb
+                        za = _certified_product(s_anti_d, mb)
                     if s_anti_b is not None and md is not None:
-                        assert product_bound_ok(s_anti_b, md)
-                        zb = s_anti_b @ md
+                        zb = _certified_product(s_anti_b, md)
                         za = zb if za is None else za + zb
                     if za is not None:
                         za.eliminate_zeros()

@@ -74,9 +74,21 @@ class TestCliCommands:
             {"coeff": "1", "necklace": "a1", "word": ""}
         ]
 
-    def test_usage_error_exit_2(self, capsys):
-        assert main(["cobracket", "--g", "1", "N(a1 b1"]) == 2
-        assert main(["bracket", "--g", "1", "a1", "N(b1)"]) == 2
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cobracket", "--g", "1", "N(a1 b1"],
+            ["bracket", "--g", "1", "a1", "N(b1)"],
+            ["homology", "--p", "x"],
+            ["homology", "--p", "3..1"],
+            ["expand", "--degree", "1"],
+            ["bracket", "--g", "0", "N(a1)", "N(b1)"],
+            ["bracket", "--g", "1", "N(a2)", "N(b1)"],
+            ["deform", "--g", "1", "--A", "N(a3)^N(b1)"],
+        ],
+    )
+    def test_usage_error_exit_2(self, argv, capsys):
+        assert main(argv) == 2
 
     def test_verify_exit_0(self, capsys):
         rc = main(

@@ -1,6 +1,8 @@
 import random
 
-from necklaces import DerivationElem, necklace_count
+import pytest
+
+from necklaces import DerivationElem, necklace_count, verify
 from necklaces.complexes import (
     AlgCobracket,
     AlgComodule,
@@ -376,6 +378,11 @@ class TestWedgeIdentities:
 
 
 class TestMatrixSuites:
+    def test_uncertified_product_raises(self, monkeypatch):
+        monkeypatch.setattr(verify, "product_bound_ok", lambda a, b: False)
+        with pytest.raises(OverflowError):
+            verify.matrix_identity_suite(1, 2, 4)
+
     def test_small_sweep_all_ops(self):
         for g in (1, 2):
             rep = matrix_identity_suite(g, 3, 6, module=False)
