@@ -461,7 +461,10 @@ def _cmd_compare(args) -> int:
 
 def _cmd_loop(args) -> int:
     theta = Expansion.from_json_dict(_load_json(args.theta))
-    word = parse_group_word(args.word)
+    try:
+        word = parse_group_word(args.word)
+    except ValueError as exc:
+        raise ParseError(f"--word: {exc}", 0) from None
     _emit({"op": "loop", "word": args.word, "result": loop_tensor(theta, word).to_json_dict()}, args)
     return 0
 

@@ -22,7 +22,7 @@ pinned to zero, so the output is deterministic.
 """
 
 from . import words as W
-from .errors import InconsistentExpansions, NotCyclic, SolveFailed
+from .errors import GenusMismatch, InconsistentExpansions, NotCyclic, SolveFailed
 from .lie import DerivationElem, exp_derivation, necklace_normal_form
 from .linalg import solve_columns
 from .tensors import (
@@ -141,6 +141,8 @@ class Expansion:
 
     def generator_series(self, signed: int) -> TruncatedSeries:
         l = generator_letter(signed)
+        if l >= 2 * self.g:
+            raise GenusMismatch(f"generator x{abs(signed)} does not exist at genus {self.g}")
         if signed > 0:
             return self.series[l]
         inv = self._inverses.get(l)

@@ -1,11 +1,13 @@
 """Exact sparse linear algebra over the rationals.
 
 Matrices are stored column-major as dicts {row: coeff} with int or
-Fraction entries.  Rank and image computations use fraction-free integer
-column elimination with gcd normalization; reduced row echelon form and
-kernel extraction work over Fraction.  Because all our matrices decompose
-into blocks with disjoint row/column supports (the multidegree grading),
-sparse elimination never mixes blocks, which keeps fill-in local.
+Fraction entries.  Rank, image and ``solve_columns`` use fraction-free
+integer column elimination with gcd normalization (``_reduce_int``);
+the solver pins free variables to 0 and forms one Fraction per nonzero
+entry at the end.  Reduced row echelon form and kernel extraction work
+over Fraction.  Because all our matrices decompose into blocks with
+disjoint row/column supports (the multidegree grading), sparse
+elimination never mixes blocks, which keeps fill-in local.
 
 No floating point is used anywhere; numpy/scipy enter only through
 ``int_csc`` as an exact int64 engine for large matrix products, with the
@@ -175,8 +177,9 @@ def product_bound_ok(a, b) -> bool:
 # -- exact elimination ------------------------------------------------------
 
 
-def _int_scale_column(col: Vec) -> dict[int, int]:
-    """Scale a rational column to a primitive integer vector."""
+def _int_scale_column(col: Vec) -> tuple[dict[int, int], int, int]:
+    """Scale a rational column to a primitive integer vector: returns
+    (vec, num, den) with col == vec * num / den (num is 0 iff col is 0)."""
     denom = 1
     for v in col.values():
         if isinstance(v, Fraction):
@@ -190,7 +193,36 @@ def _int_scale_column(col: Vec) -> dict[int, int]:
             g = gcd(g, iv)
     if g > 1:
         out = {r: iv // g for r, iv in out.items()}
-    return out
+    return out, g, denom
+
+
+def _reduce_int(col: dict[int, int], pivots: dict[int, dict[int, int]]) -> dict[int, int]:
+    """Reduce an integer vector against stored vectors with distinct leads
+    (smallest keys) by fraction-free steps a*col - b*piv, a and b the lead
+    entries, each divided by the gcd of its entries.  Every step raises the
+    lead, so this ends with col empty or with a lead that is not stored."""
+    while col:
+        lead = min(col)
+        piv = pivots.get(lead)
+        if piv is None:
+            break
+        a, b = piv[lead], col[lead]
+        new: dict[int, int] = {}
+        for r, v in col.items():
+            new[r] = a * v
+        for r, v in piv.items():
+            nv = new.get(r, 0) - b * v
+            if nv:
+                new[r] = nv
+            elif r in new:
+                del new[r]
+        g = 0
+        for v in new.values():
+            g = gcd(g, v)
+            if g == 1:
+                break
+        col = new if g <= 1 else {r: v // g for r, v in new.items()}
+    return col
 
 
 def column_echelon_int(matrix: SparseRationalMatrix) -> dict[int, dict[int, int]]:
@@ -202,31 +234,10 @@ def column_echelon_int(matrix: SparseRationalMatrix) -> dict[int, dict[int, int]
     """
     pivots: dict[int, dict[int, int]] = {}
     for col0 in matrix.columns:
-        col = _int_scale_column(col0)
-        while col:
+        col = _reduce_int(_int_scale_column(col0)[0], pivots)
+        if col:
             lead = min(col)
-            piv = pivots.get(lead)
-            if piv is None:
-                if col[lead] < 0:
-                    col = {r: -v for r, v in col.items()}
-                pivots[lead] = col
-                break
-            a, b = piv[lead], col[lead]
-            new: dict[int, int] = {}
-            for r, v in col.items():
-                new[r] = a * v
-            for r, v in piv.items():
-                nv = new.get(r, 0) - b * v
-                if nv:
-                    new[r] = nv
-                elif r in new:
-                    del new[r]
-            g = 0
-            for v in new.values():
-                g = gcd(g, v)
-                if g == 1:
-                    break
-            col = new if g <= 1 else {r: v // g for r, v in new.items()}
+            pivots[lead] = col if col[lead] > 0 else {r: -v for r, v in col.items()}
     return pivots
 
 
@@ -363,45 +374,34 @@ class EchelonReducer:
 
 
 def solve_columns(columns: Sequence[Vec], target: Vec) -> list[Coeff] | None:
-    """One exact solution x of sum_j x_j * columns[j] = target, with free
-    variables set to 0 (deterministic); None if inconsistent."""
-    # lead row -> (stored vector, its expression over the original columns)
-    by_lead: dict[int, tuple[Vec, dict[int, Fraction]]] = {}
-
-    def reduce(vec: Vec) -> tuple[Vec, dict[int, Fraction]]:
-        rem = {r: Fraction(v) for r, v in vec.items() if v != 0}
-        expr: dict[int, Fraction] = {}
-        while rem:
-            lead = min(rem)
-            entry = by_lead.get(lead)
-            if entry is None:
-                break
-            evec, eexpr = entry
-            c = rem[lead]
-            axpy(rem, -c, evec.items())
-            axpy(expr, c, eexpr.items())
-        return rem, expr
-
-    for j, col in enumerate(columns):
-        rem, expr = reduce(col)  # col = rem + sum expr * columns
-        if not rem:
-            continue
-        lead = min(rem)
-        scale = 1 / rem[lead]
-        nvec = {r: v * scale for r, v in rem.items()}
-        nexpr: dict[int, Fraction] = {j: Fraction(scale)}
-        axpy(nexpr, -scale, expr.items())
-        for ovec, oexpr in by_lead.values():
-            cv = ovec.get(lead)
-            if cv:
-                axpy(ovec, -cv, nvec.items())
-                axpy(oexpr, -cv, nexpr.items())
-        by_lead[lead] = (nvec, nexpr)
-
-    rem, expr = reduce(target)
-    if rem:
+    """The exact solution x of sum_j x_j * columns[j] = target whose free
+    variables (the columns that reduce to zero, left to right) are 0; None
+    if inconsistent.  This x is unique, so it does not depend on the
+    elimination order.  Nonzero entries are Fractions, the rest int 0.
+    Fraction-free: each column is a primitive integer vector that carries
+    its expression over the columns as coordinates past the last row, and
+    ``_reduce_int`` reduces both parts at once."""
+    base = 1 + max((r for vec in (*columns, target) for r in vec), default=-1)
+    pivots: dict[int, dict[int, int]] = {}
+    scales: list[tuple[int, int]] = []
+    for j, col0 in enumerate(columns):
+        col, num, den = _int_scale_column(col0)
+        scales.append((num, den))
+        col[base + j] = 1
+        col = _reduce_int(col, pivots)
+        lead = min(col)
+        if lead < base:
+            pivots[lead] = col
+    rhs, t_num, t_den = _int_scale_column(target)
+    rhs[base + len(columns)] = 1
+    rhs = _reduce_int(rhs, pivots)
+    if min(rhs) < base:
         return None
+    # no rows left: c*T + sum_k e_k*P_k = 0, where target = T*t_num/t_den
+    # and columns[k] = P_k*num_k/den_k, so x_k = -e_k*den_k*t_num/(num_k*c*t_den)
+    c = rhs.pop(base + len(columns))
     x: list[Coeff] = [0] * len(columns)
-    for j, c in expr.items():
-        x[j] = c
+    for k, e in rhs.items():
+        num, den = scales[k - base]
+        x[k - base] = Fraction(-e * den * t_num, num * c * t_den)
     return x

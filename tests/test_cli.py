@@ -142,6 +142,16 @@ class TestCliCommands:
         assert rc == 0
         assert out["result"]["terms"][0] == {"coeff": "-1", "necklace": "a1"}
 
+    @pytest.mark.parametrize("word", ["x5", "y1"])
+    def test_loop_bad_word_exit_2(self, word, tmp_path, capsys):
+        # x5 is outside genus 1; y1 is not a generator at all
+        th = tmp_path / "t.json"
+        assert main(["expand", "--g", "1", "--degree", "3", "--out", str(th)]) == 0
+        capsys.readouterr()
+        assert main(["loop", "--theta", str(th), "--word", word]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_table_format(self, capsys):
         rc = main(["bracket", "--g", "1", "--format", "table", "N(a1 a1)", "N(b1)"])
         out = capsys.readouterr().out

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from necklaces import expansion
 from necklaces.errors import InconsistentExpansions
 from necklaces.expansion import (
     Expansion,
@@ -22,12 +23,14 @@ from necklaces.expansion import (
     symplectic_lie_derivations,
 )
 from necklaces.lie import DerivationElem, exp_derivation
+from necklaces.linalg import solve_columns
 from necklaces.tensors import (
     TruncatedSeries,
     is_lie_element,
     log_series,
     omega,
 )
+from oracles import oracle_solve_columns
 
 A1, B1 = 0, 1
 
@@ -137,6 +140,22 @@ class TestSolver:
         a = symplectic_expansion(1, 5)
         b = symplectic_expansion(1, 5)
         assert a.to_json_dict() == b.to_json_dict()
+
+    def test_correction_systems_match_fraction_oracle(self, monkeypatch):
+        # every real correction system up to g=2, cutoff 6 (816 columns)
+        sizes = []
+
+        def checked(columns, target):
+            got = solve_columns(columns, target)
+            want = oracle_solve_columns(columns, target)
+            assert got == want
+            assert [type(v) for v in got] == [type(v) for v in want]
+            sizes.append(len(columns))
+            return got
+
+        monkeypatch.setattr(expansion, "solve_columns", checked)
+        symplectic_expansion(2, 6)
+        assert sizes == [24, 80, 240, 816]
 
     def test_json_roundtrip(self):
         th = symplectic_expansion(2, 3)

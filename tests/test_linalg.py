@@ -12,6 +12,7 @@ from necklaces.linalg import (
     rref,
     solve_columns,
 )
+from oracles import oracle_solve_columns
 
 
 def rand_matrix(rng, rows, cols, density=0.2, fractions=False):
@@ -144,6 +145,41 @@ class TestSolve:
     def test_solve_inconsistent(self):
         m = SparseRationalMatrix.from_entries(2, 1, [(0, 0, 1)])
         assert solve_columns(m.columns, {1: 1}) is None
+
+    def test_solve_matches_fraction_oracle(self):
+        # equal values, equal types (Fraction or int 0) and None together
+        rng = random.Random(12)
+        seen = {"consistent": 0, "zero": 0, "random": 0, "none": 0, "deficient": 0}
+        for _ in range(600):
+            rows = rng.randint(0, 9)
+            m = rand_matrix(rng, rows, rng.randint(0, 9), density=rng.choice([0.1, 0.3, 0.6]),
+                            fractions=rng.random() < 0.5)
+            columns = [dict(c) for c in m.columns]
+            if columns and rng.random() < 0.3:  # duplicate column
+                columns.insert(rng.randint(0, len(columns)), dict(rng.choice(columns)))
+            if rng.random() < 0.3:  # empty column
+                columns.insert(rng.randint(0, len(columns)), {})
+            m = SparseRationalMatrix(rows, len(columns), columns)
+            seen["deficient"] += rank(m) < m.cols
+            kind = rng.choice(["consistent", "consistent", "zero", "random"])
+            seen[kind] += 1
+            if kind == "zero":
+                target = {}
+            elif kind == "consistent":
+                target = m.matvec({j: Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                                   for j in range(m.cols)})
+            else:  # rational, usually outside the column space
+                target = {r: Fraction(rng.choice([-5, -2, 1, 3]), rng.randint(1, 5))
+                          for r in range(rows + 1) if rng.random() < 0.4}
+            got = solve_columns(columns, target)
+            want = oracle_solve_columns(columns, target)
+            if want is None:
+                seen["none"] += 1
+                assert got is None
+                continue
+            assert got == want
+            assert [type(v) for v in got] == [type(v) for v in want]
+        assert min(seen.values()) > 50, seen
 
 
 class TestSerialization:
