@@ -235,17 +235,26 @@ def parse_range(text: str) -> tuple[int, int]:
 # -- handles from flags ----------------------------------------------------------
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str, loader):
+    """loader applied to the JSON object in a file.  A file that is not
+    JSON, or whose object lacks a field or holds one of the wrong type, is
+    a usage error."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            data = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise ParseError(f"{path} is not JSON: {exc}", 0) from None
+    try:
+        return loader(data)
+    except (LookupError, TypeError, ValueError, AttributeError, ZeroDivisionError) as exc:
+        raise ParseError(f"{path} is malformed: {exc.__class__.__name__}: {exc}", 0) from None
 
 
 def delta_handle_from_flag(flag: str, g: int):
     if flag == "alg":
         return AlgCobracket(g)
     if flag.startswith("deformed:"):
-        data = _load_json(flag.split(":", 1)[1])
-        elem = DeformationElement.from_json_dict(data)
+        elem = _load_json(flag.split(":", 1)[1], DeformationElement.from_json_dict)
         return DeformedCobracket(g, [elem])
     raise ParseError(f"bad --delta value {flag!r}", 0)
 
@@ -254,8 +263,7 @@ def mu_handle_from_flag(flag: str, g: int):
     if flag == "alg":
         return AlgComodule(g)
     if flag.startswith("deformed:"):
-        data = _load_json(flag.split(":", 1)[1])
-        elem = DeformationElement.from_json_dict(data)
+        elem = _load_json(flag.split(":", 1)[1], DeformationElement.from_json_dict)
         return DeformedComodule(g, [elem])
     raise ParseError(f"bad --mu value {flag!r}", 0)
 
@@ -398,7 +406,7 @@ def _cmd_homology(args) -> int:
 
 def _cmd_deform(args) -> int:
     if args.A_file:
-        a_chain = DeformationElement.from_json_dict(_load_json(args.A_file)).chain
+        a_chain = _load_json(args.A_file, DeformationElement.from_json_dict).chain
     elif args.A:
         a_chain = parse_wedge(args.A, args.g)
     else:
@@ -452,15 +460,15 @@ def _cmd_expand(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    th1 = Expansion.from_json_dict(_load_json(args.theta[0]))
-    th2 = Expansion.from_json_dict(_load_json(args.theta[1]))
+    th1 = _load_json(args.theta[0], Expansion.from_json_dict)
+    th2 = _load_json(args.theta[1], Expansion.from_json_dict)
     u = compare_expansions(th1, th2)
     _emit({"op": "compare", "u": u.to_json_dict()}, args)
     return 0
 
 
 def _cmd_loop(args) -> int:
-    theta = Expansion.from_json_dict(_load_json(args.theta))
+    theta = _load_json(args.theta, Expansion.from_json_dict)
     try:
         word = parse_group_word(args.word)
     except ValueError as exc:

@@ -19,6 +19,15 @@ guarantees for A in the kernel: on cycles, the deformation piece is a
 boundary.  The comodule deformation mu'(m) = mu(m) + boundary(m (x) B) is
 handled the same way on module cells.
 
+Both identities are linear: in A, and in (A, B) jointly on module cells.
+Multiplying A (and B) by a nonzero L multiplies both sides of every column
+by L, so comparing the columns of L*A decides the identity for A.  The
+checks take L as the lcm of the coefficient denominators and run on the
+int 2-vectors L*A and L*B (``DeformationElement.scaled``); every product
+in their emission is then an int product.  An element's own sigma values
+are likewise those of L*A divided by L.  The elements a caller passes in,
+and every value reported about them, are never scaled.
+
 Conjugation by exp(ad u) for u of weight >= 3 is evaluated lazily per
 element below a weight cutoff; it is a coboundary deformation with
 equivalent deformation elements A_k = (1/k!) sigma(u)^{k-1}(delta u).
@@ -26,6 +35,7 @@ equivalent deformation elements A_k = (1/k!) sigma(u)^{k-1}(delta u).
 
 from fractions import Fraction
 from functools import partial
+from math import lcm
 from typing import Sequence
 
 from . import complexes as C
@@ -33,7 +43,7 @@ from . import words as W
 from .errors import ConditionFailed, MinWeightTooLow, NotInN
 from .homology import HomologyEngine
 from .lie import DerivationElem, algebra, bracket, exp_derivation, mu_alg, schedler_delta
-from .linalg import SparseRationalMatrix, kernel_basis
+from .linalg import SparseRationalMatrix, common_denominator, kernel_basis
 from .tensors import Coeff, Tensor, axpy
 
 
@@ -52,7 +62,9 @@ class DeformationElement:
         self.weight = chain.basis.w
         self._nabla = nabla_contract_chain(chain)
         self.in_n = self._nabla.is_zero()
+        self._denominator = common_denominator(chain.coeffs.values())
         self._sigma_memo: dict[int, tuple[tuple[int, int, Coeff], ...]] = {}
+        self._scaled: dict[int, _ScaledDeformation] = {}
 
     def nabla(self) -> DerivationElem:
         return self._nabla
@@ -61,22 +73,28 @@ class DeformationElement:
         return [(a, b, c) for (a, b), c in self.chain.terms()]
 
     def sigma_of(self, x_idx: int) -> tuple[tuple[int, int, Coeff], ...]:
-        """sigma(N_x)(A) in wedge coordinates ((a, b, coeff), a < b)."""
+        """sigma(N_x)(A) in wedge coordinates ((a, b, coeff), a < b),
+        computed as sigma(N_x)(L*A) / L for L = self._denominator."""
         memo = self._sigma_memo.get(x_idx)
-        if memo is not None:
-            return memo
-        ctx = algebra(self.g)
-        acc: dict[tuple[int, int], Coeff] = {}
-        for a, b, alpha in self.wedge_pairs():
-            # [N_x, N_a] ^ N_b + N_a ^ [N_x, N_b]
-            axpy(acc, alpha, _deriv_wedge_emit(ctx.bracket_idx(x_idx, a), (b,)))
-            axpy(acc, -alpha, _deriv_wedge_emit(ctx.bracket_idx(x_idx, b), (a,)))
-        memo = tuple((a, b, c) for (a, b), c in sorted(acc.items()))
-        self._sigma_memo[x_idx] = memo
+        if memo is None:
+            den = self._denominator
+            memo = self.scaled(den).sigma_of(x_idx)
+            if den != 1:
+                memo = tuple((a, b, Fraction(c, den)) for a, b, c in memo)
+            self._sigma_memo[x_idx] = memo
         return memo
 
     # as a cobracket handle, A stands for its piece X -> sigma(X)(A)
     wedge_terms = sigma_of
+
+    def scaled(self, factor: int) -> "DeformationElement":
+        """factor * A with int coefficients, for a factor that clears every
+        denominator of A; memoised per factor, so its sigma values are
+        reused across cells.  This element is left as it is."""
+        out = self._scaled.get(factor)
+        if out is None:
+            out = self._scaled[factor] = _ScaledDeformation(self, factor)
+        return out
 
     def to_json_dict(self) -> dict:
         return self.chain.to_json_dict()
@@ -88,6 +106,56 @@ class DeformationElement:
     def __repr__(self) -> str:
         tag = "in N(g)" if self.in_n else "NOT in N(g)"
         return f"DeformationElement(w={self.weight}, {tag}: {self.chain!r})"
+
+
+class _ScaledDeformation(DeformationElement):
+    """factor * A with int coefficients.  Its nabla is A's times factor;
+    its sigma values are computed here from the bracket tables, in int,
+    and A's own are these divided by factor."""
+
+    def __init__(self, base: DeformationElement, factor: int):
+        self.chain = C.ChainVector(base.chain.basis, _times(base.chain.coeffs, factor))
+        self.g, self.weight, self.in_n = base.g, base.weight, base.in_n
+        self._nabla = DerivationElem(base.g, _times(base.nabla().terms, factor))
+        self._denominator = 1
+        self._sigma_memo = {}
+        self._scaled = {}
+
+    def sigma_of(self, x_idx: int) -> tuple[tuple[int, int, int], ...]:
+        memo = self._sigma_memo.get(x_idx)
+        if memo is not None:
+            return memo
+        ctx = algebra(self.g)
+        acc: dict[tuple[int, int], int] = {}
+        for a, b, alpha in self.wedge_pairs():
+            # [N_x, N_a] ^ N_b + N_a ^ [N_x, N_b]
+            axpy(acc, alpha, _deriv_wedge_emit(ctx.bracket_idx(x_idx, a), (b,)))
+            axpy(acc, -alpha, _deriv_wedge_emit(ctx.bracket_idx(x_idx, b), (a,)))
+        memo = tuple((a, b, c) for (a, b), c in sorted(acc.items()))
+        self._sigma_memo[x_idx] = memo
+        return memo
+
+    wedge_terms = sigma_of
+
+
+def _times(coeffs: dict, factor: int) -> dict:
+    """factor * coeffs as ints; a ValueError if factor leaves a fraction."""
+    out = {}
+    for k, c in coeffs.items():
+        v = c * factor
+        if type(v) is not int:
+            if v.denominator != 1:
+                raise ValueError(f"{factor} does not clear the denominator of {c}")
+            v = v.numerator
+        out[k] = v
+    return out
+
+
+def _cleared(*elements: DeformationElement) -> list[DeformationElement]:
+    """The elements times the lcm of all their denominators: int 2-vectors
+    with the same ratios among them."""
+    factor = lcm(*(d._denominator for d in elements))
+    return [d.scaled(factor) for d in elements]
 
 
 def nabla_contract_chain(x: C.ChainVector) -> DerivationElem:
@@ -112,13 +180,14 @@ def n_space_basis(g: int, w: int) -> list[C.ChainVector]:
 # -- deformed handles ----------------------------------------------------------
 
 
+def _as_deformation(d) -> DeformationElement:
+    return d if isinstance(d, DeformationElement) else DeformationElement(d)
+
+
 def _as_deformations(defs) -> list[DeformationElement]:
     if isinstance(defs, (C.ChainVector, DeformationElement)):
         defs = [defs]
-    out = []
-    for d in defs:
-        out.append(d if isinstance(d, DeformationElement) else DeformationElement(d))
-    return out
+    return [_as_deformation(d) for d in defs]
 
 
 class DeformedCobracket:
@@ -375,9 +444,10 @@ def homotopy_check(a: DeformationElement | C.ChainVector, p: int, w: int) -> boo
 
     Holds for every 2-vector A (the E_{nabla A} term is what makes it true
     when A is not in the kernel).  Columns are compared by direct emission,
-    so the large intermediate cell (p+2, w + wt A) is never materialized."""
-    if isinstance(a, C.ChainVector):
-        a = DeformationElement(a)
+    so the large intermediate cell (p+2, w + wt A) is never materialized.
+    Both sides are linear in A, so they are compared for L*A, L the lcm of
+    A's denominators, in int arithmetic; the caller's A is not changed."""
+    (a,) = _cleared(_as_deformation(a))
     ctx = algebra(a.g)
     src = C.wedge_basis(a.g, p, w)
     bnd = partial(C.boundary_monomial, ctx)
@@ -413,14 +483,19 @@ def assemble_mod_piece(
 
 
 def mod_homotopy_check(
-    a: DeformationElement, b: DeformationElement, p: int, w: int
+    a: DeformationElement | C.ChainVector, b: DeformationElement | C.ChainVector,
+    p: int, w: int,
 ) -> bool:
     """Module-level chain homotopy at matrix level on module cell (p, w):
     the coboundary difference piece built from (A for delta, B for mu)
     equals boundary . E_B - E_B . boundary exactly when sigma(X)(B) =
     -sigma(X)(A) for all X, in particular for B = -A (our conventions; the
     relative sign is pinned the same way as the other module-side
-    identities).  Direct column emission, as in homotopy_check."""
+    identities).  Direct column emission, as in homotopy_check.  Both
+    sides are linear in (A, B) jointly, so they are compared for (L*A, L*B),
+    L the lcm of the denominators of A and B together, in int arithmetic;
+    the caller's A and B are not changed."""
+    a, b = _cleared(_as_deformation(a), _as_deformation(b))
     ctx = algebra(a.g)
     src = C.mod_wedge_basis(a.g, p, w)
     bnd = partial(C.mod_boundary_monomial, ctx)

@@ -15,7 +15,7 @@ overflow bound checked before trusting a result.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -177,13 +177,20 @@ def product_bound_ok(a, b) -> bool:
 # -- exact elimination ------------------------------------------------------
 
 
+def common_denominator(values: Iterable[Coeff]) -> int:
+    """The lcm of the denominators of int and Fraction values; 1 if all
+    are whole (or there are none)."""
+    denom = 1
+    for v in values:
+        if isinstance(v, Fraction):
+            denom = lcm(denom, v.denominator)
+    return denom
+
+
 def _int_scale_column(col: Vec) -> tuple[dict[int, int], int, int]:
     """Scale a rational column to a primitive integer vector: returns
     (vec, num, den) with col == vec * num / den (num is 0 iff col is 0)."""
-    denom = 1
-    for v in col.values():
-        if isinstance(v, Fraction):
-            denom = denom * v.denominator // gcd(denom, v.denominator)
+    denom = common_denominator(col.values())
     out = {}
     g = 0
     for r, v in col.items():

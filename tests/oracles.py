@@ -1,10 +1,17 @@
 """Independent brute-force implementations used as oracles.
 
-These deliberately avoid the package's cached structure-constant tables:
-they work directly from the defining formulas on raw words, with their own
-pairing and canonicalization, so a bug in the fast path cannot hide."""
+The word-level oracles deliberately avoid the package's cached
+structure-constant tables: they work directly from the defining formulas
+on raw words, with their own pairing and canonicalization, so a bug in the
+fast path cannot hide.  The others are the reference paths that a fast
+path replaced, kept here in their original arithmetic."""
 
 from fractions import Fraction
+from functools import partial
+
+from necklaces import complexes as C
+from necklaces import deform as D
+from necklaces.lie import algebra
 
 def pair(x: int, y: int) -> int:
     if y == (x ^ 1):
@@ -126,3 +133,63 @@ def oracle_solve_columns(columns, target):
     for j, c in expr.items():
         x[j] = c
     return x
+
+
+def oracle_sigma_of(a, x_idx: int) -> tuple:
+    """sigma(N_x)(A) straight from the bracket tables, in the coefficients
+    of A (no scaling, no memo)."""
+    ctx = algebra(a.g)
+    acc: dict = {}
+    for (x, y), alpha in a.chain.terms():
+        # [N_x, N_a] ^ N_b + N_a ^ [N_x, N_b]
+        _axpy(acc, alpha, D._deriv_wedge_emit(ctx.bracket_idx(x_idx, x), (y,)))
+        _axpy(acc, -alpha, D._deriv_wedge_emit(ctx.bracket_idx(x_idx, y), (x,)))
+    return tuple((p, q, c) for (p, q), c in sorted(acc.items()))
+
+
+class _OracleSigmaPiece:
+    """A as the cobracket handle of its piece X -> sigma(X)(A)."""
+
+    def __init__(self, a):
+        self.g = a.g
+        self.wedge_terms = partial(oracle_sigma_of, a)
+
+
+def oracle_homotopy_check(a, p: int, w: int) -> bool:
+    """The Fraction path that deform.homotopy_check replaced: both sides
+    of the identity in the coefficients of A itself."""
+    ctx = algebra(a.g)
+    bnd = partial(C.boundary_monomial, ctx)
+    wedge_a = partial(D._wedge_emit, a.wedge_pairs())
+    nabla = [(ctx.index_of_word(nw), c) for nw, c in a.nabla().sorted_terms()]
+    sigma = _OracleSigmaPiece(a)
+    for tup in C.wedge_basis(a.g, p, w).monomials:
+        lhs: dict = {}
+        D._compose_into(lhs, 1, wedge_a, bnd, tup)  # boundary(A ^ x)
+        D._compose_into(lhs, -1, bnd, wedge_a, tup)  # - A ^ boundary(x)
+        _axpy(lhs, 1, D._deriv_wedge_emit(nabla, tup))  # + (nabla A) ^ x
+        rhs: dict = {}
+        _axpy(rhs, 1, C.cochain_monomial(ctx, sigma, tup))
+        if lhs != rhs:
+            return False
+    return True
+
+
+def oracle_mod_homotopy_check(a, b, p: int, w: int) -> bool:
+    """The Fraction path that deform.mod_homotopy_check replaced: both
+    sides in the coefficients of A and B themselves."""
+    ctx = algebra(a.g)
+    bnd = partial(C.mod_boundary_monomial, ctx)
+    wedge_b = partial(D._mod_wedge_emit, b.wedge_pairs())
+    piece = partial(
+        D._mod_piece_emit, ctx, D.DeformedComodule(a.g, [b]), _OracleSigmaPiece(a), 0
+    )
+    for mono in C.mod_wedge_basis(a.g, p, w).monomials:
+        lhs: dict = {}
+        D._compose_into(lhs, 1, wedge_b, bnd, mono)  # mod_boundary(m (x) B ^ xi)
+        D._compose_into(lhs, -1, bnd, wedge_b, mono)  # - E_B(mod_boundary(m (x) xi))
+        rhs: dict = {}
+        _axpy(rhs, 1, piece(mono))
+        if lhs != rhs:
+            return False
+    return True

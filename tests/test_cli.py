@@ -152,6 +152,24 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("content", ["{}", "not json"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["loop", "--theta", "FILE", "--word", "x1"],
+            ["compare", "FILE", "FILE"],
+            ["deform", "--A-file", "FILE"],
+            ["homology", "--delta", "deformed:FILE"],
+        ],
+    )
+    def test_malformed_file_exit_2(self, argv, content, tmp_path, capsys):
+        path = tmp_path / "in.json"
+        path.write_text(content)
+        argv = [a.replace("FILE", str(path)) for a in argv]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_table_format(self, capsys):
         rc = main(["bracket", "--g", "1", "--format", "table", "N(a1 a1)", "N(b1)"])
         out = capsys.readouterr().out

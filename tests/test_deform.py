@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -20,6 +21,7 @@ from necklaces.deform import (
 )
 from necklaces.errors import ConditionFailed, MinWeightTooLow, NotInN
 from necklaces.lie import DerivationElem, algebra
+from oracles import oracle_homotopy_check, oracle_mod_homotopy_check, oracle_sigma_of
 
 A1, B1, A2, B2 = 0, 1, 2, 3
 
@@ -126,6 +128,100 @@ class TestHomotopyIdentity:
         negA = DeformationElement(n_space_basis(1, 3)[0].scale(-1))
         assert mod_homotopy_check(A, negA, 1, 2)
         assert not mod_homotopy_check(A, A, 1, 2)
+
+    def test_module_homotopy_takes_chain_vectors(self):
+        A = n_space_basis(1, 3)[0]
+        assert mod_homotopy_check(A, A.scale(-1), 1, 2)
+        assert not mod_homotopy_check(A, A, 1, 2)
+
+
+def _random_two_vector(rng, g, w, in_kernel):
+    """Three terms with coefficients +-1..3 over 1..6: a combination of
+    kernel basis vectors, or of wedge monomials (generically not in the
+    kernel)."""
+    if in_kernel:
+        gens = n_space_basis(g, w)
+    else:
+        basis = wedge_basis(g, 2, w)
+        gens = [ChainVector(basis, {i: 1}) for i in range(basis.dim())]
+    out = None
+    for v in rng.sample(gens, min(3, len(gens))):
+        term = v.scale(Fraction(rng.choice((1, -1, 2, -2, 3, -3)), rng.randint(1, 6)))
+        out = term if out is None else out + term
+    return out
+
+
+class TestIntegerScaledChecks:
+    """The checks compare columns for L*A (and L*B) in int; the oracles
+    are the Fraction paths they replaced, run on A and B themselves."""
+
+    LIE_CELLS = [(0, 0), (1, 2), (1, 3), (2, 4)]
+    MOD_CELLS = [(0, 2), (1, 2), (1, 3)]
+
+    def test_homotopy_check_matches_oracle(self):
+        rng = random.Random(4)
+        outside = 0
+        for g, w_a in [(1, 2), (1, 3), (1, 4), (2, 2), (2, 3)]:
+            for in_kernel in (True, False):
+                for _ in range(2):
+                    a = DeformationElement(_random_two_vector(rng, g, w_a, in_kernel))
+                    outside += not a.in_n
+                    for p, w in self.LIE_CELLS:
+                        # true for every A; off the kernel only with E_{nabla A}
+                        assert homotopy_check(a, p, w) is oracle_homotopy_check(a, p, w) is True
+        assert outside >= 6
+
+    def test_mod_homotopy_check_matches_oracle(self):
+        # both sides are jointly linear in (A, B) and agree at B = -A, so
+        # (A, B) passes iff (0, A + B) does: (A, A) and (A, -A/2) pass or
+        # fail together
+        rng = random.Random(5)
+        failing = 0
+        for g, w_a in [(1, 2), (1, 3), (2, 2), (2, 3)]:
+            for _ in range(2):
+                a = _random_two_vector(rng, g, w_a, True)
+                b = _random_two_vector(rng, g, w_a, True)
+                for p, w in self.MOD_CELLS:
+                    got = {}
+                    for name, x, y in [
+                        ("-A", a, a.scale(-1)),
+                        ("A", a, a),
+                        ("-A/3", a.scale(Fraction(1, 3)), a.scale(Fraction(-1, 3))),
+                        ("-A/2", a, a.scale(Fraction(-1, 2))),
+                        ("B", a, b),
+                    ]:
+                        dx, dy = DeformationElement(x), DeformationElement(y)
+                        got[name] = mod_homotopy_check(dx, dy, p, w)
+                        assert got[name] is oracle_mod_homotopy_check(dx, dy, p, w)
+                    assert got["-A"] is got["-A/3"] is True
+                    # one L for A and B together: scaling each to its own
+                    # primitive vector would turn (A, -A/2) into (A', -A')
+                    assert got["-A/2"] is got["A"]
+                    failing += not got["A"]
+        assert failing >= 8
+
+    def test_callers_element_unchanged(self):
+        rng = random.Random(6)
+        chain = _random_two_vector(rng, 2, 3, True)
+        a = DeformationElement(chain)
+        b = DeformationElement(chain.scale(Fraction(-1, 2)))
+        assert any(type(c) is Fraction and c.denominator > 1 for c in chain.coeffs.values())
+
+        def state():
+            return [
+                (dict(d.chain.coeffs), [type(c) for c in d.chain.coeffs.values()],
+                 d.to_json_dict(), d.in_n)
+                for d in (a, b)
+            ]
+
+        before = state()
+        assert homotopy_check(a, 1, 3)
+        assert not mod_homotopy_check(a, b, 1, 2)
+        assert state() == before
+        # A's own sigma values are those of L*A divided by L
+        ctx = algebra(2)
+        for x in range(ctx.offset(4)):
+            assert a.sigma_of(x) == oracle_sigma_of(a, x)
 
 
 class TestInvariance:
