@@ -140,11 +140,11 @@ def oracle_sigma_of(a, x_idx: int) -> tuple:
     of A (no scaling, no memo)."""
     ctx = algebra(a.g)
     acc: dict = {}
-    for (x, y), alpha in a.chain.terms():
+    for (a_idx, b_idx), alpha in a.chain.terms():
         # [N_x, N_a] ^ N_b + N_a ^ [N_x, N_b]
-        _axpy(acc, alpha, D._deriv_wedge_emit(ctx.bracket_idx(x_idx, x), (y,)))
-        _axpy(acc, -alpha, D._deriv_wedge_emit(ctx.bracket_idx(x_idx, y), (x,)))
-    return tuple((p, q, c) for (p, q), c in sorted(acc.items()))
+        _axpy(acc, alpha, D._deriv_wedge_emit(ctx.bracket_idx(x_idx, a_idx), (b_idx,)))
+        _axpy(acc, -alpha, D._deriv_wedge_emit(ctx.bracket_idx(x_idx, b_idx), (a_idx,)))
+    return tuple((i, j, c) for (i, j), c in sorted(acc.items()))
 
 
 class _OracleSigmaPiece:
