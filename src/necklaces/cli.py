@@ -236,14 +236,17 @@ def parse_range(text: str) -> tuple[int, int]:
 
 
 def _load_json(path: str, loader):
-    """loader applied to the JSON object in a file.  A file that is not
-    JSON, or whose object lacks a field or holds one of the wrong type, is
-    a usage error."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    """loader applied to the JSON object in a file.  A path that cannot be
+    read as a file (a directory, say), a file that is not JSON, or one
+    whose object lacks a field or holds one of the wrong type, is a usage
+    error."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-            raise ParseError(f"{path} is not JSON: {exc}", 0) from None
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc.strerror}", 0) from None
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ParseError(f"{path} is not JSON: {exc}", 0) from None
     try:
         return loader(data)
     except (LookupError, TypeError, ValueError, AttributeError, ZeroDivisionError) as exc:

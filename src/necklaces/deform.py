@@ -63,14 +63,15 @@ class DeformationElement:
         self._nabla = nabla_contract_chain(chain)
         self.in_n = self._nabla.is_zero()
         self._denominator = common_denominator(chain.coeffs.values())
+        self._wedge_pairs = _pairs(chain)
         self._sigma_memo: dict[int, tuple[tuple[int, int, Coeff], ...]] = {}
         self._scaled: dict[int, _ScaledDeformation] = {}
 
     def nabla(self) -> DerivationElem:
         return self._nabla
 
-    def wedge_pairs(self) -> list[tuple[int, int, Coeff]]:
-        return [(a, b, c) for (a, b), c in self.chain.terms()]
+    def wedge_pairs(self) -> tuple[tuple[int, int, Coeff], ...]:
+        return self._wedge_pairs
 
     def sigma_of(self, x_idx: int) -> tuple[tuple[int, int, Coeff], ...]:
         """sigma(N_x)(A) in wedge coordinates ((a, b, coeff), a < b),
@@ -118,6 +119,7 @@ class _ScaledDeformation(DeformationElement):
         self.g, self.weight, self.in_n = base.g, base.weight, base.in_n
         self._nabla = DerivationElem(base.g, _times(base.nabla().terms, factor))
         self._denominator = 1
+        self._wedge_pairs = _pairs(self.chain)
         self._sigma_memo = {}
         self._scaled = {}
 
@@ -136,6 +138,11 @@ class _ScaledDeformation(DeformationElement):
         return memo
 
     wedge_terms = sigma_of
+
+
+def _pairs(chain: C.ChainVector) -> tuple[tuple[int, int, Coeff], ...]:
+    """The terms of a 2-vector as (a, b, coeff), sorted once."""
+    return tuple((a, b, c) for (a, b), c in chain.terms())
 
 
 def _times(coeffs: dict, factor: int) -> dict:

@@ -3,8 +3,9 @@ induced on it.
 
 Every computation is per cell: H(p, w) = ker(boundary at (p, w)) modulo
 im(boundary at (p+1, w+2)).  Kernel representatives are the canonical
-RREF kernel basis vectors that survive reduction against a fixed reduced
-echelon basis of the boundary image, so outputs are deterministic.
+kernel basis vectors (one per free column) that survive reduction
+against a fixed echelon basis of the boundary image, so outputs are
+deterministic.
 
 The coboundary induced by an involutive cobracket maps H(p, w) to
 H(p+1, w-2); before descending to homology the engine verifies the
@@ -31,6 +32,7 @@ from .linalg import (
     SparseRationalMatrix,
     column_echelon_int,
     kernel_basis,
+    rank,
 )
 from .tensors import Coeff
 
@@ -82,8 +84,9 @@ class InducedMap:
 
 
 class HomologyEngine:
-    """Caches boundary matrices, ranks and homology spaces per cell for a
-    fixed genus, cobracket handle and comodule handle."""
+    """Caches boundary matrices, their column echelon forms and homology
+    spaces per cell for a fixed genus, cobracket handle and comodule
+    handle; each boundary matrix is eliminated at most once."""
 
     def __init__(self, g: int, delta=None, mu=None, module: bool = False):
         self.g = g
@@ -92,7 +95,7 @@ class HomologyEngine:
         self.mu = mu if mu is not None else (C.AlgComodule(g) if module else None)
         self._bmat: dict[tuple[int, int], SparseRationalMatrix] = {}
         self._dmat: dict[tuple[int, int], SparseRationalMatrix] = {}
-        self._rank: dict[tuple[int, int], int] = {}
+        self._echelon: dict[tuple[int, int], dict[int, dict[int, int]]] = {}
         self._hom: dict[tuple[int, int], HomologySpace] = {}
         self._anti_ok: dict[tuple[int, int], bool] = {}
 
@@ -137,14 +140,16 @@ class HomologyEngine:
                 )
         return self._dmat[key]
 
-    def boundary_rank(self, p: int, w: int) -> int:
+    def _boundary_echelon(self, p: int, w: int) -> dict[int, dict[int, int]]:
+        """``column_echelon_int`` of the boundary matrix at (p, w)."""
         key = (p, w)
-        if key not in self._rank:
-            if p < 1 or self.cell_dim(p, w) == 0 or self.cell_dim(p - 1, w - 2) == 0:
-                self._rank[key] = 0
-            else:
-                self._rank[key] = len(column_echelon_int(self.boundary_matrix(p, w)))
-        return self._rank[key]
+        if key not in self._echelon:
+            trivial = p < 1 or self.cell_dim(p, w) == 0 or self.cell_dim(p - 1, w - 2) == 0
+            self._echelon[key] = {} if trivial else column_echelon_int(self.boundary_matrix(p, w))
+        return self._echelon[key]
+
+    def boundary_rank(self, p: int, w: int) -> int:
+        return len(self._boundary_echelon(p, w))
 
     # -- homology ---------------------------------------------------------
 
@@ -164,16 +169,17 @@ class HomologyEngine:
             else [{j: Fraction(1)} for j in range(dim_cell)]
         )
         reducer = EchelonReducer()
-        img = self.boundary_matrix(p + 1, w + 2)
-        for lead in sorted(pivots := column_echelon_int(img)):
+        pivots = self._boundary_echelon(p + 1, w + 2)
+        for lead in sorted(pivots):
             reducer.insert({r: Fraction(v) for r, v in pivots[lead].items()}, ("im", lead))
         nreps = 0
         for kvec in ker:
             if reducer.insert(dict(kvec), ("rep", nreps)):
                 nreps += 1
-        # representatives are the reducer's final stored vectors, so that
-        # class coordinates are taken against exactly this basis (insert
-        # normalizes and back-eliminates, so the raw kernel vectors drift)
+        # representatives are the reducer's stored vectors, so that class
+        # coordinates are taken against exactly this basis (insert reduces
+        # each kernel vector against the members before it and normalizes
+        # it, so a stored vector differs from its raw kernel vector)
         vec_cls = C.ModChainVector if self.module else C.ChainVector
         reps: list = [None] * nreps
         for tag, vec in reducer.members_with_tags():
@@ -294,7 +300,7 @@ def cohomology_of_homology(engine: HomologyEngine, p0: int, w0: int, steps: int)
             raise NotChainMap(
                 f"consecutive induced maps do not compose to zero at step {k}"
             )
-    ranks = [len(column_echelon_int(m.matrix)) for m in maps]
+    ranks = [rank(m.matrix) for m in maps]
     out_cells = []
     for k, space in enumerate(spaces):
         rank_out = ranks[k] if k < len(ranks) else 0
@@ -356,7 +362,7 @@ def homology_report(
                         "target": {"p": p + 1, "w": w - 2},
                         "dim_source": m.source.dim,
                         "dim_target": m.target.dim,
-                        "rank": len(column_echelon_int(m.matrix)),
+                        "rank": rank(m.matrix),
                         "matrix": m.matrix.to_json_dict(),
                     }
                 )

@@ -1,13 +1,16 @@
 """Exact sparse linear algebra over the rationals.
 
 Matrices are stored column-major as dicts {row: coeff} with int or
-Fraction entries.  Rank, image and ``solve_columns`` use fraction-free
-integer column elimination with gcd normalization (``_reduce_int``);
-the solver pins free variables to 0 and forms one Fraction per nonzero
-entry at the end.  Reduced row echelon form and kernel extraction work
-over Fraction.  Because all our matrices decompose into blocks with
-disjoint row/column supports (the multidegree grading), sparse
-elimination never mixes blocks, which keeps fill-in local.
+Fraction entries.  Every elimination is fraction-free: integer column
+steps with gcd normalization (``_reduce_int``).  Rank and image reduce
+the columns themselves; the image and the reduced row echelon form
+back-eliminate those pivots.  The kernel and ``solve_columns`` share one
+pass in which each column carries its expression over the columns, so a
+column that reduces to zero gives a relation; the solver pins free
+variables to 0.  Each forms one Fraction per nonzero entry at the end.
+Because all our matrices decompose into blocks with disjoint row/column
+supports (the multidegree grading), sparse elimination never mixes
+blocks, which keeps fill-in local.
 
 No floating point is used anywhere; numpy/scipy enter only through
 ``int_csc`` as an exact int64 engine for large matrix products, with the
@@ -15,8 +18,9 @@ overflow bound checked before trusting a result.
 """
 
 from fractions import Fraction
+from functools import partial
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 import scipy.sparse as _sp
@@ -257,82 +261,91 @@ def nullity(matrix: SparseRationalMatrix) -> int:
 
 
 def rref(matrix: SparseRationalMatrix) -> tuple[list[int], list[Vec]]:
-    """Reduced row echelon form over Fraction.
+    """Reduced row echelon form: (pivot column indices, rows of the RREF
+    as sparse dicts), zero rows dropped, rows in ascending pivot column.
+    The rows are the reduced echelon basis of the row space."""
+    rows = image_basis(matrix.transpose())
+    return [min(row) for row in rows], rows
 
-    Returns (pivot column indices, rows of the RREF as sparse dicts); zero
-    rows are dropped.  Row order follows ascending pivot column.
-    """
-    rows: list[Vec] = [dict() for _ in range(matrix.rows)]
-    for j, col in enumerate(matrix.columns):
-        for i, v in col.items():
-            rows[i][j] = Fraction(v)
-    pivot_rows: dict[int, Vec] = {}  # pivot col -> normalized row
-    for row in rows:
-        row = dict(row)
-        while row:
-            lead = min(row)
-            piv = pivot_rows.get(lead)
-            if piv is None:
-                inv = 1 / row[lead]
-                row = {c: v * inv for c, v in row.items()}
-                # clear other pivot columns still present in this row; the
-                # stored rows contain no pivot column but their own lead,
-                # so one pass suffices and cannot disturb the lead
-                for pc in [c for c in row if c != lead and c in pivot_rows]:
-                    axpy(row, -row[pc], pivot_rows[pc].items())
-                # back-eliminate the new pivot column from existing rows
-                for prow in pivot_rows.values():
-                    cv = prow.get(lead)
-                    if cv:
-                        axpy(prow, -cv, row.items())
-                pivot_rows[lead] = row
-                break
-            axpy(row, -row[lead], piv.items())
-    pivots = sorted(pivot_rows)
-    return pivots, [pivot_rows[p] for p in pivots]
+
+def _dependencies(columns: Sequence[Vec]) -> Iterator[tuple[int, Callable[[], Vec]]]:
+    """One fraction-free pass over the columns, left to right.  Each column
+    is scaled to a primitive integer vector (``_int_scale_column``) that
+    carries a unit coordinate past the last row, so ``_reduce_int`` keeps
+    its expression over the columns.  Yields (j, relation) for each column
+    j whose row part reduces to zero; ``relation()`` is the kernel vector
+    with 1 at j, supported on j and the independent columns before it."""
+    base = 1 + max((r for vec in columns for r in vec), default=-1)
+    pivots: dict[int, dict[int, int]] = {}
+    scales: list[tuple[int, int]] = []
+    for j, col0 in enumerate(columns):
+        col, num, den = _int_scale_column(col0)
+        scales.append((num, den))
+        col[base + j] = 1
+        col = _reduce_int(col, pivots)
+        lead = min(col)
+        if lead < base:
+            pivots[lead] = col
+        else:
+            yield j, partial(_relation_vector, col, base, scales)
+
+
+def _relation_vector(rel: dict[int, int], base: int, scales: list[tuple[int, int]]) -> Vec:
+    """A relation sum_k e_k * P_k = 0 from ``_dependencies`` (e_k at base + k,
+    columns[k] = P_k * num_k / den_k) as the kernel vector x with x_j = 1
+    for the largest k = j: x_k = e_k*den_k*num_j / (num_k*e_j*den_j), all
+    Fractions, keyed j first and then the other k ascending."""
+    keys = sorted(rel)
+    j = keys.pop() - base
+    num_j, den_j = scales[j]
+    c = rel[base + j] * den_j
+    vec: Vec = {j: Fraction(1)}
+    for key in keys:
+        num, den = scales[key - base]
+        vec[key - base] = Fraction(rel[key] * den * num_j, num * c)
+    return vec
 
 
 def kernel_basis(matrix: SparseRationalMatrix) -> list[Vec]:
-    """Canonical kernel basis from the RREF: one vector per free column,
-    with 1 in the free coordinate, listed in ascending free-column order."""
-    pivots, rows = rref(matrix)
-    pivot_set = set(pivots)
-    basis = []
-    for f in range(matrix.cols):
-        if f in pivot_set:
-            continue
-        vec: Vec = {f: Fraction(1)}
-        for p, row in zip(pivots, rows):
-            v = row.get(f)
-            if v:
-                vec[p] = -v
-        basis.append(vec)
-    return basis
+    """Canonical kernel basis: one vector per free column (a column that
+    depends on those before it), 1 in the free coordinate and 0 in the
+    other free ones, listed in ascending free-column order."""
+    return [relation() for _, relation in _dependencies(matrix.columns)]
 
 
 def image_basis(matrix: SparseRationalMatrix) -> list[Vec]:
     """Reduced echelon basis of the column space (lead coefficient 1,
-    eliminated above and below), sorted by lead row."""
+    eliminated above and below), sorted by lead row.  The pivots of
+    ``column_echelon_int`` are back-eliminated in ascending lead order by
+    fraction-free steps, in place; one Fraction per entry at the end."""
     pivots = column_echelon_int(matrix)
-    reducer = EchelonReducer()
+    done: list[tuple[int, dict[int, int]]] = []
     for lead in sorted(pivots):
-        reducer.insert(
-            {r: Fraction(v) for r, v in pivots[lead].items()},
-            tag=("im", lead),
-            back_eliminate=True,
-        )
-    return [dict(vec) for _, vec in reducer.members()]
+        vec = pivots[lead]
+        a = vec[lead]
+        for _, other in done:
+            b = other.get(lead)
+            if b:
+                # other := a*other - b*vec, keys kept in place, then primitive
+                for r in other:
+                    other[r] *= a
+                axpy(other, -b, vec.items())
+                g = 0
+                for v in other.values():
+                    g = gcd(g, v)
+                if g > 1:
+                    for r in other:
+                        other[r] //= g
+        done.append((lead, vec))
+    return [{r: Fraction(v, vec[lead]) for r, v in vec.items()} for lead, vec in done]
 
 
 class EchelonReducer:
-    """Maintains tagged vectors in reduced echelon form (distinct lead
-    indices, lead coefficient 1) and reduces vectors against them."""
+    """Maintains tagged vectors in echelon form (distinct lead indices,
+    lead coefficient 1) and reduces vectors against them."""
 
     def __init__(self):
         self._by_lead: dict[int, tuple[Vec, object]] = {}
-
-    def members(self) -> list[tuple[int, Vec]]:
-        return [(lead, dict(self._by_lead[lead][0])) for lead in sorted(self._by_lead)]
 
     def members_with_tags(self) -> list[tuple[object, Vec]]:
         return [
@@ -355,28 +368,18 @@ class EchelonReducer:
             axpy(rem, -c, evec.items())
         return rem, used
 
-    def insert(self, vec: Vec, tag, back_eliminate: bool = False) -> bool:
+    def insert(self, vec: Vec, tag) -> bool:
         """Reduce and, if a nonzero remainder survives, normalize it to
         lead 1 and store it under the tag.  Returns True iff the vector
-        extended the span.
-
-        With back_eliminate the new vector is also cleared from previously
-        stored members (full RREF shape).  That mutates stored members, so
-        it must stay off when earlier members' tags carry meaning of their
-        own (as in homology class coordinates, where image-tagged members
-        must remain exact image vectors)."""
+        extended the span.  Stored members are never changed, so each
+        tag keeps naming the vector it was inserted with, reduced against
+        the members before it."""
         rem, _ = self.reduce(vec)
         if not rem:
             return False
         lead = min(rem)
         inv = 1 / rem[lead]
-        rem = {r: v * inv for r, v in rem.items()}
-        if back_eliminate:
-            for other, _tag in self._by_lead.values():
-                cv = other.get(lead)
-                if cv:
-                    axpy(other, -cv, rem.items())
-        self._by_lead[lead] = (rem, tag)
+        self._by_lead[lead] = ({r: v * inv for r, v in rem.items()}, tag)
         return True
 
 
@@ -385,30 +388,14 @@ def solve_columns(columns: Sequence[Vec], target: Vec) -> list[Coeff] | None:
     variables (the columns that reduce to zero, left to right) are 0; None
     if inconsistent.  This x is unique, so it does not depend on the
     elimination order.  Nonzero entries are Fractions, the rest int 0.
-    Fraction-free: each column is a primitive integer vector that carries
-    its expression over the columns as coordinates past the last row, and
-    ``_reduce_int`` reduces both parts at once."""
-    base = 1 + max((r for vec in (*columns, target) for r in vec), default=-1)
-    pivots: dict[int, dict[int, int]] = {}
-    scales: list[tuple[int, int]] = []
-    for j, col0 in enumerate(columns):
-        col, num, den = _int_scale_column(col0)
-        scales.append((num, den))
-        col[base + j] = 1
-        col = _reduce_int(col, pivots)
-        lead = min(col)
-        if lead < base:
-            pivots[lead] = col
-    rhs, t_num, t_den = _int_scale_column(target)
-    rhs[base + len(columns)] = 1
-    rhs = _reduce_int(rhs, pivots)
-    if min(rhs) < base:
-        return None
-    # no rows left: c*T + sum_k e_k*P_k = 0, where target = T*t_num/t_den
-    # and columns[k] = P_k*num_k/den_k, so x_k = -e_k*den_k*t_num/(num_k*c*t_den)
-    c = rhs.pop(base + len(columns))
-    x: list[Coeff] = [0] * len(columns)
-    for k, e in rhs.items():
-        num, den = scales[k - base]
-        x[k - base] = Fraction(-e * den * t_num, num * c * t_den)
-    return x
+    It is the relation of the target, appended as the last column, in the
+    fraction-free pass of ``kernel_basis``."""
+    n = len(columns)
+    for j, relation in _dependencies([*columns, target]):
+        if j == n:
+            x: list[Coeff] = [0] * n
+            for k, v in relation().items():
+                if k != n:
+                    x[k] = -v
+            return x
+    return None

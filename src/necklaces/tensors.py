@@ -30,8 +30,12 @@ def coeff_str(c: Coeff) -> str:
     return str(Fraction(c))
 
 
-def parse_coeff(text: str) -> Fraction:
-    return Fraction(text)
+def parse_coeff(value: str | int) -> Fraction:
+    """A coefficient as JSON holds it: a string such as "-3/2", or an int.
+    Anything else (a float, which is inexact, or a bool) is a TypeError."""
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
+        raise TypeError(f"a coefficient must be a string or an int, not {value!r}")
+    return Fraction(value)
 
 
 def _prune(terms: dict) -> dict:

@@ -12,6 +12,7 @@ from functools import partial
 from necklaces import complexes as C
 from necklaces import deform as D
 from necklaces.lie import algebra
+from necklaces.linalg import column_echelon_int
 
 def pair(x: int, y: int) -> int:
     if y == (x ^ 1):
@@ -193,3 +194,75 @@ def oracle_mod_homotopy_check(a, b, p: int, w: int) -> bool:
         if lhs != rhs:
             return False
     return True
+
+
+def exact(vectors):
+    """Sparse vectors as their keys in dict order, each with the type and
+    the value of its coefficient: the form in which a fast path is
+    compared with its oracle."""
+    return [[(k, type(v), v) for k, v in vec.items()] for vec in vectors]
+
+
+def oracle_rref(matrix):
+    """The Fraction Gauss-Jordan loop that linalg.rref replaced: (pivot
+    column indices, RREF rows as sparse dicts) in ascending pivot column."""
+    rows: list = [dict() for _ in range(matrix.rows)]
+    for j, col in enumerate(matrix.columns):
+        for i, v in col.items():
+            rows[i][j] = Fraction(v)
+    pivot_rows: dict = {}  # pivot col -> normalized row
+    for row in rows:
+        row = dict(row)
+        while row:
+            lead = min(row)
+            piv = pivot_rows.get(lead)
+            if piv is None:
+                inv = 1 / row[lead]
+                row = {c: v * inv for c, v in row.items()}
+                for pc in [c for c in row if c != lead and c in pivot_rows]:
+                    _axpy(row, -row[pc], pivot_rows[pc].items())
+                for prow in pivot_rows.values():
+                    cv = prow.get(lead)
+                    if cv:
+                        _axpy(prow, -cv, row.items())
+                pivot_rows[lead] = row
+                break
+            _axpy(row, -row[lead], piv.items())
+    pivots = sorted(pivot_rows)
+    return pivots, [pivot_rows[p] for p in pivots]
+
+
+def oracle_kernel_basis(matrix):
+    """The kernel basis read off oracle_rref, as linalg.kernel_basis did:
+    1 in each free coordinate, then the pivot entries in ascending order."""
+    pivots, rows = oracle_rref(matrix)
+    pivot_set = set(pivots)
+    basis = []
+    for f in range(matrix.cols):
+        if f in pivot_set:
+            continue
+        vec = {f: Fraction(1)}
+        for p, row in zip(pivots, rows):
+            v = row.get(f)
+            if v:
+                vec[p] = -v
+        basis.append(vec)
+    return basis
+
+
+def oracle_image_basis(matrix):
+    """The Fraction back-elimination that linalg.image_basis replaced: the
+    column_echelon_int pivots in ascending lead order, each normalized to
+    lead 1 and cleared from the vectors stored before it."""
+    pivots = column_echelon_int(matrix)
+    stored: dict = {}  # lead -> normalized vector, in insertion order
+    for lead in sorted(pivots):
+        vec = {r: Fraction(v) for r, v in pivots[lead].items()}
+        inv = 1 / vec[lead]
+        vec = {r: v * inv for r, v in vec.items()}
+        for other in stored.values():
+            cv = other.get(lead)
+            if cv:
+                _axpy(other, -cv, vec.items())
+        stored[lead] = vec
+    return [dict(stored[lead]) for lead in sorted(stored)]

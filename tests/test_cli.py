@@ -152,7 +152,7 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
 
-    @pytest.mark.parametrize("content", ["{}", "not json"])
+    @pytest.mark.parametrize("content", ["{}", "not json", None])  # None: a directory
     @pytest.mark.parametrize(
         "argv",
         [
@@ -164,11 +164,28 @@ class TestCliCommands:
     )
     def test_malformed_file_exit_2(self, argv, content, tmp_path, capsys):
         path = tmp_path / "in.json"
-        path.write_text(content)
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_text(content)
         argv = [a.replace("FILE", str(path)) for a in argv]
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("coeff, code", [("1/2", 0), (2, 0), (0.5, 2), (True, 2)])
+    def test_a_file_coefficient_types(self, coeff, code, tmp_path, capsys):
+        # a JSON coefficient is a string or an int; a float is inexact
+        path = tmp_path / "a.json"
+        path.write_text(json.dumps(
+            {"g": 1, "p": 2, "w": 2, "terms": [{"coeff": coeff, "wedge": ["a1", "b1"]}]}
+        ))
+        assert main(["deform", "--g", "1", "--A-file", str(path)]) == code
+        out, err = capsys.readouterr()
+        if code:
+            assert err.startswith("error:") and "Traceback" not in err
+        else:
+            assert json.loads(out)["A"]["terms"][0]["coeff"] == str(Fraction(coeff))
 
     def test_table_format(self, capsys):
         rc = main(["bracket", "--g", "1", "--format", "table", "N(a1 a1)", "N(b1)"])

@@ -2,9 +2,12 @@ import random
 
 import pytest
 
+from necklaces import homology
 from necklaces.errors import NotChainMap
 from necklaces.homology import HomologyEngine, cohomology_of_homology, homology_report
 from necklaces.lie import algebra
+from necklaces.linalg import column_echelon_int, kernel_basis
+from oracles import exact, oracle_kernel_basis
 
 
 class TestLieHomology:
@@ -46,8 +49,6 @@ class TestLieHomology:
                 for w in range(p, 7):
                     mat = eng.boundary_matrix(p, w)
                     r = eng.boundary_rank(p, w)
-                    from necklaces.linalg import kernel_basis
-
                     assert r + len(kernel_basis(mat)) == mat.cols
 
     def test_euler_complete_diagonal(self):
@@ -194,3 +195,38 @@ class TestReport:
         assert all(e["ok"] for e in rep["euler_checks"])
         for item in rep["induced"]:
             assert item["rank"] <= min(item["dim_source"], item["dim_target"])
+
+
+class TestElimination:
+    @pytest.mark.parametrize("g, w_max", [(1, 8), (2, 7)])
+    def test_kernel_basis_matches_fraction_oracle(self, g, w_max):
+        # values, coefficient types and key order on every boundary cell
+        eng = HomologyEngine(g)
+        cells = 0
+        for w in range(1, w_max + 1):
+            for p in range(1, w + 1):
+                if eng.cell_dim(p, w) == 0:
+                    continue
+                mat = eng.boundary_matrix(p, w)
+                got, want = kernel_basis(mat), oracle_kernel_basis(mat)
+                assert exact(got) == exact(want), (p, w)
+                cells += 1
+        assert cells >= 10
+
+    @pytest.mark.parametrize("module", [False, True])
+    def test_each_boundary_matrix_eliminated_once(self, module, monkeypatch):
+        seen = []
+
+        def counting(matrix):
+            seen.append(matrix)  # kept alive, so ids stay distinct
+            return column_echelon_int(matrix)
+
+        monkeypatch.setattr(homology, "column_echelon_int", counting)
+        eng = HomologyEngine(1, module=module)
+        homology_report(eng, (0, 3), (0, 6))
+        for p in range(0, 4):
+            for w in range(0, 7):
+                eng.homology(p, w)
+                eng.boundary_rank(p, w)
+        ids = [id(m) for m in seen]
+        assert len(seen) >= 5 and len(set(ids)) == len(ids)

@@ -12,7 +12,13 @@ from necklaces.linalg import (
     rref,
     solve_columns,
 )
-from oracles import oracle_solve_columns
+from oracles import (
+    exact,
+    oracle_image_basis,
+    oracle_kernel_basis,
+    oracle_rref,
+    oracle_solve_columns,
+)
 
 
 def rand_matrix(rng, rows, cols, density=0.2, fractions=False):
@@ -125,6 +131,37 @@ class TestRref:
         for j in range(mt.cols):
             rem, _ = red.reduce(mt.column(j))
             assert rem == {}
+
+
+class TestFractionOracles:
+    def test_kernel_image_rref_match_fraction_oracles(self):
+        rng = random.Random(13)
+        seen = {"empty": 0, "zero": 0, "duplicate": 0, "deficient": 0, "fractions": 0}
+        for _ in range(1500):
+            rows, cols = rng.randint(0, 10), rng.randint(0, 10)
+            fractions = rng.random() < 0.5
+            m = rand_matrix(rng, rows, cols, density=rng.choice([0.0, 0.1, 0.3, 0.6]),
+                            fractions=fractions)
+            columns = [dict(c) for c in m.columns]
+            if columns and rng.random() < 0.3:
+                columns.insert(rng.randint(0, len(columns)), dict(rng.choice(columns)))
+                seen["duplicate"] += 1
+            if rng.random() < 0.2:
+                columns.insert(rng.randint(0, len(columns)), {})
+            m = SparseRationalMatrix(rows, len(columns), columns)
+            seen["empty"] += rows == 0 or m.cols == 0
+            seen["zero"] += m.is_zero() and rows > 0 and m.cols > 0
+            seen["deficient"] += 0 < rank(m) < min(rows, m.cols)
+            seen["fractions"] += fractions
+            assert exact(kernel_basis(m)) == exact(oracle_kernel_basis(m))
+            assert exact(image_basis(m)) == exact(oracle_image_basis(m))
+            # the RREF rows are image_basis of the transpose: the same
+            # values and types as the old loop, keys in that function's order
+            pivots, rows_got = rref(m)
+            want_pivots, rows_want = oracle_rref(m)
+            assert pivots == want_pivots
+            assert [sorted(r) for r in exact(rows_got)] == [sorted(r) for r in exact(rows_want)]
+        assert min(seen.values()) > 40, seen
 
 
 class TestSolve:

@@ -15,3 +15,11 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert not found, f"assert statements in the package: {found}"
+
+
+def test_public_names_import():
+    import necklaces
+
+    missing = [name for name in necklaces.__all__ if not hasattr(necklaces, name)]
+    assert not missing, f"names in necklaces.__all__ that do not resolve: {missing}"
+    assert len(set(necklaces.__all__)) == len(necklaces.__all__)
