@@ -359,6 +359,13 @@ def _cmd_mu(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    for flag, value, least in (
+        ("--w-max", args.w_max, 1),
+        ("--p-max", args.p_max, 0),
+        ("--samples", args.samples, 1),
+    ):
+        if value < least:
+            raise ParseError(f"verify needs {flag} >= {least}, got {value}", 0)
     reports = []
     suites = (
         ["bialgebra", "bimodule", "ce-matrix", "module-matrix"]

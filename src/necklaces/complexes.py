@@ -5,7 +5,10 @@ Wedge monomials are strictly increasing tuples of global necklace indices
 total weight w.  A monomial with a repeated factor is zero; every emitted
 term is re-sorted with the sign of the sorting permutation.  Module cells
 pair a plain word with a wedge tuple; the word's length counts toward the
-total weight.
+total weight.  A module cell is laid out word-major (``mod_layout``): block
+k holds the words of length k in ``product(range(2g), repeat=k)`` order,
+each followed by the whole wedge basis of (p, w - k), so the monomial
+(word, t) sits at offset_k + rank(word) * dim(p, w - k) + position(t).
 
 Operators, with 1-based signs as usual:
 
@@ -20,17 +23,25 @@ The cobracket and comodule maps are supplied as handles so that deformed
 structures can be assembled through the same code path; the handles for
 the canonical (Schedler) structure are :class:`AlgCobracket` and
 :class:`AlgComodule`.
+
+Matrices come from two paths.  ``assemble`` emits each column monomial by
+monomial into a :class:`SparseRationalMatrix`.  :class:`CellOperators`
+builds the int64 matrices of the identity suites: wedge operators through
+the same monomial emitters, module operators from their word and wedge
+factors by the layout above.
 """
 
 from bisect import bisect_left
 from functools import lru_cache, partial
 from itertools import product
-from typing import Iterable, Mapping, Protocol, Sequence
+from typing import Iterable, Mapping, NamedTuple, Protocol, Sequence
+
+import numpy as np
 
 from . import words as W
 from .errors import GenusMismatch
 from .lie import DerivationElem, NecklaceContext, algebra
-from .linalg import SparseRationalMatrix
+from .linalg import SparseRationalMatrix, int_csc
 from .tensors import Coeff, TermMap, axpy, coeff_str, parse_coeff, _prune
 
 WedgeKey = tuple[int, ...]
@@ -142,22 +153,49 @@ def _wedge_tuples(ctx: NecklaceContext, p: int, w: int):
     yield from rec(0, p, w, ())
 
 
+class ModLayout(NamedTuple):
+    """Word-major block layout of a module cell (see ``mod_layout``)."""
+
+    offsets: tuple[int, ...]  # first position of each word-length block; [-1] = dim
+    wedge_dims: tuple[int, ...]  # dim of the wedge cell (p, w - k) of block k
+
+    @property
+    def dim(self) -> int:
+        return self.offsets[-1]
+
+
+@lru_cache(maxsize=None)
+def mod_layout(g: int, p: int, w: int) -> ModLayout:
+    """Block layout of the (p, w) module cell, computed from the wedge
+    cells alone.  Block k holds the words of length k, in
+    ``product(range(2g), repeat=k)`` order, each followed by the wedge
+    basis of (p, w - k).  So (word, t) sits at
+        offsets[k] + rank(word) * wedge_dims[k] + position of t in (p, w - k),
+    where rank reads the word as a base-2g number, first letter most
+    significant.  ``ModWedgeBasis`` enumerates in this order, and the
+    int64 operator assembly indexes by this formula."""
+    if p < 0 or w < 0:
+        return ModLayout((0,), ())
+    dims = tuple(wedge_basis(g, p, w - k).dim() for k in range(w + 1))
+    offsets = [0]
+    for k, d in enumerate(dims):
+        offsets.append(offsets[-1] + (2 * g) ** k * d)
+    return ModLayout(tuple(offsets), dims)
+
+
 class ModWedgeBasis:
     """Ordered basis of the (p, w) module cell: (word, wedge tuple) pairs
-    with len(word) + wedge weight = w."""
+    with len(word) + wedge weight = w, in the ``mod_layout`` order."""
 
     __slots__ = ("g", "p", "w", "monomials", "position")
 
     def __init__(self, g: int, p: int, w: int):
         self.g, self.p, self.w = g, p, w
         mons: list[ModKey] = []
-        for k in range(w + 1):
-            sub = wedge_basis(g, p, w - k).monomials
-            if not sub:
-                continue
-            for word in product(range(2 * g), repeat=k):
-                for t in sub:
-                    mons.append((word, t))
+        for k, d in enumerate(mod_layout(g, p, w).wedge_dims):
+            if d:
+                sub = wedge_basis(g, p, w - k).monomials
+                mons.extend((word, t) for word in product(range(2 * g), repeat=k) for t in sub)
         self.monomials = mons
         self.position = {m: i for i, m in enumerate(mons)}
 
@@ -549,3 +587,243 @@ def assemble(
     if tgt is None or not src.monomials:
         return SparseRationalMatrix(tgt.dim() if tgt else 0, src.dim() if src else 0)
     return emit_matrix(src, tgt, emit)
+
+
+# -- int64 operator matrices for the identity suites ---------------------------
+#
+# A module operator is assembled from its tensor factors.  Block k of a
+# module cell is the words of length k times a wedge cell (``mod_layout``),
+# and block by block
+#
+#   module boundary  = Gamma + 1 (x) boundary,  Gamma = sum_n A_n (x) iota_n
+#   module cochain d = mu ^ - 1 (x) d,           mu ^  = sum_n M_n (x) eps_n
+#
+# where A_n is the action of the necklace n on words (``_action_table``),
+# iota_n removes n from a wedge tuple with the sign of gamma_monomial, M_n
+# is the part of mu that splits off n, and eps_n inserts n (``_insert1``).
+# The word-side tables are shared by every cell; the wedge-side tables
+# are small.  Their product over n is numpy index arithmetic, so no module
+# monomial is ever enumerated.
+
+
+def _coo(rows: list, cols: list, vals: list):
+    """Concatenate (rows, cols, vals) blocks into three int64 arrays."""
+    if not rows:
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty, empty
+    return tuple(
+        np.concatenate([np.asarray(a, dtype=np.int64).ravel() for a in part])
+        for part in (rows, cols, vals)
+    )
+
+
+class CellOperators:
+    """int64 csc matrices (``linalg.int_csc``) of the boundary and the
+    cochain d out of each cell, for the matrix identity suites: of the
+    wedge cells, or of the module cells when a comodule handle is given.
+    The matrices equal ``assemble`` of the same operator, with explicit
+    zeros where terms cancel.  mu is read through the handle."""
+
+    def __init__(self, g: int, delta: CobracketHandle, mu: ComoduleHandle | None = None):
+        self.g = g
+        self.ctx = algebra(g)
+        self.delta = delta
+        self.mu = mu
+        self._wedge: dict = {}
+        self._iota: dict = {}
+        self._eps: dict = {}
+        self._act: dict = {}
+        self._mu: dict = {}
+
+    def dim(self, p: int, w: int) -> int:
+        if self.mu is not None:
+            return mod_layout(self.g, p, w).dim
+        return wedge_basis(self.g, p, w).dim() if p >= 0 and w >= 0 else 0
+
+    def boundary(self, p: int, w: int):
+        """Out of (p, w) into (p-1, w-2); p >= 1."""
+        return self._matrix("boundary", p, w, p - 1)
+
+    def cochain_d(self, p: int, w: int):
+        """Out of (p, w) into (p+1, w-2)."""
+        return self._matrix("cochain_d", p, w, p + 1)
+
+    def _matrix(self, op: str, p: int, w: int, tp: int):
+        rows_n, cols_n = self.dim(tp, w - 2), self.dim(p, w)
+        if self.mu is None:
+            r, c, v = self._wedge_coo(op, p, w)
+        else:
+            r, c, v = self._module_coo(op, p, w, tp)
+        return int_csc(rows_n, cols_n, r, c, v)
+
+    # -- wedge side -----------------------------------------------------------
+
+    def _wedge_coo(self, op: str, p: int, v: int):
+        """(rows, cols, vals) of a wedge operator out of (p, v), emitted
+        monomial by monomial: the emitter path into int64."""
+        key = (op, p, v)
+        if key not in self._wedge:
+            tp = p - 1 if op == "boundary" else p + 1
+            r, c, vals = [], [], []
+            # both operators vanish on p = 0 and on weights below 2
+            if p >= 1 and v >= 2 and wedge_basis(self.g, tp, v - 2).dim():
+                if op == "boundary":
+                    emit = partial(boundary_monomial, self.ctx)
+                else:
+                    emit = partial(cochain_monomial, self.ctx, self.delta)
+                pos = wedge_basis(self.g, tp, v - 2).position
+                for j, mono in enumerate(wedge_basis(self.g, p, v).monomials):
+                    for t, s in emit(mono):
+                        r.append(pos[t])
+                        c.append(j)
+                        vals.append(s)
+            self._wedge[key] = _coo([r], [c], [vals])
+        return self._wedge[key]
+
+    def _iota_table(self, p: int, v: int) -> dict:
+        """Removal of one factor from the tuples of (p, v), grouped by the
+        weight m of the removed necklace n: m -> (source position, n -
+        offset(m), target position in (p-1, v-m), sign)."""
+        key = (p, v)
+        if key not in self._iota:
+            ctx = self.ctx
+            acc: dict[int, list] = {}
+            for j, tup in enumerate(wedge_basis(self.g, p, v).monomials):
+                for ii, n in enumerate(tup):
+                    m = ctx.weight_of(n)
+                    rest = tup[:ii] + tup[ii + 1 :]
+                    t = wedge_basis(self.g, p - 1, v - m).position[rest]
+                    sign = -1 if ii % 2 == 0 else 1  # (-1)^i, 1-based, as in gamma_monomial
+                    acc.setdefault(m, []).append((j, n - ctx.offset(m), t, sign))
+            self._iota[key] = {m: np.array(e, dtype=np.int64).T for m, e in acc.items()}
+        return self._iota[key]
+
+    def _eps_table(self, p: int, v: int, m: int):
+        """Insertion of each necklace of weight m into the tuples of (p, v):
+        (target position in (p+1, v+m), sign) as (tuples, necklaces) arrays;
+        sign 0 where the necklace is already a factor."""
+        key = (p, v, m)
+        if key not in self._eps:
+            ctx = self.ctx
+            src = wedge_basis(self.g, p, v).monomials
+            pos = wedge_basis(self.g, p + 1, v + m).position
+            lo = ctx.offset(m)
+            count = len(ctx.basis_words(m))
+            tgt = np.zeros((len(src), count), dtype=np.int64)
+            sign = np.zeros((len(src), count), dtype=np.int64)
+            for j, tup in enumerate(src):
+                for i in range(count):
+                    ins = _insert1(tup, lo + i)
+                    if ins:
+                        sign[j, i], new = ins
+                        tgt[j, i] = pos[new]
+            self._eps[key] = (tgt, sign)
+        return self._eps[key]
+
+    # -- word side ------------------------------------------------------------
+
+    def _action_table(self, k: int, m: int):
+        """The action of every necklace of weight m on the words of length
+        k, as rank arrays (src, tgt, sign) of shape (necklaces, terms): row
+        i is the necklace of index offset(m) + i.  Each row has the same
+        terms, one per (position, rotation, word with the paired letter at
+        that position), as ``NecklaceContext.act_word`` lists them."""
+        key = (k, m)
+        if key not in self._act:
+            base = 2 * self.g
+            necks = np.array(self.ctx.basis_words(m), dtype=np.int64).reshape(-1, m)
+            rots = necks[:, (np.arange(m)[:, None] + np.arange(m)) % m]  # rotation a in row a
+            y = rots[:, :, :1] ^ 1  # the word letter that pairs with the first letter
+            # rank of the tail, a base-2g number with its first letter most significant
+            tail = (rots[:, :, 1:] @ base ** np.arange(m - 2, -1, -1, dtype=np.int64))[:, :, None]
+            u = np.arange(base ** (k - 1), dtype=np.int64)
+            src, tgt = [], []
+            for pos in range(k):
+                low = base ** (k - 1 - pos)
+                pre, post = u // low, u % low
+                src.append((pre * base + y) * low + post)
+                tgt.append((pre * base ** (m - 1) + tail) * low + post)
+            shape = (len(necks), -1)
+            sign = np.broadcast_to(np.where(y % 2 == 1, 1, -1), src[0].shape)
+            self._act[key] = (
+                np.concatenate(src, axis=2).reshape(shape),
+                np.concatenate(tgt, axis=2).reshape(shape),
+                np.concatenate([sign] * k, axis=2).reshape(shape),
+            )
+        return self._act[key]
+
+    def _mu_table(self, k: int) -> dict:
+        """mu of every word of length k through the handle, grouped by the
+        weight m of the split-off necklace n: m -> (source rank, n -
+        offset(m), rank of the remaining word, coeff)."""
+        if k not in self._mu:
+            ctx, base = self.ctx, 2 * self.g
+            terms, counts = [], []
+            for word in product(range(base), repeat=k):
+                t = self.mu.mu_terms(word)
+                terms.extend(t)
+                counts.append(len(t))
+            ns = np.array([t[1] for t in terms], dtype=np.int64)
+            offs = np.array([ctx.offset(m) for m in range(1, k)], dtype=np.int64)
+            ms = np.searchsorted(offs, ns, side="right")
+            if not np.array_equal(np.array([len(t[0]) for t in terms], dtype=np.int64), k - 2 - ms):
+                raise ValueError("the comodule handle does not lower the weight by 2")
+            ranks = {
+                word: r
+                for j in range(k - 1)
+                for r, word in enumerate(product(range(base), repeat=j))
+            }
+            cols = np.array(
+                [
+                    np.repeat(np.arange(base**k, dtype=np.int64), counts),
+                    ns - offs[ms - 1],
+                    [ranks[t[0]] for t in terms],
+                    [t[2] for t in terms],
+                ],
+                dtype=np.int64,
+            )
+            self._mu[k] = {int(m): cols[:, ms == m] for m in np.unique(ms)}
+        return self._mu[k]
+
+    # -- module operators -------------------------------------------------------
+
+    def _module_coo(self, op: str, p: int, w: int, tp: int):
+        src, dst = mod_layout(self.g, p, w), mod_layout(self.g, tp, w - 2)
+        rows, cols, vals = [], [], []
+
+        def put(k_src, k_tgt, r, c, v):
+            rows.append(dst.offsets[k_tgt] + r)
+            cols.append(src.offsets[k_src] + c)
+            vals.append(v)
+
+        for k, ds in enumerate(src.wedge_dims):
+            if not ds:
+                continue
+            v = w - k
+            # 1 (x) boundary, or -1 (x) d: the wedge operator on every word
+            if k < len(dst.wedge_dims) and dst.wedge_dims[k]:
+                r, c, x = self._wedge_coo(op, p, v)
+                words = np.arange((2 * self.g) ** k, dtype=np.int64)[:, None]
+                put(k, k, words * dst.wedge_dims[k] + r, words * ds + c,
+                    np.broadcast_to(x if op == "boundary" else -x, (len(words), len(x))))
+            if op == "boundary":
+                if k == 0:
+                    continue
+                for m, (j, nl, t, sg) in self._iota_table(p, v).items():
+                    kt = k + m - 2
+                    if kt < 0 or not dst.wedge_dims[kt]:
+                        continue
+                    a_src, a_tgt, a_sign = self._action_table(k, m)
+                    put(k, kt, a_tgt[nl] * dst.wedge_dims[kt] + t[:, None],
+                        a_src[nl] * ds + j[:, None], a_sign[nl] * sg[:, None])
+            else:
+                for m, (sr, nl, tr, c) in self._mu_table(k).items():
+                    kt = k - 2 - m
+                    if not dst.wedge_dims[kt]:
+                        continue
+                    e_tgt, e_sign = self._eps_table(p, v, m)
+                    x = c[:, None] * e_sign[:, nl].T
+                    keep = x != 0
+                    put(k, kt, (tr[:, None] * dst.wedge_dims[kt] + e_tgt[:, nl].T)[keep],
+                        (sr[:, None] * ds + np.arange(ds))[keep], x[keep])
+        return _coo(rows, cols, vals)

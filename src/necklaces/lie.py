@@ -134,11 +134,9 @@ class NecklaceContext:
 
         return product(range(2 * self.g), repeat=m)
 
-    def dim_weight(self, m: int) -> int:
-        return len(self.basis_words(m))
-
     def offset(self, m: int) -> int:
-        self.basis_words(m)
+        """First index of weight m: needs the bases below weight m only."""
+        self.basis_words(max(m - 1, 0))
         return self._offsets[m]
 
     def index_of_word(self, word: W.WordKey) -> int:
@@ -153,9 +151,6 @@ class NecklaceContext:
             idx = self._offsets[m] + pos
             self._index_cache[word] = idx
         return idx
-
-    def index_of(self, n: Necklace) -> int:
-        return self.index_of_word(n.word)
 
     def word_at(self, idx: int) -> W.WordKey:
         if idx >= len(self._words_by_index):
@@ -272,18 +267,14 @@ class NecklaceContext:
         was between them becomes a necklace, the outside stays a word."""
         out = []
         m = len(word)
-        for ii in range(m):
+        for ii in range(m - 2):
             x = word[ii]
             want = x ^ 1
             s = 1 if x % 2 == 0 else -1
-            for jj in range(ii + 1, m):
-                if word[jj] != want:
-                    continue
-                neck = word[ii + 1 : jj]
-                if not neck:
-                    continue
-                rest = word[:ii] + word[jj + 1 :]
-                out.append((rest, W.canonical_rotation(neck), s))
+            for jj in range(ii + 2, m):  # jj = ii + 1 would cut out an empty necklace
+                if word[jj] == want:
+                    rest = word[:ii] + word[jj + 1 :]
+                    out.append((rest, W.canonical_rotation(word[ii + 1 : jj]), s))
         return out
 
     # -- index-level tables for matrix assembly ---------------------------

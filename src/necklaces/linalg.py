@@ -157,11 +157,11 @@ _INT64_SAFE = 2**62
 
 def int_csc(rows: int, cols: int, r: list, c: list, v: list):
     """Exact int64 CSC matrix; values must be (and are checked) small ints."""
-    vv = np.array(v, dtype=np.int64)
+    vv = np.asarray(v, dtype=np.int64)
     if len(vv) and int(np.abs(vv).max()) >= 2**31:
         raise OverflowError("entries too large for the int64 fast path")
     return _sp.coo_matrix(
-        (vv, (np.array(r, dtype=np.int64), np.array(c, dtype=np.int64))),
+        (vv, (np.asarray(r, dtype=np.int64), np.asarray(c, dtype=np.int64))),
         shape=(rows, cols),
     ).tocsc()
 

@@ -322,10 +322,6 @@ class TruncatedSeries:
     def unit(cls, g: int, cutoff: int) -> "TruncatedSeries":
         return cls(Tensor.unit(g), cutoff)
 
-    @classmethod
-    def from_tensor(cls, t: Tensor, cutoff: int) -> "TruncatedSeries":
-        return cls(t, cutoff)
-
     def _common_cutoff(self, other: "TruncatedSeries") -> int:
         return min(self.cutoff, other.cutoff)
 

@@ -7,7 +7,6 @@ reproducible from its seed.
 """
 
 import random
-from functools import partial
 
 from . import words as W
 from .lie import (
@@ -23,7 +22,7 @@ from .lie import (
 )
 from .tensors import Tensor, axpy, omega
 from . import complexes as C
-from .linalg import int_csc, product_bound_ok
+from .linalg import product_bound_ok
 
 
 # -- random elements ------------------------------------------------------
@@ -416,14 +415,12 @@ def bracket_oracle_sweep(g: int, max_weight_sum: int) -> dict:
 # For every cell (p <= pmax, w <= wmax) these verify, as exact matrix
 # identities,
 #     boundary . boundary = 0,   d . d = 0,   d . boundary + boundary . d = 0
-# out of the cell.  Large source cells are streamed in column chunks; the
-# products are computed by the certified int64 sparse engine (the operator
-# matrices for the canonical handles have small integer entries, and the
-# overflow bound is checked before any product is trusted).
-
-
-# source columns emitted per int64 product: bounds the streamed working set
-CHUNK_COLUMNS = 40000
+# out of the cell.  The operator matrices are int64 csc matrices from
+# ``complexes.CellOperators``, which assembles a module operator from its
+# word and wedge factors; the products are computed by the certified int64
+# sparse engine (the operator matrices for the canonical handles have small
+# integer entries, and the overflow bound is checked before any product is
+# trusted).
 
 
 def _certified_product(a, b):
@@ -434,138 +431,56 @@ def _certified_product(a, b):
     return a @ b
 
 
-def _cell_dims(g: int, p: int, w: int, module: bool) -> int:
-    if p < 0 or w < 0:
-        return 0
-    basis = C.mod_wedge_basis(g, p, w) if module else C.wedge_basis(g, p, w)
-    return basis.dim()
-
-
-def _emit_ops(g: int, module: bool, delta, mu):
-    ctx = algebra(g)
-    if module:
-        return partial(C.mod_boundary_monomial, ctx), partial(C.mod_cochain_monomial, ctx, delta, mu)
-    return partial(C.boundary_monomial, ctx), partial(C.cochain_monomial, ctx, delta)
-
-
-def _small_csc(g: int, op: str, p: int, w: int, module: bool, delta, mu, cache: dict):
-    """Assembled int64 csc of an operator out of a (small) cell."""
-    key = (op, p, w)
-    if key in cache:
-        return cache[key]
-    if p < 0 or w < 0:
-        cache[key] = None
-        return None
-    pre = "mod_" if module else ""
-    mat = C.assemble(pre + op, g, p, w, delta=delta, mu=mu)
-    r, c, v = [], [], []
-    for col_idx, col in enumerate(mat.columns):
-        for row_idx, val in col.items():
-            r.append(row_idx)
-            c.append(col_idx)
-            v.append(int(val))
-    out = int_csc(mat.rows, mat.cols, r, c, v)
-    cache[key] = out
-    return out
+def _is_zero(m) -> bool:
+    m.eliminate_zeros()
+    return m.nnz == 0
 
 
 def matrix_identity_suite(g: int, pmax: int, wmax: int, module: bool = False) -> dict:
     """boundary^2 = 0, d^2 = 0 and the anticommutator identity on every
     cell p <= pmax, w <= wmax, as exact matrix identities."""
-    delta = C.AlgCobracket(g)
-    mu = C.AlgComodule(g)
-    ctx = algebra(g)
-    emit_b, emit_d = _emit_ops(g, module, delta, mu)
-    checks = []
+    ops = C.CellOperators(g, C.AlgCobracket(g), C.AlgComodule(g) if module else None)
+    kept: dict = {}  # operators out of weight w - 2, reused as the left factors at w
 
+    def op(name: str, p: int, w: int):
+        key = (name, p, w)
+        mat = kept.get(key)
+        if mat is None:
+            mat = getattr(ops, name)(p, w)
+            if w <= wmax - 2:
+                kept[key] = mat
+        return mat
+
+    checks = []
     for w in range(0, wmax + 1):
-        small_cache: dict = {}
+        for key in [key for key in kept if key[2] < w - 2]:
+            del kept[key]
         for p in range(0, pmax + 1):
-            dim = _cell_dims(g, p, w, module)
-            if dim == 0:
+            if ops.dim(p, w) == 0:
                 continue
-            # targets of the streamed operators
-            dim_b = _cell_dims(g, p - 1, w - 2, module) if p >= 1 else 0
-            dim_d = _cell_dims(g, p + 1, w - 2, module)
+            dim_b = ops.dim(p - 1, w - 2) if p >= 1 else 0
+            dim_d = ops.dim(p + 1, w - 2)
             need_bb = p >= 2 and dim_b > 0
             need_dd = dim_d > 0
             need_anti = p >= 1 and (dim_b > 0 or dim_d > 0)
             if not (need_bb or need_dd or need_anti):
                 continue
-
-            tgt_b = (
-                (C.mod_wedge_basis(g, p - 1, w - 2) if module else C.wedge_basis(g, p - 1, w - 2))
-                if dim_b
-                else None
-            )
-            tgt_d = (
-                (C.mod_wedge_basis(g, p + 1, w - 2) if module else C.wedge_basis(g, p + 1, w - 2))
-                if dim_d
-                else None
-            )
-            s_bb = _small_csc(g, "boundary", p - 1, w - 2, module, delta, mu, small_cache) if need_bb else None
-            s_dd = _small_csc(g, "cochain_d", p + 1, w - 2, module, delta, mu, small_cache) if need_dd else None
-            s_anti_d = (
-                _small_csc(g, "cochain_d", p - 1, w - 2, module, delta, mu, small_cache)
-                if need_anti and dim_b
-                else None
-            )
-            s_anti_b = (
-                _small_csc(g, "boundary", p + 1, w - 2, module, delta, mu, small_cache)
-                if need_anti and dim_d
-                else None
-            )
-
-            source = (
-                C.mod_wedge_basis(g, p, w).monomials
-                if module
-                else C.wedge_basis(g, p, w).monomials
-            )
-            ok_bb = ok_dd = ok_anti = True
-            for lo in range(0, dim, CHUNK_COLUMNS):
-                cols = source[lo : lo + CHUNK_COLUMNS]
-                n = len(cols)
-                rb, cb, vb = [], [], []
-                rd, cd, vd = [], [], []
-                for j, mono in enumerate(cols):
-                    if tgt_b is not None:
-                        pos = tgt_b.position
-                        for t, s in emit_b(mono):
-                            rb.append(pos[t])
-                            cb.append(j)
-                            vb.append(s)
-                    if tgt_d is not None:
-                        pos = tgt_d.position
-                        for t, s in emit_d(mono):
-                            rd.append(pos[t])
-                            cd.append(j)
-                            vd.append(s)
-                mb = int_csc(dim_b, n, rb, cb, vb) if tgt_b is not None else None
-                md = int_csc(dim_d, n, rd, cd, vd) if tgt_d is not None else None
-                if need_bb and mb is not None:
-                    z = _certified_product(s_bb, mb)
-                    z.eliminate_zeros()
-                    ok_bb = ok_bb and z.nnz == 0
-                if need_dd and md is not None:
-                    z = _certified_product(s_dd, md)
-                    z.eliminate_zeros()
-                    ok_dd = ok_dd and z.nnz == 0
-                if need_anti:
-                    za = None
-                    if s_anti_d is not None and mb is not None:
-                        za = _certified_product(s_anti_d, mb)
-                    if s_anti_b is not None and md is not None:
-                        zb = _certified_product(s_anti_b, md)
-                        za = zb if za is None else za + zb
-                    if za is not None:
-                        za.eliminate_zeros()
-                        ok_anti = ok_anti and za.nnz == 0
+            mb = op("boundary", p, w) if dim_b else None
+            md = op("cochain_d", p, w) if dim_d else None
             if need_bb:
-                checks.append(_check(f"boundary2_zero_p{p}_w{w}", ok_bb))
+                z = _certified_product(op("boundary", p - 1, w - 2), mb)
+                checks.append(_check(f"boundary2_zero_p{p}_w{w}", _is_zero(z)))
             if need_dd:
-                checks.append(_check(f"d2_zero_p{p}_w{w}", ok_dd))
+                z = _certified_product(op("cochain_d", p + 1, w - 2), md)
+                checks.append(_check(f"d2_zero_p{p}_w{w}", _is_zero(z)))
             if need_anti:
-                checks.append(_check(f"anticommutator_zero_p{p}_w{w}", ok_anti))
+                za = None
+                if mb is not None:
+                    za = _certified_product(op("cochain_d", p - 1, w - 2), mb)
+                if md is not None:
+                    zb = _certified_product(op("boundary", p + 1, w - 2), md)
+                    za = zb if za is None else za + zb
+                checks.append(_check(f"anticommutator_zero_p{p}_w{w}", _is_zero(za)))
     return {
         "suite": "module_matrix" if module else "ce_matrix",
         "g": g,

@@ -88,7 +88,16 @@ def canonical_rotation(word: WordKey) -> WordKey:
     """The lexicographically minimal rotation (the necklace normal form)."""
     if len(word) <= 1:
         return word
-    return min(rotations(word))
+    # the minimal rotation starts at an occurrence of the minimal letter
+    a = min(word)
+    i = word.index(a)
+    best = word[i:] + word[:i]
+    for _ in range(word.count(a) - 1):
+        i = word.index(a, i + 1)
+        rot = word[i:] + word[:i]
+        if rot < best:
+            best = rot
+    return best
 
 
 def rotation_class_size(word: WordKey) -> int:

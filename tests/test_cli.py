@@ -85,10 +85,16 @@ class TestCliCommands:
             ["bracket", "--g", "0", "N(a1)", "N(b1)"],
             ["bracket", "--g", "1", "N(a2)", "N(b1)"],
             ["deform", "--g", "1", "--A", "N(a3)^N(b1)"],
+            ["verify", "--suite", "bialgebra", "--g", "1", "--w-max", "0"],
+            ["verify", "--suite", "bialgebra", "--g", "1", "--w-max", "-1"],
+            ["verify", "--suite", "ce-matrix", "--g", "1", "--w-max", "-1"],
+            ["verify", "--suite", "module-matrix", "--g", "1", "--p-max", "-1"],
+            ["verify", "--suite", "bimodule", "--g", "1", "--samples", "0"],
         ],
     )
     def test_usage_error_exit_2(self, argv, capsys):
         assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_verify_exit_0(self, capsys):
         rc = main(

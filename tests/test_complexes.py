@@ -1,11 +1,13 @@
 import random
 
+import numpy as np
 import pytest
 
 from necklaces import DerivationElem, necklace_count, verify
 from necklaces.complexes import (
     AlgCobracket,
     AlgComodule,
+    CellOperators,
     ChainVector,
     ModChainVector,
     assemble,
@@ -13,12 +15,14 @@ from necklaces.complexes import (
     cochain_d,
     mod_boundary,
     mod_cochain_d,
+    mod_layout,
     mod_wedge_basis,
     sigma_wedge,
     wedge_basis,
 )
 from necklaces.complexes import _insert1, _insert2, _sort_wedge
 from necklaces.lie import algebra
+from necklaces.linalg import int_csc
 from necklaces.verify import matrix_identity_suite
 
 A1, B1, A2, B2 = 0, 1, 2, 3
@@ -377,7 +381,71 @@ class TestWedgeIdentities:
             assert lhs == rhs
 
 
+def _int_csc_of(mat):
+    """A SparseRationalMatrix with integer entries as an int64 csc matrix."""
+    entries = [(i, j, int(v)) for j, col in enumerate(mat.columns) for i, v in col.items()]
+    r, c, v = zip(*entries) if entries else ((), (), ())
+    return int_csc(mat.rows, mat.cols, r, c, v)
+
+
+def _canonical(m):
+    m = m.tocsc(copy=True)
+    m.sum_duplicates()
+    m.eliminate_zeros()
+    m.sort_indices()
+    return m
+
+
 class TestMatrixSuites:
+    @pytest.mark.parametrize("g", [1, 2])
+    def test_cell_operators_match_emitter_path(self, g):
+        # the factor-wise int64 assembly against assemble(), entry for
+        # entry, on every cell with p <= 4, w <= 8
+        delta, mu = AlgCobracket(g), AlgComodule(g)
+        for module in (True, False):
+            ops = CellOperators(g, delta, mu if module else None)
+            pre = "mod_" if module else ""
+            for w in range(9):
+                for p in range(5):
+                    for op in ("boundary", "cochain_d"):
+                        if op == "boundary" and p == 0:
+                            continue
+                        fast = _canonical(getattr(ops, op)(p, w))
+                        ref = _canonical(_int_csc_of(assemble(pre + op, g, p, w, delta=delta, mu=mu)))
+                        assert fast.shape == ref.shape, (module, op, p, w)
+                        assert np.array_equal(fast.indptr, ref.indptr), (module, op, p, w)
+                        assert np.array_equal(fast.indices, ref.indices), (module, op, p, w)
+                        assert np.array_equal(fast.data, ref.data), (module, op, p, w)
+
+    def test_mod_layout_reproduces_basis_positions(self):
+        for g in (1, 2):
+            for w in range(7):
+                for p in range(5):
+                    basis = mod_wedge_basis(g, p, w)
+                    layout = mod_layout(g, p, w)
+                    assert layout.dim == basis.dim()
+                    for (word, t), i in basis.position.items():
+                        k = len(word)
+                        rank = sum(x * (2 * g) ** (k - 1 - a) for a, x in enumerate(word))
+                        pos = wedge_basis(g, p, w - k).position[t]
+                        assert layout.offsets[k] + rank * layout.wedge_dims[k] + pos == i
+
+    def test_negated_mu_fails(self, monkeypatch):
+        # the suite reads mu through the handle and can fail: these are the
+        # checks that a sign-flipped comodule map breaks
+        mu_terms = AlgComodule.mu_terms
+        monkeypatch.setattr(
+            AlgComodule, "mu_terms", lambda self, word: [(w, n, -c) for w, n, c in mu_terms(self, word)]
+        )
+        rep = matrix_identity_suite(2, 3, 6, module=True)
+        assert not rep["ok"]
+        assert [c["name"] for c in rep["checks"] if not c["ok"]] == [
+            "anticommutator_zero_p1_w5",
+            "d2_zero_p0_w6",
+            "anticommutator_zero_p1_w6",
+            "anticommutator_zero_p2_w6",
+        ]
+
     def test_uncertified_product_raises(self, monkeypatch):
         monkeypatch.setattr(verify, "product_bound_ok", lambda a, b: False)
         with pytest.raises(OverflowError):

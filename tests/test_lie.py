@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -20,7 +21,8 @@ from necklaces import (
     schedler_delta,
     sigma_bar,
 )
-from necklaces.lie import algebra
+from necklaces import words as W
+from necklaces.lie import NecklaceContext, algebra
 from necklaces.verify import (
     bialgebra_suite,
     bimodule_suite,
@@ -62,6 +64,17 @@ class TestBasis:
         for m in (1, 2, 3, 4):
             for w in ctx.basis_words(m):
                 assert ctx.word_at(ctx.index_of_word(w)) == w
+
+    def test_canonical_rotation_is_the_minimal_rotation(self):
+        # exhaustive over 4 letters, lengths 1..8 (87,380 words)
+        for m in range(1, 9):
+            for word in product(range(4), repeat=m):
+                assert W.canonical_rotation(word) == min(W.rotations(word))
+
+    def test_offset_counts_lower_weights(self):
+        ctx = NecklaceContext(2)
+        for m in range(1, 8):
+            assert ctx.offset(m) == sum(necklace_count(2, j) for j in range(1, m))
 
     def test_canonical_minimal(self):
         assert Necklace((B1, A1)).word == (A1, B1)
