@@ -415,6 +415,8 @@ def _cmd_homology(args) -> int:
 
 
 def _cmd_deform(args) -> int:
+    if args.w_max < 1:
+        raise ParseError(f"deform needs --w-max >= 1, got {args.w_max}", 0)
     if args.A_file:
         a_chain = _load_json(args.A_file, DeformationElement.from_json_dict).chain
     elif args.A:

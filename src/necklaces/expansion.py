@@ -19,6 +19,12 @@ corrections v are added to the logs, and that linear map is onto because
 brackets of letters against weight-n Lie elements span weight n+1.  The
 correction system is solved over the Lyndon basis with free variables
 pinned to zero, so the output is deterministic.
+
+Step n needs only the weight-(n+1) part of the defect, so it computes the
+defect modulo weight > n + 1.  That is exact: truncation modulo weight > d
+is a ring map, and it commutes with exp, log and the geometric-series
+inverse, since none of them lets a term of weight > d reach weight <= d.
+Only the returned expansion is built at the full cutoff.
 """
 
 from . import words as W
@@ -340,64 +346,67 @@ def symplectic_expansion(g: int, cutoff: int) -> Expansion:
     Maintains theta(x) = exp(l_x) with l_x a Lie element (so group-likeness
     is structural) and cancels the boundary defect weight by weight; the
     correction system is always solvable, so a SolveFailed here indicates
-    an implementation bug, not bad input."""
+    an implementation bug, not bad input.
+
+    Step n builds theta and the defect modulo weight > n + 1, which gives
+    the exact weight-(n+1) defect (see the module docstring), so the
+    correction systems are those of the full cutoff; theta is built at the
+    full cutoff once, from the final logs."""
     if cutoff < 2:
         raise ValueError("a symplectic expansion needs cutoff >= 2")
     logs: dict[int, Tensor] = {l: Tensor.letter(g, l) for l in range(2 * g)}
 
-    def build() -> Expansion:
+    def build(d: int) -> Expansion:
         return Expansion(
-            g,
-            cutoff,
-            {
-                l: exp_series(TruncatedSeries(logs[l], cutoff))
-                for l in range(2 * g)
-            },
+            g, d, {l: exp_series(TruncatedSeries(logs[l], d)) for l in range(2 * g)}
         )
 
-    theta = build()
     for n in range(2, cutoff):
-        defect = theta.boundary_log_defect().component(n + 1)
-        if defect.is_zero():
-            continue
-        basis = lie_basis(g, n)
-        columns = []
-        for l in range(2 * g):
-            partner_letter = Tensor.letter(g, l ^ 1)
-            for elt in basis:
-                if l % 2 == 0:  # correction to an alpha generator: [v, b_i]
-                    col = elt * partner_letter - partner_letter * elt
-                else:  # correction to a beta generator: [a_i, v]
-                    col = partner_letter * elt - elt * partner_letter
-                columns.append(col)
-        # index the weight-(n+1) words appearing anywhere
-        keys = sorted(
-            set().union(*(set(c.terms) for c in columns), set(defect.terms))
+        defect = build(n + 1).boundary_log_defect().component(n + 1)
+        if not defect.is_zero():
+            _correct_logs(g, n, logs, defect)
+    return build(cutoff)
+
+
+def _correct_logs(g: int, n: int, logs: dict[int, Tensor], defect: Tensor) -> None:
+    """Add to logs the weight-n Lie corrections that cancel the weight-(n+1)
+    boundary defect; the solution pins free variables to zero."""
+    basis = lie_basis(g, n)
+    columns = []
+    for l in range(2 * g):
+        partner_letter = Tensor.letter(g, l ^ 1)
+        for elt in basis:
+            if l % 2 == 0:  # correction to an alpha generator: [v, b_i]
+                col = elt * partner_letter - partner_letter * elt
+            else:  # correction to a beta generator: [a_i, v]
+                col = partner_letter * elt - elt * partner_letter
+            columns.append(col)
+    # index the weight-(n+1) words appearing anywhere
+    keys = sorted(
+        set().union(*(set(c.terms) for c in columns), set(defect.terms))
+    )
+    key_pos = {k: i for i, k in enumerate(keys)}
+    col_vecs = [
+        {key_pos[wd]: c for wd, c in col.terms.items()} for col in columns
+    ]
+    target = {key_pos[wd]: -c for wd, c in defect.terms.items()}
+    sol = solve_columns(col_vecs, target)
+    if sol is None:
+        raise SolveFailed(
+            f"no weight-{n} correction cancels the weight-{n + 1} defect"
         )
-        key_pos = {k: i for i, k in enumerate(keys)}
-        col_vecs = [
-            {key_pos[wd]: c for wd, c in col.terms.items()} for col in columns
-        ]
-        target = {key_pos[wd]: -c for wd, c in defect.terms.items()}
-        sol = solve_columns(col_vecs, target)
-        if sol is None:
-            raise SolveFailed(
-                f"no weight-{n} correction cancels the weight-{n + 1} defect"
-            )
-        idx = 0
-        for l in range(2 * g):
-            acc = logs[l]
-            for elt in basis:
-                c = sol[idx]
-                idx += 1
-                if c != 0:
-                    acc = acc + elt.scale(c)
-            logs[l] = acc
-        for l in range(2 * g):
-            if not is_lie_element(logs[l]):
-                raise SolveFailed("correction left a non-Lie log; internal bug")
-        theta = build()
-    return theta
+    idx = 0
+    for l in range(2 * g):
+        acc = logs[l]
+        for elt in basis:
+            c = sol[idx]
+            idx += 1
+            if c != 0:
+                acc = acc + elt.scale(c)
+        logs[l] = acc
+    for l in range(2 * g):
+        if not is_lie_element(logs[l]):
+            raise SolveFailed("correction left a non-Lie log; internal bug")
 
 
 # -- comparison and the loop map ------------------------------------------------

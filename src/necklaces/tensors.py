@@ -13,7 +13,12 @@ Conventions fixed here:
   sign every necklace derivation annihilates the symplectic form, which is
   checked by the test suite;
 * series operations silently drop weight > D terms, and mixing two cutoffs
-  uses the minimum;
+  uses the minimum; the series product never forms such a term: a left
+  word of weight k meets only the right terms of weight <= D - k, taken
+  in the right operand's own term order;
+* the coproduct routes the letters of a word one at a time, doubling the
+  list of (left, right) splits per letter, and the Dynkin map brackets on
+  plain word maps;
 * term maps never store zero coefficients, so equality is map equality.
 """
 
@@ -342,17 +347,22 @@ class TruncatedSeries:
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self.tensor._check_space(other.tensor)
         d = self._common_cutoff(other)
+        right = other.tensor.terms.items()
+        fits: dict[int, list] = {}  # room -> right terms of weight <= room, in order
         out: dict[W.WordKey, Coeff] = {}
         for wx, cx in self.tensor.terms.items():
-            if len(wx) > d:
-                continue
             room = d - len(wx)
-            for wy, cy in other.tensor.terms.items():
-                if len(wy) > room:
-                    continue
+            if room < 0:
+                continue
+            ys = fits.get(room)
+            if ys is None:
+                ys = fits[room] = [(wy, cy) for wy, cy in right if len(wy) <= room]
+            for wy, cy in ys:
                 w = wx + wy
                 out[w] = out.get(w, 0) + cx * cy
-        return TruncatedSeries(self.tensor._like(_prune(out)), d)
+        prod = object.__new__(TruncatedSeries)  # no term is over d: nothing to truncate
+        prod.tensor, prod.cutoff = self.tensor._like(_prune(out)), d
+        return prod
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -423,14 +433,19 @@ def inverse_series(s: TruncatedSeries) -> TruncatedSeries:
 
 def coproduct(s: TruncatedSeries) -> PairTensor:
     """The algebra-map extension of Delta(X) = X (x) 1 + 1 (x) X on letters,
-    applied termwise: each letter of a word is routed left or right."""
+    applied termwise: each letter of a word is routed left or right.
+
+    The letters are routed one at a time, so every (left, right) split of
+    a prefix is extended by the next letter on the right and then on the
+    left; the 2^m splits of a word come out in the order of the bit masks
+    whose bit i sends letter i left."""
     out: dict[tuple[W.WordKey, W.WordKey], Coeff] = {}
     for w, c in s.tensor.terms.items():
-        m = len(w)
-        for mask in range(1 << m):
-            left = tuple(w[i] for i in range(m) if mask >> i & 1)
-            right = tuple(w[i] for i in range(m) if not mask >> i & 1)
-            key = (left, right)
+        splits = [((), ())]
+        for x in w:
+            x = (x,)
+            splits = [(u, v + x) for u, v in splits] + [(u + x, v) for u, v in splits]
+        for key in splits:
             out[key] = out.get(key, 0) + c
     return PairTensor(s.g, out)
 
@@ -454,16 +469,18 @@ def left_bracketing(t: Tensor) -> Tensor:
     By the Dynkin-Specht-Wever criterion a homogeneous weight-m tensor t is
     a Lie element iff left_bracketing(t) == m*t.
     """
-    out = Tensor.zero(t.g)
+    out: dict[W.WordKey, Coeff] = {}
     for w, c in t.terms.items():
         if not w:
             continue
-        acc = Tensor.letter(t.g, w[0]).scale(c)
+        acc = {w[:1]: c}
         for x in w[1:]:
-            xt = Tensor.letter(t.g, x)
-            acc = acc * xt - xt * acc
-        out = out + acc
-    return out
+            x = (x,)
+            nxt = {u + x: v for u, v in acc.items()}  # [u, x] = u.x - x.u
+            axpy(nxt, -1, ((x + u, v) for u, v in acc.items()))
+            acc = nxt
+        axpy(out, 1, acc.items())
+    return t._like(out)
 
 
 def is_lie_element(t: Tensor) -> bool:

@@ -11,8 +11,10 @@ from functools import partial
 
 from necklaces import complexes as C
 from necklaces import deform as D
+from necklaces import expansion as E
 from necklaces.lie import algebra
 from necklaces.linalg import column_echelon_int
+from necklaces.tensors import PairTensor, Tensor, TruncatedSeries, exp_series
 
 def pair(x: int, y: int) -> int:
     if y == (x ^ 1):
@@ -266,3 +268,70 @@ def oracle_image_basis(matrix):
                 _axpy(other, -cv, vec.items())
         stored[lead] = vec
     return [dict(stored[lead]) for lead in sorted(stored)]
+
+
+def oracle_series_mul(x, y):
+    """The product that TruncatedSeries.__mul__ replaced: every right term
+    is visited for every left word, and the pairs over the cutoff skipped."""
+    x.tensor._check_space(y.tensor)
+    d = min(x.cutoff, y.cutoff)
+    out: dict = {}
+    for wx, cx in x.tensor.terms.items():
+        if len(wx) > d:
+            continue
+        room = d - len(wx)
+        for wy, cy in y.tensor.terms.items():
+            if len(wy) > room:
+                continue
+            w = wx + wy
+            out[w] = out.get(w, 0) + cx * cy
+    return TruncatedSeries(x.tensor._like({k: v for k, v in out.items() if v != 0}), d)
+
+
+def oracle_coproduct(s):
+    """The coproduct that tensors.coproduct replaced: one bit mask per
+    split, bit i sending letter i left."""
+    out: dict = {}
+    for w, c in s.tensor.terms.items():
+        m = len(w)
+        for mask in range(1 << m):
+            left = tuple(w[i] for i in range(m) if mask >> i & 1)
+            right = tuple(w[i] for i in range(m) if not mask >> i & 1)
+            key = (left, right)
+            out[key] = out.get(key, 0) + c
+    return PairTensor(s.g, out)
+
+
+def oracle_left_bracketing(t):
+    """The Dynkin map that tensors.left_bracketing replaced: the brackets
+    taken on Tensor objects, one letter at a time."""
+    out = Tensor.zero(t.g)
+    for w, c in t.terms.items():
+        if not w:
+            continue
+        acc = Tensor.letter(t.g, w[0]).scale(c)
+        for x in w[1:]:
+            xt = Tensor.letter(t.g, x)
+            acc = acc * xt - xt * acc
+        out = out + acc
+    return out
+
+
+def oracle_symplectic_expansion(g: int, cutoff: int):
+    """The solver loop that expansion.symplectic_expansion replaced: every
+    step evaluates the boundary defect at the full cutoff."""
+    logs = {l: Tensor.letter(g, l) for l in range(2 * g)}
+
+    def build():
+        return E.Expansion(
+            g, cutoff, {l: exp_series(TruncatedSeries(logs[l], cutoff)) for l in range(2 * g)}
+        )
+
+    theta = build()
+    for n in range(2, cutoff):
+        defect = theta.boundary_log_defect().component(n + 1)
+        if defect.is_zero():
+            continue
+        E._correct_logs(g, n, logs, defect)
+        theta = build()
+    return theta

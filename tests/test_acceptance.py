@@ -10,6 +10,8 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 from necklaces import (
     BiDerivationElem,
     DerivationElem,
@@ -61,6 +63,7 @@ def _report(num: int, label: str, t0: float, budget: str) -> None:
     print(f"\nACCEPTANCE {num} PASS: {label} [{time.time() - t0:.1f}s, budget {budget}]")
 
 
+@pytest.mark.slow
 def test_criterion_1_bialgebra_axioms():
     t0 = time.time()
     for g in (1, 2):
@@ -151,6 +154,7 @@ def _homology_consistency(g: int, pmax: int, wmax: int) -> None:
             assert (m2.matrix @ m1.matrix).is_zero(), (g, p, w)
 
 
+@pytest.mark.slow
 def test_criterion_6_homology_consistency():
     t0 = time.time()
     _homology_consistency(1, 4, 8)
@@ -160,6 +164,7 @@ def test_criterion_6_homology_consistency():
             t0, "<5min")
 
 
+@pytest.mark.slow
 def test_criterion_7_deformation_invariance():
     t0 = time.time()
     lie_engines = {1: _engine(1), 2: _engine(2)}

@@ -90,6 +90,8 @@ class TestCliCommands:
             ["verify", "--suite", "ce-matrix", "--g", "1", "--w-max", "-1"],
             ["verify", "--suite", "module-matrix", "--g", "1", "--p-max", "-1"],
             ["verify", "--suite", "bimodule", "--g", "1", "--samples", "0"],
+            ["deform", "--g", "1", "--A", "N(a1)^N(b1)", "--w-max", "0", "--check-all"],
+            ["deform", "--g", "1", "--A", "N(a1)^N(b1)", "--w-max", "-1", "--check-all"],
         ],
     )
     def test_usage_error_exit_2(self, argv, capsys):

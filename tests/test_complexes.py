@@ -397,7 +397,7 @@ def _canonical(m):
 
 
 class TestMatrixSuites:
-    @pytest.mark.parametrize("g", [1, 2])
+    @pytest.mark.parametrize("g", [1, pytest.param(2, marks=pytest.mark.slow)])
     def test_cell_operators_match_emitter_path(self, g):
         # the factor-wise int64 assembly against assemble(), entry for
         # entry, on every cell with p <= 4, w <= 8

@@ -30,7 +30,7 @@ from necklaces.tensors import (
     log_series,
     omega,
 )
-from oracles import oracle_solve_columns
+from oracles import exact, oracle_solve_columns, oracle_symplectic_expansion
 
 A1, B1 = 0, 1
 
@@ -156,6 +156,31 @@ class TestSolver:
         monkeypatch.setattr(expansion, "solve_columns", checked)
         symplectic_expansion(2, 6)
         assert sizes == [24, 80, 240, 816]
+
+    @pytest.mark.parametrize(
+        "g,cutoff", [(1, d) for d in range(2, 8)] + [(2, d) for d in range(2, 7)]
+    )
+    def test_matches_full_cutoff_oracle(self, g, cutoff):
+        got = symplectic_expansion(g, cutoff)
+        want = oracle_symplectic_expansion(g, cutoff)
+        assert got.cutoff == want.cutoff == cutoff
+        for l in range(2 * g):
+            assert got.series[l].cutoff == want.series[l].cutoff
+            assert exact([got.series[l].tensor.terms]) == exact(
+                [want.series[l].tensor.terms]
+            )
+
+    def test_defect_cutoffs_follow_the_degree(self, monkeypatch):
+        cutoffs = []
+        defect = Expansion.boundary_log_defect
+
+        def recorded(self):
+            cutoffs.append(self.cutoff)
+            return defect(self)
+
+        monkeypatch.setattr(Expansion, "boundary_log_defect", recorded)
+        symplectic_expansion(2, 7)
+        assert cutoffs == [3, 4, 5, 6, 7]
 
     def test_json_roundtrip(self):
         th = symplectic_expansion(2, 3)

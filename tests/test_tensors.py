@@ -19,7 +19,9 @@ from necklaces import (
     omega,
     pairing,
 )
+from necklaces.tensors import left_bracketing
 from necklaces.words import Letter, parse_word, word_name
+from oracles import exact, oracle_coproduct, oracle_left_bracketing, oracle_series_mul
 
 A1, B1, A2, B2 = 0, 1, 2, 3
 
@@ -231,6 +233,72 @@ class TestLieElements:
         b = x * y - y * x
         assert is_lie_element(b)
         assert is_lie_element(b * x - x * b + y.scale(3))
+
+
+def rand_coeff(rng, fractions):
+    num = rng.choice([-3, -2, -1, 1, 2, 3])
+    return Fraction(num, rng.choice([1, 2, 3, 5])) if fractions else num
+
+
+def rand_series(rng, g, cutoff, fractions):
+    """A random series over weights 0..cutoff + 2 (the constructor drops
+    what lies over the cutoff); now and then the unit or the zero series."""
+    kind = rng.random()
+    if kind < 0.05:
+        return TruncatedSeries.unit(g, cutoff)
+    if kind < 0.1:
+        return TruncatedSeries(Tensor.zero(g), cutoff)
+    terms = {}
+    for _ in range(rng.randint(1, 10)):
+        w = tuple(rng.randrange(2 * g) for _ in range(rng.randint(0, cutoff + 2)))
+        terms[w] = rand_coeff(rng, fractions)
+    return TruncatedSeries(Tensor(g, terms), cutoff)
+
+
+class TestAgainstReferencePaths:
+    """The weight-bounded product, the doubling coproduct and the dict-level
+    Dynkin map against the paths they replaced: the same terms, in the same
+    order, with coefficients of the same type."""
+
+    def test_series_product(self):
+        rng = random.Random(31)
+        for _ in range(600):
+            g = rng.choice([1, 2])
+            fractions = rng.random() < 0.5
+            x = rand_series(rng, g, rng.randint(0, 7), fractions)
+            y = rand_series(rng, g, rng.randint(0, 7), fractions)
+            got, want = x * y, oracle_series_mul(x, y)
+            assert got.cutoff == want.cutoff
+            assert exact([got.tensor.terms]) == exact([want.tensor.terms])
+
+    def test_series_product_of_exponentials(self):
+        # dense operands: every weight up to the cutoff is present
+        rng = random.Random(32)
+        for g in (1, 2):
+            for d in range(8 - 2 * g):
+                p = Tensor(g, {(l,): rand_coeff(rng, True) for l in range(2 * g)})
+                x = exp_series(TruncatedSeries(p, d))
+                y = inverse_series(x)
+                assert exact([(x * y).tensor.terms]) == exact(
+                    [oracle_series_mul(x, y).tensor.terms]
+                )
+
+    def test_coproduct(self):
+        rng = random.Random(33)
+        for _ in range(200):
+            g = rng.choice([1, 2])
+            s = rand_series(rng, g, rng.randint(0, 7), rng.random() < 0.5)
+            got, want = coproduct(s), oracle_coproduct(s)
+            assert exact([got.terms]) == exact([want.terms])
+
+    def test_left_bracketing(self):
+        rng = random.Random(34)
+        for _ in range(200):
+            g = rng.choice([1, 2])
+            t = rand_series(rng, g, rng.randint(0, 7), rng.random() < 0.5).tensor
+            got, want = left_bracketing(t), oracle_left_bracketing(t)
+            assert got.g == want.g
+            assert exact([got.terms]) == exact([want.terms])
 
 
 class TestJsonAndInvariants:
