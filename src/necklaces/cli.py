@@ -390,6 +390,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_homology(args) -> int:
+    p_range, w_range = parse_range(args.p), parse_range(args.w)
+    for flag, (lo, _) in (("--p", p_range), ("--w", w_range)):
+        if lo < 0:
+            raise ParseError(f"homology needs {flag} bounds >= 0, got {lo}", 0)
     handle = delta_handle_from_flag(args.delta, args.g)
     if not isinstance(handle, AlgCobracket) and handle.deformations:
         raise ParseError(
@@ -406,9 +410,7 @@ def _cmd_homology(args) -> int:
         mu=AlgComodule(args.g) if args.module else None,
         module=args.module,
     )
-    rep = homology_report(
-        engine, parse_range(args.p), parse_range(args.w), with_induced=not args.no_induced
-    )
+    rep = homology_report(engine, p_range, w_range, with_induced=not args.no_induced)
     rep["euler_ok"] = all(e["ok"] for e in rep["euler_checks"])
     _emit(rep, args)
     return 0 if rep["euler_ok"] else 1

@@ -426,11 +426,15 @@ def compare_expansions(theta: Expansion, theta2: Expansion) -> DerivationElem:
         if not ok:
             raise InconsistentExpansions(f"the {name} expansion is not symplectic")
     u = DerivationElem.zero(g)
+
+    def moved() -> list[Tensor]:  # exp(D_u) theta, recomputed only when u changes
+        return [exp_derivation(u, theta.series[l].tensor, cutoff) for l in range(2 * g)]
+
+    cur = moved()
     for m in range(2, cutoff + 1):
         diffs = {}
         for l in range(2 * g):
-            cur = exp_derivation(u, theta.series[l].tensor, cutoff)
-            d = theta2.series[l].tensor - cur
+            d = theta2.series[l].tensor - cur[l]
             low = d.truncate(m - 1)
             if not low.is_zero():
                 raise InconsistentExpansions(
@@ -451,8 +455,9 @@ def compare_expansions(theta: Expansion, theta2: Expansion) -> DerivationElem:
             raise InconsistentExpansions(
                 f"weight-{m + 1} correction is not a symplectic derivation: {exc}"
             ) from exc
+        cur = moved()
     for l in range(2 * g):
-        if exp_derivation(u, theta.series[l].tensor, cutoff) != theta2.series[l].tensor:
+        if cur[l] != theta2.series[l].tensor:
             raise InconsistentExpansions("residual discrepancy at the cutoff")
     return u
 

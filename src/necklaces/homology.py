@@ -7,6 +7,17 @@ kernel basis vectors (one per free column) that survive reduction
 against a fixed echelon basis of the boundary image, so outputs are
 deterministic.
 
+Each boundary matrix is eliminated once, and the pass stops once its rank
+is proven.  Because boundary . boundary = 0, the rank of the boundary at
+(p, w) is at most the nullity of the boundary out of (p-1, w-2), so the
+echelon pass stops when its pivot count reaches that nullity; the later
+columns would all reduce to zero.  The bound is used only after the
+product of the two boundaries has been certified to be exactly zero, as
+an int64 product under the ``product_bound_ok`` overflow guard.  If an
+entry is not an int, the product cannot be certified, or it is not zero,
+the pass stops only at the row count.  Either way the echelon form is the
+same.
+
 The coboundary induced by an involutive cobracket maps H(p, w) to
 H(p+1, w-2); before descending to homology the engine verifies the
 anticommutation identity at the cells involved and raises NotChainMap on
@@ -23,14 +34,14 @@ and the correction terms vanish when the diagonal is complete, giving the
 textbook Euler identity.
 """
 
-from fractions import Fraction
-
 from . import complexes as C
 from .errors import NotChainMap
 from .linalg import (
     EchelonReducer,
     SparseRationalMatrix,
+    certified_product,
     column_echelon_int,
+    exact_int_csc,
     kernel_basis,
     rank,
 )
@@ -141,12 +152,39 @@ class HomologyEngine:
         return self._dmat[key]
 
     def _boundary_echelon(self, p: int, w: int) -> dict[int, dict[int, int]]:
-        """``column_echelon_int`` of the boundary matrix at (p, w)."""
+        """``column_echelon_int`` of the boundary matrix at (p, w), stopped
+        at the rank bound of ``_rank_bound`` (the same dict)."""
         key = (p, w)
         if key not in self._echelon:
             trivial = p < 1 or self.cell_dim(p, w) == 0 or self.cell_dim(p - 1, w - 2) == 0
-            self._echelon[key] = {} if trivial else column_echelon_int(self.boundary_matrix(p, w))
+            self._echelon[key] = (
+                {} if trivial
+                else column_echelon_int(self.boundary_matrix(p, w), self._rank_bound(p, w))
+            )
         return self._echelon[key]
+
+    def _rank_bound(self, p: int, w: int) -> int | None:
+        """The nullity of the boundary out of (p-1, w-2), which bounds the
+        rank of the boundary at (p, w) once their product is certified to
+        be exactly zero (an int64 product under ``product_bound_ok``).
+        None (no bound beyond the row count) when the lower boundary is
+        zero, an entry is not an int, the product cannot be certified, or
+        it is not zero."""
+        lower = len(self._boundary_echelon(p - 1, w - 2))
+        if lower == 0:
+            return None
+        try:
+            a = exact_int_csc(self.boundary_matrix(p - 1, w - 2))
+            b = exact_int_csc(self.boundary_matrix(p, w))
+            if a is None or b is None:
+                return None
+            prod = certified_product(a, b)
+        except OverflowError:
+            return None
+        prod.eliminate_zeros()
+        if prod.nnz:
+            return None
+        return self.cell_dim(p - 1, w - 2) - lower
 
     def boundary_rank(self, p: int, w: int) -> int:
         return len(self._boundary_echelon(p, w))
@@ -166,12 +204,12 @@ class HomologyEngine:
         ker = (
             kernel_basis(self.boundary_matrix(p, w))
             if p >= 1
-            else [{j: Fraction(1)} for j in range(dim_cell)]
+            else [{j: 1} for j in range(dim_cell)]
         )
         reducer = EchelonReducer()
         pivots = self._boundary_echelon(p + 1, w + 2)
         for lead in sorted(pivots):
-            reducer.insert({r: Fraction(v) for r, v in pivots[lead].items()}, ("im", lead))
+            reducer.insert(pivots[lead], ("im", lead))
         nreps = 0
         for kvec in ker:
             if reducer.insert(dict(kvec), ("rep", nreps)):

@@ -4,17 +4,22 @@ Matrices are stored column-major as dicts {row: coeff} with int or
 Fraction entries.  Every elimination is fraction-free: integer column
 steps with gcd normalization (``_reduce_int``).  Rank and image reduce
 the columns themselves; the image and the reduced row echelon form
-back-eliminate those pivots.  The kernel and ``solve_columns`` share one
+back-eliminate those pivots.  That pass never changes a stored pivot, so
+it stops as soon as the pivot count reaches the row count, or a rank bound
+the caller has proven, and returns the same pivots in the same order.
+The kernel and ``solve_columns`` share one
 pass in which each column carries its expression over the columns, so a
 column that reduces to zero gives a relation; the solver pins free
 variables to 0.  Each forms one Fraction per nonzero entry at the end.
+``EchelonReducer`` (homology classes) stores primitive integer vectors
+and reduces by the same steps, carrying one rational scale per step.
 Because all our matrices decompose into blocks with disjoint row/column
 supports (the multidegree grading), sparse elimination never mixes
 blocks, which keeps fill-in local.
 
 No floating point is used anywhere; numpy/scipy enter only through
 ``int_csc`` as an exact int64 engine for large matrix products, with the
-overflow bound checked before trusting a result.
+overflow bound checked before trusting a result (``certified_product``).
 """
 
 from fractions import Fraction
@@ -178,6 +183,26 @@ def product_bound_ok(a, b) -> bool:
     return amax * bmax * max(col_nnz, 1) < _INT64_SAFE // 4
 
 
+def certified_product(a, b):
+    """a @ b in int64, once product_bound_ok has certified that no entry
+    can overflow; raises OverflowError otherwise."""
+    if not product_bound_ok(a, b):
+        raise OverflowError("int64 product bound exceeded; the product cannot be certified")
+    return a @ b
+
+
+def exact_int_csc(matrix: SparseRationalMatrix):
+    """The matrix as an ``int_csc``; None if an entry is not an int.  Raises
+    OverflowError if an entry is too large for the int64 path."""
+    columns = matrix.columns
+    v = [x for col in columns for x in col.values()]
+    if any(type(x) is not int for x in v):
+        return None
+    r = [i for col in columns for i in col]
+    c = np.repeat(np.arange(matrix.cols, dtype=np.int64), [len(col) for col in columns])
+    return int_csc(matrix.rows, matrix.cols, r, c, v)
+
+
 # -- exact elimination ------------------------------------------------------
 
 
@@ -207,11 +232,13 @@ def _int_scale_column(col: Vec) -> tuple[dict[int, int], int, int]:
     return out, g, denom
 
 
-def _reduce_int(col: dict[int, int], pivots: dict[int, dict[int, int]]) -> dict[int, int]:
+def _reduce_int(col: dict[int, int], pivots: dict[int, dict[int, int]],
+                steps: list | None = None) -> dict[int, int]:
     """Reduce an integer vector against stored vectors with distinct leads
     (smallest keys) by fraction-free steps a*col - b*piv, a and b the lead
-    entries, each divided by the gcd of its entries.  Every step raises the
-    lead, so this ends with col empty or with a lead that is not stored."""
+    entries, each divided by the gcd g of its entries.  Every step raises the
+    lead, so this ends with col empty or with a lead that is not stored.
+    If ``steps`` is a list, each step appends (lead, a, b, g) to it."""
     while col:
         lead = min(col)
         piv = pivots.get(lead)
@@ -233,18 +260,27 @@ def _reduce_int(col: dict[int, int], pivots: dict[int, dict[int, int]]) -> dict[
             if g == 1:
                 break
         col = new if g <= 1 else {r: v // g for r, v in new.items()}
+        if steps is not None:
+            steps.append((lead, a, b, max(g, 1)))
     return col
 
 
-def column_echelon_int(matrix: SparseRationalMatrix) -> dict[int, dict[int, int]]:
+def column_echelon_int(matrix: SparseRationalMatrix, bound: int | None = None) -> dict[int, dict[int, int]]:
     """Fraction-free column echelon form of the column space.
 
     Returns {lead row: primitive integer vector with positive lead}.  The
     set of lead rows determines the rank; the vectors span the image.
-    Deterministic given the column order.
+    Deterministic given the column order.  Stored pivots are never changed,
+    so once the rank is reached every later column reduces to zero: the
+    pass stops when the pivot count reaches ``min(bound, rows)``, with the
+    same dict in the same order.  ``bound`` must be a proven upper bound on
+    the rank (None: the row count).
     """
+    stop = matrix.rows if bound is None else min(bound, matrix.rows)
     pivots: dict[int, dict[int, int]] = {}
     for col0 in matrix.columns:
+        if len(pivots) >= stop:
+            break
         col = _reduce_int(_int_scale_column(col0)[0], pivots)
         if col:
             lead = min(col)
@@ -268,15 +304,21 @@ def rref(matrix: SparseRationalMatrix) -> tuple[list[int], list[Vec]]:
     return [min(row) for row in rows], rows
 
 
-def _dependencies(columns: Sequence[Vec]) -> Iterator[tuple[int, Callable[[], Vec]]]:
+def _dependencies(
+    columns: Sequence[Vec], pivots: dict[int, dict[int, int]] | None = None
+) -> Iterator[tuple[int, Callable[[], Vec]]]:
     """One fraction-free pass over the columns, left to right.  Each column
     is scaled to a primitive integer vector (``_int_scale_column``) that
     carries a unit coordinate past the last row, so ``_reduce_int`` keeps
     its expression over the columns.  Yields (j, relation) for each column
     j whose row part reduces to zero; ``relation()`` is the kernel vector
-    with 1 at j, supported on j and the independent columns before it."""
+    with 1 at j, supported on j and the independent columns before it.
+    The pass stores its pivots, keyed by lead row, in ``pivots`` if given;
+    their row parts are scalar multiples of the ``column_echelon_int``
+    pivots, with the same leads."""
     base = 1 + max((r for vec in columns for r in vec), default=-1)
-    pivots: dict[int, dict[int, int]] = {}
+    if pivots is None:
+        pivots = {}
     scales: list[tuple[int, int]] = []
     for j, col0 in enumerate(columns):
         col, num, den = _int_scale_column(col0)
@@ -341,45 +383,53 @@ def image_basis(matrix: SparseRationalMatrix) -> list[Vec]:
 
 
 class EchelonReducer:
-    """Maintains tagged vectors in echelon form (distinct lead indices,
-    lead coefficient 1) and reduces vectors against them."""
+    """Maintains tagged vectors in echelon form (distinct lead indices) and
+    reduces vectors against them.  Members are stored as primitive integer
+    vectors and reduced by ``_reduce_int`` steps; a member is handed out
+    scaled to lead 1, and a reduction carries its rational scale, one
+    Fraction per step, so the remainder and the coefficients used are the
+    exact values of elimination over the rationals."""
 
     def __init__(self):
-        self._by_lead: dict[int, tuple[Vec, object]] = {}
+        self._by_lead: dict[int, dict[int, int]] = {}
+        self._tags: dict[int, object] = {}
 
     def members_with_tags(self) -> list[tuple[object, Vec]]:
-        return [
-            (self._by_lead[lead][1], dict(self._by_lead[lead][0]))
-            for lead in sorted(self._by_lead)
-        ]
+        out = []
+        for lead in sorted(self._by_lead):
+            vec = self._by_lead[lead]
+            a = vec[lead]
+            out.append((self._tags[lead], {r: Fraction(v, a) for r, v in vec.items()}))
+        return out
 
     def reduce(self, vec: Vec) -> tuple[Vec, dict]:
-        """Fully reduce vec; returns (remainder, {tag: coefficient used})."""
-        rem = {r: Fraction(v) for r, v in vec.items() if v != 0}
+        """Fully reduce vec; returns (remainder, {tag: coefficient used}),
+        remainder and coefficients as Fractions.  With vec = s * col, a
+        step col' = (a*col - b*piv) / g uses the coefficient s*b on the
+        member piv / a and leaves vec - s*b*piv/a = (s*g/a) * col'."""
+        col, num, den = _int_scale_column(vec)
+        steps: list = []
+        col = _reduce_int(col, self._by_lead, steps)
+        scale = Fraction(num, den)
         used: dict = {}
-        while rem:
-            lead = min(rem)
-            entry = self._by_lead.get(lead)
-            if entry is None:
-                break
-            evec, tag = entry
-            c = rem[lead]
-            used[tag] = used.get(tag, 0) + c
-            axpy(rem, -c, evec.items())
-        return rem, used
+        tags = self._tags
+        for lead, a, b, g in steps:
+            tag = tags[lead]
+            used[tag] = used.get(tag, 0) + scale * b
+            scale = scale * g / a
+        return {r: scale * v for r, v in col.items()}, used
 
     def insert(self, vec: Vec, tag) -> bool:
-        """Reduce and, if a nonzero remainder survives, normalize it to
-        lead 1 and store it under the tag.  Returns True iff the vector
-        extended the span.  Stored members are never changed, so each
-        tag keeps naming the vector it was inserted with, reduced against
-        the members before it."""
-        rem, _ = self.reduce(vec)
-        if not rem:
+        """Reduce and, if a nonzero remainder survives, store it under the
+        tag.  Returns True iff the vector extended the span.  Stored members
+        are never changed, so each tag keeps naming the vector it was
+        inserted with, reduced against the members before it."""
+        col = _reduce_int(_int_scale_column(vec)[0], self._by_lead)
+        if not col:
             return False
-        lead = min(rem)
-        inv = 1 / rem[lead]
-        self._by_lead[lead] = ({r: v * inv for r, v in rem.items()}, tag)
+        lead = min(col)
+        self._by_lead[lead] = col
+        self._tags[lead] = tag
         return True
 
 

@@ -22,7 +22,7 @@ from .lie import (
 )
 from .tensors import Tensor, axpy, omega
 from . import complexes as C
-from .linalg import product_bound_ok
+from .linalg import certified_product
 
 
 # -- random elements ------------------------------------------------------
@@ -423,14 +423,6 @@ def bracket_oracle_sweep(g: int, max_weight_sum: int) -> dict:
 # trusted).
 
 
-def _certified_product(a, b):
-    """a @ b in int64, once product_bound_ok has certified that no entry
-    can overflow; raises OverflowError otherwise."""
-    if not product_bound_ok(a, b):
-        raise OverflowError("int64 product bound exceeded; the product cannot be certified")
-    return a @ b
-
-
 def _is_zero(m) -> bool:
     m.eliminate_zeros()
     return m.nnz == 0
@@ -468,17 +460,17 @@ def matrix_identity_suite(g: int, pmax: int, wmax: int, module: bool = False) ->
             mb = op("boundary", p, w) if dim_b else None
             md = op("cochain_d", p, w) if dim_d else None
             if need_bb:
-                z = _certified_product(op("boundary", p - 1, w - 2), mb)
+                z = certified_product(op("boundary", p - 1, w - 2), mb)
                 checks.append(_check(f"boundary2_zero_p{p}_w{w}", _is_zero(z)))
             if need_dd:
-                z = _certified_product(op("cochain_d", p + 1, w - 2), md)
+                z = certified_product(op("cochain_d", p + 1, w - 2), md)
                 checks.append(_check(f"d2_zero_p{p}_w{w}", _is_zero(z)))
             if need_anti:
                 za = None
                 if mb is not None:
-                    za = _certified_product(op("cochain_d", p - 1, w - 2), mb)
+                    za = certified_product(op("cochain_d", p - 1, w - 2), mb)
                 if md is not None:
-                    zb = _certified_product(op("boundary", p + 1, w - 2), md)
+                    zb = certified_product(op("boundary", p + 1, w - 2), md)
                     za = zb if za is None else za + zb
                 checks.append(_check(f"anticommutator_zero_p{p}_w{w}", _is_zero(za)))
     return {

@@ -12,8 +12,9 @@ from functools import partial
 from necklaces import complexes as C
 from necklaces import deform as D
 from necklaces import expansion as E
-from necklaces.lie import algebra
-from necklaces.linalg import column_echelon_int
+from necklaces.errors import InconsistentExpansions, NotCyclic
+from necklaces.lie import DerivationElem, algebra, exp_derivation, necklace_normal_form
+from necklaces.linalg import _int_scale_column, _reduce_int, column_echelon_int
 from necklaces.tensors import PairTensor, Tensor, TruncatedSeries, exp_series
 
 def pair(x: int, y: int) -> int:
@@ -335,3 +336,92 @@ def oracle_symplectic_expansion(g: int, cutoff: int):
         E._correct_logs(g, n, logs, defect)
         theta = build()
     return theta
+
+
+class OracleEchelonReducer:
+    """The Fraction reducer that linalg.EchelonReducer replaced: members
+    normalized to lead 1 and reduced against in Fraction arithmetic."""
+
+    def __init__(self):
+        self._by_lead: dict = {}
+
+    def members_with_tags(self):
+        return [
+            (self._by_lead[lead][1], dict(self._by_lead[lead][0]))
+            for lead in sorted(self._by_lead)
+        ]
+
+    def reduce(self, vec):
+        rem = {r: Fraction(v) for r, v in vec.items() if v != 0}
+        used: dict = {}
+        while rem:
+            lead = min(rem)
+            entry = self._by_lead.get(lead)
+            if entry is None:
+                break
+            evec, tag = entry
+            c = rem[lead]
+            used[tag] = used.get(tag, 0) + c
+            _axpy(rem, -c, evec.items())
+        return rem, used
+
+    def insert(self, vec, tag) -> bool:
+        rem, _ = self.reduce(vec)
+        if not rem:
+            return False
+        lead = min(rem)
+        inv = 1 / rem[lead]
+        self._by_lead[lead] = ({r: v * inv for r, v in rem.items()}, tag)
+        return True
+
+
+def oracle_compare_expansions(theta, theta2):
+    """The comparison that expansion.compare_expansions replaced: exp(D_u)
+    recomputed on every generator at every weight, and once more for the
+    residual check."""
+    if theta.g != theta2.g:
+        raise InconsistentExpansions("different genus")
+    g = theta.g
+    cutoff = min(theta.cutoff, theta2.cutoff)
+    for name, ok in (("first", theta.is_symplectic()), ("second", theta2.is_symplectic())):
+        if not ok:
+            raise InconsistentExpansions(f"the {name} expansion is not symplectic")
+    u = DerivationElem.zero(g)
+    for m in range(2, cutoff + 1):
+        diffs = {}
+        for l in range(2 * g):
+            cur = exp_derivation(u, theta.series[l].tensor, cutoff)
+            d = theta2.series[l].tensor - cur
+            low = d.truncate(m - 1)
+            if not low.is_zero():
+                raise InconsistentExpansions(
+                    f"discrepancy below weight {m} on generator x{l + 1}"
+                )
+            diffs[l] = d.component(m)
+        if all(d.is_zero() for d in diffs.values()):
+            continue
+        comp = Tensor.zero(g)
+        for i in range(g):
+            a, b = 2 * i, 2 * i + 1
+            comp = comp + Tensor.letter(g, a) * diffs[b] - Tensor.letter(g, b) * diffs[a]
+        try:
+            u = u + necklace_normal_form(comp)
+        except NotCyclic as exc:
+            raise InconsistentExpansions(
+                f"weight-{m + 1} correction is not a symplectic derivation: {exc}"
+            ) from exc
+    for l in range(2 * g):
+        if exp_derivation(u, theta.series[l].tensor, cutoff) != theta2.series[l].tensor:
+            raise InconsistentExpansions("residual discrepancy at the cutoff")
+    return u
+
+
+def oracle_column_echelon_int(matrix):
+    """column_echelon_int without its exits: every column is reduced."""
+    pivots: dict = {}
+    for col0 in matrix.columns:
+        col = _reduce_int(_int_scale_column(col0)[0], pivots)
+        if col:
+            lead = min(col)
+            pivots[lead] = col if col[lead] > 0 else {r: -v for r, v in col.items()}
+    return pivots

@@ -92,6 +92,8 @@ class TestCliCommands:
             ["verify", "--suite", "bimodule", "--g", "1", "--samples", "0"],
             ["deform", "--g", "1", "--A", "N(a1)^N(b1)", "--w-max", "0", "--check-all"],
             ["deform", "--g", "1", "--A", "N(a1)^N(b1)", "--w-max", "-1", "--check-all"],
+            ["homology", "--g", "1", "--p=-1..1", "--w", "0..2"],
+            ["homology", "--g", "1", "--w=-2..2"],
         ],
     )
     def test_usage_error_exit_2(self, argv, capsys):

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from necklaces import DerivationElem, necklace_count, verify
+from necklaces import DerivationElem, linalg, necklace_count, verify
 from necklaces.complexes import (
     AlgCobracket,
     AlgComodule,
@@ -447,7 +447,7 @@ class TestMatrixSuites:
         ]
 
     def test_uncertified_product_raises(self, monkeypatch):
-        monkeypatch.setattr(verify, "product_bound_ok", lambda a, b: False)
+        monkeypatch.setattr(linalg, "product_bound_ok", lambda a, b: False)
         with pytest.raises(OverflowError):
             verify.matrix_identity_suite(1, 2, 4)
 

@@ -30,7 +30,12 @@ from necklaces.tensors import (
     log_series,
     omega,
 )
-from oracles import exact, oracle_solve_columns, oracle_symplectic_expansion
+from oracles import (
+    exact,
+    oracle_compare_expansions,
+    oracle_solve_columns,
+    oracle_symplectic_expansion,
+)
 
 A1, B1 = 0, 1
 
@@ -251,6 +256,63 @@ class TestCompare:
                 exp_derivation(u, th.series[l].tensor, cutoff)
                 == pert.series[l].tensor
             )
+
+    def test_matches_oracle_on_criterion_8_inputs(self, monkeypatch):
+        # the seeded weight-3 round trip of acceptance criterion 8: the same
+        # derivation (keys, order, values, types) from exp(D_u) computed once
+        # per change of u instead of once per weight and generator
+        g, cutoff = 2, 4
+        rng = random.Random(20240)
+        th = symplectic_expansion(g, cutoff)
+        v = DerivationElem.zero(g)
+        for u0 in symplectic_lie_derivations(g, 3):
+            v = v + u0.scale(rng.choice([-2, -1, 1, 2]))
+        pert = Expansion(
+            g,
+            cutoff,
+            {l: TruncatedSeries(exp_derivation(v, th.series[l].tensor, cutoff), cutoff)
+             for l in range(2 * g)},
+        )
+        calls = []
+
+        def counting(u, t, d):
+            calls.append(d)
+            return exp_derivation(u, t, d)
+
+        want = oracle_compare_expansions(th, pert)
+        monkeypatch.setattr(expansion, "exp_derivation", counting)
+        got = compare_expansions(th, pert)
+        assert exact([got.terms]) == exact([want.terms]) and not got.is_zero()
+        # u changes once (weight 3): one value per generator before, one after
+        assert calls == [cutoff] * (2 * g * 2)
+        for first, second in ((th, th), (pert, th)):
+            assert exact([compare_expansions(first, second).terms]) == exact(
+                [oracle_compare_expansions(first, second).terms]
+            )
+
+    def test_rejections_match_oracle(self, monkeypatch):
+        # every rejection inside the loop, with the symplecticity gate
+        # opened so that non-symplectic inputs reach it
+        monkeypatch.setattr(Expansion, "is_symplectic", lambda self: True)
+        th, th5 = symplectic_expansion(2, 4), symplectic_expansion(2, 5)
+
+        def shifted(extra, cutoff=4):
+            series = {l: TruncatedSeries(th.series[l].tensor, cutoff) for l in range(4)}
+            series[1] = TruncatedSeries(th.series[1].tensor + extra, cutoff)
+            return Expansion(2, cutoff, series)
+
+        cases = {
+            "below weight 2": shifted(th.series[0].tensor.component(1)),
+            "weight-3 correction": Expansion.naive_exponential(2, 4),
+            "weight-4 correction": shifted(th.series[0].tensor.component(3)),
+            "residual": shifted(th5.series[0].tensor.component(5), 5),
+        }
+        for needle, second in cases.items():
+            with pytest.raises(InconsistentExpansions) as got:
+                compare_expansions(th, second)
+            with pytest.raises(InconsistentExpansions) as want:
+                oracle_compare_expansions(th, second)
+            assert needle in str(got.value) and str(got.value) == str(want.value)
 
 
 class TestLoopTensor:

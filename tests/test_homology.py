@@ -1,13 +1,38 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from necklaces import homology
+from necklaces import homology, linalg
 from necklaces.errors import NotChainMap
 from necklaces.homology import HomologyEngine, cohomology_of_homology, homology_report
 from necklaces.lie import algebra
-from necklaces.linalg import column_echelon_int, kernel_basis
-from oracles import exact, oracle_kernel_basis
+from necklaces.tensors import axpy
+from necklaces.linalg import (
+    EchelonReducer,
+    SparseRationalMatrix,
+    _dependencies,
+    column_echelon_int,
+    kernel_basis,
+)
+from oracles import OracleEchelonReducer, exact, oracle_column_echelon_int, oracle_kernel_basis
+
+
+def boundary_cells(eng: HomologyEngine, w_max: int, p_max: int | None = None):
+    """Every (p, w) with p >= 1, w <= w_max (and p <= p_max) whose boundary
+    matrix has rows and columns."""
+    return [
+        (p, w)
+        for w in range(1, w_max + 1)
+        for p in range(1, (w if p_max is None else min(w, p_max)) + 1)
+        if eng.cell_dim(p, w) and eng.cell_dim(p - 1, w - 2)
+    ]
+
+
+def exact_pivots(pivots: dict) -> list:
+    """Echelon pivots as their leads in dict order, each with its vector in
+    the ``exact`` form."""
+    return [(lead, exact([vec])) for lead, vec in pivots.items()]
 
 
 class TestLieHomology:
@@ -217,9 +242,9 @@ class TestElimination:
     def test_each_boundary_matrix_eliminated_once(self, module, monkeypatch):
         seen = []
 
-        def counting(matrix):
+        def counting(matrix, *args):
             seen.append(matrix)  # kept alive, so ids stay distinct
-            return column_echelon_int(matrix)
+            return column_echelon_int(matrix, *args)
 
         monkeypatch.setattr(homology, "column_echelon_int", counting)
         eng = HomologyEngine(1, module=module)
@@ -230,3 +255,151 @@ class TestElimination:
                 eng.boundary_rank(p, w)
         ids = [id(m) for m in seen]
         assert len(seen) >= 5 and len(set(ids)) == len(ids)
+
+    @pytest.mark.parametrize(
+        "g, module, w_max", [(1, False, 8), (2, False, 7), (1, True, 8), (2, True, 6)]
+    )
+    def test_bounded_echelon_matches_full_pass(self, g, module, w_max, monkeypatch):
+        # the engine's echelon, stopped at its certified rank bound, is the
+        # full left-to-right pass: same leads, vectors, values and order
+        bounds = []
+
+        def recording(matrix, bound=None):
+            bounds.append((matrix.rows, bound))
+            return column_echelon_int(matrix, bound)
+
+        monkeypatch.setattr(homology, "column_echelon_int", recording)
+        eng = HomologyEngine(g, module=module)
+        cells = boundary_cells(eng, w_max)
+        for p, w in cells:
+            got = eng._boundary_echelon(p, w)
+            want = oracle_column_echelon_int(eng.boundary_matrix(p, w))
+            assert exact_pivots(got) == exact_pivots(want), (p, w)
+        assert len(bounds) == len(cells) >= 8
+        # the bound is below the row count on some cells, so the exit is exercised
+        assert any(b is not None and b < rows for rows, b in bounds)
+
+    @pytest.mark.parametrize("broken", ["nonzero_product", "fraction_entry", "uncertified"])
+    def test_rank_bound_falls_back_to_the_full_pass(self, broken, monkeypatch):
+        # lower boundary (2, 6), upper (3, 8) at g = 1: with a lower boundary
+        # of larger rank the nullity bound would be below the true rank, so
+        # only the certificate keeps the exit from truncating the echelon
+        p, w = 3, 8
+        reference = HomologyEngine(1)
+        want = column_echelon_int(reference.boundary_matrix(p, w))
+        lower = reference.boundary_matrix(p - 1, w - 2)
+        assert reference._rank_bound(p, w) == len(want) < reference.cell_dim(p - 1, w - 2)
+        if broken == "nonzero_product":
+            cols = [dict(col) for col in lower.columns]
+            for j, col in enumerate(cols):
+                col[j % lower.rows] = col.get(j % lower.rows, 0) + 1
+            patched = SparseRationalMatrix(lower.rows, lower.cols, cols)
+            assert not (patched @ reference.boundary_matrix(p, w)).is_zero()
+            assert lower.rows - linalg.rank(patched) < len(want)
+        elif broken == "fraction_entry":
+            patched = SparseRationalMatrix(
+                lower.rows, lower.cols,
+                [{r: Fraction(v) for r, v in col.items()} for col in lower.columns],
+            )
+        else:
+            patched = lower
+            monkeypatch.setattr(linalg, "product_bound_ok", lambda a, b: False)
+
+        eng = HomologyEngine(1)
+        real = eng.boundary_matrix
+        monkeypatch.setattr(
+            eng, "boundary_matrix", lambda q, v: patched if (q, v) == (p - 1, w - 2) else real(q, v)
+        )
+        bounds = []
+
+        def recording(matrix, bound=None):
+            bounds.append(bound)
+            return column_echelon_int(matrix, bound)
+
+        monkeypatch.setattr(homology, "column_echelon_int", recording)
+        got = eng._boundary_echelon(p, w)
+        assert bounds[-1] is None
+        assert exact_pivots(got) == exact_pivots(want)
+        assert eng.boundary_rank(p, w) == len(want)
+
+    @pytest.mark.parametrize("g, w_max", [(1, 8), (2, 6)])
+    def test_dependency_pivots_are_scaled_echelon_pivots(self, g, w_max):
+        # the kernel pass and the echelon pass find the same pivots: the row
+        # part of each _dependencies pivot has the lead and the keys of the
+        # column_echelon_int pivot, and is a scalar multiple of it
+        eng = HomologyEngine(g)
+        cells = boundary_cells(eng, w_max)
+        for p, w in cells:
+            mat = eng.boundary_matrix(p, w)
+            echelon = column_echelon_int(mat)
+            pivots: dict = {}
+            for _ in _dependencies(mat.columns, pivots):
+                pass
+            base = mat.rows
+            assert sorted(pivots) == sorted(echelon), (p, w)
+            for lead, vec in pivots.items():
+                row = {r: v for r, v in vec.items() if r < base}
+                ref = echelon[lead]
+                assert set(row) == set(ref) and min(row) == lead, (p, w, lead)
+                ratio = Fraction(row[lead], ref[lead])
+                assert all(Fraction(v, ref[r]) == ratio for r, v in row.items()), (p, w, lead)
+        assert len(cells) >= 10
+
+
+def _reducer_pair(eng: HomologyEngine, p: int, w: int):
+    """The engine's integer reducer and the Fraction oracle, filled as
+    ``HomologyEngine.homology`` fills them; returns both, the insert flags
+    of each and the kernel vectors."""
+    dim = eng.cell_dim(p, w)
+    ker = kernel_basis(eng.boundary_matrix(p, w)) if p >= 1 else [{j: 1} for j in range(dim)]
+    pivots = eng._boundary_echelon(p + 1, w + 2)
+    reducers = (EchelonReducer(), OracleEchelonReducer())
+    flags: tuple = ([], [])
+    for red, fl in zip(reducers, flags):
+        for lead in sorted(pivots):
+            fl.append(red.insert(pivots[lead], ("im", lead)))
+        nreps = 0
+        for kvec in ker:
+            ok = red.insert(dict(kvec), ("rep", nreps))
+            fl.append(ok)
+            nreps += ok
+    return reducers, flags, ker
+
+
+def _exact_used(used: dict) -> list:
+    return [(tag, type(c), c) for tag, c in used.items()]
+
+
+class TestIntegerReducer:
+    @pytest.mark.parametrize("g, module, p_max, w_max", [(2, False, 3, 6), (1, True, 2, 6)])
+    def test_matches_fraction_oracle(self, g, module, p_max, w_max):
+        # insert flags, stored members, and the remainders and coefficients
+        # of random cycles and non-cycles: values, types and key order
+        rng = random.Random(8 + g)
+        eng = HomologyEngine(g, module=module)
+        cells = [
+            (p, w) for p in range(0, p_max + 1) for w in range(0, w_max + 1) if eng.cell_dim(p, w)
+        ]
+        reduced = 0
+        for p, w in cells:
+            (red, oracle), (flags, oracle_flags), ker = _reducer_pair(eng, p, w)
+            assert flags == oracle_flags, (p, w)
+            members, oracle_members = red.members_with_tags(), oracle.members_with_tags()
+            assert [t for t, _ in members] == [t for t, _ in oracle_members], (p, w)
+            assert exact(v for _, v in members) == exact(v for _, v in oracle_members), (p, w)
+            image = eng.boundary_matrix(p + 1, w + 2)
+            dim = eng.cell_dim(p, w)
+            for trial in range(6):
+                vec: dict = {}
+                for kvec in rng.sample(ker, min(len(ker), 3)):
+                    c = Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([1, 1, 2, 3]))
+                    axpy(vec, c, kvec.items())
+                for _ in range(3 if image.cols else 0):
+                    axpy(vec, rng.choice([-2, 1, 3]), image.columns[rng.randrange(image.cols)].items())
+                if trial % 3 == 2:  # a non-cycle: the remainder is not zero
+                    vec[rng.randrange(dim)] = rng.choice([-1, Fraction(1, 2), 5])
+                got, want = red.reduce(vec), oracle.reduce(vec)
+                assert exact([got[0]]) == exact([want[0]]), (p, w, trial)
+                assert _exact_used(got[1]) == _exact_used(want[1]), (p, w, trial)
+                reduced += bool(want[1])
+        assert len(cells) >= 10 and reduced >= 30
