@@ -24,11 +24,11 @@ structures can be assembled through the same code path; the handles for
 the canonical (Schedler) structure are :class:`AlgCobracket` and
 :class:`AlgComodule`.
 
-Matrices come from two paths.  ``assemble`` emits each column monomial by
-monomial into a :class:`SparseRationalMatrix`.  :class:`CellOperators`
-builds the int64 matrices of the identity suites: wedge operators through
-the same monomial emitters, module operators from their word and wedge
-factors by the layout above.
+Boundary and coboundary matrices have one builder, :class:`CellOperators`
+(int64): wedge operators through the monomial emitters, module operators
+from their word and wedge factors by the layout above.  ``assemble`` and
+the homology engine read them through ``SparseRationalMatrix.from_int_csc``;
+``emit_matrix`` builds the Fraction pieces of a deformation.
 """
 
 from bisect import bisect_left
@@ -41,7 +41,7 @@ import numpy as np
 from . import words as W
 from .errors import GenusMismatch
 from .lie import DerivationElem, NecklaceContext, algebra
-from .linalg import SparseRationalMatrix, int_csc
+from .linalg import SparseRationalMatrix, int_csc, int_values
 from .tensors import Coeff, TermMap, axpy, coeff_str, parse_coeff, _prune
 
 WedgeKey = tuple[int, ...]
@@ -562,34 +562,20 @@ def assemble(
     mu: ComoduleHandle | None = None,
 ) -> SparseRationalMatrix:
     """Matrix of an operator out of the (p, w) cell, in the enumerated
-    bases.  Column j is the image of the j-th source monomial."""
+    bases: the ``CellOperators`` matrix as dict columns.  Column j is the
+    image of the j-th source monomial."""
     if op not in _OPS:
         raise ValueError(f"unknown operator {op!r}; expected one of {_OPS}")
     module = op.startswith("mod_")
-    src = mod_wedge_basis(g, p, w) if module else wedge_basis(g, p, w)
-    ctx = algebra(g)
-    if op == "boundary":
-        tgt = wedge_basis(g, p - 1, w - 2) if p >= 1 and w >= 2 else None
-        emit = partial(boundary_monomial, ctx)
-    elif op == "cochain_d":
-        tgt = wedge_basis(g, p + 1, w - 2) if w >= 2 else None
-        if delta is None:
-            raise ValueError("cochain_d needs a cobracket handle")
-        emit = partial(cochain_monomial, ctx, delta)
-    elif op == "mod_boundary":
-        tgt = mod_wedge_basis(g, p - 1, w - 2) if p >= 1 and w >= 2 else None
-        emit = partial(mod_boundary_monomial, ctx)
-    else:
-        tgt = mod_wedge_basis(g, p + 1, w - 2) if w >= 2 else None
-        if delta is None or mu is None:
-            raise ValueError("mod_cochain_d needs cobracket and comodule handles")
-        emit = partial(mod_cochain_monomial, ctx, delta, mu)
-    if tgt is None or not src.monomials:
-        return SparseRationalMatrix(tgt.dim() if tgt else 0, src.dim() if src else 0)
-    return emit_matrix(src, tgt, emit)
+    name = op.removeprefix("mod_")
+    if name == "cochain_d" and (delta is None or module and mu is None):
+        raise ValueError(f"{op} needs a cobracket handle" + (" and a comodule handle" if module else ""))
+    # the module boundary reads the layout only, not mu
+    ops = CellOperators(g, delta, (mu or AlgComodule(g)) if module else None)
+    return SparseRationalMatrix.from_int_csc(getattr(ops, name)(p, w))
 
 
-# -- int64 operator matrices for the identity suites ---------------------------
+# -- int64 operator matrices ---------------------------------------------------
 #
 # A module operator is assembled from its tensor factors.  Block k of a
 # module cell is the words of length k times a wedge cell (``mod_layout``),
@@ -619,10 +605,10 @@ def _coo(rows: list, cols: list, vals: list):
 
 class CellOperators:
     """int64 csc matrices (``linalg.int_csc``) of the boundary and the
-    cochain d out of each cell, for the matrix identity suites: of the
-    wedge cells, or of the module cells when a comodule handle is given.
-    The matrices equal ``assemble`` of the same operator, with explicit
-    zeros where terms cancel.  mu is read through the handle."""
+    cochain d out of each cell: of the wedge cells, or of the module cells
+    when a comodule handle is given.  They are the matrices of the monomial
+    emitters, with explicit zeros where terms cancel, and of the right
+    shape for any (p, w).  Handle coefficients must be ints."""
 
     def __init__(self, g: int, delta: CobracketHandle, mu: ComoduleHandle | None = None):
         self.g = g
@@ -641,7 +627,7 @@ class CellOperators:
         return wedge_basis(self.g, p, w).dim() if p >= 0 and w >= 0 else 0
 
     def boundary(self, p: int, w: int):
-        """Out of (p, w) into (p-1, w-2); p >= 1."""
+        """Out of (p, w) into (p-1, w-2)."""
         return self._matrix("boundary", p, w, p - 1)
 
     def cochain_d(self, p: int, w: int):
@@ -677,7 +663,7 @@ class CellOperators:
                         r.append(pos[t])
                         c.append(j)
                         vals.append(s)
-            self._wedge[key] = _coo([r], [c], [vals])
+            self._wedge[key] = _coo([r], [c], [int_values(vals)])
         return self._wedge[key]
 
     def _iota_table(self, p: int, v: int) -> dict:
@@ -778,7 +764,7 @@ class CellOperators:
                     np.repeat(np.arange(base**k, dtype=np.int64), counts),
                     ns - offs[ms - 1],
                     [ranks[t[0]] for t in terms],
-                    [t[2] for t in terms],
+                    int_values([t[2] for t in terms]),
                 ],
                 dtype=np.int64,
             )

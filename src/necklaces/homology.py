@@ -7,21 +7,25 @@ kernel basis vectors (one per free column) that survive reduction
 against a fixed echelon basis of the boundary image, so outputs are
 deterministic.
 
+The operator matrices are the int64 matrices of ``complexes.CellOperators``.
+Their dict columns (``SparseRationalMatrix.from_int_csc``) are kept only
+where a kernel or a matrix-vector product needs them.
+
 Each boundary matrix is eliminated once, and the pass stops once its rank
 is proven.  Because boundary . boundary = 0, the rank of the boundary at
 (p, w) is at most the nullity of the boundary out of (p-1, w-2), so the
 echelon pass stops when its pivot count reaches that nullity; the later
 columns would all reduce to zero.  The bound is used only after the
-product of the two boundaries has been certified to be exactly zero, as
-an int64 product under the ``product_bound_ok`` overflow guard.  If an
-entry is not an int, the product cannot be certified, or it is not zero,
-the pass stops only at the row count.  Either way the echelon form is the
-same.
+product of the two int64 boundaries has been certified to be exactly
+zero under the ``product_bound_ok`` overflow guard.  If the product
+cannot be certified, or it is not zero, the pass stops only at the row
+count.  Either way the echelon form is the same.
 
 The coboundary induced by an involutive cobracket maps H(p, w) to
 H(p+1, w-2); before descending to homology the engine verifies the
-anticommutation identity at the cells involved and raises NotChainMap on
-failure (which would signal a non-involutive handle).
+anticommutation identity at the cells involved, as certified int64
+products, and raises NotChainMap on failure (which would signal a
+non-involutive handle).
 
 The alternating-sum consistency check along a diagonal s = w - 2p uses
 rank-nullity telescoping: over any computed range a <= p <= b,
@@ -41,7 +45,7 @@ from .linalg import (
     SparseRationalMatrix,
     certified_product,
     column_echelon_int,
-    exact_int_csc,
+    csc_is_zero,
     kernel_basis,
     rank,
 )
@@ -95,17 +99,19 @@ class InducedMap:
 
 
 class HomologyEngine:
-    """Caches boundary matrices, their column echelon forms and homology
-    spaces per cell for a fixed genus, cobracket handle and comodule
-    handle; each boundary matrix is eliminated at most once."""
+    """Caches the operator matrices, the column echelon forms of the
+    boundaries and the homology spaces per cell for a fixed genus,
+    cobracket handle and comodule handle; each boundary matrix is
+    eliminated at most once."""
 
     def __init__(self, g: int, delta=None, mu=None, module: bool = False):
         self.g = g
         self.module = module
         self.delta = delta if delta is not None else C.AlgCobracket(g)
         self.mu = mu if mu is not None else (C.AlgComodule(g) if module else None)
-        self._bmat: dict[tuple[int, int], SparseRationalMatrix] = {}
-        self._dmat: dict[tuple[int, int], SparseRationalMatrix] = {}
+        self._ops = C.CellOperators(g, self.delta, self.mu if module else None)
+        self._int: dict[tuple[str, int, int], object] = {}
+        self._columns: dict[tuple[str, int, int], SparseRationalMatrix] = {}
         self._echelon: dict[tuple[int, int], dict[int, dict[int, int]]] = {}
         self._hom: dict[tuple[int, int], HomologySpace] = {}
         self._anti_ok: dict[tuple[int, int], bool] = {}
@@ -115,74 +121,61 @@ class HomologyEngine:
     def cell_basis(self, p: int, w: int):
         if p < 0 or w < 0:
             return None
-        return (
-            C.mod_wedge_basis(self.g, p, w)
-            if self.module
-            else C.wedge_basis(self.g, p, w)
-        )
+        return (C.mod_wedge_basis if self.module else C.wedge_basis)(self.g, p, w)
 
     def cell_dim(self, p: int, w: int) -> int:
-        basis = self.cell_basis(p, w)
-        return basis.dim() if basis is not None else 0
+        return self._ops.dim(p, w)
+
+    def _operator(self, name: str, p: int, w: int):
+        """The int64 matrix of "boundary" or "cochain_d" out of (p, w)."""
+        key = (name, p, w)
+        if key not in self._int:
+            self._int[key] = getattr(self._ops, name)(p, w)
+        return self._int[key]
+
+    def _matrix(self, name: str, p: int, w: int) -> SparseRationalMatrix:
+        key = (name, p, w)
+        if key not in self._columns:
+            self._columns[key] = SparseRationalMatrix.from_int_csc(self._operator(name, p, w))
+        return self._columns[key]
 
     def boundary_matrix(self, p: int, w: int) -> SparseRationalMatrix:
-        key = (p, w)
-        if key not in self._bmat:
-            if p < 1 or self.cell_dim(p, w) == 0:
-                self._bmat[key] = SparseRationalMatrix(
-                    self.cell_dim(p - 1, w - 2), self.cell_dim(p, w)
-                )
-            else:
-                op = "mod_boundary" if self.module else "boundary"
-                self._bmat[key] = C.assemble(op, self.g, p, w)
-        return self._bmat[key]
+        return self._matrix("boundary", p, w)
 
     def cochain_matrix(self, p: int, w: int) -> SparseRationalMatrix:
-        key = (p, w)
-        if key not in self._dmat:
-            if self.cell_dim(p, w) == 0:
-                self._dmat[key] = SparseRationalMatrix(
-                    self.cell_dim(p + 1, w - 2), self.cell_dim(p, w)
-                )
-            else:
-                op = "mod_cochain_d" if self.module else "cochain_d"
-                self._dmat[key] = C.assemble(
-                    op, self.g, p, w, delta=self.delta, mu=self.mu
-                )
-        return self._dmat[key]
+        return self._matrix("cochain_d", p, w)
 
     def _boundary_echelon(self, p: int, w: int) -> dict[int, dict[int, int]]:
         """``column_echelon_int`` of the boundary matrix at (p, w), stopped
         at the rank bound of ``_rank_bound`` (the same dict)."""
         key = (p, w)
         if key not in self._echelon:
-            trivial = p < 1 or self.cell_dim(p, w) == 0 or self.cell_dim(p - 1, w - 2) == 0
-            self._echelon[key] = (
-                {} if trivial
-                else column_echelon_int(self.boundary_matrix(p, w), self._rank_bound(p, w))
-            )
+            if p < 1 or self.cell_dim(p, w) == 0 or self.cell_dim(p - 1, w - 2) == 0:
+                self._echelon[key] = {}
+            else:
+                bound = self._rank_bound(p, w)
+                matrix = self._columns.get(("boundary", p, w))
+                if matrix is None:  # not kept: only the echelon form is
+                    matrix = SparseRationalMatrix.from_int_csc(self._operator("boundary", p, w))
+                self._echelon[key] = column_echelon_int(matrix, bound)
         return self._echelon[key]
 
     def _rank_bound(self, p: int, w: int) -> int | None:
         """The nullity of the boundary out of (p-1, w-2), which bounds the
-        rank of the boundary at (p, w) once their product is certified to
-        be exactly zero (an int64 product under ``product_bound_ok``).
-        None (no bound beyond the row count) when the lower boundary is
-        zero, an entry is not an int, the product cannot be certified, or
-        it is not zero."""
+        rank of the boundary at (p, w) once their int64 product is
+        certified to be exactly zero.  None (no bound beyond the row count)
+        when the lower boundary is zero, the product cannot be certified,
+        or it is not zero."""
         lower = len(self._boundary_echelon(p - 1, w - 2))
         if lower == 0:
             return None
         try:
-            a = exact_int_csc(self.boundary_matrix(p - 1, w - 2))
-            b = exact_int_csc(self.boundary_matrix(p, w))
-            if a is None or b is None:
-                return None
-            prod = certified_product(a, b)
+            prod = certified_product(
+                self._operator("boundary", p - 1, w - 2), self._operator("boundary", p, w)
+            )
         except OverflowError:
             return None
-        prod.eliminate_zeros()
-        if prod.nnz:
+        if not csc_is_zero(prod):
             return None
         return self.cell_dim(p - 1, w - 2) - lower
 
@@ -196,7 +189,7 @@ class HomologyEngine:
         if key in self._hom:
             return self._hom[key]
         basis = self.cell_basis(p, w)
-        dim_cell = basis.dim() if basis is not None else 0
+        dim_cell = self.cell_dim(p, w)
         if dim_cell == 0:
             space = HomologySpace(self.g, p, w, self.module, 0, [], EchelonReducer(), basis)
             self._hom[key] = space
@@ -220,9 +213,8 @@ class HomologyEngine:
         # it, so a stored vector differs from its raw kernel vector)
         vec_cls = C.ModChainVector if self.module else C.ChainVector
         reps: list = [None] * nreps
-        for tag, vec in reducer.members_with_tags():
-            if tag[0] == "rep":
-                reps[tag[1]] = vec_cls(basis, vec)
+        for tag, vec in reducer.members_with_tags(lambda tag: tag[0] == "rep"):
+            reps[tag[1]] = vec_cls(basis, vec)
         space = HomologySpace(self.g, p, w, self.module, nreps, reps, reducer, basis)
         self._hom[key] = space
         return space
@@ -244,13 +236,10 @@ class HomologyEngine:
         """d.boundary + boundary.d = 0 out of cell (p, w)."""
         key = (p, w)
         if key not in self._anti_ok:
-            first = None
-            if p >= 1:
-                a = self.cochain_matrix(p - 1, w - 2) @ self.boundary_matrix(p, w)
-                first = a
-            b = self.boundary_matrix(p + 1, w - 2) @ self.cochain_matrix(p, w)
-            total = b if first is None else first + b
-            self._anti_ok[key] = total.is_zero()
+            op = self._operator
+            total = certified_product(op("cochain_d", p - 1, w - 2), op("boundary", p, w))
+            total = total + certified_product(op("boundary", p + 1, w - 2), op("cochain_d", p, w))
+            self._anti_ok[key] = csc_is_zero(total)
         return self._anti_ok[key]
 
     def induced_d(self, p: int, w: int) -> InducedMap:

@@ -20,10 +20,13 @@ blocks, which keeps fill-in local.
 No floating point is used anywhere; numpy/scipy enter only through
 ``int_csc`` as an exact int64 engine for large matrix products, with the
 overflow bound checked before trusting a result (``certified_product``).
+Coefficients enter int64 only through ``int_values``, and int64 matrices
+become dict columns only through ``SparseRationalMatrix.from_int_csc``.
 """
 
 from fractions import Fraction
 from functools import partial
+from itertools import islice
 from math import gcd, lcm
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -61,6 +64,20 @@ class SparseRationalMatrix:
         for i, j, v in entries:
             columns[j][i] = columns[j].get(i, 0) + v
         return cls(rows, cols, columns)
+
+    @classmethod
+    def from_int_csc(cls, m) -> "SparseRationalMatrix":
+        """An int64 csc matrix (``int_csc``) as dict columns with int
+        values, its explicit zeros dropped; m is not changed.  The columns
+        share one int object per row as their keys, which saves memory."""
+        keep = m.data != 0
+        counts = np.diff(np.concatenate(([0], np.cumsum(keep)))[m.indptr]).tolist()
+        rows = list(range(m.shape[0]))
+        entries = zip(map(rows.__getitem__, m.indices[keep].tolist()), m.data[keep].tolist())
+        out = cls.__new__(cls)
+        out.rows, out.cols = m.shape
+        out.columns = [dict(islice(entries, n)) for n in counts]
+        return out
 
     def nnz(self) -> int:
         return sum(len(c) for c in self.columns)
@@ -160,13 +177,23 @@ class SparseRationalMatrix:
 _INT64_SAFE = 2**62
 
 
-def int_csc(rows: int, cols: int, r: list, c: list, v: list):
-    """Exact int64 CSC matrix; values must be (and are checked) small ints."""
-    vv = np.asarray(v, dtype=np.int64)
-    if len(vv) and int(np.abs(vv).max()) >= 2**31:
+def int_values(values) -> np.ndarray:
+    """The values as an int64 array.  Raises TypeError on a value that is
+    not an int (the cast would truncate a Fraction or a float) and
+    OverflowError on one of 2**31 or more in absolute value."""
+    arr = np.asarray(values)
+    big = arr.dtype.kind == "O" and all(type(x) is int for x in arr.flat)  # beyond int64
+    if arr.size and arr.dtype.kind != "i" and not big:
+        raise TypeError(f"the int64 fast path takes int values only, got {arr.dtype} values")
+    if big or arr.size and not -(2**31) < arr.min() <= arr.max() < 2**31:
         raise OverflowError("entries too large for the int64 fast path")
+    return arr.astype(np.int64, copy=False)
+
+
+def int_csc(rows: int, cols: int, r: list, c: list, v: list):
+    """Exact int64 CSC matrix; the values are checked by ``int_values``."""
     return _sp.coo_matrix(
-        (vv, (np.asarray(r, dtype=np.int64), np.asarray(c, dtype=np.int64))),
+        (int_values(v), (np.asarray(r, dtype=np.int64), np.asarray(c, dtype=np.int64))),
         shape=(rows, cols),
     ).tocsc()
 
@@ -191,16 +218,10 @@ def certified_product(a, b):
     return a @ b
 
 
-def exact_int_csc(matrix: SparseRationalMatrix):
-    """The matrix as an ``int_csc``; None if an entry is not an int.  Raises
-    OverflowError if an entry is too large for the int64 path."""
-    columns = matrix.columns
-    v = [x for col in columns for x in col.values()]
-    if any(type(x) is not int for x in v):
-        return None
-    r = [i for col in columns for i in col]
-    c = np.repeat(np.arange(matrix.cols, dtype=np.int64), [len(col) for col in columns])
-    return int_csc(matrix.rows, matrix.cols, r, c, v)
+def csc_is_zero(m) -> bool:
+    """Whether an int64 product is zero; drops m's explicit zeros."""
+    m.eliminate_zeros()
+    return m.nnz == 0
 
 
 # -- exact elimination ------------------------------------------------------
@@ -394,12 +415,17 @@ class EchelonReducer:
         self._by_lead: dict[int, dict[int, int]] = {}
         self._tags: dict[int, object] = {}
 
-    def members_with_tags(self) -> list[tuple[object, Vec]]:
+    def members_with_tags(self, keep: Callable[[object], bool] | None = None) -> list[tuple[object, Vec]]:
+        """(tag, member scaled to lead 1) in ascending lead order, for the
+        members whose tag passes ``keep`` (all if None); only those are
+        formed as Fractions."""
         out = []
         for lead in sorted(self._by_lead):
-            vec = self._by_lead[lead]
-            a = vec[lead]
-            out.append((self._tags[lead], {r: Fraction(v, a) for r, v in vec.items()}))
+            tag = self._tags[lead]
+            if keep is None or keep(tag):
+                vec = self._by_lead[lead]
+                a = vec[lead]
+                out.append((tag, {r: Fraction(v, a) for r, v in vec.items()}))
         return out
 
     def reduce(self, vec: Vec) -> tuple[Vec, dict]:

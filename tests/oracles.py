@@ -199,6 +199,29 @@ def oracle_mod_homotopy_check(a, b, p: int, w: int) -> bool:
     return True
 
 
+def oracle_assemble(op, g, p, w, delta=None, mu=None):
+    """The monomial-by-monomial assembly that complexes.assemble replaced:
+    every column emitted into a dict through the basis position maps, the
+    module cells through a materialised ``ModWedgeBasis``."""
+    module = op.startswith("mod_")
+    src = C.mod_wedge_basis(g, p, w) if module else C.wedge_basis(g, p, w)
+    basis = C.mod_wedge_basis if module else C.wedge_basis
+    ctx = algebra(g)
+    if op.endswith("boundary"):
+        tgt = basis(g, p - 1, w - 2) if p >= 1 and w >= 2 else None
+        emit = partial(C.mod_boundary_monomial if module else C.boundary_monomial, ctx)
+    else:
+        tgt = basis(g, p + 1, w - 2) if w >= 2 else None
+        emit = (
+            partial(C.mod_cochain_monomial, ctx, delta, mu)
+            if module
+            else partial(C.cochain_monomial, ctx, delta)
+        )
+    if tgt is None or not src.monomials:
+        return C.SparseRationalMatrix(tgt.dim() if tgt else 0, src.dim())
+    return C.emit_matrix(src, tgt, emit)
+
+
 def exact(vectors):
     """Sparse vectors as their keys in dict order, each with the type and
     the value of its coefficient: the form in which a fast path is

@@ -22,8 +22,9 @@ from necklaces.complexes import (
 )
 from necklaces.complexes import _insert1, _insert2, _sort_wedge
 from necklaces.lie import algebra
-from necklaces.linalg import int_csc
+from necklaces.linalg import SparseRationalMatrix, int_csc
 from necklaces.verify import matrix_identity_suite
+from oracles import oracle_assemble
 
 A1, B1, A2, B2 = 0, 1, 2, 3
 
@@ -399,8 +400,10 @@ def _canonical(m):
 class TestMatrixSuites:
     @pytest.mark.parametrize("g", [1, pytest.param(2, marks=pytest.mark.slow)])
     def test_cell_operators_match_emitter_path(self, g):
-        # the factor-wise int64 assembly against assemble(), entry for
-        # entry, on every cell with p <= 4, w <= 8
+        # the factor-wise int64 assembly against the monomial emission of
+        # oracle_assemble, entry for entry, on every cell with p <= 4,
+        # w <= 8; and its dict columns, as the engine and assemble() read
+        # them: int values, no zero entries, the int64 matrix unchanged
         delta, mu = AlgCobracket(g), AlgComodule(g)
         for module in (True, False):
             ops = CellOperators(g, delta, mu if module else None)
@@ -410,12 +413,19 @@ class TestMatrixSuites:
                     for op in ("boundary", "cochain_d"):
                         if op == "boundary" and p == 0:
                             continue
-                        fast = _canonical(getattr(ops, op)(p, w))
-                        ref = _canonical(_int_csc_of(assemble(pre + op, g, p, w, delta=delta, mu=mu)))
-                        assert fast.shape == ref.shape, (module, op, p, w)
-                        assert np.array_equal(fast.indptr, ref.indptr), (module, op, p, w)
-                        assert np.array_equal(fast.indices, ref.indices), (module, op, p, w)
-                        assert np.array_equal(fast.data, ref.data), (module, op, p, w)
+                        where = (module, op, p, w)
+                        mat = getattr(ops, op)(p, w)
+                        oracle = oracle_assemble(pre + op, g, p, w, delta=delta, mu=mu)
+                        fast, ref = _canonical(mat), _canonical(_int_csc_of(oracle))
+                        assert fast.shape == ref.shape, where
+                        assert np.array_equal(fast.indptr, ref.indptr), where
+                        assert np.array_equal(fast.indices, ref.indices), where
+                        assert np.array_equal(fast.data, ref.data), where
+                        nnz = mat.nnz
+                        columns = SparseRationalMatrix.from_int_csc(mat).columns
+                        assert mat.nnz == nnz, where
+                        assert columns == oracle.columns, where
+                        assert all(type(v) is int and v for col in columns for v in col.values()), where
 
     def test_mod_layout_reproduces_basis_positions(self):
         for g in (1, 2):

@@ -1,11 +1,14 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from necklaces.linalg import (
     EchelonReducer,
     SparseRationalMatrix,
     column_echelon_int,
     image_basis,
+    int_csc,
     kernel_basis,
     nullity,
     rank,
@@ -236,3 +239,26 @@ class TestSerialization:
         assert lines[0].startswith("%%MatrixMarket")
         assert lines[1] == "2 2 2"
         assert "1 2 3/2" in lines and "2 1 -1" in lines
+
+
+class TestIntCsc:
+    def test_exact_ints_pass(self):
+        m = int_csc(2, 3, [0, 1, 1], [0, 2, 2], [3, -2**31 + 1, 1])
+        assert m.dtype.kind == "i" and m.toarray().tolist() == [[3, 0, 0], [0, 0, -2**31 + 2]]
+        assert int_csc(2, 2, [], [], []).nnz == 0
+
+    @pytest.mark.parametrize(
+        "values, error",
+        [
+            ([Fraction(1, 2), 3], TypeError),  # the int64 cast would give [0 3]
+            ([Fraction(2), 3], TypeError),
+            ([0.5, 3], TypeError),
+            ([2.0, 3], TypeError),
+            ([2**31, 3], OverflowError),
+            ([-(2**31), 3], OverflowError),
+            ([2**70, 3], OverflowError),
+        ],
+    )
+    def test_refuses_what_int64_would_change(self, values, error):
+        with pytest.raises(error):
+            int_csc(2, 2, [0, 1], [0, 1], values)

@@ -23,3 +23,16 @@ def test_public_names_import():
     missing = [name for name in necklaces.__all__ if not hasattr(necklaces, name)]
     assert not missing, f"names in necklaces.__all__ that do not resolve: {missing}"
     assert len(set(necklaces.__all__)) == len(necklaces.__all__)
+
+
+def test_only_linalg_imports_scipy():
+    # int_csc, with its value guard, is then the one way into scipy's
+    # int64 matrices
+    found = sorted(
+        path.name
+        for path in SRC.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "scipy" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy"
+    )
+    assert found == ["linalg.py"], f"modules that import scipy: {found}"
