@@ -22,7 +22,7 @@ from .deform import (
     homotopy_check,
     verify_deformation_invariance,
 )
-from .errors import GenusMismatch, NecklacesError, ParseError
+from .errors import CellTooLarge, GenusMismatch, NecklacesError, ParseError
 from .expansion import (
     Expansion,
     compare_expansions,
@@ -587,8 +587,9 @@ def main(argv=None) -> int:
         if args.g < 1:
             raise ParseError(f"--g must be >= 1, got {args.g}", 0)
         return args.func(args)
-    except (ParseError, FileNotFoundError, GenusMismatch) as exc:
-        # a letter outside the alphabet of --g is bad input too
+    except (ParseError, FileNotFoundError, GenusMismatch, CellTooLarge) as exc:
+        # a letter outside the alphabet of --g, or a range with a cell over
+        # the size budget, is bad input too
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NecklacesError as exc:

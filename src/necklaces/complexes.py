@@ -34,13 +34,14 @@ the homology engine read them through ``SparseRationalMatrix.from_int_csc``;
 from bisect import bisect_left
 from functools import lru_cache, partial
 from itertools import product
+from math import comb
 from typing import Iterable, Mapping, NamedTuple, Protocol, Sequence
 
 import numpy as np
 
 from . import words as W
-from .errors import GenusMismatch
-from .lie import DerivationElem, NecklaceContext, algebra
+from .errors import CellTooLarge, GenusMismatch
+from .lie import DerivationElem, NecklaceContext, algebra, necklace_count
 from .linalg import SparseRationalMatrix, int_csc, int_values
 from .tensors import Coeff, TermMap, axpy, coeff_str, parse_coeff, _prune
 
@@ -62,12 +63,24 @@ class CobracketHandle(Protocol):
 
 
 class ComoduleHandle(Protocol):
+    """A comodule map as the assembly reads it: word by word (``mu_terms``)
+    for the monomial emitters, and every word of a length at once
+    (``mu_table``) for the ``CellOperators`` module coboundary.  The two
+    must agree."""
+
     g: int
     name: str
     max_weight: int | None
 
     def mu_terms(self, word: W.WordKey) -> Sequence[tuple[W.WordKey, int, Coeff]]:
         """mu of a basis word as ((word, necklace index, coeff), ...)."""
+        ...
+
+    def mu_table(self, k: int) -> Mapping[int, np.ndarray]:
+        """mu of every word of length k, for the matrix assembly: the
+        weight m of the split-off necklace n -> int64 rows (source rank,
+        n - offset(m), rank of the remaining word, coeff), ranks as in
+        ``NecklaceContext.mu_table``."""
         ...
 
 
@@ -98,6 +111,9 @@ class AlgComodule:
     def mu_terms(self, word: W.WordKey):
         return self._ctx.mu_terms(word)
 
+    def mu_table(self, k: int):
+        return self._ctx.mu_table(k)
+
 
 # -- bases ------------------------------------------------------------------
 
@@ -109,6 +125,7 @@ class WedgeBasis:
 
     def __init__(self, g: int, p: int, w: int):
         self.g, self.p, self.w = g, p, w
+        _check_cell("wedge", g, p, w, wedge_dim(g, p, w))
         ctx = algebra(g)
         self.monomials: list[WedgeKey] = list(_wedge_tuples(ctx, p, w))
         self.position: dict[WedgeKey, int] = {
@@ -125,6 +142,31 @@ class WedgeBasis:
 
     def __repr__(self) -> str:
         return f"WedgeBasis(g={self.g}, p={self.p}, w={self.w}, dim={self.dim()})"
+
+
+@lru_cache(maxsize=None)
+def wedge_dim(g: int, p: int, w: int) -> int:
+    """Dimension of the (p, w) wedge cell, counted from ``necklace_count``
+    without enumerating anything: the number of p-sets of necklaces of
+    total weight w, by a DP over the necklace weights."""
+    if p < 0 or w < 0:
+        return 0
+    count = [[0] * (w + 1) for _ in range(p + 1)]  # [q][v]: q-sets of weight v
+    count[0][0] = 1
+    for m in range(1, w + 1):
+        n = necklace_count(g, m)
+        new = [row[:] for row in count]
+        for j in range(1, min(p, w // m) + 1):  # j necklaces of weight m
+            ways = comb(n, j)
+            for q in range(j, p + 1):
+                for v in range(j * m, w + 1):
+                    new[q][v] += ways * count[q - j][v - j * m]
+        count = new
+    return count[p][w]
+
+
+def _check_cell(kind: str, g: int, p: int, w: int, dim: int) -> None:
+    CellTooLarge.check(f"the {kind} cell (p={p}, w={w}) of genus {g}", dim)
 
 
 def _wedge_tuples(ctx: NecklaceContext, p: int, w: int):
@@ -173,13 +215,15 @@ def mod_layout(g: int, p: int, w: int) -> ModLayout:
         offsets[k] + rank(word) * wedge_dims[k] + position of t in (p, w - k),
     where rank reads the word as a base-2g number, first letter most
     significant.  ``ModWedgeBasis`` enumerates in this order, and the
-    int64 operator assembly indexes by this formula."""
+    int64 operator assembly indexes by this formula.  Raises CellTooLarge
+    when the cell is over the budget."""
     if p < 0 or w < 0:
         return ModLayout((0,), ())
-    dims = tuple(wedge_basis(g, p, w - k).dim() for k in range(w + 1))
+    dims = tuple(wedge_dim(g, p, w - k) for k in range(w + 1))
     offsets = [0]
     for k, d in enumerate(dims):
         offsets.append(offsets[-1] + (2 * g) ** k * d)
+    _check_cell("module", g, p, w, offsets[-1])
     return ModLayout(tuple(offsets), dims)
 
 
@@ -586,10 +630,12 @@ def assemble(
 #
 # where A_n is the action of the necklace n on words (``_action_table``),
 # iota_n removes n from a wedge tuple with the sign of gamma_monomial, M_n
-# is the part of mu that splits off n, and eps_n inserts n (``_insert1``).
-# The word-side tables are shared by every cell; the wedge-side tables
-# are small.  Their product over n is numpy index arithmetic, so no module
-# monomial is ever enumerated.
+# is the part of mu that splits off n, read from the comodule handle's
+# ``mu_table`` (for the canonical handle, ``NecklaceContext.mu_table``
+# computes it for every word of a length at once, by rank arithmetic), and
+# eps_n inserts n (``_insert1``).  The word-side tables are shared by every
+# cell; the wedge-side tables are small.  Their product over n is numpy
+# index arithmetic, so no module monomial and no word is ever enumerated.
 
 
 def _coo(rows: list, cols: list, vals: list):
@@ -608,7 +654,9 @@ class CellOperators:
     cochain d out of each cell: of the wedge cells, or of the module cells
     when a comodule handle is given.  They are the matrices of the monomial
     emitters, with explicit zeros where terms cancel, and of the right
-    shape for any (p, w).  Handle coefficients must be ints."""
+    shape for any (p, w).  The module coboundary reads mu from the handle's
+    ``mu_table``.  Handle coefficients must be ints.  A cell or table over
+    the ``CellTooLarge`` budget raises before it is built."""
 
     def __init__(self, g: int, delta: CobracketHandle, mu: ComoduleHandle | None = None):
         self.g = g
@@ -619,12 +667,14 @@ class CellOperators:
         self._iota: dict = {}
         self._eps: dict = {}
         self._act: dict = {}
-        self._mu: dict = {}
 
     def dim(self, p: int, w: int) -> int:
+        """The dimension of the cell, counted without enumerating it."""
         if self.mu is not None:
             return mod_layout(self.g, p, w).dim
-        return wedge_basis(self.g, p, w).dim() if p >= 0 and w >= 0 else 0
+        dim = wedge_dim(self.g, p, w)
+        _check_cell("wedge", self.g, p, w, dim)
+        return dim
 
     def boundary(self, p: int, w: int):
         """Out of (p, w) into (p-1, w-2)."""
@@ -717,6 +767,10 @@ class CellOperators:
         key = (k, m)
         if key not in self._act:
             base = 2 * self.g
+            CellTooLarge.check(
+                f"the action table of the weight-{m} necklaces on the words of length {k}",
+                necklace_count(self.g, m) * m * k * base ** (k - 1),
+            )
             necks = np.array(self.ctx.basis_words(m), dtype=np.int64).reshape(-1, m)
             rots = necks[:, (np.arange(m)[:, None] + np.arange(m)) % m]  # rotation a in row a
             y = rots[:, :, :1] ^ 1  # the word letter that pairs with the first letter
@@ -739,37 +793,19 @@ class CellOperators:
         return self._act[key]
 
     def _mu_table(self, k: int) -> dict:
-        """mu of every word of length k through the handle, grouped by the
-        weight m of the split-off necklace n: m -> (source rank, n -
-        offset(m), rank of the remaining word, coeff)."""
-        if k not in self._mu:
-            ctx, base = self.ctx, 2 * self.g
-            terms, counts = [], []
-            for word in product(range(base), repeat=k):
-                t = self.mu.mu_terms(word)
-                terms.extend(t)
-                counts.append(len(t))
-            ns = np.array([t[1] for t in terms], dtype=np.int64)
-            offs = np.array([ctx.offset(m) for m in range(1, k)], dtype=np.int64)
-            ms = np.searchsorted(offs, ns, side="right")
-            if not np.array_equal(np.array([len(t[0]) for t in terms], dtype=np.int64), k - 2 - ms):
+        """The handle's ``mu_table(k)``, checked: every split-off weight m
+        lowers the word length k by m + 2, every index is in its range, and
+        every coefficient is an int (``int_values``)."""
+        base, out = 2 * self.g, {}
+        for m, (sr, nl, tr, c) in self.mu.mu_table(k).items():
+            if not 1 <= m <= k - 2:
                 raise ValueError("the comodule handle does not lower the weight by 2")
-            ranks = {
-                word: r
-                for j in range(k - 1)
-                for r, word in enumerate(product(range(base), repeat=j))
-            }
-            cols = np.array(
-                [
-                    np.repeat(np.arange(base**k, dtype=np.int64), counts),
-                    ns - offs[ms - 1],
-                    [ranks[t[0]] for t in terms],
-                    int_values([t[2] for t in terms]),
-                ],
-                dtype=np.int64,
-            )
-            self._mu[k] = {int(m): cols[:, ms == m] for m in np.unique(ms)}
-        return self._mu[k]
+            tops = (base**k, necklace_count(self.g, m), base ** (k - 2 - m))
+            for idx, top in zip((sr, nl, tr), tops):
+                if idx.size and not 0 <= idx.min() <= idx.max() < top:
+                    raise ValueError(f"the comodule table of length {k} has an index out of range")
+            out[m] = (sr, nl, tr, int_values(c))
+        return out
 
     # -- module operators -------------------------------------------------------
 

@@ -256,11 +256,18 @@ class DeformedComodule:
         self._nablas = [d.nabla() for d in self.deformations]
 
     def mu_terms(self, word: W.WordKey):
+        self._check_homogeneous()
+        return self.base.mu_terms(word)
+
+    def mu_table(self, k: int):
+        self._check_homogeneous()
+        return self.base.mu_table(k)
+
+    def _check_homogeneous(self) -> None:
         if self.deformations:
             raise ValueError(
                 "deformed comodule is weight-inhomogeneous; use pieces()"
             )
-        return self.base.mu_terms(word)
 
     def piece_terms(self, d_index: int, word: W.WordKey):
         """The mu'(m) - mu(m) contribution of one deformation element."""

@@ -59,3 +59,16 @@ class ParseError(NecklacesError):
     def __init__(self, message: str, position: int):
         self.position = position
         super().__init__(f"{message} (at offset {position})")
+
+
+class CellTooLarge(NecklacesError):
+    """A cell, or a table built for one, would hold more than ``BUDGET``
+    entries.  Raised from the size alone, before anything is enumerated or
+    allocated."""
+
+    BUDGET = 1 << 22
+
+    @classmethod
+    def check(cls, what: str, size: int) -> None:
+        if size > cls.BUDGET:
+            raise cls(f"{what} would hold {size:,} entries, over the budget of {cls.BUDGET:,}")

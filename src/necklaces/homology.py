@@ -360,6 +360,12 @@ def homology_report(
     coboundary ranks and per-diagonal Euler checks."""
     p0, p1 = p_range
     w0, w1 = w_range
+    # size every cell the table eliminates before computing any of them, so
+    # that a range with a cell over the budget fails at once (CellTooLarge)
+    for p in range(p0, p1 + 1):
+        for w in range(w0, w1 + 1):
+            if engine.cell_dim(p, w):
+                engine.cell_dim(p + 1, w + 2)
     cells = []
     for p in range(p0, p1 + 1):
         for w in range(w0, w1 + 1):

@@ -14,7 +14,8 @@ lexicographically minimal among its rotations.  This module implements:
       sum_{i,j} (x_i . y_j) N(x_{i+1}..x_{i-1} y_{j+1}..y_{j-1});
 * the Schedler cobracket: the double sum splitting a necklace into two
   necklaces along a symplectic pair of its letters;
-* the comodule splitting mu of a word into (word, necklace) pairs.
+* the comodule splitting mu of a word into (word, necklace) pairs, per
+  word and, for the matrix assembly, for every word of a length at once.
 
 Bracket, cobracket and mu all lower total weight by exactly 2; terms where
 a factor would be the empty necklace vanish, since N kills weight 0.
@@ -29,8 +30,10 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
 
+import numpy as np
+
 from . import words as W
-from .errors import GenusMismatch, NotCyclic
+from .errors import CellTooLarge, GenusMismatch, NotCyclic
 from .tensors import Coeff, Tensor, TermMap, axpy, coeff_str, cyclicize, parse_coeff, _prune
 from .tensors import by_total_weight, by_weight
 
@@ -115,6 +118,8 @@ class NecklaceContext:
         self._delta_memo: dict[int, tuple[tuple[int, int, int], ...]] = {}
         self._delta_word_memo: dict[W.WordKey, tuple[tuple[W.WordKey, W.WordKey, int], ...]] = {}
         self._rot_first_memo: dict[W.WordKey, dict[int, tuple[W.WordKey, ...]]] = {}
+        self._neck_of_rank_memo: dict[int, np.ndarray] = {}
+        self._mu_table_memo: dict[int, dict[int, np.ndarray]] = {}
 
     # -- basis enumeration and indexing --------------------------------
 
@@ -309,6 +314,58 @@ class NecklaceContext:
     def mu_terms(self, word: W.WordKey) -> list[tuple[W.WordKey, int, int]]:
         """Index-level form of mu_word."""
         return [(rest, self.index_of_word(neck), s) for rest, neck, s in self.mu_word(word)]
+
+    # -- rank-level tables: every word of a length at once -------------------
+    #
+    # A word of length k is indexed by its rank, the base-2g number with its
+    # first letter most significant (the ``product(range(2g), repeat=k)``
+    # order).  Cutting positions ii < jj out of a word of rank r leaves
+    #   inner = r // base**(k-jj) % base**(jj-ii-1)            (word[ii+1:jj])
+    #   rest  = r // base**(k-ii) * base**(k-1-jj) + r % base**(k-1-jj)
+
+    def necklace_of_rank(self, length: int) -> np.ndarray:
+        """Global index of the canonical rotation of every word of the
+        given length, indexed by the word's rank."""
+        table = self._neck_of_rank_memo.get(length)
+        if table is None:
+            CellTooLarge.check(f"the necklace table of length {length} (genus {self.g})",
+                               (2 * self.g) ** length)
+            table = np.array(
+                [self.index_of_word(W.canonical_rotation(w)) for w in self._all_words(length)],
+                dtype=np.int64,
+            )
+            self._neck_of_rank_memo[length] = table
+        return table
+
+    def mu_table(self, k: int) -> dict[int, np.ndarray]:
+        """mu of every word of length k, grouped by the weight m of the
+        split-off necklace n: m -> int64 rows (source rank, n - offset(m),
+        rank of the remaining word, coeff).  The rows of one source rank
+        are the terms of ``mu_terms`` of that word, up to order."""
+        table = self._mu_table_memo.get(k)
+        if table is None:
+            base = 2 * self.g
+            CellTooLarge.check(f"the mu table of the words of length {k} (genus {self.g})",
+                               base**k * k)
+            rank = np.arange(base**k, dtype=np.int64)
+            digits = rank[:, None] // base ** np.arange(k - 1, -1, -1, dtype=np.int64) % base
+            parts: dict[int, list[np.ndarray]] = {}
+            for ii in range(k - 2):
+                for jj in range(ii + 2, k):  # jj = ii + 1 would cut out an empty necklace
+                    mask = digits[:, jj] == digits[:, ii] ^ 1
+                    src = rank[mask]
+                    m = jj - ii - 1
+                    inner = src // base ** (k - jj) % base**m
+                    low = base ** (k - 1 - jj)
+                    parts.setdefault(m, []).append(np.stack([
+                        src,
+                        self.necklace_of_rank(m)[inner] - self.offset(m),
+                        src // base ** (k - ii) * low + src % low,
+                        1 - 2 * (digits[mask, ii] & 1),  # +1 when word[ii] is an a-letter
+                    ]))
+            table = {m: np.concatenate(rows, axis=1) for m, rows in sorted(parts.items())}
+            self._mu_table_memo[k] = table
+        return table
 
 
 @lru_cache(maxsize=None)

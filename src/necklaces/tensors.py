@@ -451,11 +451,21 @@ def coproduct(s: TruncatedSeries) -> PairTensor:
 
 
 def outer_square(s: TruncatedSeries) -> PairTensor:
-    """s (x) s truncated to total weight <= cutoff."""
+    """s (x) s truncated to total weight <= cutoff.  Each left term visits
+    only the right terms that fit beside it, as in the series product."""
     terms = s.tensor.terms.items()
-    return PairTensor(s.g, {
-        (wx, wy): cx * cy for wx, cx in terms for wy, cy in terms if len(wx) + len(wy) <= s.cutoff
-    })
+    fits: dict[int, list] = {}  # room -> terms of weight <= room, in order
+    out: dict[tuple[W.WordKey, W.WordKey], Coeff] = {}
+    for wx, cx in terms:
+        room = s.cutoff - len(wx)
+        if room < 0:
+            continue
+        ys = fits.get(room)
+        if ys is None:
+            ys = fits[room] = [(wy, cy) for wy, cy in terms if len(wy) <= room]
+        for wy, cy in ys:
+            out[(wx, wy)] = cx * cy
+    return PairTensor(s.g, out)
 
 
 def is_grouplike(s: TruncatedSeries) -> bool:

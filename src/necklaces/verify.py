@@ -427,6 +427,12 @@ def matrix_identity_suite(g: int, pmax: int, wmax: int, module: bool = False) ->
     """boundary^2 = 0, d^2 = 0 and the anticommutator identity on every
     cell p <= pmax, w <= wmax, as exact matrix identities."""
     ops = C.CellOperators(g, C.AlgCobracket(g), C.AlgComodule(g) if module else None)
+    # size every cell the suite reads before building any operator, so that
+    # a range with a cell over the budget fails at once (CellTooLarge)
+    for w in range(wmax + 1):
+        for p in range(pmax + 1):
+            if ops.dim(p, w):
+                ops.dim(p + 1, w - 2)
     kept: dict = {}  # operators out of weight w - 2, reused as the left factors at w
 
     def op(name: str, p: int, w: int):

@@ -8,13 +8,16 @@ path replaced, kept here in their original arithmetic."""
 
 from fractions import Fraction
 from functools import partial
+from itertools import product
+
+import numpy as np
 
 from necklaces import complexes as C
 from necklaces import deform as D
 from necklaces import expansion as E
 from necklaces.errors import InconsistentExpansions, NotCyclic
 from necklaces.lie import DerivationElem, algebra, exp_derivation, necklace_normal_form
-from necklaces.linalg import _int_scale_column, _reduce_int, column_echelon_int
+from necklaces.linalg import _int_scale_column, _reduce_int, column_echelon_int, int_values
 from necklaces.tensors import PairTensor, Tensor, TruncatedSeries, exp_series
 
 def pair(x: int, y: int) -> int:
@@ -222,6 +225,39 @@ def oracle_assemble(op, g, p, w, delta=None, mu=None):
     return C.emit_matrix(src, tgt, emit)
 
 
+def oracle_mu_table(mu, g, k):
+    """The word-by-word table that NecklaceContext.mu_table replaced: mu of
+    every word of length k through the handle's mu_terms, grouped by the
+    weight m of the split-off necklace n: m -> (source rank, n - offset(m),
+    rank of the remaining word, coeff)."""
+    ctx, base = algebra(g), 2 * g
+    terms, counts = [], []
+    for word in product(range(base), repeat=k):
+        t = mu.mu_terms(word)
+        terms.extend(t)
+        counts.append(len(t))
+    ns = np.array([t[1] for t in terms], dtype=np.int64)
+    offs = np.array([ctx.offset(m) for m in range(1, k)], dtype=np.int64)
+    ms = np.searchsorted(offs, ns, side="right")
+    if not np.array_equal(np.array([len(t[0]) for t in terms], dtype=np.int64), k - 2 - ms):
+        raise ValueError("the comodule handle does not lower the weight by 2")
+    ranks = {
+        word: r
+        for j in range(k - 1)
+        for r, word in enumerate(product(range(base), repeat=j))
+    }
+    cols = np.array(
+        [
+            np.repeat(np.arange(base**k, dtype=np.int64), counts),
+            ns - offs[ms - 1],
+            [ranks[t[0]] for t in terms],
+            int_values([t[2] for t in terms]),
+        ],
+        dtype=np.int64,
+    )
+    return {int(m): cols[:, ms == m] for m in np.unique(ms)}
+
+
 def exact(vectors):
     """Sparse vectors as their keys in dict order, each with the type and
     the value of its coefficient: the form in which a fast path is
@@ -310,6 +346,15 @@ def oracle_series_mul(x, y):
             w = wx + wy
             out[w] = out.get(w, 0) + cx * cy
     return TruncatedSeries(x.tensor._like({k: v for k, v in out.items() if v != 0}), d)
+
+
+def oracle_outer_square(s):
+    """The outer square that tensors.outer_square replaced: every pair of
+    terms is visited, and the pairs over the cutoff skipped."""
+    terms = s.tensor.terms.items()
+    return PairTensor(s.g, {
+        (wx, wy): cx * cy for wx, cx in terms for wy, cy in terms if len(wx) + len(wy) <= s.cutoff
+    })
 
 
 def oracle_coproduct(s):

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -99,6 +100,23 @@ class TestCliCommands:
     def test_usage_error_exit_2(self, argv, capsys):
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["homology", "--module", "--g", "3", "--p", "0..2", "--w", "0..14"],
+            ["homology", "--g", "3", "--p", "0..2", "--w", "0..14"],
+            ["verify", "--suite", "module-matrix", "--g", "3", "--p-max", "2", "--w-max", "10"],
+        ],
+    )
+    def test_cell_too_large_exit_2(self, argv, capsys):
+        # the ranges are sized before anything is computed, so the
+        # rejection comes at once
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "over the budget" in err
 
     def test_verify_exit_0(self, capsys):
         rc = main(

@@ -1,9 +1,12 @@
 import random
+import time
+from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
 
-from necklaces import DerivationElem, linalg, necklace_count, verify
+from necklaces import CellTooLarge, DerivationElem, linalg, necklace_count, verify
 from necklaces.complexes import (
     AlgCobracket,
     AlgComodule,
@@ -19,12 +22,13 @@ from necklaces.complexes import (
     mod_wedge_basis,
     sigma_wedge,
     wedge_basis,
+    wedge_dim,
 )
 from necklaces.complexes import _insert1, _insert2, _sort_wedge
 from necklaces.lie import algebra
 from necklaces.linalg import SparseRationalMatrix, int_csc
 from necklaces.verify import matrix_identity_suite
-from oracles import oracle_assemble
+from oracles import canon, oracle_assemble, oracle_mu_table
 
 A1, B1, A2, B2 = 0, 1, 2, 3
 
@@ -74,6 +78,13 @@ class TestBases:
             assert len(word) + sum(ctx.weight_of(k) for k in t) == 3
         # k=0: 4 necklaces of weight 3; k=1: 2*3; k=2: 4*2
         assert b.dim() == 4 + 6 + 8
+
+    def test_wedge_dim_counts_the_enumeration(self):
+        for g, wmax in ((1, 10), (2, 8), (3, 5)):
+            for w in range(-1, wmax + 1):
+                for p in range(-1, 6):
+                    want = wedge_basis(g, p, w).dim() if p >= 0 else 0
+                    assert wedge_dim(g, p, w) == want, (g, p, w)
 
     def test_sort_wedge(self):
         assert _sort_wedge((3, 1, 2)) == ((1, 2, 3), 1)
@@ -441,12 +452,14 @@ class TestMatrixSuites:
                         assert layout.offsets[k] + rank * layout.wedge_dims[k] + pos == i
 
     def test_negated_mu_fails(self, monkeypatch):
-        # the suite reads mu through the handle and can fail: these are the
-        # checks that a sign-flipped comodule map breaks
-        mu_terms = AlgComodule.mu_terms
-        monkeypatch.setattr(
-            AlgComodule, "mu_terms", lambda self, word: [(w, n, -c) for w, n, c in mu_terms(self, word)]
-        )
+        # the suite reads mu through the handle's table and can fail: these
+        # are the checks that a sign-flipped comodule map breaks
+        mu_table = AlgComodule.mu_table
+
+        def negated(self, k):
+            return {m: np.vstack([rows[:3], -rows[3:]]) for m, rows in mu_table(self, k).items()}
+
+        monkeypatch.setattr(AlgComodule, "mu_table", negated)
         rep = matrix_identity_suite(2, 3, 6, module=True)
         assert not rep["ok"]
         assert [c["name"] for c in rep["checks"] if not c["ok"]] == [
@@ -455,6 +468,33 @@ class TestMatrixSuites:
             "anticommutator_zero_p1_w6",
             "anticommutator_zero_p2_w6",
         ]
+
+    @pytest.mark.parametrize("bad", ["weight", "range", "fraction"])
+    def test_malformed_mu_table_raises(self, monkeypatch, bad):
+        # a handle table is checked before it is read: a split-off weight
+        # that does not lower the word length by m + 2, an index out of
+        # range, and a coefficient that is not an int
+        mu_table = AlgComodule.mu_table
+
+        def broken(self, k):
+            table = dict(mu_table(self, k))
+            if k == 4:
+                rows = table[2]
+                if bad == "weight":  # weight 3 split off a word of length 4
+                    table[3] = table.pop(2)
+                elif bad == "range":
+                    table[2] = np.vstack([rows[:2], rows[2:3] + 1, rows[3:]])
+                else:
+                    table[2] = np.array(rows.tolist(), dtype=object)
+                    table[2][3, 0] = Fraction(1, 2)
+            return table
+
+        monkeypatch.setattr(AlgComodule, "mu_table", broken)
+        ops = CellOperators(1, AlgCobracket(1), AlgComodule(1))
+        with pytest.raises(TypeError if bad == "fraction" else ValueError) as err:
+            ops.cochain_d(0, 4)
+        if bad == "weight":
+            assert "does not lower the weight by 2" in str(err.value)
 
     def test_uncertified_product_raises(self, monkeypatch):
         monkeypatch.setattr(linalg, "product_bound_ok", lambda a, b: False)
@@ -467,3 +507,60 @@ class TestMatrixSuites:
             assert rep["ok"], [c for c in rep["checks"] if not c["ok"]]
             repm = matrix_identity_suite(g, 3, 6, module=True)
             assert repm["ok"], [c for c in repm["checks"] if not c["ok"]]
+
+
+# mu of every word of a length, by rank arithmetic, in the cases that the
+# matrix suites and the homology CLI read: g = 1 with k <= 10, g = 2 with k <= 8
+MU_CASES = [(1, k) for k in range(11)] + [(2, k) for k in range(9)]
+
+
+class TestCoactionTables:
+    @pytest.mark.parametrize("g, k", MU_CASES)
+    def test_mu_table_equals_the_word_by_word_table(self, g, k):
+        got = algebra(g).mu_table(k)
+        want = oracle_mu_table(AlgComodule(g), g, k)
+        assert list(got) == sorted(want)
+        for m, rows in got.items():
+            assert rows.dtype == np.int64 and rows.shape[0] == 4
+            assert sorted(map(tuple, rows.T.tolist())) == sorted(map(tuple, want[m].T.tolist()))
+
+    @pytest.mark.parametrize("g, k", MU_CASES)
+    def test_handle_rows_of_each_word_are_its_mu_terms(self, g, k):
+        handle, ctx, base = AlgComodule(g), algebra(g), 2 * g
+        words = {j: list(product(range(base), repeat=j)) for j in range(k + 1)}
+        per_word = [[] for _ in words[k]]
+        for m, (sr, nl, tr, c) in handle.mu_table(k).items():
+            for r, n, t, v in zip(sr.tolist(), nl.tolist(), tr.tolist(), c.tolist()):
+                per_word[r].append((words[k - 2 - m][t], ctx.offset(m) + n, v))
+        for word, terms in zip(words[k], per_word):
+            assert sorted(terms) == sorted(handle.mu_terms(word)), word
+
+    def test_necklace_of_rank(self):
+        for g, lmax in ((1, 8), (2, 6)):
+            ctx = algebra(g)
+            for length in range(1, lmax + 1):
+                got = ctx.necklace_of_rank(length).tolist()
+                words = product(range(2 * g), repeat=length)
+                assert got == [ctx.index_of_word(canon(w)) for w in words]
+
+
+class TestCellTooLarge:
+    def test_the_largest_benchmark_cell_fits(self):
+        assert mod_layout(2, 2, 8).dim == 213_863 <= CellTooLarge.BUDGET
+
+    def test_guards_raise_before_building(self):
+        # genus 3: 6^9 words of length 9, about 6.05M necklaces of weight 10
+        start = time.perf_counter()
+        ops = CellOperators(3, AlgCobracket(3), AlgComodule(3))
+        for build in (
+            lambda: wedge_basis(3, 1, 10),
+            lambda: CellOperators(3, AlgCobracket(3)).dim(1, 10),
+            lambda: mod_layout(3, 0, 9),
+            lambda: ops.dim(0, 9),
+            lambda: algebra(3).mu_table(9),
+            lambda: algebra(3).necklace_of_rank(9),
+            lambda: ops._action_table(9, 2),
+        ):
+            with pytest.raises(CellTooLarge, match="over the budget"):
+                build()
+        assert time.perf_counter() - start < 1.0

@@ -19,9 +19,15 @@ from necklaces import (
     omega,
     pairing,
 )
-from necklaces.tensors import left_bracketing
+from necklaces.tensors import left_bracketing, outer_square
 from necklaces.words import Letter, parse_word, word_name
-from oracles import exact, oracle_coproduct, oracle_left_bracketing, oracle_series_mul
+from oracles import (
+    exact,
+    oracle_coproduct,
+    oracle_left_bracketing,
+    oracle_outer_square,
+    oracle_series_mul,
+)
 
 A1, B1, A2, B2 = 0, 1, 2, 3
 
@@ -256,9 +262,9 @@ def rand_series(rng, g, cutoff, fractions):
 
 
 class TestAgainstReferencePaths:
-    """The weight-bounded product, the doubling coproduct and the dict-level
-    Dynkin map against the paths they replaced: the same terms, in the same
-    order, with coefficients of the same type."""
+    """The weight-bounded product and outer square, the doubling coproduct
+    and the dict-level Dynkin map against the paths they replaced: the same
+    terms, in the same order, with coefficients of the same type."""
 
     def test_series_product(self):
         rng = random.Random(31)
@@ -289,6 +295,15 @@ class TestAgainstReferencePaths:
             g = rng.choice([1, 2])
             s = rand_series(rng, g, rng.randint(0, 7), rng.random() < 0.5)
             got, want = coproduct(s), oracle_coproduct(s)
+            assert exact([got.terms]) == exact([want.terms])
+
+    def test_outer_square(self):
+        rng = random.Random(35)
+        for _ in range(200):
+            g = rng.choice([1, 2])
+            s = rand_series(rng, g, rng.randint(0, 7), rng.random() < 0.5)
+            got, want = outer_square(s), oracle_outer_square(s)
+            assert got.g == want.g
             assert exact([got.terms]) == exact([want.terms])
 
     def test_left_bracketing(self):
