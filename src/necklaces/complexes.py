@@ -25,10 +25,16 @@ the canonical (Schedler) structure are :class:`AlgCobracket` and
 :class:`AlgComodule`.
 
 Boundary and coboundary matrices have one builder, :class:`CellOperators`
-(int64): wedge operators through the monomial emitters, module operators
-from their word and wedge factors by the layout above.  ``assemble`` and
-the homology engine read them through ``SparseRationalMatrix.from_int_csc``;
-``emit_matrix`` builds the Fraction pieces of a deformation.
+(int64).  It reads a wedge cell as an int64 array of its index tuples
+(``wedge_cell``) and emits the wedge operators on such arrays
+(``boundary_terms``, ``cochain_terms``) from the necklace bracket and
+cobracket tables, ranking the target tuples by ``cell_positions``; the
+module operators come from their word and wedge factors by the layout
+above.  No monomial is emitted one by one on this path, and no
+``WedgeBasis`` is built for it.  ``assemble`` and the homology engine read
+the matrices through ``SparseRationalMatrix.from_int_csc``; the monomial
+emitters and ``emit_matrix`` serve chain vectors and the Fraction pieces of
+a deformation.
 """
 
 from bisect import bisect_left
@@ -53,12 +59,23 @@ ModKey = tuple[W.WordKey, WedgeKey]
 
 
 class CobracketHandle(Protocol):
+    """A cobracket as the assembly reads it: necklace by necklace
+    (``wedge_terms``) for the monomial emitters, and every necklace of a
+    weight at once (``delta_table``) for ``CellOperators``.  The two must
+    agree; ``delta_table_of`` reads the table off ``wedge_terms``."""
+
     g: int
     name: str
     max_weight: int | None
 
     def wedge_terms(self, idx: int) -> Sequence[tuple[int, int, Coeff]]:
         """delta of the basis necklace as ((a, b, coeff), ...) with a < b."""
+        ...
+
+    def delta_table(self, m: int) -> np.ndarray:
+        """delta of every necklace n of weight m, for the matrix assembly:
+        rows (n - offset(m), a, b, coeff) with a < b, as in
+        ``NecklaceContext.delta_table``."""
         ...
 
 
@@ -97,6 +114,22 @@ class AlgCobracket:
     def wedge_terms(self, idx: int):
         return self._ctx.delta_wedge(idx)
 
+    def delta_table(self, m: int):
+        return self._ctx.delta_table(m)
+
+
+def delta_table_of(handle: CobracketHandle, m: int) -> np.ndarray:
+    """The ``delta_table(m)`` of a handle read off its ``wedge_terms``, one
+    call per necklace of weight m: rows (n - offset(m), a, b, coeff), the
+    coefficients as the handle gives them (an object array where they are
+    not all int; ``CellOperators`` refuses those)."""
+    ctx = algebra(handle.g)
+    lo = ctx.offset(m)
+    rows = [(n, a, b, c) for n in range(necklace_count(handle.g, m))
+            for a, b, c in handle.wedge_terms(lo + n)]
+    dtype = np.int64 if all(type(row[3]) is int for row in rows) else object
+    return np.array(rows, dtype=dtype).reshape(-1, 4).T
+
 
 class AlgComodule:
     """The canonical word-splitting comodule map as an assembly handle."""
@@ -119,15 +152,19 @@ class AlgComodule:
 
 
 class WedgeBasis:
-    """Ordered basis of the (p, w) cell of the exterior algebra."""
+    """Ordered basis of the (p, w) cell of the exterior algebra: the rows of
+    ``wedge_cell`` as Python tuples, with their positions, for the callers
+    that need monomials (chain vectors, homology representatives, the
+    monomial emitters).  The operator matrices do not build it."""
 
     __slots__ = ("g", "p", "w", "monomials", "position")
 
     def __init__(self, g: int, p: int, w: int):
         self.g, self.p, self.w = g, p, w
-        _check_cell("wedge", g, p, w, wedge_dim(g, p, w))
-        ctx = algebra(g)
-        self.monomials: list[WedgeKey] = list(_wedge_tuples(ctx, p, w))
+        cell = wedge_cell(g, p, w)
+        shared = list(range(cell.max(initial=-1) + 1))  # one int object per index
+        columns = (map(shared.__getitem__, col) for col in cell.T.tolist())
+        self.monomials: list[WedgeKey] = list(zip(*columns)) if p else [()] * len(cell)
         self.position: dict[WedgeKey, int] = {
             t: i for i, t in enumerate(self.monomials)
         }
@@ -169,30 +206,83 @@ def _check_cell(kind: str, g: int, p: int, w: int, dim: int) -> None:
     CellTooLarge.check(f"the {kind} cell (p={p}, w={w}) of genus {g}", dim)
 
 
-def _wedge_tuples(ctx: NecklaceContext, p: int, w: int):
-    """Strictly increasing index tuples of total weight w, lexicographic."""
-    if p == 0:
-        if w == 0:
-            yield ()
-        return
-    if w < p:
-        return
+@lru_cache(maxsize=None)
+def wedge_cell(g: int, p: int, w: int) -> np.ndarray:
+    """The (p, w) wedge cell as an int64 array of shape (dim, p): its
+    strictly increasing index tuples of total weight w, in lexicographic
+    (basis) order.  A tuple is a necklace a, of the least weight m, followed
+    by a tuple of (p-1, w-m) whose first index is above a; those form the
+    tail of the sorted (p-1, w-m) cell, so the cell is built from the
+    (p-1, .) cells.  Raises CellTooLarge when the cell is over the budget.
+    The array is cached and shared, so it is read-only."""
+    _check_cell("wedge", g, p, w, wedge_dim(g, p, w))
+    if p <= 0 or w < p:
+        return _read_only(np.zeros((int(p == 0 and w == 0), max(p, 0)), dtype=np.int64))
+    ctx = algebra(g)
+    if p == 1:
+        return _read_only(np.arange(ctx.offset(w), ctx.offset(w + 1), dtype=np.int64)[:, None])
+    parts = [np.zeros((0, p), dtype=np.int64)]
+    for m in range(1, w // p + 1):
+        rest = wedge_cell(g, p - 1, w - m)
+        first = np.arange(ctx.offset(m), ctx.offset(m + 1), dtype=np.int64)
+        start = np.searchsorted(rest[:, 0], first, side="right")
+        count = len(rest) - start
+        rows = np.arange(count.sum()) + np.repeat(start - np.cumsum(count) + count, count)
+        parts.append(np.column_stack([np.repeat(first, count), rest[rows]]))
+    return _read_only(np.concatenate(parts))
 
-    def rec(start: int, slots: int, rem: int, prefix: tuple):
-        if slots == 0:
-            if rem == 0:
-                yield prefix
-            return
-        idx = start
-        top = ctx.offset(rem - slots + 2)  # first index of weight > rem-(slots-1)
-        while idx < top:
-            wt = ctx.weight_of(idx)
-            if wt * slots > rem:
-                break
-            yield from rec(idx + 1, slots - 1, rem - wt, prefix + (idx,))
-            idx += 1
 
-    yield from rec(0, p, w, ())
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+# packed keys of a cell stay below this; see _cell_keys
+_KEY_MAX = 1 << 62
+
+
+@lru_cache(maxsize=None)
+def _cell_keys(g: int, p: int, w: int):
+    """The tuples of the (p, w) cell packed into one int64 key each, in
+    increasing order, and the packing: base N, one above the largest index
+    of the cell, with digits the columns.  Where one more digit would pass
+    ``_KEY_MAX`` the key so far is replaced by its dense rank among the
+    cell's keys; ``steps`` holds, per column, the distinct keys that rank
+    was taken against, or None."""
+    cell = wedge_cell(g, p, w)
+    base = algebra(g).offset(w - p + 2) if p else 1
+    key, steps, top = np.zeros(len(cell), dtype=np.int64), [], 1
+    for j in range(p):
+        uniq = None
+        if top * base > _KEY_MAX:
+            uniq, key = np.unique(key, return_inverse=True)
+            top = len(uniq)
+        steps.append(uniq)
+        key, top = key * base + cell[:, j], top * base
+    return _read_only(key), base, tuple(steps)
+
+
+def cell_positions(g: int, p: int, w: int, tuples: np.ndarray) -> np.ndarray:
+    """The positions in ``wedge_cell(g, p, w)`` of the rows of an int64
+    array of its tuples, by ``np.searchsorted`` on the packed keys of
+    ``_cell_keys``.  Raises ValueError on a row that is not in the cell."""
+    keys, base, steps = _cell_keys(g, p, w)
+
+    def find(sorted_keys, key):
+        pos = np.searchsorted(sorted_keys, key)
+        found = len(sorted_keys) and np.array_equal(sorted_keys.take(pos, mode="clip"), key)
+        if len(key) and not found:
+            raise ValueError(f"a tuple is not in the wedge cell (p={p}, w={w}) of genus {g}")
+        return pos
+
+    if tuples.size and not 0 <= tuples.min() <= tuples.max() < base:
+        raise ValueError(f"an index out of the range of the wedge cell (p={p}, w={w}) of genus {g}")
+    key = np.zeros(len(tuples), dtype=np.int64)
+    for j, uniq in enumerate(steps):
+        if uniq is not None:
+            key = find(uniq, key)
+        key = key * base + tuples[:, j]
+    return find(keys, key)
 
 
 class ModLayout(NamedTuple):
@@ -487,6 +577,97 @@ def module_coboundary(mu_terms, d_terms, mono: ModKey):
     return out
 
 
+# -- array emissions -----------------------------------------------------------
+#
+# The same operators on an int64 array of sorted index tuples, one tuple a
+# row (a whole cell, ``wedge_cell``, or any part of one): the terms come
+# out as (source row, target tuples, coeff) arrays, the target tuples
+# sorted, and no term where an inserted index is already a factor.  The
+# bracket and the cobracket are read from the necklace tables of
+# ``NecklaceContext``, gathered per weight of the factors they act on.
+
+
+def _gather(indptr: np.ndarray, rows: np.ndarray):
+    """For the given rows of a CSR table: the entries of all of them, as
+    (which row, entry position) arrays."""
+    start = indptr[rows]
+    count = indptr[rows + 1] - start
+    which = np.repeat(np.arange(len(rows)), count)
+    return which, np.arange(count.sum()) + np.repeat(start - np.cumsum(count) + count, count)
+
+
+def _insert(rest: np.ndarray, new: np.ndarray):
+    """Insert the columns of new into the sorted rows of rest: (sorted rows,
+    the sign (-1)^{#(rest < x)} multiplied over x in new, and the mask of
+    the rows where some x is already in rest).  The x of a row must be
+    distinct and, when two, increasing, as in ``_insert2``."""
+    below = (rest[:, :, None] < new[:, None, :]).sum(axis=(1, 2))
+    clash = (rest[:, :, None] == new[:, None, :]).any(axis=(1, 2))
+    return np.sort(np.concatenate([rest, new], axis=1), axis=1), 1 - 2 * (below & 1), clash
+
+
+def _emitted(parts: list, p: int):
+    """Concatenate (source row, target tuples, coeff) blocks."""
+    if not parts:
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, np.zeros((0, p), dtype=np.int64), empty
+    return tuple(np.concatenate(col) for col in zip(*parts))
+
+
+def _by_weight(ctx: NecklaceContext, column: np.ndarray):
+    """The rows of a column of necklace indices, grouped by weight:
+    (weight, rows, index - offset(weight)) per weight present."""
+    wt = ctx.weights(column)
+    for m in np.unique(wt).tolist():
+        rows = np.flatnonzero(wt == m)
+        yield m, rows, column[rows] - ctx.offset(m)
+
+
+def boundary_terms(ctx: NecklaceContext, tuples: np.ndarray):
+    """The boundary of each row of an int64 array of sorted index tuples
+    (n, p): arrays (source row, target tuple (t, p-1), coeff).  For each
+    pair of factors the terms of their bracket are gathered from
+    ``NecklaceContext.bracket_table``, the two factors deleted and the
+    bracket inserted, with the signs of ``boundary_monomial``."""
+    n, p = tuples.shape
+    parts = []
+    for ii in range(p):
+        for jj in range(ii + 1, p):
+            rest = np.delete(tuples, (ii, jj), axis=1)
+            s0 = -1 if (ii + jj) % 2 == 1 else 1  # (-1)^{i+j}, 1-based
+            for m1, rows, first in _by_weight(ctx, tuples[:, ii]):
+                for m2, sub, second in _by_weight(ctx, tuples[rows, jj]):
+                    indptr, target, coeff = ctx.bracket_table(m1, m2)
+                    which, at = _gather(indptr, first[sub] * len(ctx.basis_words(m2)) + second)
+                    src = rows[sub][which]
+                    new, sign, clash = _insert(rest[src], target[at, None])
+                    keep = ~clash
+                    parts.append((src[keep], new[keep], (s0 * sign * coeff[at])[keep]))
+    return _emitted(parts, p - 1)
+
+
+def cochain_terms(ctx: NecklaceContext, table, tuples: np.ndarray):
+    """The cochain d of each row of an int64 array of sorted index tuples
+    (n, p): arrays (source row, target tuple (t, p+1), coeff).  table(m)
+    gives the cobracket of the necklaces of weight m in CSR form over them,
+    (indptr, a, b, coeff) with a < b (``CellOperators._delta_table``); each
+    factor is deleted and both halves of its cobracket inserted, with the
+    signs of ``cochain_monomial``."""
+    n, p = tuples.shape
+    parts = []
+    for ii in range(p):
+        rest = np.delete(tuples, ii, axis=1)
+        s0 = -1 if ii % 2 == 0 else 1  # (-1)^i, 1-based
+        for m, rows, local in _by_weight(ctx, tuples[:, ii]):
+            indptr, a, b, coeff = table(m)
+            which, at = _gather(indptr, local)
+            src = rows[which]
+            new, sign, clash = _insert(rest[src], np.stack([a[at], b[at]], axis=1))
+            keep = ~clash
+            parts.append((src[keep], new[keep], (s0 * sign * coeff[at])[keep]))
+    return _emitted(parts, p + 1)
+
+
 # -- emitter paths: to a vector and to a matrix --------------------------------
 
 
@@ -654,9 +835,15 @@ class CellOperators:
     cochain d out of each cell: of the wedge cells, or of the module cells
     when a comodule handle is given.  They are the matrices of the monomial
     emitters, with explicit zeros where terms cancel, and of the right
-    shape for any (p, w).  The module coboundary reads mu from the handle's
-    ``mu_table``.  Handle coefficients must be ints.  A cell or table over
-    the ``CellTooLarge`` budget raises before it is built."""
+    shape for any (p, w), but built from tables by numpy index arithmetic:
+    a wedge cell is an int64 array of its tuples (``wedge_cell``), the
+    wedge operators are the array emissions ``boundary_terms`` (from the
+    bracket table) and ``cochain_terms`` (from the handle's
+    ``delta_table``), and the target tuples are ranked by
+    ``cell_positions``.  The module coboundary reads mu from the handle's
+    ``mu_table``.  Handle tables are checked, and their coefficients must
+    be ints.  A cell or table over the ``CellTooLarge`` budget raises
+    before it is built."""
 
     def __init__(self, g: int, delta: CobracketHandle, mu: ComoduleHandle | None = None):
         self.g = g
@@ -664,6 +851,7 @@ class CellOperators:
         self.delta = delta
         self.mu = mu
         self._wedge: dict = {}
+        self._delta: dict = {}
         self._iota: dict = {}
         self._eps: dict = {}
         self._act: dict = {}
@@ -695,26 +883,46 @@ class CellOperators:
     # -- wedge side -----------------------------------------------------------
 
     def _wedge_coo(self, op: str, p: int, v: int):
-        """(rows, cols, vals) of a wedge operator out of (p, v), emitted
-        monomial by monomial: the emitter path into int64."""
+        """(rows, cols, vals) of a wedge operator out of (p, v): the array
+        emission on the whole cell, its targets ranked in the target cell."""
         key = (op, p, v)
         if key not in self._wedge:
             tp = p - 1 if op == "boundary" else p + 1
-            r, c, vals = [], [], []
+            empty = np.zeros(0, dtype=np.int64)
+            r = c = vals = empty
             # both operators vanish on p = 0 and on weights below 2
-            if p >= 1 and v >= 2 and wedge_basis(self.g, tp, v - 2).dim():
+            if p >= 1 and v >= 2 and wedge_dim(self.g, tp, v - 2):
+                tuples = wedge_cell(self.g, p, v)
                 if op == "boundary":
-                    emit = partial(boundary_monomial, self.ctx)
+                    c, new, vals = boundary_terms(self.ctx, tuples)
                 else:
-                    emit = partial(cochain_monomial, self.ctx, self.delta)
-                pos = wedge_basis(self.g, tp, v - 2).position
-                for j, mono in enumerate(wedge_basis(self.g, p, v).monomials):
-                    for t, s in emit(mono):
-                        r.append(pos[t])
-                        c.append(j)
-                        vals.append(s)
-            self._wedge[key] = _coo([r], [c], [int_values(vals)])
+                    c, new, vals = cochain_terms(self.ctx, self._delta_table, tuples)
+                r = cell_positions(self.g, tp, v - 2, new)
+            self._wedge[key] = (r, c, vals)
         return self._wedge[key]
+
+    def _delta_table(self, m: int):
+        """The handle's ``delta_table(m)``, checked, in CSR form over the
+        necklaces of weight m: (indptr, a, b, coeff).  Every index must be
+        in its range, a < b, the weights of a and b must sum to m - 2, and
+        every coefficient must be an int (``int_values``)."""
+        if m not in self._delta:
+            table = self.delta.delta_table(m)
+            n, a, b = (np.asarray(row, dtype=np.int64) for row in table[:3])
+            coeff = int_values(table[3])
+            count = necklace_count(self.g, m)
+            if n.size:
+                top = self.ctx.offset(max(m - 2, 0))  # a and b have weights below m - 2
+                if not (0 <= n.min() and n.max() < count and 0 <= a.min() and b.max() < top):
+                    raise ValueError(f"the cobracket table of weight {m} has an index out of range")
+                if not (a < b).all():
+                    raise ValueError(f"the cobracket table of weight {m} has a pair out of order")
+                if not (self.ctx.weights(a) + self.ctx.weights(b) == m - 2).all():
+                    raise ValueError("the cobracket handle does not lower the weight by 2")
+            order = np.argsort(n, kind="stable")
+            indptr = np.searchsorted(n[order], np.arange(count + 1, dtype=np.int64))
+            self._delta[m] = (indptr, a[order], b[order], coeff[order])
+        return self._delta[m]
 
     def _iota_table(self, p: int, v: int) -> dict:
         """Removal of one factor from the tuples of (p, v), grouped by the
@@ -722,16 +930,15 @@ class CellOperators:
         offset(m), target position in (p-1, v-m), sign)."""
         key = (p, v)
         if key not in self._iota:
-            ctx = self.ctx
+            tuples = wedge_cell(self.g, p, v)
             acc: dict[int, list] = {}
-            for j, tup in enumerate(wedge_basis(self.g, p, v).monomials):
-                for ii, n in enumerate(tup):
-                    m = ctx.weight_of(n)
-                    rest = tup[:ii] + tup[ii + 1 :]
-                    t = wedge_basis(self.g, p - 1, v - m).position[rest]
-                    sign = -1 if ii % 2 == 0 else 1  # (-1)^i, 1-based, as in gamma_monomial
-                    acc.setdefault(m, []).append((j, n - ctx.offset(m), t, sign))
-            self._iota[key] = {m: np.array(e, dtype=np.int64).T for m, e in acc.items()}
+            for ii in range(p):
+                rest = np.delete(tuples, ii, axis=1)
+                sign = -1 if ii % 2 == 0 else 1  # (-1)^i, 1-based, as in gamma_monomial
+                for m, rows, local in _by_weight(self.ctx, tuples[:, ii]):
+                    t = cell_positions(self.g, p - 1, v - m, rest[rows])
+                    acc.setdefault(m, []).append(np.stack([rows, local, t, np.full_like(t, sign)]))
+            self._iota[key] = {m: np.concatenate(e, axis=1) for m, e in acc.items()}
         return self._iota[key]
 
     def _eps_table(self, p: int, v: int, m: int):
@@ -740,20 +947,15 @@ class CellOperators:
         sign 0 where the necklace is already a factor."""
         key = (p, v, m)
         if key not in self._eps:
-            ctx = self.ctx
-            src = wedge_basis(self.g, p, v).monomials
-            pos = wedge_basis(self.g, p + 1, v + m).position
-            lo = ctx.offset(m)
-            count = len(ctx.basis_words(m))
-            tgt = np.zeros((len(src), count), dtype=np.int64)
-            sign = np.zeros((len(src), count), dtype=np.int64)
-            for j, tup in enumerate(src):
-                for i in range(count):
-                    ins = _insert1(tup, lo + i)
-                    if ins:
-                        sign[j, i], new = ins
-                        tgt[j, i] = pos[new]
-            self._eps[key] = (tgt, sign)
+            tuples = wedge_cell(self.g, p, v)
+            necks = np.arange(self.ctx.offset(m), self.ctx.offset(m + 1), dtype=np.int64)
+            rest = np.repeat(tuples, len(necks), axis=0)
+            new, sign, clash = _insert(rest, np.tile(necks, len(tuples))[:, None])
+            tgt = np.zeros(len(rest), dtype=np.int64)
+            tgt[~clash] = cell_positions(self.g, p + 1, v + m, new[~clash])
+            sign[clash] = 0
+            shape = (len(tuples), len(necks))
+            self._eps[key] = (tgt.reshape(shape), sign.reshape(shape))
         return self._eps[key]
 
     # -- word side ------------------------------------------------------------
@@ -771,8 +973,7 @@ class CellOperators:
                 f"the action table of the weight-{m} necklaces on the words of length {k}",
                 necklace_count(self.g, m) * m * k * base ** (k - 1),
             )
-            necks = np.array(self.ctx.basis_words(m), dtype=np.int64).reshape(-1, m)
-            rots = necks[:, (np.arange(m)[:, None] + np.arange(m)) % m]  # rotation a in row a
+            rots = self.ctx.rotations(m)  # rotation a in row a
             y = rots[:, :, :1] ^ 1  # the word letter that pairs with the first letter
             # rank of the tail, a base-2g number with its first letter most significant
             tail = (rots[:, :, 1:] @ base ** np.arange(m - 2, -1, -1, dtype=np.int64))[:, :, None]
@@ -783,7 +984,7 @@ class CellOperators:
                 pre, post = u // low, u % low
                 src.append((pre * base + y) * low + post)
                 tgt.append((pre * base ** (m - 1) + tail) * low + post)
-            shape = (len(necks), -1)
+            shape = (len(rots), -1)
             sign = np.broadcast_to(np.where(y % 2 == 1, 1, -1), src[0].shape)
             self._act[key] = (
                 np.concatenate(src, axis=2).reshape(shape),

@@ -224,6 +224,11 @@ class DeformedCobracket:
             )
         return self.base.wedge_terms(idx)
 
+    def delta_table(self, m: int):
+        """The base piece for every necklace of weight m, read off
+        ``wedge_terms``; valid when every deformation is trivial."""
+        return C.delta_table_of(self, m)
+
     def pieces(self) -> list[tuple[int, object]]:
         """(weight shift, term function idx -> wedge terms) per piece."""
         out: list[tuple[int, object]] = [(-2, self.base.wedge_terms)]

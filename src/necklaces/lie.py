@@ -22,7 +22,17 @@ a factor would be the empty necklace vanish, since N kills weight 0.
 
 The per-genus :class:`NecklaceContext` caches rotation tables and the
 index-level structure constants; everything downstream (complexes,
-homology, deformations) goes through it.
+homology, deformations) goes through it.  Besides the per-necklace memos it
+keeps int64 tables, each built in one numpy pass by base-2g rank
+arithmetic and sized with ``CellTooLarge`` first:
+
+* ``necklace_of_rank(L)``: the canonical necklace of every word of length
+  L, from one min-over-rotations pass on the ranks, which also yields the
+  basis (``basis_words``);
+* ``bracket_table(m1, m2)``: the bracket of every pair of necklaces of
+  weights m1 and m2, as CSR rows over the pairs;
+* ``delta_table(m)``: the cobracket of every necklace of weight m;
+* ``mu_table(k)``: mu of every word of length k.
 """
 
 from bisect import bisect_left
@@ -119,25 +129,45 @@ class NecklaceContext:
         self._delta_word_memo: dict[W.WordKey, tuple[tuple[W.WordKey, W.WordKey, int], ...]] = {}
         self._rot_first_memo: dict[W.WordKey, dict[int, tuple[W.WordKey, ...]]] = {}
         self._neck_of_rank_memo: dict[int, np.ndarray] = {}
+        self._rotations_memo: dict[int, np.ndarray] = {}
+        self._bracket_table_memo: dict[tuple[int, int], tuple[np.ndarray, ...]] = {}
+        self._delta_table_memo: dict[int, np.ndarray] = {}
         self._mu_table_memo: dict[int, dict[int, np.ndarray]] = {}
 
     # -- basis enumeration and indexing --------------------------------
 
     def basis_words(self, m: int) -> list[W.WordKey]:
-        """Sorted canonical words of weight m (m >= 1)."""
+        """Sorted canonical words of weight m (m >= 1), with every weight
+        below m enumerated first.  Raises CellTooLarge, before enumerating
+        anything, when the (2g)^m words of length m are over the budget."""
+        if m >= len(self._bases):
+            CellTooLarge.check(f"the words of length {m} (genus {self.g})", (2 * self.g) ** m)
         while len(self._bases) <= m:
-            mm = len(self._bases)
-            seen = {W.canonical_rotation(w) for w in self._all_words(mm)}
-            basis = sorted(seen)
-            self._bases.append(basis)
-            self._offsets.append(self._offsets[-1] + len(basis))
-            self._words_by_index.extend(basis)
+            self._enumerate(len(self._bases))
         return self._bases[m]
 
-    def _all_words(self, m: int):
-        from itertools import product
-
-        return product(range(2 * self.g), repeat=m)
+    def _enumerate(self, m: int) -> None:
+        """The basis of weight m and ``necklace_of_rank(m)``, from one
+        min-over-rotations pass on the ranks of the words of length m.  A
+        rank reads a word as a base-2g number, first letter most
+        significant, so the lexicographically least rotation is the one of
+        least rank, and the basis words are the ranks that are their own
+        least rotation, in rank order."""
+        base = 2 * self.g
+        rank = np.arange(base**m, dtype=np.int64)
+        least, rot, top = rank.copy(), rank, base ** (m - 1)
+        for _ in range(m - 1):
+            rot = rot % top * base + rot // top  # the first letter moved to the end
+            np.minimum(least, rot, out=least)
+        is_basis = least == rank
+        basis_ranks = np.flatnonzero(is_basis)
+        digits = basis_ranks[:, None] // base ** np.arange(m - 1, -1, -1, dtype=np.int64) % base
+        basis = list(map(tuple, digits.tolist()))
+        position = np.cumsum(is_basis) - 1  # the basis position of every basis rank
+        self._neck_of_rank_memo[m] = self._offsets[-1] + position[least]
+        self._bases.append(basis)
+        self._offsets.append(self._offsets[-1] + len(basis))
+        self._words_by_index.extend(basis)
 
     def offset(self, m: int) -> int:
         """First index of weight m: needs the bases below weight m only."""
@@ -164,6 +194,10 @@ class NecklaceContext:
 
     def weight_of(self, idx: int) -> int:
         return len(self.word_at(idx))
+
+    def weights(self, idx: np.ndarray) -> np.ndarray:
+        """The weight of every index of an array of enumerated indices."""
+        return np.searchsorted(np.asarray(self._offsets[1:], dtype=np.int64), idx, side="right")
 
     def multidegree(self, idx: int) -> tuple[int, ...]:
         return W.multidegree(self.word_at(idx), self.g)
@@ -325,16 +359,85 @@ class NecklaceContext:
 
     def necklace_of_rank(self, length: int) -> np.ndarray:
         """Global index of the canonical rotation of every word of the
-        given length, indexed by the word's rank."""
-        table = self._neck_of_rank_memo.get(length)
+        given length (>= 1), indexed by the word's rank; made with the basis
+        of that weight (``_enumerate``)."""
+        self.basis_words(length)
+        return self._neck_of_rank_memo[length]
+
+    def rotations(self, m: int) -> np.ndarray:
+        """The basis necklaces of weight m as letters, int64 of shape
+        (necklaces, m, m): rotation a of necklace offset(m) + i in [i, a]."""
+        table = self._rotations_memo.get(m)
         if table is None:
-            CellTooLarge.check(f"the necklace table of length {length} (genus {self.g})",
-                               (2 * self.g) ** length)
-            table = np.array(
-                [self.index_of_word(W.canonical_rotation(w)) for w in self._all_words(length)],
-                dtype=np.int64,
-            )
-            self._neck_of_rank_memo[length] = table
+            necks = np.array(self.basis_words(m), dtype=np.int64).reshape(-1, m)
+            table = necks[:, (np.arange(m)[:, None] + np.arange(m)) % m]
+            self._rotations_memo[m] = table
+        return table
+
+    def bracket_table(self, m1: int, m2: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """[N_i, N_j] for every necklace i of weight m1 and j of weight m2,
+        as CSR rows over the pairs q = (i - offset(m1)) * count(m2) + (j -
+        offset(m2)): (indptr, target index, coeff), int64, row q holding
+        the terms of ``bracket_idx(i, j)`` in index order.  Each splice
+        joins the tails of a rotation of N_i and a rotation of N_j whose
+        first letters pair; it is ranked as a word of length m1 + m2 - 2
+        and read through ``necklace_of_rank``."""
+        key = (m1, m2)
+        table = self._bracket_table_memo.get(key)
+        if table is None:
+            base, length = 2 * self.g, m1 + m2 - 2
+            c1, c2 = necklace_count(self.g, m1), necklace_count(self.g, m2)
+            CellTooLarge.check(f"the bracket table of weights {m1} and {m2} (genus {self.g})",
+                               c1 * c2 * m1 * m2)
+            ru, rv = self.rotations(m1), self.rotations(m2)
+            # rotation a of N_i against rotation b of N_j; an empty splice (m1 = m2 = 1)
+            # is the empty necklace, which N kills
+            hit = (ru[:, :, None, None, 0] ^ 1) == rv[None, None, :, :, 0]
+            iu, a, iv, b = np.nonzero(hit if length else hit[:0])
+            tail_u = ru[:, :, 1:] @ base ** np.arange(m1 - 2, -1, -1, dtype=np.int64)
+            tail_v = rv[:, :, 1:] @ base ** np.arange(m2 - 2, -1, -1, dtype=np.int64)
+            splice = tail_u[iu, a] * base ** (m2 - 1) + tail_v[iv, b]
+            targets = self.necklace_of_rank(length)[splice] if length else splice
+            sign = 1 - 2 * (ru[iu, a, 0] & 1)  # +1 when the first letter is an a-letter
+            (pair, targets), coeff = _summed((iu * c2 + iv, targets), sign)
+            indptr = np.searchsorted(pair, np.arange(c1 * c2 + 1, dtype=np.int64))
+            table = (indptr, targets, coeff)
+            self._bracket_table_memo[key] = table
+        return table
+
+    def delta_table(self, m: int) -> np.ndarray:
+        """The cobracket of every necklace of weight m, as int64 rows (n -
+        offset(m), a, b, coeff), sorted: the rows of one necklace n are the
+        terms of ``delta_wedge(n)`` in order, a < b.  Each paired pair of
+        letter positions ii < jj splits a necklace into the words between
+        and around them, ranked and read through ``necklace_of_rank``; the
+        pair is swapped into index order with its sign flipped, and dropped
+        when both halves are the same necklace."""
+        table = self._delta_table_memo.get(m)
+        if table is None:
+            base = 2 * self.g
+            CellTooLarge.check(f"the cobracket table of weight {m} (genus {self.g})",
+                               necklace_count(self.g, m) * m * m)
+            digits = np.array(self.basis_words(m), dtype=np.int64).reshape(-1, m)
+            rank = digits @ base ** np.arange(m - 1, -1, -1, dtype=np.int64)
+            parts = []
+            for ii in range(m):
+                # both halves nonempty: jj >= ii + 2, and jj < m - 1 when ii = 0
+                for jj in range(ii + 2, min(m, m - 1 + ii)):
+                    src = np.flatnonzero(digits[:, jj] == digits[:, ii] ^ 1)
+                    r, inner, outer = rank[src], jj - ii - 1, m - 1 - jj + ii
+                    low = base ** (m - 1 - jj)
+                    left = self.necklace_of_rank(inner)[r // base ** (m - jj) % base**inner]
+                    right = self.necklace_of_rank(outer)[r % low * base**ii + r // base ** (m - ii)]
+                    sign = 1 - 2 * (digits[src, ii] & 1)
+                    parts.append((src, left, right, np.where(left < right, sign, -sign)))
+            empty = np.zeros(0, dtype=np.int64)
+            src, left, right, coeff = map(np.concatenate, zip(*parts)) if parts else [empty] * 4
+            keep = left != right
+            keys = (src[keep], np.minimum(left, right)[keep], np.maximum(left, right)[keep])
+            keys, coeff = _summed(keys, coeff[keep])
+            table = np.stack([*keys, coeff])
+            self._delta_table_memo[m] = table
         return table
 
     def mu_table(self, k: int) -> dict[int, np.ndarray]:
@@ -366,6 +469,21 @@ class NecklaceContext:
             table = {m: np.concatenate(rows, axis=1) for m, rows in sorted(parts.items())}
             self._mu_table_memo[k] = table
         return table
+
+
+def _summed(keys: tuple[np.ndarray, ...], coeff: np.ndarray):
+    """The distinct rows of the key columns, in lexicographic order, with
+    the sums of their coefficients; the rows whose sum is 0 dropped."""
+    order = np.lexsort(keys[::-1])
+    keys, coeff = [k[order] for k in keys], coeff[order]
+    if not len(coeff):
+        return tuple(keys), coeff
+    new = np.ones(len(coeff), dtype=bool)
+    new[1:] = np.any([k[1:] != k[:-1] for k in keys], axis=0)
+    starts = np.flatnonzero(new)
+    sums = np.add.reduceat(coeff, starts)
+    keep = sums != 0
+    return tuple(k[starts][keep] for k in keys), sums[keep]
 
 
 @lru_cache(maxsize=None)

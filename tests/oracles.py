@@ -225,6 +225,55 @@ def oracle_assemble(op, g, p, w, delta=None, mu=None):
     return C.emit_matrix(src, tgt, emit)
 
 
+def oracle_wedge_tuples(ctx, p: int, w: int):
+    """The recursive enumeration that complexes.wedge_cell replaced:
+    strictly increasing index tuples of total weight w, lexicographic."""
+    if p == 0:
+        if w == 0:
+            yield ()
+        return
+    if w < p:
+        return
+
+    def rec(start: int, slots: int, rem: int, prefix: tuple):
+        if slots == 0:
+            if rem == 0:
+                yield prefix
+            return
+        idx = start
+        top = ctx.offset(rem - slots + 2)  # first index of weight > rem-(slots-1)
+        while idx < top:
+            wt = ctx.weight_of(idx)
+            if wt * slots > rem:
+                break
+            yield from rec(idx + 1, slots - 1, rem - wt, prefix + (idx,))
+            idx += 1
+
+    yield from rec(0, p, w, ())
+
+
+def oracle_wedge_coo(ops, op: str, p: int, v: int):
+    """The per-monomial emission that CellOperators._wedge_coo replaced:
+    (rows, cols, vals) of a wedge operator out of (p, v), every monomial of
+    the materialised basis emitted through boundary_monomial or
+    cochain_monomial and looked up in the target basis."""
+    tp = p - 1 if op == "boundary" else p + 1
+    r, c, vals = [], [], []
+    # both operators vanish on p = 0 and on weights below 2
+    if p >= 1 and v >= 2 and C.wedge_basis(ops.g, tp, v - 2).dim():
+        if op == "boundary":
+            emit = partial(C.boundary_monomial, ops.ctx)
+        else:
+            emit = partial(C.cochain_monomial, ops.ctx, ops.delta)
+        pos = C.wedge_basis(ops.g, tp, v - 2).position
+        for j, mono in enumerate(C.wedge_basis(ops.g, p, v).monomials):
+            for t, s in emit(mono):
+                r.append(pos[t])
+                c.append(j)
+                vals.append(s)
+    return tuple(np.asarray(a, dtype=np.int64) for a in (r, c, int_values(vals)))
+
+
 def oracle_mu_table(mu, g, k):
     """The word-by-word table that NecklaceContext.mu_table replaced: mu of
     every word of length k through the handle's mu_terms, grouped by the

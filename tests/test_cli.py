@@ -107,6 +107,8 @@ class TestCliCommands:
             ["homology", "--module", "--g", "3", "--p", "0..2", "--w", "0..14"],
             ["homology", "--g", "3", "--p", "0..2", "--w", "0..14"],
             ["verify", "--suite", "module-matrix", "--g", "3", "--p-max", "2", "--w-max", "10"],
+            # a weight-12 necklace: its 4^12 words are sized before the basis
+            ["deform", "--g", "2", "--A", "N(a1 b1 a1 b1 a1 b1 a1 b1 a1 a2 b2 b2)^N(a1)"],
         ],
     )
     def test_cell_too_large_exit_2(self, argv, capsys):
@@ -117,6 +119,7 @@ class TestCliCommands:
         assert time.perf_counter() - start < 1.0
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "over the budget" in err
+        assert "Traceback" not in err
 
     def test_verify_exit_0(self, capsys):
         rc = main(

@@ -6,7 +6,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from necklaces import CellTooLarge, DerivationElem, linalg, necklace_count, verify
+from necklaces import CellTooLarge, DerivationElem, complexes, linalg, necklace_count, verify
 from necklaces.complexes import (
     AlgCobracket,
     AlgComodule,
@@ -15,6 +15,7 @@ from necklaces.complexes import (
     ModChainVector,
     assemble,
     boundary,
+    cell_positions,
     cochain_d,
     mod_boundary,
     mod_cochain_d,
@@ -22,13 +23,20 @@ from necklaces.complexes import (
     mod_wedge_basis,
     sigma_wedge,
     wedge_basis,
+    wedge_cell,
     wedge_dim,
 )
 from necklaces.complexes import _insert1, _insert2, _sort_wedge
 from necklaces.lie import algebra
 from necklaces.linalg import SparseRationalMatrix, int_csc
 from necklaces.verify import matrix_identity_suite
-from oracles import canon, oracle_assemble, oracle_mu_table
+from oracles import (
+    canon,
+    oracle_assemble,
+    oracle_mu_table,
+    oracle_wedge_coo,
+    oracle_wedge_tuples,
+)
 
 A1, B1, A2, B2 = 0, 1, 2, 3
 
@@ -78,6 +86,24 @@ class TestBases:
             assert len(word) + sum(ctx.weight_of(k) for k in t) == 3
         # k=0: 4 necklaces of weight 3; k=1: 2*3; k=2: 4*2
         assert b.dim() == 4 + 6 + 8
+
+    @pytest.mark.parametrize("g, w_max", [(1, 10), (2, 8), (3, 5)])
+    def test_cell_arrays_are_the_recursive_enumeration(self, g, w_max):
+        ctx = algebra(g)
+        for w in range(w_max + 1):
+            for p in range(6):
+                cell = wedge_cell(g, p, w)
+                assert cell.dtype == np.int64 and cell.shape == (wedge_dim(g, p, w), p)
+                assert list(map(tuple, cell.tolist())) == list(oracle_wedge_tuples(ctx, p, w))
+                assert wedge_basis(g, p, w).monomials == list(map(tuple, cell.tolist()))
+
+    def test_cell_positions(self):
+        cell = wedge_cell(2, 3, 6)
+        rows = np.random.default_rng(5).permutation(len(cell))
+        assert np.array_equal(cell_positions(2, 3, 6, cell[rows]), rows)
+        for bad in (np.array([[0, 1, 2]]), cell[:1, ::-1], np.array([[0, 1, 10**6]])):
+            with pytest.raises(ValueError):
+                cell_positions(2, 3, 6, bad)
 
     def test_wedge_dim_counts_the_enumeration(self):
         for g, wmax in ((1, 10), (2, 8), (3, 5)):
@@ -411,21 +437,34 @@ def _canonical(m):
 class TestMatrixSuites:
     @pytest.mark.parametrize("g", [1, pytest.param(2, marks=pytest.mark.slow)])
     def test_cell_operators_match_emitter_path(self, g):
-        # the factor-wise int64 assembly against the monomial emission of
-        # oracle_assemble, entry for entry, on every cell with p <= 4,
-        # w <= 8; and its dict columns, as the engine and assemble() read
-        # them: int values, no zero entries, the int64 matrix unchanged
+        # the table-built int64 assembly against the monomial emission, on
+        # every cell with p <= 4 and w <= 10 (g = 1) or 8 (g = 2): a wedge
+        # operator against the per-monomial coo of oracle_wedge_coo as the
+        # same int64 matrix, explicit zeros included; every operator against
+        # oracle_assemble, entry for entry; and its dict columns, as the
+        # engine and assemble() read them: int values, no zero entries, the
+        # int64 matrix unchanged
         delta, mu = AlgCobracket(g), AlgComodule(g)
+        w_max = 10 if g == 1 else 8
         for module in (True, False):
             ops = CellOperators(g, delta, mu if module else None)
             pre = "mod_" if module else ""
-            for w in range(9):
+            for w in range(w_max + 1):
                 for p in range(5):
                     for op in ("boundary", "cochain_d"):
                         if op == "boundary" and p == 0:
                             continue
                         where = (module, op, p, w)
                         mat = getattr(ops, op)(p, w)
+                        if not module:
+                            tp = p - 1 if op == "boundary" else p + 1
+                            ref = int_csc(wedge_dim(g, tp, w - 2), wedge_dim(g, p, w),
+                                          *oracle_wedge_coo(ops, op, p, w))
+                            got = mat.copy()
+                            got.sort_indices(), ref.sort_indices()
+                            assert np.array_equal(got.indptr, ref.indptr), where
+                            assert np.array_equal(got.indices, ref.indices), where
+                            assert np.array_equal(got.data, ref.data), where
                         oracle = oracle_assemble(pre + op, g, p, w, delta=delta, mu=mu)
                         fast, ref = _canonical(mat), _canonical(_int_csc_of(oracle))
                         assert fast.shape == ref.shape, where
@@ -468,6 +507,56 @@ class TestMatrixSuites:
             "anticommutator_zero_p1_w6",
             "anticommutator_zero_p2_w6",
         ]
+
+    def test_packed_keys_fall_back_to_dense_ranks(self, monkeypatch):
+        # where the base-N keys of a cell would overflow, the leading columns
+        # are ranked first; with a tiny key bound every cell takes that path
+        monkeypatch.setattr(complexes, "_KEY_MAX", 64)
+        complexes._cell_keys.cache_clear()
+        try:
+            for g, w_max in ((1, 8), (2, 6)):
+                ops, delta = CellOperators(g, AlgCobracket(g)), AlgCobracket(g)
+                for w in range(w_max + 1):
+                    for p in range(5):
+                        cell = wedge_cell(g, p, w)
+                        assert np.array_equal(cell_positions(g, p, w, cell), np.arange(len(cell)))
+                        for op in ("boundary", "cochain_d"):
+                            if op == "boundary" and p == 0:
+                                continue
+                            got = _canonical(getattr(ops, op)(p, w))
+                            ref = _canonical(_int_csc_of(oracle_assemble(op, g, p, w, delta=delta)))
+                            assert (got != ref).nnz == 0, (g, op, p, w)
+        finally:
+            complexes._cell_keys.cache_clear()
+
+    @pytest.mark.parametrize("bad", ["weight", "range", "order", "fraction"])
+    def test_malformed_delta_table_raises(self, monkeypatch, bad):
+        # the cobracket table is checked as the comodule table is: a pair
+        # whose weights do not add up to m - 2, an index out of range, a
+        # pair out of index order, and a coefficient that is not an int
+        delta_table = AlgCobracket.delta_table
+
+        def broken(self, m):
+            table = delta_table(self, m)
+            if m == 8:  # at g = 1 the cobracket vanishes below weight 7
+                n, a, b, c = table.copy()
+                if bad == "weight":  # the first necklace, of weight 1, in place of each a
+                    a = np.zeros_like(a)
+                elif bad == "range":
+                    n = n + 100
+                elif bad == "order":
+                    a, b = b, a
+                table = np.array([n, a, b, c], dtype=object if bad == "fraction" else np.int64)
+                if bad == "fraction":
+                    table[3, 0] = Fraction(1, 2)
+            return table
+
+        monkeypatch.setattr(AlgCobracket, "delta_table", broken)
+        ops = CellOperators(1, AlgCobracket(1))
+        with pytest.raises(TypeError if bad == "fraction" else ValueError) as err:
+            ops.cochain_d(1, 8)
+        if bad == "weight":
+            assert "does not lower the weight by 2" in str(err.value)
 
     @pytest.mark.parametrize("bad", ["weight", "range", "fraction"])
     def test_malformed_mu_table_raises(self, monkeypatch, bad):
@@ -536,12 +625,56 @@ class TestCoactionTables:
             assert sorted(terms) == sorted(handle.mu_terms(word)), word
 
     def test_necklace_of_rank(self):
-        for g, lmax in ((1, 8), (2, 6)):
+        for g, lmax in ((1, 10), (2, 8)):
             ctx = algebra(g)
             for length in range(1, lmax + 1):
                 got = ctx.necklace_of_rank(length).tolist()
-                words = product(range(2 * g), repeat=length)
+                words = list(product(range(2 * g), repeat=length))
+                assert ctx.basis_words(length) == sorted({canon(w) for w in words})
                 assert got == [ctx.index_of_word(canon(w)) for w in words]
+
+
+# the splice and split lengths that the cells above read
+BRACKET_CASES = [(g, m1, m2) for g, top in ((1, 10), (2, 8))
+                 for m1 in range(1, top) for m2 in range(1, top + 1 - m1)]
+DELTA_CASES = [(1, m) for m in range(1, 11)] + [(2, m) for m in range(1, 9)]
+
+
+class TestNecklaceTables:
+    @pytest.mark.parametrize("g, m1, m2", BRACKET_CASES)
+    def test_bracket_table_rows_are_bracket_idx(self, g, m1, m2):
+        ctx = algebra(g)
+        indptr, target, coeff = ctx.bracket_table(m1, m2)
+        assert indptr.dtype == target.dtype == coeff.dtype == np.int64
+        count1, count2 = necklace_count(g, m1), necklace_count(g, m2)
+        assert len(indptr) == count1 * count2 + 1
+        for q in range(count1 * count2):
+            row: dict = {}
+            at = slice(indptr[q], indptr[q + 1])
+            for k, c in zip(target[at].tolist(), coeff[at].tolist()):
+                row[k] = row.get(k, 0) + c
+            i, j = divmod(q, count2)
+            want = ctx.bracket_idx(ctx.offset(m1) + i, ctx.offset(m2) + j)
+            assert sorted((k, c) for k, c in row.items() if c) == list(want), (q, want)
+
+    @pytest.mark.parametrize("g, m", DELTA_CASES)
+    def test_delta_table_rows_are_delta_wedge(self, g, m):
+        ctx = algebra(g)
+        table = ctx.delta_table(m)
+        assert table.dtype == np.int64 and table.shape[0] == 4
+        per_necklace = [[] for _ in range(necklace_count(g, m))]
+        for n, a, b, c in table.T.tolist():
+            per_necklace[n].append((a, b, c))
+        for n, terms in enumerate(per_necklace):
+            assert tuple(terms) == ctx.delta_wedge(ctx.offset(m) + n), n
+            assert all(a < b for a, b, _ in terms)
+
+    def test_handle_tables_read_off_wedge_terms(self):
+        # the shared helper gives any handle the table of its wedge_terms
+        for g, m in ((1, 8), (2, 6)):
+            got = complexes.delta_table_of(AlgCobracket(g), m)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, algebra(g).delta_table(m))
 
 
 class TestCellTooLarge:
@@ -559,6 +692,10 @@ class TestCellTooLarge:
             lambda: ops.dim(0, 9),
             lambda: algebra(3).mu_table(9),
             lambda: algebra(3).necklace_of_rank(9),
+            lambda: algebra(3).basis_words(9),
+            lambda: algebra(2).index_of_word((0,) * 12),
+            lambda: algebra(2).bracket_table(6, 8),
+            lambda: algebra(2).delta_table(11),
             lambda: ops._action_table(9, 2),
         ):
             with pytest.raises(CellTooLarge, match="over the budget"):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from necklaces import homology, linalg
+from necklaces.complexes import delta_table_of
 from necklaces.errors import NotChainMap
 from necklaces.homology import HomologyEngine, cohomology_of_homology, homology_report
 from necklaces.lie import algebra
@@ -157,6 +158,9 @@ class TestInducedMaps:
                 if self._ctx.weight_of(idx) == 4:
                     return ((self._a, self._b, 1),)
                 return ()
+
+            def delta_table(self, m):
+                return delta_table_of(self, m)
 
         eng = HomologyEngine(1, delta=BrokenDelta())
         with pytest.raises(NotChainMap):
@@ -333,6 +337,9 @@ class TestElimination:
                 if self._ctx.weight_of(idx) == 4:
                     return ((self._a, self._b, Fraction(1, 2)),)
                 return ()
+
+            def delta_table(self, m):
+                return delta_table_of(self, m)
 
         eng = HomologyEngine(1, delta=HalfDelta())
         assert eng.homology_dim(1, 4) >= 0  # boundaries do not read the handle

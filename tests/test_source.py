@@ -36,3 +36,20 @@ def test_only_linalg_imports_scipy():
         or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy"
     )
     assert found == ["linalg.py"], f"modules that import scipy: {found}"
+
+
+def test_cell_operators_emit_no_monomial():
+    # the operator matrices are built from tables by array arithmetic: no
+    # method of CellOperators goes through the per-monomial emitters or
+    # looks a monomial up in a materialised basis
+    tree = ast.parse((SRC / "complexes.py").read_text(encoding="utf-8"))
+    (cls,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "CellOperators"]
+    found = []
+    for node in ast.walk(cls):
+        name = getattr(node, "id", getattr(node, "attr", None))
+        if name in ("boundary_monomial", "cochain_monomial"):
+            found.append(f"{name} at line {node.lineno}")
+        call = node.value if isinstance(node, ast.Attribute) and node.attr == "position" else None
+        if isinstance(call, ast.Call) and ast.unparse(call.func).split(".")[-1] == "wedge_basis":
+            found.append(f"wedge_basis(...).position at line {node.lineno}")
+    assert not found, f"per-monomial emission in CellOperators: {found}"
