@@ -12,8 +12,10 @@ import json
 import sys
 from fractions import Fraction
 
+import numpy as np
+
 from . import words as W
-from .complexes import AlgCobracket, AlgComodule, ChainVector, wedge_basis
+from .complexes import AlgCobracket, AlgComodule, ChainVector, cell_positions, wedge_basis
 from .deform import (
     DeformationElement,
     DeformedCobracket,
@@ -183,7 +185,10 @@ def parse_wedge(text: str, g: int) -> ChainVector:
         raw_terms.append(((ia, ib), coeff))
     if weight is None:
         raise ParseError("empty wedge element", 0)
-    return ChainVector.from_terms(wedge_basis(g, 2, weight), raw_terms)
+    keys = np.array([key for key, _ in raw_terms], dtype=np.int64).reshape(-1, 2)
+    coeffs: dict[int, Fraction] = {}
+    axpy(coeffs, 1, zip(cell_positions(g, 2, weight, keys).tolist(), (c for _, c in raw_terms)))
+    return ChainVector(wedge_basis(g, 2, weight), coeffs)
 
 
 def _split_signed(text: str):

@@ -33,8 +33,9 @@ module operators come from their word and wedge factors by the layout
 above.  No monomial is emitted one by one on this path, and no
 ``WedgeBasis`` is built for it.  ``assemble`` and the homology engine read
 the matrices through ``SparseRationalMatrix.from_int_csc``; the monomial
-emitters and ``emit_matrix`` serve chain vectors and the Fraction pieces of
-a deformation.
+emitters serve chain vectors (``emit_vector``).  The deformation checks and
+pieces in ``necklaces.deform`` emit on arrays of tuples through the same
+``boundary_terms`` and ``cochain_terms``.
 """
 
 from bisect import bisect_left
@@ -155,26 +156,46 @@ class WedgeBasis:
     """Ordered basis of the (p, w) cell of the exterior algebra: the rows of
     ``wedge_cell`` as Python tuples, with their positions, for the callers
     that need monomials (chain vectors, homology representatives, the
-    monomial emitters).  The operator matrices do not build it."""
+    monomial emitters).  The list of monomials and the position dict are
+    built when first read; ``monomial(i)`` reads one row without them.
+    The operator matrices do not build it."""
 
-    __slots__ = ("g", "p", "w", "monomials", "position")
+    __slots__ = ("g", "p", "w", "_cell", "_monomials", "_position")
 
     def __init__(self, g: int, p: int, w: int):
         self.g, self.p, self.w = g, p, w
-        cell = wedge_cell(g, p, w)
-        shared = list(range(cell.max(initial=-1) + 1))  # one int object per index
-        columns = (map(shared.__getitem__, col) for col in cell.T.tolist())
-        self.monomials: list[WedgeKey] = list(zip(*columns)) if p else [()] * len(cell)
-        self.position: dict[WedgeKey, int] = {
-            t: i for i, t in enumerate(self.monomials)
-        }
+        self._cell = wedge_cell(g, p, w)
+        self._monomials: list[WedgeKey] | None = None
+        self._position: dict[WedgeKey, int] | None = None
+
+    @property
+    def monomials(self) -> list[WedgeKey]:
+        if self._monomials is None:
+            cell = self._cell
+            shared = list(range(cell.max(initial=-1) + 1))  # one int object per index
+            columns = (map(shared.__getitem__, col) for col in cell.T.tolist())
+            self._monomials = list(zip(*columns)) if self.p else [()] * len(cell)
+        return self._monomials
+
+    @property
+    def position(self) -> dict[WedgeKey, int]:
+        """The position of each monomial; a caller that ranks a few tuples
+        can use ``cell_positions`` instead."""
+        if self._position is None:
+            self._position = {t: i for i, t in enumerate(self.monomials)}
+        return self._position
+
+    def monomial(self, i: int) -> WedgeKey:
+        if self._monomials is not None:
+            return self._monomials[i]
+        return tuple(self._cell[i].tolist())
 
     def dim(self) -> int:
-        return len(self.monomials)
+        return len(self._cell)
 
     def describe(self, i: int) -> str:
         ctx = algebra(self.g)
-        parts = [f"N({W.word_name(ctx.word_at(k))})" for k in self.monomials[i]]
+        parts = [f"N({W.word_name(ctx.word_at(k))})" for k in self.monomial(i)]
         return "^".join(parts) if parts else "1"
 
     def __repr__(self) -> str:
@@ -336,6 +357,9 @@ class ModWedgeBasis:
     def dim(self) -> int:
         return len(self.monomials)
 
+    def monomial(self, i: int) -> ModKey:
+        return self.monomials[i]
+
     def describe(self, i: int) -> str:
         word, t = self.monomials[i]
         ctx = algebra(self.g)
@@ -378,7 +402,7 @@ class _CellVector(TermMap):
         return (self.basis.p, self.basis.w)
 
     def terms(self) -> list[tuple[tuple, Coeff]]:
-        return [(self.basis.monomials[i], c) for i, c in self.sorted_terms()]
+        return [(self.basis.monomial(i), c) for i, c in self.sorted_terms()]
 
     def _map(self) -> dict:
         return self.coeffs
@@ -607,27 +631,29 @@ def _insert(rest: np.ndarray, new: np.ndarray):
 
 
 def _emitted(parts: list, p: int):
-    """Concatenate (source row, target tuples, coeff) blocks."""
+    """Concatenate (source row, target tuples, coeff) blocks; none is the
+    empty emission (with no columns for p < 0: the boundary of p = 0)."""
     if not parts:
         empty = np.zeros(0, dtype=np.int64)
-        return empty, np.zeros((0, p), dtype=np.int64), empty
+        return empty, np.zeros((0, max(p, 0)), dtype=np.int64), empty
     return tuple(np.concatenate(col) for col in zip(*parts))
 
 
-def _by_weight(ctx: NecklaceContext, column: np.ndarray):
-    """The rows of a column of necklace indices, grouped by weight:
-    (weight, rows, index - offset(weight)) per weight present."""
-    wt = ctx.weights(column)
-    for m in np.unique(wt).tolist():
-        rows = np.flatnonzero(wt == m)
-        yield m, rows, column[rows] - ctx.offset(m)
+def table_bracket(ctx: NecklaceContext, m1: int, first: np.ndarray, m2: int, second: np.ndarray):
+    """The brackets of the necklace pairs (offset(m1) + first[q], offset(m2)
+    + second[q]) from ``NecklaceContext.bracket_table(m1, m2)``: arrays
+    (q, target index, coeff), one per term."""
+    indptr, target, coeff = ctx.bracket_table(m1, m2)
+    which, at = _gather(indptr, first * necklace_count(ctx.g, m2) + second)
+    return which, target[at], coeff[at]
 
 
-def boundary_terms(ctx: NecklaceContext, tuples: np.ndarray):
+def boundary_terms(ctx: NecklaceContext, tuples: np.ndarray, bracket=table_bracket):
     """The boundary of each row of an int64 array of sorted index tuples
     (n, p): arrays (source row, target tuple (t, p-1), coeff).  For each
-    pair of factors the terms of their bracket are gathered from
-    ``NecklaceContext.bracket_table``, the two factors deleted and the
+    pair of factors the terms of their bracket are gathered, by default
+    from ``NecklaceContext.bracket_table`` (``table_bracket``; a caller may
+    pass another source of the same form), the two factors deleted and the
     bracket inserted, with the signs of ``boundary_monomial``."""
     n, p = tuples.shape
     parts = []
@@ -635,14 +661,13 @@ def boundary_terms(ctx: NecklaceContext, tuples: np.ndarray):
         for jj in range(ii + 1, p):
             rest = np.delete(tuples, (ii, jj), axis=1)
             s0 = -1 if (ii + jj) % 2 == 1 else 1  # (-1)^{i+j}, 1-based
-            for m1, rows, first in _by_weight(ctx, tuples[:, ii]):
-                for m2, sub, second in _by_weight(ctx, tuples[rows, jj]):
-                    indptr, target, coeff = ctx.bracket_table(m1, m2)
-                    which, at = _gather(indptr, first[sub] * len(ctx.basis_words(m2)) + second)
+            for m1, rows, first in ctx.weight_groups(tuples[:, ii]):
+                for m2, sub, second in ctx.weight_groups(tuples[rows, jj]):
+                    which, target, coeff = bracket(ctx, m1, first[sub], m2, second)
                     src = rows[sub][which]
-                    new, sign, clash = _insert(rest[src], target[at, None])
+                    new, sign, clash = _insert(rest[src], target[:, None])
                     keep = ~clash
-                    parts.append((src[keep], new[keep], (s0 * sign * coeff[at])[keep]))
+                    parts.append((src[keep], new[keep], (s0 * sign * coeff)[keep]))
     return _emitted(parts, p - 1)
 
 
@@ -658,7 +683,7 @@ def cochain_terms(ctx: NecklaceContext, table, tuples: np.ndarray):
     for ii in range(p):
         rest = np.delete(tuples, ii, axis=1)
         s0 = -1 if ii % 2 == 0 else 1  # (-1)^i, 1-based
-        for m, rows, local in _by_weight(ctx, tuples[:, ii]):
+        for m, rows, local in ctx.weight_groups(tuples[:, ii]):
             indptr, a, b, coeff = table(m)
             which, at = _gather(indptr, local)
             src = rows[which]
@@ -668,7 +693,7 @@ def cochain_terms(ctx: NecklaceContext, table, tuples: np.ndarray):
     return _emitted(parts, p + 1)
 
 
-# -- emitter paths: to a vector and to a matrix --------------------------------
+# -- emitter path to a vector ---------------------------------------------------
 
 
 def emit_vector(x: _CellVector, tgt, emit) -> _CellVector:
@@ -679,21 +704,6 @@ def emit_vector(x: _CellVector, tgt, emit) -> _CellVector:
     for i, c in x.coeffs.items():
         axpy(acc, c, emit(monomials[i]))
     return type(x).from_terms(tgt, acc.items())
-
-
-def emit_matrix(src, tgt, emit) -> SparseRationalMatrix:
-    """Matrix of the operator whose value on a basis monomial is
-    emit(monomial): column j is the image of the j-th monomial of src, in
-    the tgt basis."""
-    pos = tgt.position
-    columns = []
-    for mono in src.monomials:
-        col: dict[int, Coeff] = {}
-        for t, s in emit(mono):
-            j = pos[t]
-            col[j] = col.get(j, 0) + s
-        columns.append(col)
-    return SparseRationalMatrix(tgt.dim(), src.dim(), columns)
 
 
 # -- operators on chain vectors ----------------------------------------------
@@ -809,7 +819,7 @@ def assemble(
 #   module boundary  = Gamma + 1 (x) boundary,  Gamma = sum_n A_n (x) iota_n
 #   module cochain d = mu ^ - 1 (x) d,           mu ^  = sum_n M_n (x) eps_n
 #
-# where A_n is the action of the necklace n on words (``_action_table``),
+# where A_n is the action of the necklace n on words (``action_table``),
 # iota_n removes n from a wedge tuple with the sign of gamma_monomial, M_n
 # is the part of mu that splits off n, read from the comodule handle's
 # ``mu_table`` (for the canonical handle, ``NecklaceContext.mu_table``
@@ -827,6 +837,40 @@ def _coo(rows: list, cols: list, vals: list):
     return tuple(
         np.concatenate([np.asarray(a, dtype=np.int64).ravel() for a in part])
         for part in (rows, cols, vals)
+    )
+
+
+def action_table(ctx: NecklaceContext, k: int, m: int, local: np.ndarray | None = None):
+    """The action of necklaces of weight m on the words of length k, as rank
+    arrays (src, tgt, sign) of shape (necklaces, terms): row i is the
+    necklace offset(m) + i, or offset(m) + local[i] when ``local`` is given
+    (then only those necklaces are rotated).  Each row has the same terms,
+    one per (position, rotation, word with the paired letter at that
+    position), as ``NecklaceContext.act_word`` lists them.  Sized with
+    ``CellTooLarge`` first."""
+    base = 2 * ctx.g
+    count = necklace_count(ctx.g, m) if local is None else len(local)
+    CellTooLarge.check(
+        f"the action table of the weight-{m} necklaces on the words of length {k}",
+        count * m * k * base ** (k - 1),
+    )
+    rots = ctx.rotations(m, local)  # rotation a in row a
+    y = rots[:, :, :1] ^ 1  # the word letter that pairs with the first letter
+    # rank of the tail, a base-2g number with its first letter most significant
+    tail = (rots[:, :, 1:] @ base ** np.arange(m - 2, -1, -1, dtype=np.int64))[:, :, None]
+    u = np.arange(base ** (k - 1), dtype=np.int64)
+    src, tgt = [], []
+    for pos in range(k):
+        low = base ** (k - 1 - pos)
+        pre, post = u // low, u % low
+        src.append((pre * base + y) * low + post)
+        tgt.append((pre * base ** (m - 1) + tail) * low + post)
+    shape = (len(rots), -1)
+    sign = np.broadcast_to(np.where(y % 2 == 1, 1, -1), src[0].shape)
+    return (
+        np.concatenate(src, axis=2).reshape(shape),
+        np.concatenate(tgt, axis=2).reshape(shape),
+        np.concatenate([sign] * k, axis=2).reshape(shape),
     )
 
 
@@ -935,7 +979,7 @@ class CellOperators:
             for ii in range(p):
                 rest = np.delete(tuples, ii, axis=1)
                 sign = -1 if ii % 2 == 0 else 1  # (-1)^i, 1-based, as in gamma_monomial
-                for m, rows, local in _by_weight(self.ctx, tuples[:, ii]):
+                for m, rows, local in self.ctx.weight_groups(tuples[:, ii]):
                     t = cell_positions(self.g, p - 1, v - m, rest[rows])
                     acc.setdefault(m, []).append(np.stack([rows, local, t, np.full_like(t, sign)]))
             self._iota[key] = {m: np.concatenate(e, axis=1) for m, e in acc.items()}
@@ -961,36 +1005,11 @@ class CellOperators:
     # -- word side ------------------------------------------------------------
 
     def _action_table(self, k: int, m: int):
-        """The action of every necklace of weight m on the words of length
-        k, as rank arrays (src, tgt, sign) of shape (necklaces, terms): row
-        i is the necklace of index offset(m) + i.  Each row has the same
-        terms, one per (position, rotation, word with the paired letter at
-        that position), as ``NecklaceContext.act_word`` lists them."""
+        """``action_table`` of every necklace of weight m on the words of
+        length k, kept for every cell."""
         key = (k, m)
         if key not in self._act:
-            base = 2 * self.g
-            CellTooLarge.check(
-                f"the action table of the weight-{m} necklaces on the words of length {k}",
-                necklace_count(self.g, m) * m * k * base ** (k - 1),
-            )
-            rots = self.ctx.rotations(m)  # rotation a in row a
-            y = rots[:, :, :1] ^ 1  # the word letter that pairs with the first letter
-            # rank of the tail, a base-2g number with its first letter most significant
-            tail = (rots[:, :, 1:] @ base ** np.arange(m - 2, -1, -1, dtype=np.int64))[:, :, None]
-            u = np.arange(base ** (k - 1), dtype=np.int64)
-            src, tgt = [], []
-            for pos in range(k):
-                low = base ** (k - 1 - pos)
-                pre, post = u // low, u % low
-                src.append((pre * base + y) * low + post)
-                tgt.append((pre * base ** (m - 1) + tail) * low + post)
-            shape = (len(rots), -1)
-            sign = np.broadcast_to(np.where(y % 2 == 1, 1, -1), src[0].shape)
-            self._act[key] = (
-                np.concatenate(src, axis=2).reshape(shape),
-                np.concatenate(tgt, axis=2).reshape(shape),
-                np.concatenate([sign] * k, axis=2).reshape(shape),
-            )
+            self._act[key] = action_table(self.ctx, k, m)
         return self._act[key]
 
     def _mu_table(self, k: int) -> dict:

@@ -34,16 +34,20 @@ equivalent deformation elements A_k = (1/k!) sigma(u)^{k-1}(delta u).
 """
 
 from fractions import Fraction
-from functools import partial
 from math import lcm
 from typing import Sequence
+
+import numpy as np
 
 from . import complexes as C
 from . import words as W
 from .errors import ConditionFailed, MinWeightTooLow, NotInN
 from .homology import HomologyEngine
-from .lie import DerivationElem, algebra, bracket, exp_derivation, mu_alg, schedler_delta
-from .linalg import SparseRationalMatrix, common_denominator, kernel_basis
+from .lie import (
+    DerivationElem, _summed, algebra, bracket, exp_derivation, mu_alg, necklace_count,
+    schedler_delta,
+)
+from .linalg import _INT64_SAFE, SparseRationalMatrix, common_denominator, kernel_basis
 from .tensors import Coeff, Tensor, axpy
 
 
@@ -74,24 +78,42 @@ class DeformationElement:
         return self._wedge_pairs
 
     def sigma_of(self, x_idx: int) -> tuple[tuple[int, int, Coeff], ...]:
-        """sigma(N_x)(A) in wedge coordinates ((a, b, coeff), a < b),
-        computed as sigma(N_x)(L*A) / L for L = self._denominator."""
+        """sigma(N_x)(A) in wedge coordinates ((a, b, coeff), a < b): the
+        row of N_x in the sigma table of L*A (``sigma_csr``), divided by L
+        = self._denominator."""
         memo = self._sigma_memo.get(x_idx)
         if memo is None:
-            den = self._denominator
-            memo = self.scaled(den).sigma_of(x_idx)
+            ctx, den = algebra(self.g), self._denominator
+            m = ctx.weight_of(x_idx)
+            indptr, a, b, c = self.scaled(den).sigma_csr(m)
+            n = x_idx - ctx.offset(m)
+            lo, hi = indptr[n], indptr[n + 1]
+            coeffs = c[lo:hi].tolist()
             if den != 1:
-                memo = tuple((a, b, Fraction(c, den)) for a, b, c in memo)
+                coeffs = [Fraction(v, den) for v in coeffs]
+            memo = tuple(zip(a[lo:hi].tolist(), b[lo:hi].tolist(), coeffs))
             self._sigma_memo[x_idx] = memo
         return memo
 
     # as a cobracket handle, A stands for its piece X -> sigma(X)(A)
     wedge_terms = sigma_of
 
-    def scaled(self, factor: int) -> "DeformationElement":
+    def delta_table(self, m: int) -> np.ndarray:
+        """The piece X -> sigma(X)(A) for every necklace X of weight m, in
+        the cobracket-handle rows (X - offset(m), a, b, coeff), a < b,
+        summed: the sigma table of L*A (``sigma_csr``, int coefficients)
+        with its coefficients divided by L = self._denominator."""
+        den = self._denominator
+        indptr, a, b, c = self.scaled(den).sigma_csr(m)
+        n = np.repeat(np.arange(len(indptr) - 1, dtype=np.int64), np.diff(indptr))
+        if den != 1:
+            c = np.array([Fraction(v, den) for v in c.tolist()], dtype=object)
+        return np.stack([n, a, b, c])
+
+    def scaled(self, factor: int) -> "_ScaledDeformation":
         """factor * A with int coefficients, for a factor that clears every
-        denominator of A; memoised per factor, so its sigma values are
-        reused across cells.  This element is left as it is."""
+        denominator of A; memoised per factor, so its tables are reused
+        across cells.  This element is left as it is."""
         out = self._scaled.get(factor)
         if out is None:
             out = self._scaled[factor] = _ScaledDeformation(self, factor)
@@ -110,9 +132,11 @@ class DeformationElement:
 
 
 class _ScaledDeformation(DeformationElement):
-    """factor * A with int coefficients.  Its nabla is A's times factor;
-    its sigma values are computed here from the bracket tables, in int,
-    and A's own are these divided by factor."""
+    """factor * A with int coefficients, as the arrays the identity checks
+    read: its pairs, its nabla, and per weight m the brackets of the
+    necklaces of weight m with A's own necklaces and the sigma table.  Its
+    nabla is A's times factor.  A coefficient array is int64, or an object
+    array of Python ints where a value reaches 2**62 (``_exact``)."""
 
     def __init__(self, base: DeformationElement, factor: int):
         self.chain = C.ChainVector(base.chain.basis, _times(base.chain.coeffs, factor))
@@ -122,22 +146,56 @@ class _ScaledDeformation(DeformationElement):
         self._wedge_pairs = _pairs(self.chain)
         self._sigma_memo = {}
         self._scaled = {}
-
-    def sigma_of(self, x_idx: int) -> tuple[tuple[int, int, int], ...]:
-        memo = self._sigma_memo.get(x_idx)
-        if memo is not None:
-            return memo
         ctx = algebra(self.g)
-        acc: dict[tuple[int, int], int] = {}
-        for a, b, alpha in self.wedge_pairs():
-            # [N_x, N_a] ^ N_b + N_a ^ [N_x, N_b]
-            axpy(acc, alpha, _deriv_wedge_emit(ctx.bracket_idx(x_idx, a), (b,)))
-            axpy(acc, -alpha, _deriv_wedge_emit(ctx.bracket_idx(x_idx, b), (a,)))
-        memo = tuple((a, b, c) for (a, b), c in sorted(acc.items()))
-        self._sigma_memo[x_idx] = memo
-        return memo
+        self.pairs = np.array([(a, b) for a, b, _ in self._wedge_pairs], dtype=np.int64).reshape(-1, 2)
+        self.coeffs = _exact([c for _, _, c in self._wedge_pairs])
+        self.necklaces = np.unique(self.pairs)
+        nabla = self._nabla.sorted_terms()
+        self.nabla_factors = np.array(
+            [ctx.index_of_word(nw) for nw, _ in nabla], dtype=np.int64).reshape(-1, 1)
+        self.nabla_coeffs = _exact([c for _, c in nabla])
+        self._brackets: dict[int, tuple[np.ndarray, ...]] = {}
+        self._sigma: dict[int, tuple[np.ndarray, ...]] = {}
 
-    wedge_terms = sigma_of
+    def scaled(self, factor: int) -> "_ScaledDeformation":
+        return self if factor == 1 else super().scaled(factor)
+
+    def brackets(self, m: int):
+        """[X, N_s] for every necklace X of weight m and every s in
+        ``necklaces``, as CSR rows over (X - offset(m)) * len(necklaces) +
+        the position of s (``NecklaceContext.bracket_pairs``): only the
+        pairs with one of A's necklaces are spliced."""
+        if m not in self._brackets:
+            ctx = algebra(self.g)
+            xs = np.arange(ctx.offset(m), ctx.offset(m + 1), dtype=np.int64)
+            self._brackets[m] = ctx.bracket_pairs(
+                np.repeat(xs, len(self.necklaces)), np.tile(self.necklaces, len(xs)))
+        return self._brackets[m]
+
+    def sigma_csr(self, m: int):
+        """sigma(X)(A) = sum over A's pairs of alpha ([X, N_a] ^ N_b + N_a ^
+        [X, N_b]) for every necklace X of weight m, in CSR form over them:
+        (indptr, a, b, coeff), a < b, summed; the table form that
+        ``complexes.cochain_terms`` reads.  The brackets come from
+        ``brackets(m)``."""
+        if m not in self._sigma:
+            count, nq = necklace_count(self.g, m), len(self.coeffs)
+            indptr, target, coeff = self.brackets(m)
+            x, q = np.repeat(np.arange(count), nq), np.tile(np.arange(nq), count)
+            pos = np.searchsorted(self.necklaces, self.pairs)
+            parts = []
+            # each bracket term k is wedged with the other factor of the pair:
+            # k ^ N_b from [X, N_a], and N_a ^ k = -(k ^ N_a) from [X, N_b]
+            for side, sgn in ((0, 1), (1, -1)):
+                which, at = C._gather(indptr, x * len(self.necklaces) + pos[q, side])
+                new, sign, clash = C._insert(self.pairs[q[which], 1 - side, None], target[at, None])
+                keep = ~clash
+                c = _product(self.coeffs[q[which]][keep], (sgn * sign * coeff[at])[keep])
+                parts.append((x[which][keep], new[keep, 0], new[keep, 1], c))
+            n, a, b, c = (np.concatenate(col) for col in zip(*parts))
+            (n, a, b), c = _exact_sum((n, a, b), c)
+            self._sigma[m] = (np.searchsorted(n, np.arange(count + 1)), a, b, c)
+        return self._sigma[m]
 
 
 def _pairs(chain: C.ChainVector) -> tuple[tuple[int, int, Coeff], ...]:
@@ -166,11 +224,16 @@ def _cleared(*elements: DeformationElement) -> list[DeformationElement]:
 
 
 def nabla_contract_chain(x: C.ChainVector) -> DerivationElem:
-    """Bracket contraction of a 2-vector, sum over wedge pairs of [a, b]."""
+    """Bracket contraction of a 2-vector, sum over wedge pairs of [a, b],
+    the brackets from ``NecklaceContext.bracket_pairs``."""
     ctx = algebra(x.basis.g)
+    terms = x.terms()
+    pairs = np.array([t for t, _ in terms], dtype=np.int64).reshape(-1, 2)
+    indptr, target, coeff = ctx.bracket_pairs(pairs[:, 0], pairs[:, 1])
     acc: dict = {}
-    for (a, b), c in x.terms():
-        axpy(acc, c, ((ctx.word_at(k), s) for k, s in ctx.bracket_idx(a, b)))
+    for q, (_, c) in enumerate(terms):
+        lo, hi = indptr[q], indptr[q + 1]
+        axpy(acc, c, zip(map(ctx.word_at, target[lo:hi].tolist()), coeff[lo:hi].tolist()))
     return DerivationElem(x.basis.g, acc)
 
 
@@ -395,65 +458,127 @@ def check_coaction(delta_handle, mu_handle, max_weight: int, g: int,
     return True
 
 
-# -- emissions and piece assembly ------------------------------------------------
+# -- identity checks on arrays of tuples -------------------------------------------
 #
-# An emitter maps one basis monomial to its image, a list of (monomial,
-# coeff).  The piece matrices go through C.emit_matrix; the homotopy checks
-# compose emitters per source monomial and compare the columns one by one,
-# so the large intermediate cell is never materialized.  As a cobracket
-# handle a DeformationElement stands for its piece X -> sigma(X)(A), so
-# C.cochain_monomial emits the sigma piece d(delta') - d(delta).
+# Both homotopy identities are checked on int64 arrays of wedge tuples
+# (``complexes.wedge_cell``; for module cells each block of ``mod_layout``,
+# its words by rank).  Every operator is emitted on an array of tuples as
+# (source row, target, coeff) terms: A ^ x by inserting A's pairs
+# (``_wedge_into``), the boundary by ``complexes.boundary_terms``, the
+# sigma sum by ``complexes.cochain_terms`` over A's sigma table, and the
+# action of necklaces on words by ``complexes.action_table``.  A side is
+# composed with the next operator by emitting that operator on the side's
+# target tuples, so the intermediate cell (p+2, w + wt A) is never built or
+# ranked.  The identity holds on a block of source rows iff the terms of
+# LHS - RHS sum to zero (``_cancels``).  The rows are taken _CHUNK
+# insertions at a time, and a check stops at the first block that fails.
+# The brackets of pairs with one of A's necklaces come from
+# ``_ScaledDeformation.brackets``, and the action on words is tabled for
+# the necklaces present only, so no whole-weight table is built for A's
+# weight.
+#
+# Coefficients are exact: an array stays int64 while a bound certifies
+# that no product or sum reaches 2**62, and is computed with Python ints
+# otherwise (``_product``, ``_exact_sum``).
+
+_CHUNK = 4096  # source rows times insertions per block of an identity check
 
 
-def _wedge_emit(pairs, tup: C.WedgeKey):
-    """A ^ x on one wedge monomial x, for A given as ((a, b, coeff), ...)
-    with a < b."""
-    out = []
-    for x, y, c in pairs:
-        ins = C._insert2(tup, x, y)
-        if ins:
-            out.append((ins[1], ins[0] * c))
-    return out
+def _exact(values) -> np.ndarray:
+    """Python ints as an int64 array, or as an object array of the ints
+    themselves where one reaches 2**62 in absolute value."""
+    values = list(values)
+    small = all(-_INT64_SAFE < v < _INT64_SAFE for v in values)
+    return np.array(values, dtype=np.int64 if small else object)
 
 
-def _mod_wedge_emit(pairs, mono: C.ModKey):
-    """m (x) (A ^ xi) on one module monomial m (x) xi."""
-    word, tup = mono
-    return [((word, t), c) for t, c in _wedge_emit(pairs, tup)]
+def _max_abs(x: np.ndarray) -> int:
+    return int(np.abs(x).max()) if x.size else 0
 
 
-def _deriv_wedge_emit(terms, tup: C.WedgeKey):
-    """Y ^ x on one wedge monomial x, for Y given as ((index, coeff), ...)."""
-    out = []
-    for k, c in terms:
-        ins = C._insert1(tup, k)
-        if ins:
-            out.append((ins[1], ins[0] * c))
-    return out
+def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x * y elementwise, exactly: in int64 where max|x| * max|y| < 2**62
+    certifies every product, and in Python ints otherwise."""
+    if x.dtype != object and y.dtype != object and _max_abs(x) * _max_abs(y) < _INT64_SAFE:
+        return x * y
+    return x.astype(object) * y.astype(object)
 
 
-def _mod_piece_emit(ctx, mu_handle, a, d_index: int, mono: C.ModKey):
-    """(mu' - mu)(m) ^ xi - m (x) (d' - d) xi for deformation d_index of
-    mu_handle, where a is the matching cobracket deformation (None when
-    the cobracket is not deformed)."""
-    word, tup = mono
-    mu_terms = mu_handle.piece_terms(d_index, word)
-    d_terms = C.cochain_monomial(ctx, a, tup) if a is not None else ()
-    return C.module_coboundary(mu_terms, d_terms, mono)
+def _exact_sum(keys: tuple[np.ndarray, ...], coeff: np.ndarray):
+    """``lie._summed``, in int64 where len * max|coeff| < 2**62 certifies
+    every partial sum, and in Python ints otherwise."""
+    if coeff.dtype != object and len(coeff) * _max_abs(coeff) >= _INT64_SAFE:
+        coeff = coeff.astype(object)
+    return _summed(keys, coeff)
 
 
-def _compose_into(acc: dict, c: Coeff, first, then, mono) -> None:
-    """acc += c * (then . first)(mono) for two emitters."""
-    for t, s in first(mono):
-        axpy(acc, c * s, then(t))
+def _cancels(*parts) -> bool:
+    """Whether terms (source row, target columns (n, c), coeff) sum to zero
+    for every source row and target.  The columns are summed as one
+    mixed-radix key where their ranges allow it."""
+    parts = [part for part in parts if len(part[0])]
+    if not parts:
+        return True
+    src, target, coeff = (np.concatenate(col) for col in zip(*parts))
+    keys, key, top = (src, *target.T), np.zeros(len(src), dtype=np.int64), 1
+    for col in keys:
+        radix = int(col.max()) + 1
+        top *= radix
+        if top >= _INT64_SAFE:
+            break
+        key = key * radix + col
+    else:
+        keys = (key,)
+    return not len(_exact_sum(keys, coeff)[1])
 
 
-def assemble_sigma_piece(a: DeformationElement, p: int, w: int) -> SparseRationalMatrix:
-    """Matrix of x -> sum_i (-1)^i sigma(X_i)(A) ^ (rest): the difference
-    d(delta') - d(delta) out of cell (p, w), landing in (p+1, w + wt(A) - 2)."""
-    src = C.wedge_basis(a.g, p, w)
-    tgt = C.wedge_basis(a.g, p + 1, w + a.weight - 2)
-    return C.emit_matrix(src, tgt, partial(C.cochain_monomial, algebra(a.g), a))
+def _joined(parts: list, n: int):
+    """Concatenate blocks of n int64 arrays; none is n empty arrays."""
+    if not parts:
+        return (np.zeros(0, dtype=np.int64),) * n
+    return tuple(np.concatenate(col) for col in zip(*parts))
+
+
+def _wedge_into(tuples: np.ndarray, factors: np.ndarray, coeffs: np.ndarray):
+    """factors[f] ^ t times coeffs[f], for every row t of an int64 array of
+    sorted tuples and every row f of factors, an int64 array of one index,
+    or of two increasing ones: arrays (row, f, sorted tuple, coeff times the
+    insertion sign), without the terms where a factor is already in t."""
+    n, nf = len(tuples), len(factors)
+    new, sign, clash = C._insert(np.repeat(tuples, nf, axis=0), np.tile(factors, (n, 1)))
+    keep = np.flatnonzero(~clash)
+    return keep // nf, keep % nf, new[keep], _product(np.tile(coeffs, n)[keep], sign[keep])
+
+
+def _bracket_source(a: "_ScaledDeformation"):
+    """The bracket source of ``complexes.boundary_terms`` for tuples that
+    hold A's necklaces: a pair (N_i, N_j) with N_j one of them reads row
+    (i, j) of ``a.brackets``, a pair with only N_i one of them reads -[N_j,
+    N_i] there, and any other pair the whole-weight table."""
+    necks = a.necklaces
+
+    def member(idx):
+        pos = np.searchsorted(necks, idx)
+        return pos, (necks.take(pos, mode="clip") == idx) if len(necks) else pos < 0
+
+    def bracket(ctx, m1, first, m2, second):
+        pos_i, in_i = member(first + ctx.offset(m1))
+        pos_j, in_j = member(second + ctx.offset(m2))
+        in_i &= ~in_j
+        parts = []
+        plain = np.flatnonzero(~(in_i | in_j))
+        if len(plain):
+            which, target, coeff = C.table_bracket(ctx, m1, first[plain], m2, second[plain])
+            parts.append((plain[which], target, coeff))
+        for sel, m, other, pos, sgn in ((in_j, m1, first, pos_j, 1), (in_i, m2, second, pos_i, -1)):
+            sel = np.flatnonzero(sel)
+            if len(sel):
+                indptr, target, coeff = a.brackets(m)
+                which, at = C._gather(indptr, other[sel] * len(necks) + pos[sel])
+                parts.append((sel[which], target[at], sgn * coeff[at]))
+        return _joined(parts, 3)
+
+    return bracket
 
 
 def homotopy_check(a: DeformationElement | C.ChainVector, p: int, w: int) -> bool:
@@ -462,29 +587,115 @@ def homotopy_check(a: DeformationElement | C.ChainVector, p: int, w: int) -> boo
     boundary . E_A - E_A . boundary + E_{nabla A} = sigma-sum operator.
 
     Holds for every 2-vector A (the E_{nabla A} term is what makes it true
-    when A is not in the kernel).  Columns are compared by direct emission,
-    so the large intermediate cell (p+2, w + wt A) is never materialized.
+    when A is not in the kernel).  Both sides are emitted on the tuples of
+    the cell, a block of rows at a time, and compared as summed terms, so
+    the large intermediate cell (p+2, w + wt A) is never materialized.
     Both sides are linear in A, so they are compared for L*A, L the lcm of
     A's denominators, in int arithmetic; the caller's A is not changed."""
     (a,) = _cleared(_as_deformation(a))
     ctx = algebra(a.g)
-    src = C.wedge_basis(a.g, p, w)
-    bnd = partial(C.boundary_monomial, ctx)
-    wedge_a = partial(_wedge_emit, a.wedge_pairs())
-    nabla = [(ctx.index_of_word(nw), c) for nw, c in a.nabla().sorted_terms()]
-    for tup in src.monomials:
-        lhs: dict = {}
-        _compose_into(lhs, 1, wedge_a, bnd, tup)  # boundary(A ^ x)
-        _compose_into(lhs, -1, bnd, wedge_a, tup)  # - A ^ boundary(x)
-        axpy(lhs, 1, _deriv_wedge_emit(nabla, tup))  # + (nabla A) ^ x
-        rhs: dict = {}
-        axpy(rhs, 1, C.cochain_monomial(ctx, a, tup))
-        if lhs != rhs:
+    cell = C.wedge_cell(a.g, p, w)
+    bracket = _bracket_source(a)
+    step = max(1, _CHUNK // max(len(a.coeffs), 1))
+    for lo in range(0, len(cell), step):
+        x = cell[lo:lo + step]
+        row, _, ax, c_ax = _wedge_into(x, a.pairs, a.coeffs)  # A ^ x
+        i, t1, c1 = C.boundary_terms(ctx, ax, bracket)  # boundary(A ^ x)
+        j, bx, c_bx = C.boundary_terms(ctx, x)
+        k, _, t2, c2 = _wedge_into(bx, a.pairs, a.coeffs)  # A ^ boundary(x)
+        n, _, t3, c3 = _wedge_into(x, a.nabla_factors, a.nabla_coeffs)  # (nabla A) ^ x
+        r, t4, c4 = C.cochain_terms(ctx, a.sigma_csr, x)  # the sigma sum
+        if not _cancels((row[i], t1, _product(c_ax[i], c1)),
+                        (j[k], t2, -_product(c_bx[k], c2)),
+                        (n, t3, c3),
+                        (r, t4, -c4)):
             return False
     return True
 
 
+def assemble_sigma_piece(a: DeformationElement, p: int, w: int) -> SparseRationalMatrix:
+    """Matrix of x -> sum_i (-1)^i sigma(X_i)(A) ^ (rest): the difference
+    d(delta') - d(delta) out of cell (p, w), landing in (p+1, w + wt(A) - 2).
+    Emitted by ``complexes.cochain_terms`` over the sigma table of L*A,
+    ranked by ``complexes.cell_positions`` and divided by L, L the lcm of
+    A's denominators."""
+    den, tw = a._denominator, w + a.weight - 2
+    src, new, coeff = C.cochain_terms(algebra(a.g), a.scaled(den).sigma_csr, C.wedge_cell(a.g, p, w))
+    (tgt, src), coeff = _exact_sum((C.cell_positions(a.g, p + 1, tw, new), src), coeff)
+    values = coeff.tolist() if den == 1 else [Fraction(v, den) for v in coeff.tolist()]
+    return SparseRationalMatrix.from_entries(
+        C.wedge_dim(a.g, p + 1, tw), C.wedge_dim(a.g, p, w),
+        zip(tgt.tolist(), src.tolist(), values))
+
+
 # -- invariance of induced maps --------------------------------------------------
+#
+# On a block of a module cell (the words of length k, by rank, times some
+# rows of the wedge cell (p, w - k)), the source (word u, row r) has the
+# number u * rows + r, and a target is the row of columns (word length,
+# word, tuple).
+
+
+def _action_terms(ctx, k: int, necks: np.ndarray):
+    """N_n acting on every word of length k, for each entry n of an int64
+    array of necklace indices: arrays (entry, source word, target length,
+    target word, sign), words by rank, from ``complexes.action_table`` of
+    the necklaces present (never of a whole weight)."""
+    parts = []
+    for m, rows, local in ctx.weight_groups(necks) if k else ():
+        present, at = np.unique(local, return_inverse=True)
+        src, tgt, sign = (t[at] for t in C.action_table(ctx, k, m, present))
+        nt = src.shape[1]
+        parts.append((np.repeat(rows, nt), src.ravel(), np.full(len(rows) * nt, k + m - 2),
+                      tgt.ravel(), sign.ravel()))
+    return _joined(parts, 5)
+
+
+def _gamma_terms(ctx, k: int, tuples: np.ndarray):
+    """Gamma on (every word of length k) (x) (every row of tuples), with the
+    signs of ``complexes.gamma_monomial``: arrays (row, source word, target
+    length, target word, target tuple, sign)."""
+    empty = np.zeros(0, dtype=np.int64)
+    parts = [(empty,) * 4 + (tuples[:0, 1:], empty)]
+    for ii in range(tuples.shape[1]):
+        e, sw, tl, tw, sign = _action_terms(ctx, k, tuples[:, ii])
+        s0 = -1 if ii % 2 == 0 else 1  # (-1)^i, 1-based
+        parts.append((e, sw, tl, tw, np.delete(tuples, ii, axis=1)[e], s0 * sign))
+    return tuple(np.concatenate(col) for col in zip(*parts))
+
+
+def _on_words(g: int, k: int, rows: int, row, tuples, coeff):
+    """Wedge terms (row, tuple, coeff) as the terms u (x) tuple of the
+    sources (u, row), for every word u of length k."""
+    words = (2 * g) ** k
+    u = np.repeat(np.arange(words), len(row))
+    return (u * rows + np.tile(row, words),
+            np.column_stack([np.full(len(u), k), u, np.tile(tuples, (words, 1))]),
+            np.tile(coeff, words))
+
+
+def _moved(rows: int, row, sw, tl, tw, tuples, coeff):
+    """Terms from (word sw, row) to (word tw of length tl, tuple)."""
+    return sw * rows + row, np.column_stack([tl, tw, tuples]), coeff
+
+
+def _mod_piece_terms(ctx, a, b: "_ScaledDeformation", k: int, x: np.ndarray):
+    """The piece (mu' - mu)(m) ^ xi - m (x) (d' - d) xi on every word m of
+    length k times every row xi of x, mu' from B and d' from A (None when
+    the cobracket is not deformed): a list of (source, target, coeff)
+    parts.  mu' - mu = boundary(m (x) B) is Gamma(m (x) N_a ^ N_b) = -(N_a
+    m) (x) N_b + (N_b m) (x) N_a per pair of B, plus m (x) -nabla(B)."""
+    acting = np.concatenate([b.pairs[:, 0], b.pairs[:, 1]])
+    partner = np.concatenate([b.pairs[:, 1], b.pairs[:, 0]])[:, None]
+    row, f, tup, coeff = _wedge_into(x, partner, np.concatenate([-b.coeffs, b.coeffs]))
+    e, sw, tl, tw, sign = _action_terms(ctx, k, acting[f])
+    n, _, t_nabla, c_nabla = _wedge_into(x, b.nabla_factors, -b.nabla_coeffs)
+    parts = [_moved(len(x), row[e], sw, tl, tw, tup[e], _product(coeff[e], sign)),
+             _on_words(ctx.g, k, len(x), n, t_nabla, c_nabla)]
+    if a is not None:
+        r, t_sigma, c_sigma = C.cochain_terms(ctx, a.sigma_csr, x)
+        parts.append(_on_words(ctx.g, k, len(x), r, t_sigma, -c_sigma))
+    return parts
 
 
 def assemble_mod_piece(
@@ -492,13 +703,34 @@ def assemble_mod_piece(
     d_index: int, p: int, w: int
 ) -> SparseRationalMatrix:
     """The module-cochain difference piece of one deformation element:
-    (mu' - mu)(m) ^ xi - m (x) (d' - d) xi, out of module cell (p, w)."""
+    (mu' - mu)(m) ^ xi - m (x) (d' - d) xi, out of module cell (p, w).
+    Emitted block by block of ``mod_layout`` (``_mod_piece_terms``) for L*B
+    and L*A, L the lcm of their denominators, ranked in the target layout
+    and divided by L."""
     g = mu_handle.g
-    a = mu_handle.deformations[d_index]
-    src = C.mod_wedge_basis(g, p, w)
-    tgt = C.mod_wedge_basis(g, p + 1, w + a.weight - 2)
-    ad = delta_handle.deformations[d_index] if d_index < len(delta_handle.deformations) else None
-    return C.emit_matrix(src, tgt, partial(_mod_piece_emit, algebra(g), mu_handle, ad, d_index))
+    b = mu_handle.deformations[d_index]
+    a = delta_handle.deformations[d_index] if d_index < len(delta_handle.deformations) else None
+    elements = [b] if a is None else [b, a]
+    den = lcm(*(d._denominator for d in elements))
+    b, a = (_cleared(*elements) + [None])[:2]
+    tw = w + b.weight - 2
+    src, tgt, ctx = C.mod_layout(g, p, w), C.mod_layout(g, p + 1, tw), algebra(g)
+    rows, cols, vals = [], [], []
+    for k, ds in enumerate(src.wedge_dims):
+        if not ds:
+            continue
+        for s, target, coeff in _mod_piece_terms(ctx, a, b, k, C.wedge_cell(g, p, w - k)):
+            for length in np.unique(target[:, 0]).tolist():
+                sel = target[:, 0] == length
+                pos = C.cell_positions(g, p + 1, tw - length, target[sel, 2:])
+                rows.append(tgt.offsets[length] + target[sel, 1] * tgt.wedge_dims[length] + pos)
+                cols.append(src.offsets[k] + s[sel])
+                vals.append(coeff[sel])
+    empty = np.zeros(0, dtype=np.int64)
+    (r, c), v = _exact_sum((np.concatenate(rows or [empty]), np.concatenate(cols or [empty])),
+                           np.concatenate(vals or [empty]))
+    values = v.tolist() if den == 1 else [Fraction(x, den) for x in v.tolist()]
+    return SparseRationalMatrix.from_entries(tgt.dim, src.dim, zip(r.tolist(), c.tolist(), values))
 
 
 def mod_homotopy_check(
@@ -510,24 +742,37 @@ def mod_homotopy_check(
     equals boundary . E_B - E_B . boundary exactly when sigma(X)(B) =
     -sigma(X)(A) for all X, in particular for B = -A (our conventions; the
     relative sign is pinned the same way as the other module-side
-    identities).  Direct column emission, as in homotopy_check.  Both
-    sides are linear in (A, B) jointly, so they are compared for (L*A, L*B),
-    L the lcm of the denominators of A and B together, in int arithmetic;
-    the caller's A and B are not changed."""
+    identities).  Emitted block by block of ``mod_layout``, every word of
+    the block at once, and compared as summed terms, as in homotopy_check.
+    Both sides are linear in (A, B) jointly, so they are compared for (L*A,
+    L*B), L the lcm of the denominators of A and B together, in int
+    arithmetic; the caller's A and B are not changed."""
     a, b = _cleared(_as_deformation(a), _as_deformation(b))
     ctx = algebra(a.g)
-    src = C.mod_wedge_basis(a.g, p, w)
-    bnd = partial(C.mod_boundary_monomial, ctx)
-    wedge_b = partial(_mod_wedge_emit, b.wedge_pairs())
-    piece = partial(_mod_piece_emit, ctx, DeformedComodule(a.g, [b]), a, 0)
-    for mono in src.monomials:
-        lhs: dict = {}
-        _compose_into(lhs, 1, wedge_b, bnd, mono)  # mod_boundary(m (x) B ^ xi)
-        _compose_into(lhs, -1, bnd, wedge_b, mono)  # - E_B(mod_boundary(m (x) xi))
-        rhs: dict = {}
-        axpy(rhs, 1, piece(mono))
-        if lhs != rhs:
-            return False
+    bracket = _bracket_source(b)
+    for k, ds in enumerate(C.mod_layout(a.g, p, w).wedge_dims):
+        if not ds:
+            continue
+        cell = C.wedge_cell(a.g, p, w - k)
+        step = max(1, _CHUNK // (max(len(b.coeffs), 1) * (2 * a.g) ** k))
+        for lo in range(0, len(cell), step):
+            x = cell[lo:lo + step]
+            row, _, bx, c_bx = _wedge_into(x, b.pairs, b.coeffs)  # m (x) B ^ xi
+            i, t1, c1 = C.boundary_terms(ctx, bx, bracket)
+            gi, gsw, gtl, gtw, gt, gs = _gamma_terms(ctx, k, bx)
+            j, dx, c_dx = C.boundary_terms(ctx, x)
+            kk, _, t2, c2 = _wedge_into(dx, b.pairs, b.coeffs)
+            hi, hsw, htl, htw, ht, hs = _gamma_terms(ctx, k, x)
+            hk, _, ht2, hc = _wedge_into(ht, b.pairs, b.coeffs)
+            piece = _mod_piece_terms(ctx, a, b, k, x)
+            if not _cancels(
+                _on_words(a.g, k, len(x), row[i], t1, _product(c_bx[i], c1)),  # 1 (x) boundary
+                _moved(len(x), row[gi], gsw, gtl, gtw, gt, _product(c_bx[gi], gs)),  # Gamma
+                _on_words(a.g, k, len(x), j[kk], t2, -_product(c_dx[kk], c2)),  # - E_B (1 (x) boundary)
+                _moved(len(x), hi[hk], hsw[hk], htl[hk], htw[hk], ht2, -_product(hs[hk], hc)),  # - E_B Gamma
+                *((s, t, -c) for s, t, c in piece),
+            ):
+                return False
     return True
 
 

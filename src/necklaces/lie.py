@@ -364,44 +364,84 @@ class NecklaceContext:
         self.basis_words(length)
         return self._neck_of_rank_memo[length]
 
-    def rotations(self, m: int) -> np.ndarray:
+    def rotations(self, m: int, local: np.ndarray | None = None) -> np.ndarray:
         """The basis necklaces of weight m as letters, int64 of shape
-        (necklaces, m, m): rotation a of necklace offset(m) + i in [i, a]."""
+        (necklaces, m, m): rotation a of necklace offset(m) + i in [i, a].
+        With ``local``, only the necklaces offset(m) + local, in that order:
+        read from the whole table when it is memoised, and otherwise from
+        their own words, so the whole weight is not rotated."""
         table = self._rotations_memo.get(m)
+        if table is None and local is not None:
+            words = [self.word_at(self.offset(m) + i) for i in local.tolist()]
+            return _rotated(np.array(words, dtype=np.int64).reshape(-1, m))
         if table is None:
-            necks = np.array(self.basis_words(m), dtype=np.int64).reshape(-1, m)
-            table = necks[:, (np.arange(m)[:, None] + np.arange(m)) % m]
+            table = _rotated(np.array(self.basis_words(m), dtype=np.int64).reshape(-1, m))
             self._rotations_memo[m] = table
-        return table
+        return table if local is None else table[local]
+
+    def weight_groups(self, column: np.ndarray):
+        """The entries of an array of necklace indices, grouped by weight:
+        (weight, positions, index - offset(weight)) per weight present."""
+        wt = self.weights(column)
+        for m in np.unique(wt).tolist():
+            rows = np.flatnonzero(wt == m)
+            yield m, rows, column[rows] - self.offset(m)
+
+    def _splices(self, ru: np.ndarray, rv: np.ndarray, qu: np.ndarray, qv: np.ndarray):
+        """The raw bracket terms of the necklace pairs q = (ru[qu[q]],
+        rv[qv[q]]), given by their rotation arrays (``rotations``): arrays
+        (q, target index, sign), one per splice.  Each splice joins the
+        tails of a rotation of the first necklace and a rotation of the
+        second whose first letters pair; it is ranked as a word of length
+        m1 + m2 - 2 and read through ``necklace_of_rank``."""
+        base, m1, m2 = 2 * self.g, ru.shape[1], rv.shape[1]
+        length = m1 + m2 - 2
+        # rotation a of the first against rotation b of the second; an empty
+        # splice (m1 = m2 = 1) is the empty necklace, which N kills
+        first_u, first_v = ru[:, :, 0], rv[:, :, 0]
+        hit = (first_u[qu][:, :, None] ^ 1) == first_v[qv][:, None, :]
+        q, a, b = np.nonzero(hit if length else hit[:0])
+        iu, iv = qu[q], qv[q]
+        tail_u = ru[:, :, 1:] @ base ** np.arange(m1 - 2, -1, -1, dtype=np.int64)
+        tail_v = rv[:, :, 1:] @ base ** np.arange(m2 - 2, -1, -1, dtype=np.int64)
+        splice = tail_u[iu, a] * base ** (m2 - 1) + tail_v[iv, b]
+        targets = self.necklace_of_rank(length)[splice] if length else splice
+        sign = 1 - 2 * (first_u[iu, a] & 1)  # +1 when the first letter is an a-letter
+        return q, targets, sign
+
+    def bracket_pairs(self, i: np.ndarray, j: np.ndarray):
+        """[N_i[q], N_j[q]] for each q, for two int64 arrays of necklace
+        indices of one length: CSR rows over q, (indptr, target index,
+        coeff), row q holding the terms of ``bracket_idx(i[q], j[q])`` in
+        index order.  Only the necklaces present are rotated; this is the
+        splice routine of ``bracket_table`` too, restricted to the pairs
+        asked for."""
+        parts = []
+        for m1, rows, first in self.weight_groups(i):
+            for m2, sub, second in self.weight_groups(j[rows]):
+                at = rows[sub]
+                nu, qu = np.unique(first[sub], return_inverse=True)
+                nv, qv = np.unique(second, return_inverse=True)
+                q, targets, sign = self._splices(
+                    self.rotations(m1, nu), self.rotations(m2, nv), qu, qv)
+                parts.append((at[q], targets, sign))
+        return _csr(parts, len(i))
 
     def bracket_table(self, m1: int, m2: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """[N_i, N_j] for every necklace i of weight m1 and j of weight m2,
         as CSR rows over the pairs q = (i - offset(m1)) * count(m2) + (j -
         offset(m2)): (indptr, target index, coeff), int64, row q holding
-        the terms of ``bracket_idx(i, j)`` in index order.  Each splice
-        joins the tails of a rotation of N_i and a rotation of N_j whose
-        first letters pair; it is ranked as a word of length m1 + m2 - 2
-        and read through ``necklace_of_rank``."""
+        the terms of ``bracket_idx(i, j)`` in index order.  The memoised
+        all-pairs case of ``bracket_pairs``, sized first."""
         key = (m1, m2)
         table = self._bracket_table_memo.get(key)
         if table is None:
-            base, length = 2 * self.g, m1 + m2 - 2
             c1, c2 = necklace_count(self.g, m1), necklace_count(self.g, m2)
             CellTooLarge.check(f"the bracket table of weights {m1} and {m2} (genus {self.g})",
                                c1 * c2 * m1 * m2)
-            ru, rv = self.rotations(m1), self.rotations(m2)
-            # rotation a of N_i against rotation b of N_j; an empty splice (m1 = m2 = 1)
-            # is the empty necklace, which N kills
-            hit = (ru[:, :, None, None, 0] ^ 1) == rv[None, None, :, :, 0]
-            iu, a, iv, b = np.nonzero(hit if length else hit[:0])
-            tail_u = ru[:, :, 1:] @ base ** np.arange(m1 - 2, -1, -1, dtype=np.int64)
-            tail_v = rv[:, :, 1:] @ base ** np.arange(m2 - 2, -1, -1, dtype=np.int64)
-            splice = tail_u[iu, a] * base ** (m2 - 1) + tail_v[iv, b]
-            targets = self.necklace_of_rank(length)[splice] if length else splice
-            sign = 1 - 2 * (ru[iu, a, 0] & 1)  # +1 when the first letter is an a-letter
-            (pair, targets), coeff = _summed((iu * c2 + iv, targets), sign)
-            indptr = np.searchsorted(pair, np.arange(c1 * c2 + 1, dtype=np.int64))
-            table = (indptr, targets, coeff)
+            qu = np.repeat(np.arange(c1, dtype=np.int64), c2)
+            qv = np.tile(np.arange(c2, dtype=np.int64), c1)
+            table = _csr([self._splices(self.rotations(m1), self.rotations(m2), qu, qv)], c1 * c2)
             self._bracket_table_memo[key] = table
         return table
 
@@ -469,6 +509,22 @@ class NecklaceContext:
             table = {m: np.concatenate(rows, axis=1) for m, rows in sorted(parts.items())}
             self._mu_table_memo[k] = table
         return table
+
+
+def _rotated(necks: np.ndarray) -> np.ndarray:
+    """The rotations of necklace words (n, m) as (n, m, m): rotation a of
+    row i in [i, a]."""
+    m = necks.shape[1]
+    return necks[:, (np.arange(m)[:, None] + np.arange(m)) % m]
+
+
+def _csr(parts: list, rows: int):
+    """Raw (row, target, coeff) terms summed into CSR rows over range(rows):
+    (indptr, target, coeff), each row's targets in index order."""
+    empty = np.zeros(0, dtype=np.int64)
+    row, target, coeff = map(np.concatenate, zip(*parts)) if parts else (empty,) * 3
+    (row, target), coeff = _summed((row, target), coeff)
+    return np.searchsorted(row, np.arange(rows + 1, dtype=np.int64)), target, coeff
 
 
 def _summed(keys: tuple[np.ndarray, ...], coeff: np.ndarray):

@@ -142,6 +142,64 @@ def oracle_solve_columns(columns, target):
     return x
 
 
+def _wedge_emit(pairs, tup):
+    """A ^ x on one wedge monomial x, for A given as ((a, b, coeff), ...)
+    with a < b."""
+    out = []
+    for x, y, c in pairs:
+        ins = C._insert2(tup, x, y)
+        if ins:
+            out.append((ins[1], ins[0] * c))
+    return out
+
+
+def _mod_wedge_emit(pairs, mono):
+    """m (x) (A ^ xi) on one module monomial m (x) xi."""
+    word, tup = mono
+    return [((word, t), c) for t, c in _wedge_emit(pairs, tup)]
+
+
+def _deriv_wedge_emit(terms, tup):
+    """Y ^ x on one wedge monomial x, for Y given as ((index, coeff), ...)."""
+    out = []
+    for k, c in terms:
+        ins = C._insert1(tup, k)
+        if ins:
+            out.append((ins[1], ins[0] * c))
+    return out
+
+
+def emit_matrix(src, tgt, emit):
+    """Matrix of the operator whose value on a basis monomial is
+    emit(monomial): column j is the image of the j-th monomial of src, in
+    the tgt basis."""
+    pos = tgt.position
+    columns = []
+    for mono in src.monomials:
+        col: dict = {}
+        for t, s in emit(mono):
+            j = pos[t]
+            col[j] = col.get(j, 0) + s
+        columns.append(col)
+    return C.SparseRationalMatrix(tgt.dim(), src.dim(), columns)
+
+
+def _mod_piece_emit(ctx, mu_handle, a, d_index: int, mono):
+    """(mu' - mu)(m) ^ xi - m (x) (d' - d) xi for deformation d_index of
+    mu_handle, where a is the matching cobracket deformation (None when
+    the cobracket is not deformed)."""
+    word, tup = mono
+    mu_terms = mu_handle.piece_terms(d_index, word)
+    d_terms = C.cochain_monomial(ctx, a, tup) if a is not None else ()
+    return C.module_coboundary(mu_terms, d_terms, mono)
+
+
+def _compose_into(acc: dict, c, first, then, mono) -> None:
+    """acc += c * (then . first)(mono) for two emitters."""
+    for t, s in first(mono):
+        _axpy(acc, c * s, then(t))
+
+
 def oracle_sigma_of(a, x_idx: int) -> tuple:
     """sigma(N_x)(A) straight from the bracket tables, in the coefficients
     of A (no scaling, no memo)."""
@@ -149,8 +207,8 @@ def oracle_sigma_of(a, x_idx: int) -> tuple:
     acc: dict = {}
     for (a_idx, b_idx), alpha in a.chain.terms():
         # [N_x, N_a] ^ N_b + N_a ^ [N_x, N_b]
-        _axpy(acc, alpha, D._deriv_wedge_emit(ctx.bracket_idx(x_idx, a_idx), (b_idx,)))
-        _axpy(acc, -alpha, D._deriv_wedge_emit(ctx.bracket_idx(x_idx, b_idx), (a_idx,)))
+        _axpy(acc, alpha, _deriv_wedge_emit(ctx.bracket_idx(x_idx, a_idx), (b_idx,)))
+        _axpy(acc, -alpha, _deriv_wedge_emit(ctx.bracket_idx(x_idx, b_idx), (a_idx,)))
     return tuple((i, j, c) for (i, j), c in sorted(acc.items()))
 
 
@@ -167,14 +225,14 @@ def oracle_homotopy_check(a, p: int, w: int) -> bool:
     of the identity in the coefficients of A itself."""
     ctx = algebra(a.g)
     bnd = partial(C.boundary_monomial, ctx)
-    wedge_a = partial(D._wedge_emit, a.wedge_pairs())
+    wedge_a = partial(_wedge_emit, a.wedge_pairs())
     nabla = [(ctx.index_of_word(nw), c) for nw, c in a.nabla().sorted_terms()]
     sigma = _OracleSigmaPiece(a)
     for tup in C.wedge_basis(a.g, p, w).monomials:
         lhs: dict = {}
-        D._compose_into(lhs, 1, wedge_a, bnd, tup)  # boundary(A ^ x)
-        D._compose_into(lhs, -1, bnd, wedge_a, tup)  # - A ^ boundary(x)
-        _axpy(lhs, 1, D._deriv_wedge_emit(nabla, tup))  # + (nabla A) ^ x
+        _compose_into(lhs, 1, wedge_a, bnd, tup)  # boundary(A ^ x)
+        _compose_into(lhs, -1, bnd, wedge_a, tup)  # - A ^ boundary(x)
+        _axpy(lhs, 1, _deriv_wedge_emit(nabla, tup))  # + (nabla A) ^ x
         rhs: dict = {}
         _axpy(rhs, 1, C.cochain_monomial(ctx, sigma, tup))
         if lhs != rhs:
@@ -187,19 +245,41 @@ def oracle_mod_homotopy_check(a, b, p: int, w: int) -> bool:
     sides in the coefficients of A and B themselves."""
     ctx = algebra(a.g)
     bnd = partial(C.mod_boundary_monomial, ctx)
-    wedge_b = partial(D._mod_wedge_emit, b.wedge_pairs())
+    wedge_b = partial(_mod_wedge_emit, b.wedge_pairs())
     piece = partial(
-        D._mod_piece_emit, ctx, D.DeformedComodule(a.g, [b]), _OracleSigmaPiece(a), 0
+        _mod_piece_emit, ctx, D.DeformedComodule(a.g, [b]), _OracleSigmaPiece(a), 0
     )
     for mono in C.mod_wedge_basis(a.g, p, w).monomials:
         lhs: dict = {}
-        D._compose_into(lhs, 1, wedge_b, bnd, mono)  # mod_boundary(m (x) B ^ xi)
-        D._compose_into(lhs, -1, bnd, wedge_b, mono)  # - E_B(mod_boundary(m (x) xi))
+        _compose_into(lhs, 1, wedge_b, bnd, mono)  # mod_boundary(m (x) B ^ xi)
+        _compose_into(lhs, -1, bnd, wedge_b, mono)  # - E_B(mod_boundary(m (x) xi))
         rhs: dict = {}
         _axpy(rhs, 1, piece(mono))
         if lhs != rhs:
             return False
     return True
+
+
+def oracle_sigma_piece(a, p: int, w: int):
+    """The monomial emission that deform.assemble_sigma_piece replaced:
+    every column of the sigma piece emitted through cochain_monomial, with
+    A standing for its piece X -> sigma(X)(A) as oracle_sigma_of gives it."""
+    src = C.wedge_basis(a.g, p, w)
+    tgt = C.wedge_basis(a.g, p + 1, w + a.weight - 2)
+    return emit_matrix(src, tgt, partial(C.cochain_monomial, algebra(a.g), _OracleSigmaPiece(a)))
+
+
+def oracle_mod_piece(mu_handle, delta_handle, d_index: int, p: int, w: int):
+    """The monomial emission that deform.assemble_mod_piece replaced: every
+    column of the module piece emitted through _mod_piece_emit, the
+    cobracket deformation standing for its piece as oracle_sigma_of gives
+    it."""
+    g = mu_handle.g
+    src = C.mod_wedge_basis(g, p, w)
+    tgt = C.mod_wedge_basis(g, p + 1, w + mu_handle.deformations[d_index].weight - 2)
+    ad = delta_handle.deformations[d_index] if d_index < len(delta_handle.deformations) else None
+    sigma = _OracleSigmaPiece(ad) if ad is not None else None
+    return emit_matrix(src, tgt, partial(_mod_piece_emit, algebra(g), mu_handle, sigma, d_index))
 
 
 def oracle_assemble(op, g, p, w, delta=None, mu=None):
@@ -222,7 +302,7 @@ def oracle_assemble(op, g, p, w, delta=None, mu=None):
         )
     if tgt is None or not src.monomials:
         return C.SparseRationalMatrix(tgt.dim() if tgt else 0, src.dim())
-    return C.emit_matrix(src, tgt, emit)
+    return emit_matrix(src, tgt, emit)
 
 
 def oracle_wedge_tuples(ctx, p: int, w: int):

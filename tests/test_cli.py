@@ -8,7 +8,8 @@ import pytest
 
 from necklaces import DerivationElem, ParseError, Tensor
 from necklaces.cli import main, parse_element, parse_range, parse_wedge
-from necklaces.complexes import wedge_basis
+from necklaces.complexes import ChainVector, wedge_basis
+from necklaces.lie import algebra
 
 
 class TestParseElement:
@@ -48,6 +49,17 @@ class TestParseElement:
         assert not v.is_zero()
         v2 = parse_wedge("N(b1)^N(a1)", 1)
         assert v2 == v.scale(-1)
+
+    def test_parse_wedge_ranks_without_the_basis_maps(self):
+        # the parsed pairs are ranked by cell_positions: the cell's monomial
+        # list and position dict are not built (a genus-3 cell that no other
+        # test reads)
+        v = parse_wedge("N(a3 b3 a3 b2)^N(a1) - 2 N(a1)^N(b2 a3 b3 a3) + N(a1)^N(b1 a2 a3 b3)", 3)
+        basis = wedge_basis(3, 2, 5)
+        assert basis._monomials is None and basis._position is None
+        ctx = algebra(3)
+        a1, x, y = (ctx.index_of_word(w) for w in ((0,), (3, 4, 5, 4), (1, 2, 4, 5)))
+        assert v == ChainVector.from_terms(basis, [((a1, x), -3), ((a1, y), 1)])
 
     def test_parse_range(self):
         assert parse_range("0..3") == (0, 3)
@@ -145,6 +157,23 @@ class TestCliCommands:
         out = json.loads(capsys.readouterr().out)
         assert rc == 0
         assert out["homotopy_identity"] and out["invariance"]["ok"]
+
+    def test_deform_long_necklace(self, tmp_path):
+        # with weight-3 factors, the weight-8 necklace of this A would need
+        # a whole-weight bracket table of weights 3 and 8, over the budget;
+        # the identity check splices only the pairs present.  The report is
+        # byte for byte the one the per-monomial check gave
+        out = tmp_path / "w9.json"
+        argv = ["deform", "--g", "2", "--A", "N(a1 b1 a1 b1 a1 b1 a1 a2)^N(a1)", "--check-lemma31"]
+        assert main(argv + ["--out", str(out)]) == 0
+        assert out.read_bytes() == (
+            b'{\n  "A": {\n    "g": 2,\n    "p": 2,\n    "terms": [\n      {\n'
+            b'        "coeff": "-1",\n        "wedge": [\n          "a1",\n'
+            b'          "a1 b1 a1 b1 a1 b1 a1 a2"\n        ]\n      }\n    ],\n'
+            b'    "w": 9\n  },\n  "g": 2,\n  "homotopy_identity": true,\n'
+            b'  "in_kernel": false,\n  "invariance": "skipped: A not in the kernel",\n'
+            b'  "seed": 0\n}\n'
+        )
 
     def test_expand_and_compare(self, tmp_path, capsys):
         th1 = tmp_path / "t1.json"

@@ -27,7 +27,7 @@ from necklaces.complexes import (
     wedge_dim,
 )
 from necklaces.complexes import _insert1, _insert2, _sort_wedge
-from necklaces.lie import algebra
+from necklaces.lie import NecklaceContext, algebra
 from necklaces.linalg import SparseRationalMatrix, int_csc
 from necklaces.verify import matrix_identity_suite
 from oracles import (
@@ -656,6 +656,28 @@ class TestNecklaceTables:
             i, j = divmod(q, count2)
             want = ctx.bracket_idx(ctx.offset(m1) + i, ctx.offset(m2) + j)
             assert sorted((k, c) for k, c in row.items() if c) == list(want), (q, want)
+
+    @pytest.mark.parametrize("g, top", [(1, 10), (2, 9)])
+    def test_bracket_pairs_are_bracket_idx(self, g, top):
+        # mixed weights in one call, repeated and swapped pairs; a weight-8
+        # necklace at g = 2 is rotated on its own, not with its whole weight
+        ctx, rng = NecklaceContext(g), random.Random(g)
+        ctx.basis_words(top - 1)
+        pairs = []
+        for _ in range(300):
+            m1 = rng.randrange(1, top - 1)
+            m2 = rng.randrange(1, top - m1)
+            pairs.append((rng.randrange(ctx.offset(m1), ctx.offset(m1 + 1)),
+                          rng.randrange(ctx.offset(m2), ctx.offset(m2 + 1))))
+        pairs += [pairs[0], pairs[1][::-1]]
+        i, j = np.array(pairs, dtype=np.int64).T
+        indptr, target, coeff = ctx.bracket_pairs(i, j)
+        assert len(indptr) == len(pairs) + 1
+        for q, (a, b) in enumerate(pairs):
+            at = slice(indptr[q], indptr[q + 1])
+            assert list(zip(target[at].tolist(), coeff[at].tolist())) == list(ctx.bracket_idx(a, b))
+        if g == 2:
+            assert 8 not in ctx._rotations_memo
 
     @pytest.mark.parametrize("g, m", DELTA_CASES)
     def test_delta_table_rows_are_delta_wedge(self, g, m):

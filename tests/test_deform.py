@@ -3,9 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from necklaces.complexes import ChainVector, wedge_basis
+import numpy as np
+
+from necklaces import deform as D
+from necklaces.complexes import ChainVector, action_table, wedge_basis
 from necklaces.deform import (
     DeformationElement,
+    assemble_sigma_piece,
     DeformedCobracket,
     DeformedComodule,
     ExpAdCobracket,
@@ -19,9 +23,15 @@ from necklaces.deform import (
     nabla_contract_chain,
     verify_deformation_invariance,
 )
-from necklaces.errors import ConditionFailed, MinWeightTooLow, NotInN
+from necklaces.errors import CellTooLarge, ConditionFailed, MinWeightTooLow, NotInN
 from necklaces.lie import DerivationElem, algebra
-from oracles import oracle_homotopy_check, oracle_mod_homotopy_check, oracle_sigma_of
+from oracles import (
+    oracle_homotopy_check,
+    oracle_mod_homotopy_check,
+    oracle_mod_piece,
+    oracle_sigma_of,
+    oracle_sigma_piece,
+)
 
 A1, B1, A2, B2 = 0, 1, 2, 3
 
@@ -222,6 +232,152 @@ class TestIntegerScaledChecks:
         ctx = algebra(2)
         for x in range(ctx.offset(4)):
             assert a.sigma_of(x) == oracle_sigma_of(a, x)
+
+
+def _weight9():
+    """N(a1) ^ N(a1 b1 a1 b1 a1 b1 a1 a2) at g = 2: off the kernel, and its
+    weight-8 necklace makes a whole-weight bracket table of weights 3 and 8
+    too large to build."""
+    ctx = algebra(2)
+    long = ctx.index_of_word((0, 1, 0, 1, 0, 1, 0, 2))
+    chain = ChainVector.from_terms(wedge_basis(2, 2, 9), [((ctx.index_of_word((0,)), long), 1)])
+    return DeformationElement(chain)
+
+
+def _flipped(a: DeformationElement, m: int) -> DeformationElement:
+    """The int element L*A with the sign of one entry of its weight-m sigma
+    table flipped."""
+    s = a.scaled(a._denominator)
+    indptr, x, y, c = s.sigma_csr(m)
+    c = c.copy()
+    c[len(c) // 2] *= -1
+    s._sigma[m] = (indptr, x, y, c)
+    return s
+
+
+class TestArrayChecks:
+    """The array identity checks against the per-monomial oracles, on
+    seeded elements: kernel and non-kernel A, Fraction coefficients, and
+    module pairs that pass and fail."""
+
+    LIE_CELLS = TestIntegerScaledChecks.LIE_CELLS + [(2, 5)]
+    MOD_CELLS = TestIntegerScaledChecks.MOD_CELLS
+
+    @pytest.mark.parametrize("g, w_a", [(1, 2), (1, 3), (1, 4), (2, 2), (2, 3)])
+    def test_lie_matches_oracle(self, g, w_a):
+        rng = random.Random(100 * g + w_a)
+        for in_kernel in (True, False):
+            a = DeformationElement(_random_two_vector(rng, g, w_a, in_kernel))
+            for p, w in self.LIE_CELLS:
+                assert homotopy_check(a, p, w) is oracle_homotopy_check(a, p, w) is True
+
+    @pytest.mark.parametrize("g, w_a", [(1, 2), (1, 3), (1, 4), (2, 2), (2, 3)])
+    def test_module_matches_oracle(self, g, w_a):
+        rng = random.Random(200 * g + w_a)
+        a = _random_two_vector(rng, g, w_a, True)
+        b = _random_two_vector(rng, g, w_a, rng.random() < 0.5)
+        verdicts = []
+        for p, w in self.MOD_CELLS:
+            for y in (a.scale(-1), a, a.scale(Fraction(-1, 2)), b):
+                dx, dy = DeformationElement(a), DeformationElement(y)
+                got = mod_homotopy_check(dx, dy, p, w)
+                assert got is oracle_mod_homotopy_check(dx, dy, p, w)
+                verdicts.append(got)
+        assert True in verdicts and False in verdicts
+
+    def test_sigma_table_fault_is_caught(self):
+        rng = random.Random(7)
+        for g, w_a in [(1, 3), (2, 3)]:
+            chain = _random_two_vector(rng, g, w_a, True)
+            a = DeformationElement(chain)
+            # L*A and -L*A, both int: _cleared leaves them as they are
+            plus = a.scaled(a._denominator)
+            minus = DeformationElement(chain.scale(-1)).scaled(a._denominator)
+            assert homotopy_check(plus, 1, 2) and mod_homotopy_check(plus, minus, 1, 2)
+            bad = _flipped(DeformationElement(chain), 2)
+            assert not homotopy_check(bad, 1, 2)
+            assert not mod_homotopy_check(bad, minus, 1, 2)
+
+    @pytest.mark.parametrize("scale", [Fraction(2**40, 3), Fraction(2**70, 7)])
+    def test_large_coefficients_are_exact(self, scale):
+        # L*A has entries near 2**40 (sums past 2**62 need Python ints) or
+        # past int64 altogether: the verdicts must still be the oracle's
+        rng = random.Random(8)
+        chain = _random_two_vector(rng, 2, 3, False).scale(scale)
+        a = DeformationElement(chain)
+        assert any(abs(c) > 2**39 for c in a.scaled(a._denominator).coeffs.tolist())
+        for p, w in [(1, 3), (2, 4)]:
+            assert homotopy_check(a, p, w) is oracle_homotopy_check(a, p, w) is True
+        kernel = DeformationElement(_random_two_vector(rng, 2, 3, True).scale(scale))
+        for b, want in [(kernel.chain.scale(-1), True), (kernel.chain, False)]:
+            b = DeformationElement(b)
+            got = mod_homotopy_check(kernel, b, 1, 3)
+            assert got is oracle_mod_homotopy_check(kernel, b, 1, 3) is want
+        assert not homotopy_check(_flipped(kernel, 2), 1, 2)
+
+    def test_exact_arithmetic_falls_back_to_python_ints(self):
+        big = np.array([2**40, -(2**40)], dtype=np.int64)
+        assert D._product(big, np.array([2**30, 3])).dtype == object
+        # eight terms of 2**60 sum past int64 on one key
+        (_,), sums = D._exact_sum((np.zeros(8, dtype=np.int64),), np.full(8, 2**60, dtype=np.int64))
+        assert sums.dtype == object and sums.tolist() == [2**63]
+        (_,), sums = D._exact_sum((np.arange(3),), np.array([1, -2, 3]))
+        assert sums.dtype == np.int64 and sums.tolist() == [1, -2, 3]
+
+    @pytest.mark.parametrize("g", [1, 2])
+    def test_sigma_piece_matches_emitter(self, g):
+        rng = random.Random(9 + g)
+        cells = [(p, w) for p in range(3) for w in range(7) if wedge_basis(g, p, w).dim()]
+        for w_a in (2, 3, 4):
+            a = DeformationElement(_random_two_vector(rng, g, w_a, True))
+            for p, w in cells:
+                if w + w_a - 2 > 8:
+                    continue
+                got, want = assemble_sigma_piece(a, p, w), oracle_sigma_piece(a, p, w)
+                assert (got.rows, got.cols, got.columns) == (want.rows, want.cols, want.columns)
+
+    @pytest.mark.parametrize("g", [1, 2])
+    def test_mod_piece_matches_emitter(self, g):
+        # criterion 7's module cells, with mu deformed by B and delta by A or
+        # not at all
+        rng = random.Random(19 + g)
+        cells = [(p, w) for p in range(3) for w in range(7 if g == 1 else 5)]
+        for w_a in (2, 3, 4):
+            a = _random_two_vector(rng, g, w_a, True)
+            b = _random_two_vector(rng, g, w_a, False)
+            mu_h = DeformedComodule(g, [b])
+            for delta_h in (DeformedCobracket(g, [a]), DeformedCobracket(g, [])):
+                for p, w in cells:
+                    got = D.assemble_mod_piece(mu_h, delta_h, 0, p, w)
+                    want = oracle_mod_piece(mu_h, delta_h, 0, p, w)
+                    assert (got.rows, got.cols, got.columns) == (want.rows, want.cols, want.columns)
+
+    def test_no_whole_weight_table_for_a_long_necklace(self):
+        # whole-weight tables for the weight-8 necklace would be over the
+        # budget: brackets with the weight-3 necklaces, and the action on
+        # words of length 4
+        a = _weight9()
+        assert not a.in_n
+        with pytest.raises(CellTooLarge):
+            algebra(2).bracket_table(3, 8)
+        with pytest.raises(CellTooLarge):
+            action_table(algebra(2), 4, 8)
+        for p, w in [(1, 3), (2, 4)]:
+            assert homotopy_check(a, p, w) is oracle_homotopy_check(a, p, w) is True
+        b = DeformationElement(a.chain.scale(-1))
+        for p, w in [(0, 2), (1, 3), (0, 4)]:
+            assert mod_homotopy_check(a, b, p, w) is oracle_mod_homotopy_check(a, b, p, w) is True
+
+    def test_delta_table_is_sigma_of(self):
+        rng = random.Random(12)
+        ctx = algebra(2)
+        a = DeformationElement(_random_two_vector(rng, 2, 3, True))
+        assert a._denominator > 1
+        for m in (1, 2, 3):
+            rows = a.delta_table(m).T.tolist()
+            for n in range(len(ctx.basis_words(m))):
+                got = tuple((x, y, c) for k, x, y, c in rows if k == n)
+                assert got == a.sigma_of(ctx.offset(m) + n) == oracle_sigma_of(a, ctx.offset(m) + n)
 
 
 class TestInvariance:

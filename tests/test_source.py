@@ -53,3 +53,35 @@ def test_cell_operators_emit_no_monomial():
         if isinstance(call, ast.Call) and ast.unparse(call.func).split(".")[-1] == "wedge_basis":
             found.append(f"wedge_basis(...).position at line {node.lineno}")
     assert not found, f"per-monomial emission in CellOperators: {found}"
+
+
+def test_identity_checks_emit_no_monomial():
+    # homotopy_check, mod_homotopy_check and every function, method or
+    # constructor of deform.py that they reach by name work on arrays of
+    # tuples: none of them names a per-monomial emitter or the bracket memo
+    tree = ast.parse((SRC / "deform.py").read_text(encoding="utf-8"))
+    defs: dict = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            defs.setdefault(node.name, []).append(node)
+        elif isinstance(node, ast.ClassDef):
+            defs.setdefault(node.name, []).extend(
+                n for n in node.body if isinstance(n, ast.FunctionDef) and n.name == "__init__")
+    forbidden = {"boundary_monomial", "cochain_monomial", "mod_boundary_monomial", "_insert2",
+                 "bracket_idx"}
+    seen, todo, found = set(), ["homotopy_check", "mod_homotopy_check"], []
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for fn in defs.get(name, ()):
+            for node in ast.walk(fn):
+                ref = getattr(node, "id", getattr(node, "attr", None))
+                if ref in forbidden:
+                    found.append(f"{ref} in {name} at line {node.lineno}")
+                elif ref in defs:
+                    todo.append(ref)
+    assert {"_wedge_into", "_bracket_source", "sigma_csr", "brackets", "_gamma_terms",
+            "DeformationElement", "nabla_contract_chain"} <= seen
+    assert not found, f"per-monomial emission in the identity checks: {found}"
