@@ -31,15 +31,16 @@ Boundary and coboundary matrices have one builder, :class:`CellOperators`
 cobracket tables, ranking the target tuples by ``cell_positions``; the
 module operators come from their word and wedge factors by the layout
 above.  No monomial is emitted one by one on this path, and no
-``WedgeBasis`` is built for it.  ``assemble`` and the homology engine read
-the matrices through ``SparseRationalMatrix.from_int_csc``; the monomial
-emitters serve chain vectors (``emit_vector``).  The deformation checks and
-pieces in ``necklaces.deform`` emit on arrays of tuples through the same
+``WedgeBasis`` is built for it.  ``assemble``, the homology engine and the
+operators on chain vectors read the matrices through
+``SparseRationalMatrix.from_int_csc``; ``sigma_wedge`` ranks its array
+emission into such a matrix too.  The deformation checks and pieces in
+``necklaces.deform`` emit on arrays of tuples through the same
 ``boundary_terms`` and ``cochain_terms``.
 """
 
-from bisect import bisect_left
-from functools import lru_cache, partial
+from bisect import bisect_right
+from functools import lru_cache
 from itertools import product
 from math import comb
 from typing import Iterable, Mapping, NamedTuple, Protocol, Sequence
@@ -60,10 +61,9 @@ ModKey = tuple[W.WordKey, WedgeKey]
 
 
 class CobracketHandle(Protocol):
-    """A cobracket as the assembly reads it: necklace by necklace
-    (``wedge_terms``) for the monomial emitters, and every necklace of a
-    weight at once (``delta_table``) for ``CellOperators``.  The two must
-    agree; ``delta_table_of`` reads the table off ``wedge_terms``."""
+    """A cobracket: every necklace of a weight at once (``delta_table``) for
+    ``CellOperators``, and necklace by necklace (``wedge_terms``) for
+    ``delta_table_of`` and ``DeformedCobracket.pieces``.  The two agree."""
 
     g: int
     name: str
@@ -81,10 +81,9 @@ class CobracketHandle(Protocol):
 
 
 class ComoduleHandle(Protocol):
-    """A comodule map as the assembly reads it: word by word (``mu_terms``)
-    for the monomial emitters, and every word of a length at once
-    (``mu_table``) for the ``CellOperators`` module coboundary.  The two
-    must agree."""
+    """A comodule map: every word of a length at once (``mu_table``) for
+    ``CellOperators``, and word by word (``mu_terms``) for
+    ``DeformedComodule.pieces`` and its ``mu_word``.  The two agree."""
 
     g: int
     name: str
@@ -152,42 +151,54 @@ class AlgComodule:
 # -- bases ------------------------------------------------------------------
 
 
-class WedgeBasis:
-    """Ordered basis of the (p, w) cell of the exterior algebra: the rows of
-    ``wedge_cell`` as Python tuples, with their positions, for the callers
-    that need monomials (chain vectors, homology representatives, the
-    monomial emitters).  The list of monomials and the position dict are
-    built when first read; ``monomial(i)`` reads one row without them.
-    The operator matrices do not build it."""
+class _LazyBasis:
+    """An ordered cell basis whose list of monomials (``_enumerate``) and
+    position dict are built when first read; ``monomial(i)`` decodes one
+    monomial without them (``_decode``).  The operator matrices build
+    neither."""
 
-    __slots__ = ("g", "p", "w", "_cell", "_monomials", "_position")
-
-    def __init__(self, g: int, p: int, w: int):
-        self.g, self.p, self.w = g, p, w
-        self._cell = wedge_cell(g, p, w)
-        self._monomials: list[WedgeKey] | None = None
-        self._position: dict[WedgeKey, int] | None = None
+    __slots__ = ("g", "p", "w", "_monomials", "_position")
 
     @property
-    def monomials(self) -> list[WedgeKey]:
+    def monomials(self) -> list:
         if self._monomials is None:
-            cell = self._cell
-            shared = list(range(cell.max(initial=-1) + 1))  # one int object per index
-            columns = (map(shared.__getitem__, col) for col in cell.T.tolist())
-            self._monomials = list(zip(*columns)) if self.p else [()] * len(cell)
+            self._monomials = self._enumerate()
         return self._monomials
 
     @property
-    def position(self) -> dict[WedgeKey, int]:
-        """The position of each monomial; a caller that ranks a few tuples
-        can use ``cell_positions`` instead."""
+    def position(self) -> dict:
+        """The position of each monomial; a caller that ranks a few wedge
+        tuples can use ``cell_positions`` instead."""
         if self._position is None:
             self._position = {t: i for i, t in enumerate(self.monomials)}
         return self._position
 
-    def monomial(self, i: int) -> WedgeKey:
-        if self._monomials is not None:
-            return self._monomials[i]
+    def monomial(self, i: int):
+        return self._decode(i) if self._monomials is None else self._monomials[i]
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(g={self.g}, p={self.p}, w={self.w}, dim={self.dim()})"
+
+
+class WedgeBasis(_LazyBasis):
+    """Ordered basis of the (p, w) cell of the exterior algebra: the rows of
+    ``wedge_cell`` as Python tuples, with their positions, for the callers
+    that need monomials (chain vectors as terms, homology representatives)."""
+
+    __slots__ = ("_cell",)
+
+    def __init__(self, g: int, p: int, w: int):
+        self.g, self.p, self.w = g, p, w
+        self._cell = wedge_cell(g, p, w)
+        self._monomials = self._position = None
+
+    def _enumerate(self) -> list[WedgeKey]:
+        cell = self._cell
+        shared = list(range(cell.max(initial=-1) + 1))  # one int object per index
+        columns = (map(shared.__getitem__, col) for col in cell.T.tolist())
+        return list(zip(*columns)) if self.p else [()] * len(cell)
+
+    def _decode(self, i: int) -> WedgeKey:
         return tuple(self._cell[i].tolist())
 
     def dim(self) -> int:
@@ -197,9 +208,6 @@ class WedgeBasis:
         ctx = algebra(self.g)
         parts = [f"N({W.word_name(ctx.word_at(k))})" for k in self.monomial(i)]
         return "^".join(parts) if parts else "1"
-
-    def __repr__(self) -> str:
-        return f"WedgeBasis(g={self.g}, p={self.p}, w={self.w}, dim={self.dim()})"
 
 
 @lru_cache(maxsize=None)
@@ -338,36 +346,41 @@ def mod_layout(g: int, p: int, w: int) -> ModLayout:
     return ModLayout(tuple(offsets), dims)
 
 
-class ModWedgeBasis:
+class ModWedgeBasis(_LazyBasis):
     """Ordered basis of the (p, w) module cell: (word, wedge tuple) pairs
-    with len(word) + wedge weight = w, in the ``mod_layout`` order."""
+    with len(word) + wedge weight = w, in the ``mod_layout`` order.  A
+    pair is decoded from its block (bisecting the block offsets), the
+    base-2g digits of its word rank and its row of the wedge cell."""
 
-    __slots__ = ("g", "p", "w", "monomials", "position")
+    __slots__ = ("_layout",)
 
     def __init__(self, g: int, p: int, w: int):
         self.g, self.p, self.w = g, p, w
-        mons: list[ModKey] = []
-        for k, d in enumerate(mod_layout(g, p, w).wedge_dims):
-            if d:
-                sub = wedge_basis(g, p, w - k).monomials
-                mons.extend((word, t) for word in product(range(2 * g), repeat=k) for t in sub)
-        self.monomials = mons
-        self.position = {m: i for i, m in enumerate(mons)}
+        self._layout = mod_layout(g, p, w)
+        self._monomials = self._position = None
+
+    def _enumerate(self) -> list[ModKey]:
+        return [(word, t) for k, d in enumerate(self._layout.wedge_dims) if d
+                for sub in (wedge_basis(self.g, self.p, self.w - k).monomials,)
+                for word in product(range(2 * self.g), repeat=k) for t in sub]
+
+    def _decode(self, i: int) -> ModKey:
+        offsets, dims = self._layout
+        if not 0 <= i < offsets[-1]:
+            raise IndexError(f"position {i} is out of the module cell of dim {offsets[-1]}")
+        k = bisect_right(offsets, i) - 1
+        rank, pos = divmod(i - offsets[k], dims[k])
+        word = [rank // (2 * self.g) ** e % (2 * self.g) for e in range(k - 1, -1, -1)]
+        return tuple(word), tuple(wedge_cell(self.g, self.p, self.w - k)[pos].tolist())
 
     def dim(self) -> int:
-        return len(self.monomials)
-
-    def monomial(self, i: int) -> ModKey:
-        return self.monomials[i]
+        return self._layout.dim
 
     def describe(self, i: int) -> str:
-        word, t = self.monomials[i]
+        word, t = self.monomial(i)
         ctx = algebra(self.g)
         wedge = "^".join(f"N({W.word_name(k2)})" for k2 in map(ctx.word_at, t))
         return f"({W.word_name(word) or '1'})(x)({wedge or '1'})"
-
-    def __repr__(self) -> str:
-        return f"ModWedgeBasis(g={self.g}, p={self.p}, w={self.w}, dim={self.dim()})"
 
 
 @lru_cache(maxsize=None)
@@ -461,27 +474,6 @@ class ModChainVector(_CellVector):
 # -- sign helpers ------------------------------------------------------------
 
 
-def _insert1(tup: WedgeKey, k: int):
-    """Insert one index into a sorted tuple: (sign, new tuple) or None."""
-    pos = bisect_left(tup, k)
-    if pos < len(tup) and tup[pos] == k:
-        return None
-    return (1 if pos % 2 == 0 else -1), tup[:pos] + (k,) + tup[pos:]
-
-
-def _insert2(tup: WedgeKey, a: int, b: int):
-    """Insert two indices a < b: (sign, new tuple) or None on repeats."""
-    ia = bisect_left(tup, a)
-    if ia < len(tup) and tup[ia] == a:
-        return None
-    ib = bisect_left(tup, b)
-    if ib < len(tup) and tup[ib] == b:
-        return None
-    sign = 1 if (ia + ib) % 2 == 0 else -1
-    first = tup[:ia] + (a,) + tup[ia:]
-    return sign, first[: ib + 1] + (b,) + first[ib + 1 :]
-
-
 def _sort_wedge(idxs: WedgeKey):
     """Sort an arbitrary index tuple: (sorted tuple, permutation sign);
     sign 0 when an index repeats."""
@@ -499,111 +491,9 @@ def _sort_wedge(idxs: WedgeKey):
     return tuple(arr), sign
 
 
-# -- monomial-level emissions -------------------------------------------------
-
-
-def boundary_monomial(ctx: NecklaceContext, tup: WedgeKey):
-    out = []
-    p = len(tup)
-    for ii in range(p):
-        for jj in range(ii + 1, p):
-            terms = ctx.bracket_idx(tup[ii], tup[jj])
-            if not terms:
-                continue
-            rest = tup[:ii] + tup[ii + 1 : jj] + tup[jj + 1 :]
-            s0 = -1 if (ii + jj) % 2 == 1 else 1  # (-1)^{i+j} = (-1)^{ii+jj}, 1-based
-            for k, c in terms:
-                ins = _insert1(rest, k)
-                if ins:
-                    sgn, newtup = ins
-                    out.append((newtup, s0 * sgn * c))
-    return out
-
-
-def sigma_monomial(ctx: NecklaceContext, y_idx: int, tup: WedgeKey):
-    out = []
-    for ii in range(len(tup)):
-        terms = ctx.bracket_idx(y_idx, tup[ii])
-        if not terms:
-            continue
-        rest = tup[:ii] + tup[ii + 1 :]
-        si = 1 if ii % 2 == 0 else -1
-        for k, c in terms:
-            ins = _insert1(rest, k)
-            if ins:
-                sgn, newtup = ins
-                out.append((newtup, si * sgn * c))
-    return out
-
-
-def cochain_monomial(ctx: NecklaceContext, delta: CobracketHandle, tup: WedgeKey):
-    out = []
-    for ii in range(len(tup)):
-        terms = delta.wedge_terms(tup[ii])
-        if not terms:
-            continue
-        rest = tup[:ii] + tup[ii + 1 :]
-        s0 = -1 if ii % 2 == 0 else 1  # (-1)^i, 1-based
-        for a, b, c in terms:
-            ins = _insert2(rest, a, b)
-            if ins:
-                sgn, newtup = ins
-                out.append((newtup, s0 * sgn * c))
-    return out
-
-
-def gamma_monomial(ctx: NecklaceContext, word: W.WordKey, tup: WedgeKey):
-    out = []
-    for ii in range(len(tup)):
-        rest = tup[:ii] + tup[ii + 1 :]
-        s0 = -1 if ii % 2 == 0 else 1  # (-1)^i, 1-based
-        neck = ctx.word_at(tup[ii])
-        for neww, s in ctx.act_word(neck, word):
-            out.append(((neww, rest), s0 * s))
-    return out
-
-
-def mod_boundary_monomial(ctx: NecklaceContext, mono: ModKey):
-    word, tup = mono
-    out = gamma_monomial(ctx, word, tup)
-    for newtup, c in boundary_monomial(ctx, tup):
-        out.append(((word, newtup), c))
-    return out
-
-
-def mod_cochain_monomial(
-    ctx: NecklaceContext, delta: CobracketHandle, mu: ComoduleHandle, mono: ModKey
-):
-    # d(m (x) xi) = mu(m) ^ xi - m (x) d xi.  The relative minus (constant
-    # in p) is forced: the unit-word part of d*boundary + boundary*d reduces
-    # to a multiple of the wedge-level anticommutator only when the sign of
-    # the m (x) d xi term does not depend on p, and the p = 0, 1 cells pin
-    # it to -1 given our splitting conventions.  A p-dependent sign here
-    # provably breaks the p = 2 module cells (genus 2, weight 6).
-    word, tup = mono
-    return module_coboundary(mu.mu_terms(word), cochain_monomial(ctx, delta, tup), mono)
-
-
-def module_coboundary(mu_terms, d_terms, mono: ModKey):
-    """mu(m) ^ xi - m (x) d xi on one module monomial m (x) xi, given
-    mu(m) as ((word, necklace index, coeff), ...) and d xi as ((wedge,
-    coeff), ...).  The deformation pieces pass the differences mu' - mu and
-    d' - d instead."""
-    word, tup = mono
-    out = []
-    for w2, k, c in mu_terms:
-        ins = _insert1(tup, k)
-        if ins:
-            sgn, newtup = ins
-            out.append(((w2, newtup), c * sgn))
-    for newtup, c in d_terms:
-        out.append(((word, newtup), -c))
-    return out
-
-
 # -- array emissions -----------------------------------------------------------
 #
-# The same operators on an int64 array of sorted index tuples, one tuple a
+# The wedge operators on an int64 array of sorted index tuples, one tuple a
 # row (a whole cell, ``wedge_cell``, or any part of one): the terms come
 # out as (source row, target tuples, coeff) arrays, the target tuples
 # sorted, and no term where an inserted index is already a factor.  The
@@ -624,7 +514,7 @@ def _insert(rest: np.ndarray, new: np.ndarray):
     """Insert the columns of new into the sorted rows of rest: (sorted rows,
     the sign (-1)^{#(rest < x)} multiplied over x in new, and the mask of
     the rows where some x is already in rest).  The x of a row must be
-    distinct and, when two, increasing, as in ``_insert2``."""
+    distinct and, when two, increasing (a ^ b ^ rest is sorted)."""
     below = (rest[:, :, None] < new[:, None, :]).sum(axis=(1, 2))
     clash = (rest[:, :, None] == new[:, None, :]).any(axis=(1, 2))
     return np.sort(np.concatenate([rest, new], axis=1), axis=1), 1 - 2 * (below & 1), clash
@@ -654,7 +544,8 @@ def boundary_terms(ctx: NecklaceContext, tuples: np.ndarray, bracket=table_brack
     pair of factors the terms of their bracket are gathered, by default
     from ``NecklaceContext.bracket_table`` (``table_bracket``; a caller may
     pass another source of the same form), the two factors deleted and the
-    bracket inserted, with the signs of ``boundary_monomial``."""
+    bracket inserted: the sign is (-1)^{i+j} of the pair of factors
+    (1-based) times the insertion sign of ``_insert``."""
     n, p = tuples.shape
     parts = []
     for ii in range(p):
@@ -676,8 +567,9 @@ def cochain_terms(ctx: NecklaceContext, table, tuples: np.ndarray):
     (n, p): arrays (source row, target tuple (t, p+1), coeff).  table(m)
     gives the cobracket of the necklaces of weight m in CSR form over them,
     (indptr, a, b, coeff) with a < b (``CellOperators._delta_table``); each
-    factor is deleted and both halves of its cobracket inserted, with the
-    signs of ``cochain_monomial``."""
+    factor is deleted and both halves of its cobracket inserted: the sign
+    is (-1)^i of the factor (1-based) times the insertion sign of
+    ``_insert``."""
     n, p = tuples.shape
     parts = []
     for ii in range(p):
@@ -693,20 +585,10 @@ def cochain_terms(ctx: NecklaceContext, table, tuples: np.ndarray):
     return _emitted(parts, p + 1)
 
 
-# -- emitter path to a vector ---------------------------------------------------
-
-
-def emit_vector(x: _CellVector, tgt, emit) -> _CellVector:
-    """Image of a chain vector under the operator whose value on a basis
-    monomial is emit(monomial), as a vector of the same type in tgt."""
-    acc: dict = {}
-    monomials = x.basis.monomials
-    for i, c in x.coeffs.items():
-        axpy(acc, c, emit(monomials[i]))
-    return type(x).from_terms(tgt, acc.items())
-
-
 # -- operators on chain vectors ----------------------------------------------
+#
+# Each is an int64 operator matrix (``assemble``, or ranked from an array
+# emission) times the vector's coefficients: exact, whatever their type.
 
 
 def boundary(x: ChainVector) -> ChainVector:
@@ -715,36 +597,51 @@ def boundary(x: ChainVector) -> ChainVector:
     if b.p < 1:
         raise ValueError("boundary needs p >= 1")
     target = wedge_basis(b.g, b.p - 1, max(b.w - 2, 0))
-    return emit_vector(x, target, partial(boundary_monomial, algebra(b.g)))
+    return ChainVector(target, assemble("boundary", b.g, b.p, b.w).matvec(x.coeffs))
 
 
 def sigma_wedge(y: DerivationElem, x: ChainVector) -> ChainVector:
-    """Diagonal action of a weight-homogeneous derivation on a wedge cell."""
+    """Diagonal action of a weight-homogeneous derivation on a wedge cell:
+    each factor X_i of a monomial is replaced by the terms of [Y, X_i]
+    (``NecklaceContext.bracket_pairs``), inserted by ``_insert``, with the
+    sign (-1)^{i-1} (1-based) of moving X_i to the front."""
     ws = y.weight_support()
     if len(ws) > 1:
         raise ValueError("sigma_wedge needs a weight-homogeneous derivation")
     b = x.basis
     if y.g != b.g:
         raise GenusMismatch(f"genus {y.g} != {b.g}")
-    if not ws:
-        return ChainVector(wedge_basis(b.g, b.p, b.w))
-    out = ChainVector(wedge_basis(b.g, b.p, max(b.w + ws[0] - 2, 0)))
-    if x.is_zero():
-        return out
-    ctx = algebra(b.g)
-    for nw, cy in y.terms.items():
-        emit = partial(sigma_monomial, ctx, ctx.index_of_word(nw))
-        out = out + emit_vector(x, out.basis, emit).scale(cy)
-    return out
+    target = wedge_basis(b.g, b.p, max(b.w + ws[0] - 2, 0) if ws else b.w)
+    ctx, n = algebra(b.g), len(x.coeffs)
+    necks = np.array([ctx.index_of_word(nw) for nw in y.terms], dtype=np.int64)
+    tuples = wedge_cell(b.g, b.p, b.w)[list(x.coeffs)]
+    parts = []
+    for ii in range(b.p):
+        # column q = (position of the necklace in y) * n + row of the tuple
+        indptr, new, coeff = ctx.bracket_pairs(
+            np.repeat(necks, n), np.tile(tuples[:, ii], len(necks)))
+        q = np.repeat(np.arange(len(necks) * n), np.diff(indptr))
+        new, sign, clash = _insert(np.delete(tuples, ii, axis=1)[q % n], new[:, None])
+        parts.append((q[~clash], new[~clash], ((-1) ** ii * sign * coeff)[~clash]))
+    q, new, coeff = _emitted(parts, b.p)
+    if not len(q):
+        return ChainVector(target)
+    weights = {i * n + j: cy * cx for i, cy in enumerate(y.terms.values())
+               for j, cx in enumerate(x.coeffs.values())}
+    matrix = int_csc(target.dim(), len(weights), cell_positions(b.g, b.p, target.w, new), q, coeff)
+    return ChainVector(target, SparseRationalMatrix.from_int_csc(matrix).matvec(weights))
 
 
 def cochain_d(x: ChainVector, delta: CobracketHandle) -> ChainVector:
-    """Cobracket-induced coboundary; lands in (p+1, w-2); 0 on scalars."""
+    """Cobracket-induced coboundary; lands in (p+1, w-2); 0 on scalars.
+    The handle is read through ``CellOperators``: a coefficient that is not
+    an int raises TypeError, and a table that does not lower the weight by
+    2 raises ValueError."""
     b = x.basis
     target = wedge_basis(b.g, b.p + 1, max(b.w - 2, 0))
     if b.p == 0 or b.w < 2:
         return ChainVector(target)
-    return emit_vector(x, target, partial(cochain_monomial, algebra(b.g), delta))
+    return ChainVector(target, assemble("cochain_d", b.g, b.p, b.w, delta).matvec(x.coeffs))
 
 
 def mod_boundary(x: ModChainVector) -> ModChainVector:
@@ -753,19 +650,20 @@ def mod_boundary(x: ModChainVector) -> ModChainVector:
     if b.p < 1:
         raise ValueError("module boundary needs p >= 1")
     target = mod_wedge_basis(b.g, b.p - 1, max(b.w - 2, 0))
-    return emit_vector(x, target, partial(mod_boundary_monomial, algebra(b.g)))
+    return ModChainVector(target, assemble("mod_boundary", b.g, b.p, b.w).matvec(x.coeffs))
 
 
 def mod_cochain_d(
     x: ModChainVector, delta: CobracketHandle, mu: ComoduleHandle
 ) -> ModChainVector:
-    """Module coboundary mu(m)^xi - m (x) d xi (a constant relative sign);
-    lands in (p+1, w-2)."""
+    """Module coboundary mu(m)^xi - m (x) d xi, the minus constant in p (see
+    ``mod_cochain_monomial`` in tests/oracles.py); lands in (p+1, w-2).
+    The handles are read as by ``cochain_d``."""
     b = x.basis
     if b.w < 2:
         return ModChainVector(mod_wedge_basis(b.g, b.p + 1, 0))
-    target = mod_wedge_basis(b.g, b.p + 1, b.w - 2)
-    return emit_vector(x, target, partial(mod_cochain_monomial, algebra(b.g), delta, mu))
+    matrix = assemble("mod_cochain_d", b.g, b.p, b.w, delta, mu)
+    return ModChainVector(mod_wedge_basis(b.g, b.p + 1, b.w - 2), matrix.matvec(x.coeffs))
 
 
 def wedge_product(x: ChainVector, y: ChainVector) -> ChainVector:
@@ -820,11 +718,12 @@ def assemble(
 #   module cochain d = mu ^ - 1 (x) d,           mu ^  = sum_n M_n (x) eps_n
 #
 # where A_n is the action of the necklace n on words (``action_table``),
-# iota_n removes n from a wedge tuple with the sign of gamma_monomial, M_n
-# is the part of mu that splits off n, read from the comodule handle's
-# ``mu_table`` (for the canonical handle, ``NecklaceContext.mu_table``
-# computes it for every word of a length at once, by rank arithmetic), and
-# eps_n inserts n (``_insert1``).  The word-side tables are shared by every
+# iota_n removes n from a wedge tuple with the sign (-1)^i of its place i
+# (1-based), M_n is the part of mu that splits off n, read from the
+# comodule handle's ``mu_table`` (for the canonical handle,
+# ``NecklaceContext.mu_table`` computes it for every word of a length at
+# once, by rank arithmetic), and eps_n inserts n with the sign
+# (-1)^{#(factors below n)} (``_insert``).  The word-side tables are shared by every
 # cell; the wedge-side tables are small.  Their product over n is numpy
 # index arithmetic, so no module monomial and no word is ever enumerated.
 
@@ -978,7 +877,7 @@ class CellOperators:
             acc: dict[int, list] = {}
             for ii in range(p):
                 rest = np.delete(tuples, ii, axis=1)
-                sign = -1 if ii % 2 == 0 else 1  # (-1)^i, 1-based, as in gamma_monomial
+                sign = -1 if ii % 2 == 0 else 1  # (-1)^i, 1-based
                 for m, rows, local in self.ctx.weight_groups(tuples[:, ii]):
                     t = cell_positions(self.g, p - 1, v - m, rest[rows])
                     acc.setdefault(m, []).append(np.stack([rows, local, t, np.full_like(t, sign)]))

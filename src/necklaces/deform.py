@@ -652,9 +652,10 @@ def _action_terms(ctx, k: int, necks: np.ndarray):
 
 
 def _gamma_terms(ctx, k: int, tuples: np.ndarray):
-    """Gamma on (every word of length k) (x) (every row of tuples), with the
-    signs of ``complexes.gamma_monomial``: arrays (row, source word, target
-    length, target word, target tuple, sign)."""
+    """Gamma on (every word of length k) (x) (every row of tuples): the
+    action of each factor X_i on the word, X_i removed with the sign (-1)^i
+    (1-based) times the sign of the action; arrays (row, source word,
+    target length, target word, target tuple, sign)."""
     empty = np.zeros(0, dtype=np.int64)
     parts = [(empty,) * 4 + (tuples[:0, 1:], empty)]
     for ii in range(tuples.shape[1]):

@@ -6,6 +6,7 @@ on raw words, with their own pairing and canonicalization, so a bug in the
 fast path cannot hide.  The others are the reference paths that a fast
 path replaced, kept here in their original arithmetic."""
 
+from bisect import bisect_left
 from fractions import Fraction
 from functools import partial
 from itertools import product
@@ -15,10 +16,157 @@ import numpy as np
 from necklaces import complexes as C
 from necklaces import deform as D
 from necklaces import expansion as E
+from necklaces import words as W
+from necklaces.complexes import CobracketHandle, ComoduleHandle, ModKey, WedgeKey, _CellVector
 from necklaces.errors import InconsistentExpansions, NotCyclic
-from necklaces.lie import DerivationElem, algebra, exp_derivation, necklace_normal_form
+from necklaces.lie import (
+    DerivationElem,
+    NecklaceContext,
+    algebra,
+    exp_derivation,
+    necklace_normal_form,
+)
 from necklaces.linalg import _int_scale_column, _reduce_int, column_echelon_int, int_values
-from necklaces.tensors import PairTensor, Tensor, TruncatedSeries, exp_series
+from necklaces.tensors import PairTensor, Tensor, TruncatedSeries, axpy, exp_series
+
+
+# -- per-monomial emitters ------------------------------------------------------
+#
+# The monomial-by-monomial operators that the chain-vector operators of
+# ``necklaces.complexes`` (boundary, sigma_wedge, cochain_d, mod_boundary,
+# mod_cochain_d) replaced with matrix-vector products, and the reference
+# form of every matrix and array emission there.  Signs are 1-based.
+
+
+def _insert1(tup: WedgeKey, k: int):
+    """Insert one index into a sorted tuple: (sign, new tuple) or None."""
+    pos = bisect_left(tup, k)
+    if pos < len(tup) and tup[pos] == k:
+        return None
+    return (1 if pos % 2 == 0 else -1), tup[:pos] + (k,) + tup[pos:]
+
+
+def _insert2(tup: WedgeKey, a: int, b: int):
+    """Insert two indices a < b: (sign, new tuple) or None on repeats."""
+    ia = bisect_left(tup, a)
+    if ia < len(tup) and tup[ia] == a:
+        return None
+    ib = bisect_left(tup, b)
+    if ib < len(tup) and tup[ib] == b:
+        return None
+    sign = 1 if (ia + ib) % 2 == 0 else -1
+    first = tup[:ia] + (a,) + tup[ia:]
+    return sign, first[: ib + 1] + (b,) + first[ib + 1 :]
+
+
+def boundary_monomial(ctx: NecklaceContext, tup: WedgeKey):
+    out = []
+    p = len(tup)
+    for ii in range(p):
+        for jj in range(ii + 1, p):
+            terms = ctx.bracket_idx(tup[ii], tup[jj])
+            if not terms:
+                continue
+            rest = tup[:ii] + tup[ii + 1 : jj] + tup[jj + 1 :]
+            s0 = -1 if (ii + jj) % 2 == 1 else 1  # (-1)^{i+j} = (-1)^{ii+jj}, 1-based
+            for k, c in terms:
+                ins = _insert1(rest, k)
+                if ins:
+                    sgn, newtup = ins
+                    out.append((newtup, s0 * sgn * c))
+    return out
+
+
+def sigma_monomial(ctx: NecklaceContext, y_idx: int, tup: WedgeKey):
+    out = []
+    for ii in range(len(tup)):
+        terms = ctx.bracket_idx(y_idx, tup[ii])
+        if not terms:
+            continue
+        rest = tup[:ii] + tup[ii + 1 :]
+        si = 1 if ii % 2 == 0 else -1
+        for k, c in terms:
+            ins = _insert1(rest, k)
+            if ins:
+                sgn, newtup = ins
+                out.append((newtup, si * sgn * c))
+    return out
+
+
+def cochain_monomial(ctx: NecklaceContext, delta: CobracketHandle, tup: WedgeKey):
+    out = []
+    for ii in range(len(tup)):
+        terms = delta.wedge_terms(tup[ii])
+        if not terms:
+            continue
+        rest = tup[:ii] + tup[ii + 1 :]
+        s0 = -1 if ii % 2 == 0 else 1  # (-1)^i, 1-based
+        for a, b, c in terms:
+            ins = _insert2(rest, a, b)
+            if ins:
+                sgn, newtup = ins
+                out.append((newtup, s0 * sgn * c))
+    return out
+
+
+def gamma_monomial(ctx: NecklaceContext, word: W.WordKey, tup: WedgeKey):
+    out = []
+    for ii in range(len(tup)):
+        rest = tup[:ii] + tup[ii + 1 :]
+        s0 = -1 if ii % 2 == 0 else 1  # (-1)^i, 1-based
+        neck = ctx.word_at(tup[ii])
+        for neww, s in ctx.act_word(neck, word):
+            out.append(((neww, rest), s0 * s))
+    return out
+
+
+def mod_boundary_monomial(ctx: NecklaceContext, mono: ModKey):
+    word, tup = mono
+    out = gamma_monomial(ctx, word, tup)
+    for newtup, c in boundary_monomial(ctx, tup):
+        out.append(((word, newtup), c))
+    return out
+
+
+def mod_cochain_monomial(
+    ctx: NecklaceContext, delta: CobracketHandle, mu: ComoduleHandle, mono: ModKey
+):
+    # d(m (x) xi) = mu(m) ^ xi - m (x) d xi.  The relative minus (constant
+    # in p) is forced: the unit-word part of d*boundary + boundary*d reduces
+    # to a multiple of the wedge-level anticommutator only when the sign of
+    # the m (x) d xi term does not depend on p, and the p = 0, 1 cells pin
+    # it to -1 given our splitting conventions.  A p-dependent sign here
+    # provably breaks the p = 2 module cells (genus 2, weight 6).
+    word, tup = mono
+    return module_coboundary(mu.mu_terms(word), cochain_monomial(ctx, delta, tup), mono)
+
+
+def module_coboundary(mu_terms, d_terms, mono: ModKey):
+    """mu(m) ^ xi - m (x) d xi on one module monomial m (x) xi, given
+    mu(m) as ((word, necklace index, coeff), ...) and d xi as ((wedge,
+    coeff), ...).  The deformation pieces pass the differences mu' - mu and
+    d' - d instead."""
+    word, tup = mono
+    out = []
+    for w2, k, c in mu_terms:
+        ins = _insert1(tup, k)
+        if ins:
+            sgn, newtup = ins
+            out.append(((w2, newtup), c * sgn))
+    for newtup, c in d_terms:
+        out.append(((word, newtup), -c))
+    return out
+
+
+def emit_vector(x: _CellVector, tgt, emit) -> _CellVector:
+    """Image of a chain vector under the operator whose value on a basis
+    monomial is emit(monomial), as a vector of the same type in tgt."""
+    acc: dict = {}
+    monomials = x.basis.monomials
+    for i, c in x.coeffs.items():
+        axpy(acc, c, emit(monomials[i]))
+    return type(x).from_terms(tgt, acc.items())
+
 
 def pair(x: int, y: int) -> int:
     if y == (x ^ 1):
@@ -147,7 +295,7 @@ def _wedge_emit(pairs, tup):
     with a < b."""
     out = []
     for x, y, c in pairs:
-        ins = C._insert2(tup, x, y)
+        ins = _insert2(tup, x, y)
         if ins:
             out.append((ins[1], ins[0] * c))
     return out
@@ -163,7 +311,7 @@ def _deriv_wedge_emit(terms, tup):
     """Y ^ x on one wedge monomial x, for Y given as ((index, coeff), ...)."""
     out = []
     for k, c in terms:
-        ins = C._insert1(tup, k)
+        ins = _insert1(tup, k)
         if ins:
             out.append((ins[1], ins[0] * c))
     return out
@@ -190,8 +338,8 @@ def _mod_piece_emit(ctx, mu_handle, a, d_index: int, mono):
     the cobracket is not deformed)."""
     word, tup = mono
     mu_terms = mu_handle.piece_terms(d_index, word)
-    d_terms = C.cochain_monomial(ctx, a, tup) if a is not None else ()
-    return C.module_coboundary(mu_terms, d_terms, mono)
+    d_terms = cochain_monomial(ctx, a, tup) if a is not None else ()
+    return module_coboundary(mu_terms, d_terms, mono)
 
 
 def _compose_into(acc: dict, c, first, then, mono) -> None:
@@ -224,7 +372,7 @@ def oracle_homotopy_check(a, p: int, w: int) -> bool:
     """The Fraction path that deform.homotopy_check replaced: both sides
     of the identity in the coefficients of A itself."""
     ctx = algebra(a.g)
-    bnd = partial(C.boundary_monomial, ctx)
+    bnd = partial(boundary_monomial, ctx)
     wedge_a = partial(_wedge_emit, a.wedge_pairs())
     nabla = [(ctx.index_of_word(nw), c) for nw, c in a.nabla().sorted_terms()]
     sigma = _OracleSigmaPiece(a)
@@ -234,7 +382,7 @@ def oracle_homotopy_check(a, p: int, w: int) -> bool:
         _compose_into(lhs, -1, bnd, wedge_a, tup)  # - A ^ boundary(x)
         _axpy(lhs, 1, _deriv_wedge_emit(nabla, tup))  # + (nabla A) ^ x
         rhs: dict = {}
-        _axpy(rhs, 1, C.cochain_monomial(ctx, sigma, tup))
+        _axpy(rhs, 1, cochain_monomial(ctx, sigma, tup))
         if lhs != rhs:
             return False
     return True
@@ -244,7 +392,7 @@ def oracle_mod_homotopy_check(a, b, p: int, w: int) -> bool:
     """The Fraction path that deform.mod_homotopy_check replaced: both
     sides in the coefficients of A and B themselves."""
     ctx = algebra(a.g)
-    bnd = partial(C.mod_boundary_monomial, ctx)
+    bnd = partial(mod_boundary_monomial, ctx)
     wedge_b = partial(_mod_wedge_emit, b.wedge_pairs())
     piece = partial(
         _mod_piece_emit, ctx, D.DeformedComodule(a.g, [b]), _OracleSigmaPiece(a), 0
@@ -266,7 +414,7 @@ def oracle_sigma_piece(a, p: int, w: int):
     A standing for its piece X -> sigma(X)(A) as oracle_sigma_of gives it."""
     src = C.wedge_basis(a.g, p, w)
     tgt = C.wedge_basis(a.g, p + 1, w + a.weight - 2)
-    return emit_matrix(src, tgt, partial(C.cochain_monomial, algebra(a.g), _OracleSigmaPiece(a)))
+    return emit_matrix(src, tgt, partial(cochain_monomial, algebra(a.g), _OracleSigmaPiece(a)))
 
 
 def oracle_mod_piece(mu_handle, delta_handle, d_index: int, p: int, w: int):
@@ -292,13 +440,13 @@ def oracle_assemble(op, g, p, w, delta=None, mu=None):
     ctx = algebra(g)
     if op.endswith("boundary"):
         tgt = basis(g, p - 1, w - 2) if p >= 1 and w >= 2 else None
-        emit = partial(C.mod_boundary_monomial if module else C.boundary_monomial, ctx)
+        emit = partial(mod_boundary_monomial if module else boundary_monomial, ctx)
     else:
         tgt = basis(g, p + 1, w - 2) if w >= 2 else None
         emit = (
-            partial(C.mod_cochain_monomial, ctx, delta, mu)
+            partial(mod_cochain_monomial, ctx, delta, mu)
             if module
-            else partial(C.cochain_monomial, ctx, delta)
+            else partial(cochain_monomial, ctx, delta)
         )
     if tgt is None or not src.monomials:
         return C.SparseRationalMatrix(tgt.dim() if tgt else 0, src.dim())
@@ -342,9 +490,9 @@ def oracle_wedge_coo(ops, op: str, p: int, v: int):
     # both operators vanish on p = 0 and on weights below 2
     if p >= 1 and v >= 2 and C.wedge_basis(ops.g, tp, v - 2).dim():
         if op == "boundary":
-            emit = partial(C.boundary_monomial, ops.ctx)
+            emit = partial(boundary_monomial, ops.ctx)
         else:
-            emit = partial(C.cochain_monomial, ops.ctx, ops.delta)
+            emit = partial(cochain_monomial, ops.ctx, ops.delta)
         pos = C.wedge_basis(ops.g, tp, v - 2).position
         for j, mono in enumerate(C.wedge_basis(ops.g, p, v).monomials):
             for t, s in emit(mono):

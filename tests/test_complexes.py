@@ -1,6 +1,7 @@
 import random
 import time
 from fractions import Fraction
+from functools import partial
 from itertools import product
 
 import numpy as np
@@ -13,6 +14,7 @@ from necklaces.complexes import (
     CellOperators,
     ChainVector,
     ModChainVector,
+    ModWedgeBasis,
     assemble,
     boundary,
     cell_positions,
@@ -26,16 +28,24 @@ from necklaces.complexes import (
     wedge_cell,
     wedge_dim,
 )
-from necklaces.complexes import _insert1, _insert2, _sort_wedge
+from necklaces.complexes import _sort_wedge
 from necklaces.lie import NecklaceContext, algebra
 from necklaces.linalg import SparseRationalMatrix, int_csc
 from necklaces.verify import matrix_identity_suite
 from oracles import (
+    _insert1,
+    _insert2,
+    boundary_monomial,
     canon,
+    cochain_monomial,
+    emit_vector,
+    mod_boundary_monomial,
+    mod_cochain_monomial,
     oracle_assemble,
     oracle_mu_table,
     oracle_wedge_coo,
     oracle_wedge_tuples,
+    sigma_monomial,
 )
 
 A1, B1, A2, B2 = 0, 1, 2, 3
@@ -96,6 +106,28 @@ class TestBases:
                 assert cell.dtype == np.int64 and cell.shape == (wedge_dim(g, p, w), p)
                 assert list(map(tuple, cell.tolist())) == list(oracle_wedge_tuples(ctx, p, w))
                 assert wedge_basis(g, p, w).monomials == list(map(tuple, cell.tolist()))
+
+    @pytest.mark.parametrize("g, w_max", [(1, 7), (2, 6)])
+    def test_lazy_module_basis_is_the_product_enumeration(self, g, w_max):
+        # the module basis is built from its layout when first read: dim()
+        # without the monomials, monomial(i) decoded from the layout, and
+        # the monomials and positions those of the eager enumeration
+        for w in range(w_max + 1):
+            for p in range(4):
+                eager = [
+                    (word, t)
+                    for k in range(w + 1)
+                    for word in product(range(2 * g), repeat=k)
+                    for t in wedge_basis(g, p, w - k).monomials
+                ]
+                basis = ModWedgeBasis(g, p, w)
+                assert basis.dim() == len(eager) and basis._monomials is None, (g, p, w)
+                assert [basis.monomial(i) for i in range(basis.dim())] == eager, (g, p, w)
+                assert basis._monomials is None and basis._position is None, (g, p, w)
+                assert basis.monomials == eager, (g, p, w)
+                assert basis.position == {m: i for i, m in enumerate(eager)}, (g, p, w)
+        with pytest.raises(IndexError):
+            ModWedgeBasis(1, 1, 3).monomial(18)
 
     def test_cell_positions(self):
         cell = wedge_cell(2, 3, 6)
@@ -697,6 +729,155 @@ class TestNecklaceTables:
             got = complexes.delta_table_of(AlgCobracket(g), m)
             assert got.dtype == np.int64
             assert np.array_equal(got, algebra(g).delta_table(m))
+
+
+def _fraction_vector(rng, cls, basis, nterms=4):
+    """A random vector of the cell with Fraction coefficients."""
+    coeffs = {}
+    for _ in range(nterms):
+        coeffs[rng.randrange(basis.dim())] = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]),
+                                                      rng.choice([1, 2, 3]))
+    return cls(basis, coeffs)
+
+
+def _same(got, ref, where):
+    """The same target basis object and the same coefficients, each of the
+    same type."""
+    assert got.basis is ref.basis, where
+    assert {i: (type(c), c) for i, c in got.coeffs.items()} == {
+        i: (type(c), c) for i, c in ref.coeffs.items()
+    }, where
+
+
+class TestChainVectorOperators:
+    """The chain-vector operators, products of the ``CellOperators``
+    matrices with the coefficients, against ``emit_vector`` over the
+    per-monomial emitters of tests/oracles.py."""
+
+    @pytest.mark.parametrize("g, w_max", [(1, 10), (2, 7)])
+    def test_wedge_operators_match_the_emitters(self, g, w_max):
+        rng = random.Random(130 + g)
+        ctx, delta = algebra(g), AlgCobracket(g)
+        for w in range(w_max + 1):
+            for p in range(4):
+                basis = wedge_basis(g, p, w)
+                if not basis.dim():
+                    continue
+                for _ in range(2):
+                    x = _fraction_vector(rng, ChainVector, basis)
+                    if p >= 1:
+                        ref = emit_vector(x, wedge_basis(g, p - 1, max(w - 2, 0)),
+                                          partial(boundary_monomial, ctx))
+                        _same(boundary(x), ref, ("boundary", g, p, w))
+                    ref = emit_vector(x, wedge_basis(g, p + 1, max(w - 2, 0)),
+                                      partial(cochain_monomial, ctx, delta))
+                    _same(cochain_d(x, delta), ref, ("cochain_d", g, p, w))
+
+    @pytest.mark.parametrize("g", [1, 2])
+    def test_module_operators_match_the_emitters(self, g):
+        rng = random.Random(140 + g)
+        ctx, delta, mu = algebra(g), AlgCobracket(g), AlgComodule(g)
+        for w in range(7):
+            for p in range(3):
+                basis = mod_wedge_basis(g, p, w)
+                if not basis.dim():
+                    continue
+                for _ in range(2):
+                    x = _fraction_vector(rng, ModChainVector, basis)
+                    if p >= 1:
+                        ref = emit_vector(x, mod_wedge_basis(g, p - 1, max(w - 2, 0)),
+                                          partial(mod_boundary_monomial, ctx))
+                        _same(mod_boundary(x), ref, ("mod_boundary", g, p, w))
+                    ref = emit_vector(x, mod_wedge_basis(g, p + 1, max(w - 2, 0)),
+                                      partial(mod_cochain_monomial, ctx, delta, mu))
+                    _same(mod_cochain_d(x, delta, mu), ref, ("mod_cochain_d", g, p, w))
+
+    @pytest.mark.parametrize("g, w_max", [(1, 8), (2, 6)])
+    def test_sigma_wedge_matches_the_emitter(self, g, w_max):
+        # y is weight-homogeneous with up to three necklaces; the reference
+        # is the emitter sum over y's necklaces, each scaled by its coefficient
+        rng = random.Random(150 + g)
+        ctx = algebra(g)
+        for w in range(w_max + 1):
+            for p in range(1, 4):
+                basis = wedge_basis(g, p, w)
+                if not basis.dim():
+                    continue
+                for m in range(1, 5):
+                    words = ctx.basis_words(m)
+                    y = DerivationElem(g, {
+                        words[rng.randrange(len(words))]: Fraction(rng.choice([-2, -1, 1, 3]),
+                                                                    rng.choice([1, 2]))
+                        for _ in range(3)
+                    })
+                    x = _fraction_vector(rng, ChainVector, basis)
+                    ref = ChainVector(wedge_basis(g, p, max(w + m - 2, 0)))
+                    for nw, cy in y.terms.items():
+                        emit = partial(sigma_monomial, ctx, ctx.index_of_word(nw))
+                        ref = ref + emit_vector(x, ref.basis, emit).scale(cy)
+                    _same(sigma_wedge(y, x), ref, (g, p, w, m))
+
+
+class _HandleTwin:
+    """The canonical cobracket of genus 1 with the terms of the weight-m
+    necklaces replaced by terms."""
+
+    g = 1
+    name = "twin"
+    max_weight = None
+
+    def __init__(self, m, terms):
+        self._ctx = algebra(1)
+        self._m, self._terms = m, terms
+
+    def wedge_terms(self, idx):
+        if self._ctx.weight_of(idx) == self._m:
+            return self._terms
+        return self._ctx.delta_wedge(idx)
+
+    def delta_table(self, m):
+        return complexes.delta_table_of(self, m)
+
+
+class TestChainVectorHandles:
+    """The chain-vector coboundaries read their handles through the checks
+    of ``CellOperators``."""
+
+    def _bad_handles(self):
+        ctx = algebra(1)
+        a, b = ctx.index_of_word((0,)), ctx.index_of_word((1,))
+        # a coefficient 1/2, which int64 would truncate to 0; and two
+        # necklaces of weight 1 split off one of weight 5
+        return (TypeError, _HandleTwin(4, ((a, b, Fraction(1, 2)),)), 4), (
+            ValueError, _HandleTwin(5, ((a, b, 1),)), 5)
+
+    def test_cochain_d_refuses_a_bad_cobracket(self):
+        for error, handle, m in self._bad_handles():
+            x = ChainVector(wedge_basis(1, 1, m), {0: 1})
+            with pytest.raises(error):
+                cochain_d(x, handle)
+            # the cells that do not read the bad weight are unaffected
+            y = ChainVector(wedge_basis(1, 1, m + 1), {0: 1})
+            assert cochain_d(y, handle) == cochain_d(y, AlgCobracket(1))
+
+    def test_mod_cochain_d_refuses_a_bad_cobracket(self):
+        for error, handle, m in self._bad_handles():
+            x = ModChainVector(mod_wedge_basis(1, 1, m), {0: 1})
+            with pytest.raises(error):
+                mod_cochain_d(x, handle, AlgComodule(1))
+
+    def test_mod_cochain_d_refuses_a_fraction_comodule(self):
+        class HalfMu(AlgComodule):
+            def mu_table(self, k):
+                table = {m: np.array(rows.tolist(), dtype=object)
+                         for m, rows in super().mu_table(k).items()}
+                for rows in table.values():
+                    rows[3, :1] = Fraction(1, 2)
+                return table
+
+        x = ModChainVector(mod_wedge_basis(1, 0, 4), {0: 1})
+        with pytest.raises(TypeError):
+            mod_cochain_d(x, AlgCobracket(1), HalfMu(1))
 
 
 class TestCellTooLarge:

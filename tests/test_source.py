@@ -85,3 +85,21 @@ def test_identity_checks_emit_no_monomial():
     assert {"_wedge_into", "_bracket_source", "sigma_csr", "brackets", "_gamma_terms",
             "DeformationElement", "nabla_contract_chain"} <= seen
     assert not found, f"per-monomial emission in the identity checks: {found}"
+
+
+def test_per_monomial_emitters_live_in_the_tests():
+    # the chain-vector operators are products with the CellOperators
+    # matrices; the per-monomial emitters are the reference in
+    # tests/oracles.py, and no package module defines, imports or names one
+    moved = {"_insert1", "_insert2", "boundary_monomial", "sigma_monomial", "cochain_monomial",
+             "gamma_monomial", "mod_boundary_monomial", "mod_cochain_monomial",
+             "module_coboundary", "emit_vector"}
+    found = [
+        f"{name} in {path.name} at line {getattr(node, 'lineno', '?')}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        for name in (getattr(node, "name", None), getattr(node, "id", None),
+                     getattr(node, "attr", None))
+        if name in moved
+    ]
+    assert not found, f"per-monomial emitters in the package: {found}"
