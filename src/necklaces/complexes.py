@@ -31,12 +31,11 @@ Boundary and coboundary matrices have one builder, :class:`CellOperators`
 cobracket tables, ranking the target tuples by ``cell_positions``; the
 module operators come from their word and wedge factors by the layout
 above.  No monomial is emitted one by one on this path, and no
-``WedgeBasis`` is built for it.  ``assemble``, the homology engine and the
-operators on chain vectors read the matrices through
-``SparseRationalMatrix.from_int_csc``; ``sigma_wedge`` ranks its array
-emission into such a matrix too.  The deformation checks and pieces in
-``necklaces.deform`` emit on arrays of tuples through the same
-``boundary_terms`` and ``cochain_terms``.
+``WedgeBasis`` is built for it.  ``assemble`` and the homology engine read
+the matrices through ``SparseRationalMatrix.from_int_csc``.  The operators
+on chain vectors emit through the same ``boundary_terms`` and
+``cochain_terms`` on the tuples of the vector's support only, and so do
+the deformation checks and pieces in ``necklaces.deform`` on theirs.
 """
 
 from bisect import bisect_right
@@ -49,7 +48,7 @@ import numpy as np
 
 from . import words as W
 from .errors import CellTooLarge, GenusMismatch
-from .lie import DerivationElem, NecklaceContext, algebra, necklace_count
+from .lie import DerivationElem, NecklaceContext, _summed, algebra, necklace_count
 from .linalg import SparseRationalMatrix, int_csc, int_values
 from .tensors import Coeff, TermMap, axpy, coeff_str, parse_coeff, _prune
 
@@ -63,7 +62,8 @@ ModKey = tuple[W.WordKey, WedgeKey]
 class CobracketHandle(Protocol):
     """A cobracket: every necklace of a weight at once (``delta_table``) for
     ``CellOperators``, and necklace by necklace (``wedge_terms``) for
-    ``delta_table_of`` and ``DeformedCobracket.pieces``.  The two agree."""
+    ``cochain_d``, ``mod_cochain_d``, ``delta_table_of`` and
+    ``DeformedCobracket.pieces``.  The two agree."""
 
     g: int
     name: str
@@ -83,7 +83,8 @@ class CobracketHandle(Protocol):
 class ComoduleHandle(Protocol):
     """A comodule map: every word of a length at once (``mu_table``) for
     ``CellOperators``, and word by word (``mu_terms``) for
-    ``DeformedComodule.pieces`` and its ``mu_word``.  The two agree."""
+    ``mod_cochain_d``, ``DeformedComodule.pieces`` and its ``mu_word``.
+    The two agree."""
 
     g: int
     name: str
@@ -123,12 +124,57 @@ def delta_table_of(handle: CobracketHandle, m: int) -> np.ndarray:
     call per necklace of weight m: rows (n - offset(m), a, b, coeff), the
     coefficients as the handle gives them (an object array where they are
     not all int; ``CellOperators`` refuses those)."""
-    ctx = algebra(handle.g)
-    lo = ctx.offset(m)
-    rows = [(n, a, b, c) for n in range(necklace_count(handle.g, m))
-            for a, b, c in handle.wedge_terms(lo + n)]
-    dtype = np.int64 if all(type(row[3]) is int for row in rows) else object
+    return _delta_rows(handle, m, range(necklace_count(handle.g, m)))
+
+
+def _delta_rows(handle: CobracketHandle, m: int, local: Iterable[int]) -> np.ndarray:
+    """The rows of ``delta_table_of`` for the necklaces offset(m) + local."""
+    lo = algebra(handle.g).offset(m)
+    return _rows([(n, a, b, c) for n in local for a, b, c in handle.wedge_terms(lo + n)])
+
+
+def _rows(rows: list) -> np.ndarray:
+    """Table rows (..., coeff) as the columns of an int64 array, or of an
+    object array where a coefficient is not an int."""
+    dtype = np.int64 if all(type(row[-1]) is int for row in rows) else object
     return np.array(rows, dtype=dtype).reshape(-1, 4).T
+
+
+def _delta_csr(ctx: NecklaceContext, m: int, table) -> tuple:
+    """Cobracket rows of weight m (n - offset(m), a, b, coeff), checked, in
+    CSR form over the necklaces of weight m: (indptr, a, b, coeff).  Every
+    index must be in its range, a < b, the weights of a and b must sum to
+    m - 2, and every coefficient must be an int (``int_values``)."""
+    n, a, b = (np.asarray(row, dtype=np.int64) for row in table[:3])
+    coeff = int_values(table[3])
+    count = necklace_count(ctx.g, m)
+    if n.size:
+        top = ctx.offset(max(m - 2, 0))  # a and b have weights below m - 2
+        if not (0 <= n.min() and n.max() < count and 0 <= a.min() and b.max() < top):
+            raise ValueError(f"the cobracket table of weight {m} has an index out of range")
+        if not (a < b).all():
+            raise ValueError(f"the cobracket table of weight {m} has a pair out of order")
+        if not (ctx.weights(a) + ctx.weights(b) == m - 2).all():
+            raise ValueError("the cobracket handle does not lower the weight by 2")
+    order = np.argsort(n, kind="stable")
+    indptr = np.searchsorted(n[order], np.arange(count + 1, dtype=np.int64))
+    return indptr, a[order], b[order], coeff[order]
+
+
+def _mu_checked(g: int, k: int, table: Mapping[int, np.ndarray]) -> dict:
+    """A comodule table of the words of length k, checked: every split-off
+    weight m lowers the word length k by m + 2, every index is in its
+    range, and every coefficient is an int (``int_values``)."""
+    base, out = 2 * g, {}
+    for m, (sr, nl, tr, c) in table.items():
+        if not 1 <= m <= k - 2:
+            raise ValueError("the comodule handle does not lower the weight by 2")
+        tops = (base**k, necklace_count(g, m), base ** (k - 2 - m))
+        for idx, top in zip((sr, nl, tr), tops):
+            if idx.size and not 0 <= idx.min() <= idx.max() < top:
+                raise ValueError(f"the comodule table of length {k} has an index out of range")
+        out[m] = (sr, nl, tr, int_values(c))
+    return out
 
 
 class AlgComodule:
@@ -366,6 +412,7 @@ class ModWedgeBasis(_LazyBasis):
 
     def _decode(self, i: int) -> ModKey:
         offsets, dims = self._layout
+        i += offsets[-1] if i < 0 else 0  # from the end, as a list index
         if not 0 <= i < offsets[-1]:
             raise IndexError(f"position {i} is out of the module cell of dim {offsets[-1]}")
         k = bisect_right(offsets, i) - 1
@@ -587,17 +634,114 @@ def cochain_terms(ctx: NecklaceContext, table, tuples: np.ndarray):
 
 # -- operators on chain vectors ----------------------------------------------
 #
-# Each is an int64 operator matrix (``assemble``, or ranked from an array
-# emission) times the vector's coefficients: exact, whatever their type.
+# Each emits on the int64 tuples of the vector's support only, by the array
+# emissions above, and sums the terms times the coefficients (``_image``):
+# exact, whatever their type.  Brackets are those of the pairs present
+# (``_pair_bracket``); the cobracket and the comodule map are read from the
+# handles for the necklaces and words present (``wedge_terms``,
+# ``mu_terms``) and checked as ``CellOperators`` checks its tables.  So the
+# cost follows the support, and no whole-weight table is read.
+
+
+def _pair_bracket(ctx: NecklaceContext, m1: int, first: np.ndarray, m2: int, second: np.ndarray):
+    """``table_bracket`` of the pairs asked for only, by
+    ``NecklaceContext.bracket_pairs``."""
+    indptr, target, coeff = ctx.bracket_pairs(first + ctx.offset(m1), second + ctx.offset(m2))
+    return np.repeat(np.arange(len(first)), np.diff(indptr)), target, coeff
+
+
+def _act_pairs(ctx: NecklaceContext, k: int, m: int, ranks: np.ndarray, local: np.ndarray):
+    """The action of the necklace offset(m) + local[q] on the word of
+    length k of rank ranks[q], for each q: arrays (q, target rank, sign),
+    the terms of ``action_table`` for those pairs only."""
+    base = 2 * ctx.g
+    nu, at = np.unique(local, return_inverse=True)
+    rots = ctx.rotations(m, nu)[at]  # rotation a of pair q in [q, a]
+    y = rots[:, :, 0] ^ 1  # the word letter that pairs with the first letter
+    tail = rots[:, :, 1:] @ base ** np.arange(m - 2, -1, -1, dtype=np.int64)
+    parts = [np.zeros((3, 0), dtype=np.int64)]
+    for pos in range(k):
+        low = base ** (k - 1 - pos)
+        q, a = np.nonzero(y == (ranks // low % base)[:, None])
+        r = ranks[q]
+        tgt = (r // (low * base) * base ** (m - 1) + tail[q, a]) * low + r % low
+        parts.append(np.stack([q, tgt, np.where(y[q, a] % 2 == 1, 1, -1)]))
+    return tuple(np.concatenate(parts, axis=1))
+
+
+def _mu_rows(handle: ComoduleHandle, k: int, ranks: Iterable[int]) -> dict:
+    """The rows of a ``mu_table(k)`` for the words of length k of the given
+    ranks, read off the handle's ``mu_terms``, one call per word."""
+    ctx, base = algebra(handle.g), 2 * handle.g
+    rows: dict[int, list] = {}
+    for r in ranks:
+        word = tuple(r // base**e % base for e in range(k - 1, -1, -1))
+        for rest, n, c in handle.mu_terms(word):
+            m = k - 2 - len(rest)  # an n of another weight is out of range
+            rank = sum(d * base**e for e, d in enumerate(reversed(rest)))
+            rows.setdefault(m, []).append((r, n - ctx.offset(max(m, 1)), rank, c))
+    return {m: _rows(part) for m, part in rows.items()}
+
+
+def _support_delta(ctx: NecklaceContext, handle: CobracketHandle, tuples: np.ndarray):
+    """The ``cochain_terms`` table of a handle for the factors of tuples:
+    the cobracket of the necklaces present only, checked by ``_delta_csr``."""
+    present = np.unique(tuples)
+
+    @lru_cache(maxsize=None)
+    def table(m: int):
+        local = present[ctx.weights(present) == m] - ctx.offset(m)
+        return _delta_csr(ctx, m, _delta_rows(handle, m, local.tolist()))
+
+    return table
+
+
+def _ranked(g: int, p: int, w: int, tuples: np.ndarray) -> np.ndarray:
+    """``cell_positions`` of the tuples, none when there are none."""
+    return cell_positions(g, p, w, tuples) if len(tuples) else np.zeros(0, dtype=np.int64)
+
+
+def _image(cls, target, coeffs: list, parts: list):
+    """The vector in target of the terms (q, target position, int coeff)
+    of the parts, each times coeffs[q]."""
+    if not coeffs or not parts:
+        return cls(target)
+    q, pos, coeff = (np.concatenate(col) for col in zip(*parts))
+    (pos, q), coeff = _summed((pos, q), coeff)
+    acc: dict = {}
+    for i, j, c in zip(pos.tolist(), q.tolist(), coeff.tolist()):
+        acc[i] = acc.get(i, 0) + c * coeffs[j]
+    return cls(target, acc)
+
+
+def _support(x: "_CellVector") -> np.ndarray:
+    return np.fromiter(x.coeffs, dtype=np.int64, count=len(x.coeffs))
+
+
+def _blocks(layout: ModLayout, positions: np.ndarray):
+    """Module positions by block: (k, which positions, word ranks, wedge
+    positions in (p, w - k)) per word length k present."""
+    offsets, dims = layout
+    ks = np.searchsorted(offsets, positions, side="right") - 1
+    for k in np.unique(ks).tolist():
+        q = np.flatnonzero(ks == k)
+        yield (k, q) + divmod(positions[q] - offsets[k], dims[k])
+
+
+def _at(layout: ModLayout, k: int, ranks: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """Module positions of (word of length k and rank, wedge position)."""
+    return layout.offsets[k] + ranks * layout.wedge_dims[k] + pos if len(pos) else pos
 
 
 def boundary(x: ChainVector) -> ChainVector:
     """Chevalley-Eilenberg boundary; lands in (p-1, w-2); zero on p = 1."""
-    b = x.basis
-    if b.p < 1:
+    g, p, w = x.basis.g, x.basis.p, x.basis.w
+    if p < 1:
         raise ValueError("boundary needs p >= 1")
-    target = wedge_basis(b.g, b.p - 1, max(b.w - 2, 0))
-    return ChainVector(target, assemble("boundary", b.g, b.p, b.w).matvec(x.coeffs))
+    target = wedge_basis(g, p - 1, max(w - 2, 0))
+    src, new, coeff = boundary_terms(algebra(g), wedge_cell(g, p, w)[_support(x)], _pair_bracket)
+    return _image(ChainVector, target, list(x.coeffs.values()),
+                  [(src, _ranked(g, p - 1, w - 2, new), coeff)])
 
 
 def sigma_wedge(y: DerivationElem, x: ChainVector) -> ChainVector:
@@ -608,49 +752,59 @@ def sigma_wedge(y: DerivationElem, x: ChainVector) -> ChainVector:
     ws = y.weight_support()
     if len(ws) > 1:
         raise ValueError("sigma_wedge needs a weight-homogeneous derivation")
-    b = x.basis
-    if y.g != b.g:
-        raise GenusMismatch(f"genus {y.g} != {b.g}")
-    target = wedge_basis(b.g, b.p, max(b.w + ws[0] - 2, 0) if ws else b.w)
-    ctx, n = algebra(b.g), len(x.coeffs)
+    g, p, w = x.basis.g, x.basis.p, x.basis.w
+    if y.g != g:
+        raise GenusMismatch(f"genus {y.g} != {g}")
+    target = wedge_basis(g, p, max(w + ws[0] - 2, 0) if ws else w)
+    ctx, n = algebra(g), len(x.coeffs)
     necks = np.array([ctx.index_of_word(nw) for nw in y.terms], dtype=np.int64)
-    tuples = wedge_cell(b.g, b.p, b.w)[list(x.coeffs)]
+    tuples = wedge_cell(g, p, w)[_support(x)]
     parts = []
-    for ii in range(b.p):
-        # column q = (position of the necklace in y) * n + row of the tuple
+    for ii in range(p):
+        # pair q = (position of the necklace in y) * n + row of the tuple
         indptr, new, coeff = ctx.bracket_pairs(
             np.repeat(necks, n), np.tile(tuples[:, ii], len(necks)))
         q = np.repeat(np.arange(len(necks) * n), np.diff(indptr))
         new, sign, clash = _insert(np.delete(tuples, ii, axis=1)[q % n], new[:, None])
-        parts.append((q[~clash], new[~clash], ((-1) ** ii * sign * coeff)[~clash]))
-    q, new, coeff = _emitted(parts, b.p)
-    if not len(q):
-        return ChainVector(target)
-    weights = {i * n + j: cy * cx for i, cy in enumerate(y.terms.values())
-               for j, cx in enumerate(x.coeffs.values())}
-    matrix = int_csc(target.dim(), len(weights), cell_positions(b.g, b.p, target.w, new), q, coeff)
-    return ChainVector(target, SparseRationalMatrix.from_int_csc(matrix).matvec(weights))
+        keep = ~clash
+        parts.append((q[keep], _ranked(g, p, target.w, new[keep]), ((-1) ** ii * sign * coeff)[keep]))
+    coeffs = [cy * cx for cy in y.terms.values() for cx in x.coeffs.values()]
+    return _image(ChainVector, target, coeffs, parts)
 
 
 def cochain_d(x: ChainVector, delta: CobracketHandle) -> ChainVector:
     """Cobracket-induced coboundary; lands in (p+1, w-2); 0 on scalars.
-    The handle is read through ``CellOperators``: a coefficient that is not
-    an int raises TypeError, and a table that does not lower the weight by
-    2 raises ValueError."""
-    b = x.basis
-    target = wedge_basis(b.g, b.p + 1, max(b.w - 2, 0))
-    if b.p == 0 or b.w < 2:
-        return ChainVector(target)
-    return ChainVector(target, assemble("cochain_d", b.g, b.p, b.w, delta).matvec(x.coeffs))
+    The handle's ``wedge_terms`` of the factors present are checked as
+    ``CellOperators`` checks a table: a coefficient that is not an int
+    raises TypeError, and terms that do not lower the weight by 2 raise
+    ValueError."""
+    g, p, w = x.basis.g, x.basis.p, x.basis.w
+    target = wedge_basis(g, p + 1, max(w - 2, 0))
+    ctx, tuples = algebra(g), wedge_cell(g, p, w)[_support(x)]
+    src, new, coeff = cochain_terms(ctx, _support_delta(ctx, delta, tuples), tuples)
+    return _image(ChainVector, target, list(x.coeffs.values()),
+                  [(src, _ranked(g, p + 1, w - 2, new), coeff)])
 
 
 def mod_boundary(x: ModChainVector) -> ModChainVector:
     """Module boundary Gamma + 1 (x) boundary; lands in (p-1, w-2)."""
-    b = x.basis
-    if b.p < 1:
+    g, p, w = x.basis.g, x.basis.p, x.basis.w
+    if p < 1:
         raise ValueError("module boundary needs p >= 1")
-    target = mod_wedge_basis(b.g, b.p - 1, max(b.w - 2, 0))
-    return ModChainVector(target, assemble("mod_boundary", b.g, b.p, b.w).matvec(x.coeffs))
+    target = mod_wedge_basis(g, p - 1, max(w - 2, 0))
+    dst, ctx, parts = mod_layout(g, p - 1, max(w - 2, 0)), algebra(g), []
+    for k, q, ranks, pos in _blocks(mod_layout(g, p, w), _support(x)):
+        tuples = wedge_cell(g, p, w - k)[pos]
+        src, new, coeff = boundary_terms(ctx, tuples, _pair_bracket)
+        parts.append((q[src], _at(dst, k, ranks[src], _ranked(g, p - 1, w - k - 2, new)), coeff))
+        for ii in range(p if k else 0):  # Gamma: X_i acts on the word
+            rest = np.delete(tuples, ii, axis=1)
+            s0 = -1 if ii % 2 == 0 else 1  # (-1)^i, 1-based
+            for m, rows, local in ctx.weight_groups(tuples[:, ii]):
+                j, tw, sign = _act_pairs(ctx, k, m, ranks[rows], local)
+                at = _ranked(g, p - 1, w - k - m, rest[rows[j]])
+                parts.append((q[rows[j]], _at(dst, k + m - 2, tw, at), s0 * sign))
+    return _image(ModChainVector, target, list(x.coeffs.values()), parts)
 
 
 def mod_cochain_d(
@@ -658,12 +812,28 @@ def mod_cochain_d(
 ) -> ModChainVector:
     """Module coboundary mu(m)^xi - m (x) d xi, the minus constant in p (see
     ``mod_cochain_monomial`` in tests/oracles.py); lands in (p+1, w-2).
-    The handles are read as by ``cochain_d``."""
-    b = x.basis
-    if b.w < 2:
-        return ModChainVector(mod_wedge_basis(b.g, b.p + 1, 0))
-    matrix = assemble("mod_cochain_d", b.g, b.p, b.w, delta, mu)
-    return ModChainVector(mod_wedge_basis(b.g, b.p + 1, b.w - 2), matrix.matvec(x.coeffs))
+    The handles' terms of the necklaces and words present are checked as
+    by ``cochain_d``."""
+    g, p, w = x.basis.g, x.basis.p, x.basis.w
+    target = mod_wedge_basis(g, p + 1, max(w - 2, 0))
+    dst, ctx, parts = mod_layout(g, p + 1, max(w - 2, 0)), algebra(g), []
+    for k, q, ranks, pos in _blocks(mod_layout(g, p, w), _support(x)):
+        tuples = wedge_cell(g, p, w - k)[pos]
+        src, new, coeff = cochain_terms(ctx, _support_delta(ctx, delta, tuples), tuples)
+        parts.append((q[src], _at(dst, k, ranks[src], _ranked(g, p + 1, w - k - 2, new)), -coeff))
+        # mu(m) ^ xi: each term of mu(word) meets every row of that word
+        words, inv = np.unique(ranks, return_inverse=True)
+        order = np.argsort(inv, kind="stable")
+        indptr = np.searchsorted(inv[order], np.arange(len(words) + 1))
+        for m, (sr, nl, tr, c) in _mu_checked(g, k, _mu_rows(mu, k, words.tolist())).items():
+            which, at = _gather(indptr, np.searchsorted(words, sr))
+            rows = order[at]
+            new, sign, clash = _insert(tuples[rows], nl[which, None] + ctx.offset(m))
+            keep = ~clash
+            parts.append((q[rows[keep]],
+                           _at(dst, k - 2 - m, tr[which[keep]], _ranked(g, p + 1, w - k + m, new[keep])),
+                           (c[which] * sign)[keep]))
+    return _image(ModChainVector, target, list(x.coeffs.values()), parts)
 
 
 def wedge_product(x: ChainVector, y: ChainVector) -> ChainVector:
@@ -845,26 +1015,9 @@ class CellOperators:
         return self._wedge[key]
 
     def _delta_table(self, m: int):
-        """The handle's ``delta_table(m)``, checked, in CSR form over the
-        necklaces of weight m: (indptr, a, b, coeff).  Every index must be
-        in its range, a < b, the weights of a and b must sum to m - 2, and
-        every coefficient must be an int (``int_values``)."""
+        """The handle's ``delta_table(m)``, by ``_delta_csr``."""
         if m not in self._delta:
-            table = self.delta.delta_table(m)
-            n, a, b = (np.asarray(row, dtype=np.int64) for row in table[:3])
-            coeff = int_values(table[3])
-            count = necklace_count(self.g, m)
-            if n.size:
-                top = self.ctx.offset(max(m - 2, 0))  # a and b have weights below m - 2
-                if not (0 <= n.min() and n.max() < count and 0 <= a.min() and b.max() < top):
-                    raise ValueError(f"the cobracket table of weight {m} has an index out of range")
-                if not (a < b).all():
-                    raise ValueError(f"the cobracket table of weight {m} has a pair out of order")
-                if not (self.ctx.weights(a) + self.ctx.weights(b) == m - 2).all():
-                    raise ValueError("the cobracket handle does not lower the weight by 2")
-            order = np.argsort(n, kind="stable")
-            indptr = np.searchsorted(n[order], np.arange(count + 1, dtype=np.int64))
-            self._delta[m] = (indptr, a[order], b[order], coeff[order])
+            self._delta[m] = _delta_csr(self.ctx, m, self.delta.delta_table(m))
         return self._delta[m]
 
     def _iota_table(self, p: int, v: int) -> dict:
@@ -912,19 +1065,8 @@ class CellOperators:
         return self._act[key]
 
     def _mu_table(self, k: int) -> dict:
-        """The handle's ``mu_table(k)``, checked: every split-off weight m
-        lowers the word length k by m + 2, every index is in its range, and
-        every coefficient is an int (``int_values``)."""
-        base, out = 2 * self.g, {}
-        for m, (sr, nl, tr, c) in self.mu.mu_table(k).items():
-            if not 1 <= m <= k - 2:
-                raise ValueError("the comodule handle does not lower the weight by 2")
-            tops = (base**k, necklace_count(self.g, m), base ** (k - 2 - m))
-            for idx, top in zip((sr, nl, tr), tops):
-                if idx.size and not 0 <= idx.min() <= idx.max() < top:
-                    raise ValueError(f"the comodule table of length {k} has an index out of range")
-            out[m] = (sr, nl, tr, int_values(c))
-        return out
+        """The handle's ``mu_table(k)``, by ``_mu_checked``."""
+        return _mu_checked(self.g, k, self.mu.mu_table(k))
 
     # -- module operators -------------------------------------------------------
 

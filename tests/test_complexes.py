@@ -123,11 +123,17 @@ class TestBases:
                 basis = ModWedgeBasis(g, p, w)
                 assert basis.dim() == len(eager) and basis._monomials is None, (g, p, w)
                 assert [basis.monomial(i) for i in range(basis.dim())] == eager, (g, p, w)
+                ends = [basis.monomial(-1), basis.monomial(-len(eager))] if eager else []
                 assert basis._monomials is None and basis._position is None, (g, p, w)
                 assert basis.monomials == eager, (g, p, w)
                 assert basis.position == {m: i for i, m in enumerate(eager)}, (g, p, w)
-        with pytest.raises(IndexError):
-            ModWedgeBasis(1, 1, 3).monomial(18)
+                # negative positions count from the end, lazy or built
+                assert ends == ([eager[-1], eager[0]] if eager else []), (g, p, w)
+                if eager:
+                    assert basis.monomial(-1) == eager[-1], (g, p, w)
+        for i in (18, -19):  # the cell has 18 monomials
+            with pytest.raises(IndexError):
+                ModWedgeBasis(1, 1, 3).monomial(i)
 
     def test_cell_positions(self):
         cell = wedge_cell(2, 3, 6)
@@ -817,6 +823,40 @@ class TestChainVectorOperators:
                         ref = ref + emit_vector(x, ref.basis, emit).scale(cy)
                     _same(sigma_wedge(y, x), ref, (g, p, w, m))
 
+    def test_large_cells_cost_the_support_only(self):
+        # genus 2: the whole-weight tables these cells would need are over
+        # the budget (the cobracket of the weight-10 necklaces, the bracket
+        # of weights 1 and 10), the cells themselves are not
+        g = 2
+        ctx, delta, mu = algebra(g), AlgCobracket(g), AlgComodule(g)
+        assert wedge_dim(g, 1, 10) * 10 * 10 > CellTooLarge.BUDGET
+        with pytest.raises(CellTooLarge):
+            ctx.bracket_table(1, 10)
+
+        def reference(x, target, emit):
+            # emit_vector without the whole source basis
+            return type(x).from_terms(target, [
+                (t, c * cx) for i, cx in x.coeffs.items() for t, c in emit(x.basis.monomial(i))])
+
+        basis = wedge_basis(g, 1, 10)
+        i = next(i for i in range(basis.dim() // 2, basis.dim()) if ctx.delta_wedge(basis.monomial(i)[0]))
+        x = ChainVector(basis, {i: Fraction(2, 3)})
+        got = cochain_d(x, delta)
+        assert got and got == reference(x, got.basis, partial(cochain_monomial, ctx, delta))
+
+        basis = wedge_basis(g, 2, 11)
+        x = ChainVector(basis, {basis.dim() // 2: 1, basis.dim() // 2 + 5: Fraction(-1, 2)})
+        got = boundary(x)
+        assert got and got == reference(x, got.basis, partial(boundary_monomial, ctx))
+
+        # module (1, 10): 3,279,304 monomials
+        basis = mod_wedge_basis(g, 1, 10)
+        x = ModChainVector(basis, {basis.dim() // 3: 1, basis.dim() // 5: -3})
+        got = mod_boundary(x)
+        assert got and got == reference(x, got.basis, partial(mod_boundary_monomial, ctx))
+        got = mod_cochain_d(x, delta, mu)
+        assert got and got == reference(x, got.basis, partial(mod_cochain_monomial, ctx, delta, mu))
+
 
 class _HandleTwin:
     """The canonical cobracket of genus 1 with the terms of the weight-m
@@ -840,8 +880,8 @@ class _HandleTwin:
 
 
 class TestChainVectorHandles:
-    """The chain-vector coboundaries read their handles through the checks
-    of ``CellOperators``."""
+    """The chain-vector coboundaries check the handle terms they read as
+    ``CellOperators`` checks its tables."""
 
     def _bad_handles(self):
         ctx = algebra(1)
@@ -866,18 +906,25 @@ class TestChainVectorHandles:
             with pytest.raises(error):
                 mod_cochain_d(x, handle, AlgComodule(1))
 
-    def test_mod_cochain_d_refuses_a_fraction_comodule(self):
-        class HalfMu(AlgComodule):
-            def mu_table(self, k):
-                table = {m: np.array(rows.tolist(), dtype=object)
-                         for m, rows in super().mu_table(k).items()}
-                for rows in table.values():
-                    rows[3, :1] = Fraction(1, 2)
-                return table
+    def test_mod_cochain_d_refuses_a_bad_comodule(self):
+        # the first term of mu(word) gets a coefficient 1/2, or keeps one
+        # letter too many (its necklace then has the wrong weight)
+        class BadMu(AlgComodule):
+            def __init__(self, g, bad):
+                super().__init__(g)
+                self._bad = bad
 
-        x = ModChainVector(mod_wedge_basis(1, 0, 4), {0: 1})
-        with pytest.raises(TypeError):
-            mod_cochain_d(x, AlgCobracket(1), HalfMu(1))
+            def mu_terms(self, word):
+                terms = list(super().mu_terms(word))
+                return [self._bad(*terms[0])] + terms[1:] if terms else terms
+
+        basis = mod_wedge_basis(1, 0, 4)
+        x = ModChainVector(basis, {basis.position[((0, 0, 1, 1), ())]: 1})
+        assert mod_cochain_d(x, AlgCobracket(1), AlgComodule(1))
+        for error, bad in ((TypeError, lambda rest, n, c: (rest, n, Fraction(1, 2))),
+                           (ValueError, lambda rest, n, c: (rest + (0,), n, c))):
+            with pytest.raises(error):
+                mod_cochain_d(x, AlgCobracket(1), BadMu(1, bad))
 
 
 class TestCellTooLarge:
