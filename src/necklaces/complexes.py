@@ -48,9 +48,9 @@ import numpy as np
 
 from . import words as W
 from .errors import CellTooLarge, GenusMismatch
-from .lie import DerivationElem, NecklaceContext, _summed, algebra, necklace_count
+from .lie import DerivationElem, NecklaceContext, algebra, necklace_count
 from .linalg import SparseRationalMatrix, int_csc, int_values
-from .tensors import Coeff, TermMap, axpy, coeff_str, parse_coeff, _prune
+from .tensors import Coeff, TermMap, axpy, coeff_str, parse_coeff, _prune, _summed
 
 WedgeKey = tuple[int, ...]
 ModKey = tuple[W.WordKey, WedgeKey]

@@ -44,11 +44,10 @@ from . import words as W
 from .errors import ConditionFailed, MinWeightTooLow, NotInN
 from .homology import HomologyEngine
 from .lie import (
-    DerivationElem, _summed, algebra, bracket, exp_derivation, mu_alg, necklace_count,
-    schedler_delta,
+    DerivationElem, algebra, bracket, exp_derivation, mu_alg, necklace_count, schedler_delta,
 )
 from .linalg import _INT64_SAFE, SparseRationalMatrix, common_denominator, kernel_basis
-from .tensors import Coeff, Tensor, axpy
+from .tensors import Coeff, Tensor, _summed, axpy
 
 
 # -- deformation elements -----------------------------------------------------
@@ -505,7 +504,7 @@ def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _exact_sum(keys: tuple[np.ndarray, ...], coeff: np.ndarray):
-    """``lie._summed``, in int64 where len * max|coeff| < 2**62 certifies
+    """``tensors._summed``, in int64 where len * max|coeff| < 2**62 certifies
     every partial sum, and in Python ints otherwise."""
     if coeff.dtype != object and len(coeff) * _max_abs(coeff) >= _INT64_SAFE:
         coeff = coeff.astype(object)

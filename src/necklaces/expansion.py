@@ -18,7 +18,10 @@ exactly by sum_i ([v_i^a, b_i] + [a_i, v_i^b]) when the weight-n Lie
 corrections v are added to the logs, and that linear map is onto because
 brackets of letters against weight-n Lie elements span weight n+1.  The
 correction system is solved over the Lyndon basis with free variables
-pinned to zero, so the output is deterministic.
+pinned to zero, so the output is deterministic.  Its columns are formed by
+rank arithmetic on the integer word arrays of the basis, and the final
+Lie check of the logs is the integer Dynkin certificate of
+``tensors.is_lie_element``.
 
 Step n needs only the weight-(n+1) part of the defect, so it computes the
 defect modulo weight > n + 1.  That is exact: truncation modulo weight > d
@@ -27,13 +30,22 @@ inverse, since none of them lets a term of weight > d reach weight <= d.
 Only the returned expansion is built at the full cutoff.
 """
 
+import numpy as np
+
 from . import words as W
-from .errors import GenusMismatch, InconsistentExpansions, NotCyclic, SolveFailed
+from .errors import (
+    CellTooLarge, GenusMismatch, InconsistentExpansions, NotCyclic, PrecisionError, SolveFailed,
+)
 from .lie import DerivationElem, exp_derivation, necklace_normal_form
 from .linalg import solve_columns
 from .tensors import (
     Tensor,
     TruncatedSeries,
+    _chunks,
+    _exact_values,
+    _folded,
+    _word_keys,
+    axpy,
     exp_series,
     inverse_series,
     is_grouplike,
@@ -130,6 +142,10 @@ class Expansion:
         self.cutoff = cutoff
         if set(series) != set(range(2 * g)):
             raise ValueError("need a series for each of the 2g generators")
+        for l, s in sorted(series.items()):
+            if s.cutoff < cutoff:
+                raise PrecisionError(f"the series of x{l + 1} is known to weight {s.cutoff}, "
+                                     f"below the cutoff {cutoff}")
         self.series = {l: TruncatedSeries(s.tensor, cutoff) for l, s in series.items()}
         self._inverses: dict[int, TruncatedSeries] = {}
 
@@ -251,21 +267,33 @@ def _lyndon_factorize(word: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int
 
 def lyndon_bracket_tensor(g: int, word: tuple[int, ...]) -> Tensor:
     """The right-bracketed Lie element of a Lyndon word, as a tensor."""
-    if len(word) == 1:
-        return Tensor.letter(g, word[0])
-    u, v = _lyndon_factorize(word)
-    a = lyndon_bracket_tensor(g, u)
-    b = lyndon_bracket_tensor(g, v)
-    return a * b - b * a
+    return _lyndon_bracket(g, word, {})
+
+
+def _lyndon_bracket(g: int, word: tuple[int, ...], memo: dict) -> Tensor:
+    """``lyndon_bracket_tensor``, with the brackets of Lyndon subwords kept
+    in memo."""
+    t = memo.get(word)
+    if t is None:
+        if len(word) == 1:
+            t = Tensor.letter(g, word[0])
+        else:
+            u, v = _lyndon_factorize(word)
+            a, b = _lyndon_bracket(g, u, memo), _lyndon_bracket(g, v, memo)
+            t = a * b - b * a
+        memo[word] = t
+    return t
 
 
 def lie_basis(g: int, n: int) -> list[Tensor]:
     """Lyndon-word basis of the weight-n part of the free Lie algebra on
     the 2g letters, expanded into tensors; every element passes the
-    left-bracketing (Dynkin) certificate."""
+    left-bracketing (Dynkin) certificate.  A sub-bracket shared by several
+    Lyndon words is expanded once per call."""
     if n < 1:
         raise ValueError("weight must be >= 1")
-    return [lyndon_bracket_tensor(g, w) for w in lyndon_words(2 * g, n)]
+    memo: dict = {}
+    return [_lyndon_bracket(g, w, memo) for w in lyndon_words(2 * g, n)]
 
 
 def symplectic_lie_derivations(g: int, weight: int) -> list[DerivationElem]:
@@ -370,43 +398,71 @@ def symplectic_expansion(g: int, cutoff: int) -> Expansion:
 
 def _correct_logs(g: int, n: int, logs: dict[int, Tensor], defect: Tensor) -> None:
     """Add to logs the weight-n Lie corrections that cancel the weight-(n+1)
-    boundary defect; the solution pins free variables to zero."""
+    boundary defect; the solution pins free variables to zero.
+
+    Column (l, i) is [v_i, b] for a generator a (l even) and [a, v_i] for a
+    generator b (l odd), where v_i is the i-th Lyndon basis element and
+    b, a the partner letter p = l ^ 1: a word of v_i of rank r gives the
+    words v.p and p.v, of ranks r*2g + p and p*(2g)^n + r.  They are formed
+    from the integer terms of the basis in one array, summed per column,
+    and numbered as rows in word order together with the defect's words."""
     basis = lie_basis(g, n)
-    columns = []
-    for l in range(2 * g):
-        partner_letter = Tensor.letter(g, l ^ 1)
-        for elt in basis:
-            if l % 2 == 0:  # correction to an alpha generator: [v, b_i]
-                col = elt * partner_letter - partner_letter * elt
-            else:  # correction to a beta generator: [a_i, v]
-                col = partner_letter * elt - elt * partner_letter
-            columns.append(col)
-    # index the weight-(n+1) words appearing anywhere
-    keys = sorted(
-        set().union(*(set(c.terms) for c in columns), set(defect.terms))
+    base, dim = 2 * g, len(basis)
+    elt, words, coeffs = [], [], []
+    for i, h in enumerate(basis):
+        for w, c in h.terms.items():
+            elt.append(i)
+            words.append(w)
+            coeffs.append(c)
+    elt, rows = np.array(elt, dtype=np.int64), np.array(words, dtype=np.int64)
+    coeff = _exact_values(coeffs, 2 * max(map(abs, coeffs)))  # two terms meet at most
+    per = 2 * base * (n + 1)  # the words v.p and p.v for every generator
+    CellTooLarge.check(f"the correction columns of one weight-{n} word (genus {g})", per)
+    (col, *keys), vals = _folded(
+        _bracket_terms(elt[part], rows[part], coeff[part], dim, base)
+        for part in _chunks(len(elt), per)
     )
-    key_pos = {k: i for i, k in enumerate(keys)}
-    col_vecs = [
-        {key_pos[wd]: c for wd, c in col.terms.items()} for col in columns
-    ]
-    target = {key_pos[wd]: -c for wd, c in defect.terms.items()}
-    sol = solve_columns(col_vecs, target)
+    dwords = np.array(list(defect.terms), dtype=np.int64).reshape(len(defect.terms), n + 1)
+    words = [np.concatenate(pair) for pair in zip(keys, _word_keys(dwords, base))]
+    if len(words) == 1:  # ranks
+        row = np.unique(words[0], return_inverse=True)[1]
+    else:  # letter columns: the rows of their stack
+        row = np.unique(np.stack(words, axis=1), axis=0, return_inverse=True)[1]
+    row = row.reshape(-1).tolist()
+    ends = np.searchsorted(col, np.arange(2 * g * dim + 1)).tolist()
+    vals = vals.tolist()
+    columns = [dict(zip(row[a:b], vals[a:b])) for a, b in zip(ends, ends[1:])]
+    target = dict(zip(row[len(col):], (-c for c in defect.terms.values())))
+    sol = solve_columns(columns, target)
     if sol is None:
         raise SolveFailed(
             f"no weight-{n} correction cancels the weight-{n + 1} defect"
         )
-    idx = 0
     for l in range(2 * g):
-        acc = logs[l]
-        for elt in basis:
-            c = sol[idx]
-            idx += 1
+        terms = dict(logs[l].terms)
+        for i, h in enumerate(basis):
+            c = sol[l * dim + i]
             if c != 0:
-                acc = acc + elt.scale(c)
-        logs[l] = acc
+                axpy(terms, c, h.terms.items())
+        logs[l] = logs[l]._like(terms)
     for l in range(2 * g):
         if not is_lie_element(logs[l]):
             raise SolveFailed("correction left a non-Lie log; internal bug")
+
+
+def _bracket_terms(elt: np.ndarray, rows: np.ndarray, coeff: np.ndarray, dim: int, base: int):
+    """(column, word key...) key columns and values of the column entries
+    that the basis terms (element, letters, coeff) make for every
+    generator l: +-c on the word v.p and -+c on p.v, p = l ^ 1."""
+    gens = np.repeat(np.arange(base, dtype=np.int64), len(elt))
+    partner = (gens ^ 1)[:, None]
+    words = np.tile(rows, (base, 1))
+    col = gens * dim + np.tile(elt, base)
+    vals = np.tile(coeff, base) * (1 - 2 * (gens & 1))
+    keys = _word_keys(np.concatenate([
+        np.concatenate([words, partner], axis=1), np.concatenate([partner, words], axis=1),
+    ]), base)
+    return (np.concatenate([col, col]), *keys), np.concatenate([vals, -vals])
 
 
 # -- comparison and the loop map ------------------------------------------------

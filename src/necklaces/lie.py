@@ -45,7 +45,7 @@ import numpy as np
 from . import words as W
 from .errors import CellTooLarge, GenusMismatch, NotCyclic
 from .tensors import Coeff, Tensor, TermMap, axpy, coeff_str, cyclicize, parse_coeff, _prune
-from .tensors import by_total_weight, by_weight
+from .tensors import _summed, by_total_weight, by_weight
 
 
 def _as_int_if_whole(c: Coeff) -> Coeff:
@@ -525,21 +525,6 @@ def _csr(parts: list, rows: int):
     row, target, coeff = map(np.concatenate, zip(*parts)) if parts else (empty,) * 3
     (row, target), coeff = _summed((row, target), coeff)
     return np.searchsorted(row, np.arange(rows + 1, dtype=np.int64)), target, coeff
-
-
-def _summed(keys: tuple[np.ndarray, ...], coeff: np.ndarray):
-    """The distinct rows of the key columns, in lexicographic order, with
-    the sums of their coefficients; the rows whose sum is 0 dropped."""
-    order = np.lexsort(keys[::-1])
-    keys, coeff = [k[order] for k in keys], coeff[order]
-    if not len(coeff):
-        return tuple(keys), coeff
-    new = np.ones(len(coeff), dtype=bool)
-    new[1:] = np.any([k[1:] != k[:-1] for k in keys], axis=0)
-    starts = np.flatnonzero(new)
-    sums = np.add.reduceat(coeff, starts)
-    keep = sums != 0
-    return tuple(k[starts][keep] for k in keys), sums[keep]
 
 
 @lru_cache(maxsize=None)

@@ -33,7 +33,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 import scipy.sparse as _sp
 
-from .tensors import Coeff, axpy, coeff_str, parse_coeff
+from .tensors import _INT64_SAFE, Coeff, axpy, coeff_str, parse_coeff
 
 Vec = dict[int, Coeff]
 
@@ -173,9 +173,6 @@ class SparseRationalMatrix:
 
 
 # -- integer fast path for big products -----------------------------------
-
-_INT64_SAFE = 2**62
-
 
 def int_values(values) -> np.ndarray:
     """The values as an int64 array.  Raises TypeError on a value that is

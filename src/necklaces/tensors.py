@@ -17,16 +17,24 @@ Conventions fixed here:
   word of weight k meets only the right terms of weight <= D - k, taken
   in the right operand's own term order;
 * the coproduct routes the letters of a word one at a time, doubling the
-  list of (left, right) splits per letter, and the Dynkin map brackets on
-  plain word maps;
+  list of (left, right) splits per letter;
+* the certificates ``is_grouplike`` and ``is_lie_element`` form neither the
+  coproduct nor the Dynkin map term by term: they scale to integer
+  numerators and sum both sides of their identity as int arrays of words,
+  taken through tables of split positions and of Dynkin position orders;
 * term maps never store zero coefficients, so equality is map equality.
 """
 
 from fractions import Fraction
-from typing import Iterable, Mapping
+from functools import lru_cache
+from itertools import chain, combinations
+from math import comb, lcm
+from typing import Iterable, Iterator, Mapping
+
+import numpy as np
 
 from . import words as W
-from .errors import GenusMismatch, PrecisionError
+from .errors import CellTooLarge, GenusMismatch, PrecisionError
 
 Coeff = int | Fraction
 
@@ -450,56 +458,196 @@ def coproduct(s: TruncatedSeries) -> PairTensor:
     return PairTensor(s.g, out)
 
 
-def outer_square(s: TruncatedSeries) -> PairTensor:
-    """s (x) s truncated to total weight <= cutoff.  Each left term visits
-    only the right terms that fit beside it, as in the series product."""
-    terms = s.tensor.terms.items()
-    fits: dict[int, list] = {}  # room -> terms of weight <= room, in order
-    out: dict[tuple[W.WordKey, W.WordKey], Coeff] = {}
-    for wx, cx in terms:
-        room = s.cutoff - len(wx)
-        if room < 0:
-            continue
-        ys = fits.get(room)
-        if ys is None:
-            ys = fits[room] = [(wy, cy) for wy, cy in terms if len(wy) <= room]
-        for wy, cy in ys:
-            out[(wx, wy)] = cx * cy
-    return PairTensor(s.g, out)
+# -- certificates on integer word arrays ----------------------------------------
+#
+# is_grouplike and is_lie_element test identities that are homogeneous in
+# the coefficients, so they scale them by the lcm of the denominators and
+# work on integer numerators, kept per weight beside an int64 array of the
+# words' letters.  Each side of an identity becomes (word keys, values)
+# terms, and the identity holds iff the terms sum to zero key by key.  A
+# word of length m is keyed by its base-2g rank where (2g)^m < 2**62, and
+# by its letter columns otherwise.  Values are int64 only where a Python-int
+# bound on the sum of their absolute values certifies every partial sum;
+# otherwise the same arrays hold exact Python ints (dtype object).  Tables
+# are sized with CellTooLarge before they are built, and applied to the
+# source words in chunks of at most CellTooLarge.BUDGET entries.
+
+_INT64_SAFE = 2**62
+
+
+def _summed(keys: tuple[np.ndarray, ...], coeff: np.ndarray):
+    """The distinct rows of the key columns, in lexicographic order, with
+    the sums of their coefficients; the rows whose sum is 0 dropped."""
+    order = np.lexsort(keys[::-1])
+    keys, coeff = [k[order] for k in keys], coeff[order]
+    if not len(coeff):
+        return tuple(keys), coeff
+    new = np.ones(len(coeff), dtype=bool)
+    new[1:] = np.any([k[1:] != k[:-1] for k in keys], axis=0)
+    starts = np.flatnonzero(new)
+    sums = np.add.reduceat(coeff, starts)
+    keep = sums != 0
+    return tuple(k[starts][keep] for k in keys), sums[keep]
+
+
+def _folded(parts: Iterable[tuple[tuple[np.ndarray, ...], np.ndarray]]):
+    """``_summed`` over a stream of (key columns, values) parts, folded one
+    part at a time, so only one part and the distinct keys so far are held;
+    None if there is no part."""
+    acc = None
+    for keys, coeff in parts:
+        if acc is not None:
+            keys = tuple(np.concatenate(pair) for pair in zip(acc[0], keys))
+            coeff = np.concatenate([acc[1], coeff])
+        acc = _summed(keys, coeff)
+    return acc
+
+
+def _vanishes(parts) -> bool:
+    acc = _folded(parts)
+    return acc is None or not len(acc[1])
+
+
+def _chunks(count: int, per: int) -> Iterator[slice]:
+    """Slices of count source words that make at most CellTooLarge.BUDGET
+    entries at per entries a word (one word at least)."""
+    step = max(1, CellTooLarge.BUDGET // max(per, 1))
+    return (slice(i, i + step) for i in range(0, count, step))
+
+
+def _word_keys(rows: np.ndarray, base: int) -> tuple[np.ndarray, ...]:
+    """Sort keys of an int64 array of words of one length m, one word a
+    row: the base-``base`` rank where base^m < 2**62, else the letter
+    columns.  Either way the keys order the words lexicographically."""
+    m = rows.shape[1]
+    if base**m < _INT64_SAFE:
+        return (rows @ base ** np.arange(m - 1, -1, -1, dtype=np.int64),)
+    return tuple(rows.T)
+
+
+def _exact_values(values: list[int], bound: int) -> np.ndarray:
+    """The ints as int64 if bound, a bound on every partial sum to be
+    formed from them, certifies it; else as exact Python ints."""
+    return np.array(values, dtype=np.int64 if bound < _INT64_SAFE else object)
+
+
+def _numerators(t: Tensor) -> tuple[int, dict[int, tuple[np.ndarray, list[int]]]]:
+    """(L, {m: (letters (n, m), numerators)}) with L the lcm of the
+    denominators of t and numerators L*c as Python ints, words in t's term
+    order."""
+    scale = lcm(*{c.denominator for c in t.terms.values()})
+    words: dict[int, tuple[list, list]] = {}
+    for w, c in t.terms.items():
+        ws, cs = words.setdefault(len(w), ([], []))
+        ws.append(w)
+        cs.append(int(c * scale))
+    return scale, {
+        m: (np.array(ws, dtype=np.int64).reshape(len(ws), m), cs) for m, (ws, cs) in words.items()
+    }
+
+
+@lru_cache(maxsize=None)
+def _split_table(m: int, k: int) -> np.ndarray:
+    """(C(m, k), m) letter positions: each k-subset of the positions of a
+    weight-m word, ascending (the letters routed left), then the others."""
+    table = np.array(
+        [left + tuple(j for j in range(m) if j not in left) for left in combinations(range(m), k)],
+        dtype=np.int64,
+    ).reshape(comb(m, k), m)
+    table.flags.writeable = False
+    return table
+
+
+@lru_cache(maxsize=None)
+def _dynkin_table(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The left bracketing [[..[x_1, x_2], ..], x_m] of a weight-m word as
+    (2^(m-1), m) letter positions with signs: bit j-1 of a row sends letter
+    j (from 0) to the left of the bracket built so far, with a factor -1,
+    so the row reads the letters sent left, last first, then x_1, then the
+    others in order."""
+    j = np.arange(1, m, dtype=np.int64)
+    left = np.arange(1 << (m - 1), dtype=np.int64)[:, None] >> (j - 1) & 1
+    first = np.zeros((len(left), 1), dtype=np.int64)
+    place = np.concatenate([first, np.where(left, -j, j)], axis=1)
+    order, signs = np.argsort(place, axis=1), 1 - 2 * (left.sum(axis=1) & 1)
+    order.flags.writeable = signs.flags.writeable = False
+    return order, signs
 
 
 def is_grouplike(s: TruncatedSeries) -> bool:
-    """True iff Delta(s) = s (x) s modulo the cutoff."""
-    return coproduct(s) == outer_square(s)
+    """True iff Delta(s) = s (x) s modulo the cutoff.
+
+    Both sides are homogeneous of degree 2 in s, so with L the lcm of the
+    denominators and N = L*s integral this compares L*Delta(N) with N (x) N,
+    one bidegree block (k, m - k) at a time, a pair (u, v) keyed by the
+    word uv: Delta sends each weight-m word to its C(m, k) splits through
+    ``_split_table``, and the square is the outer product of the weight-k
+    and weight-(m - k) numerators."""
+    scale, words = _numerators(s.tensor)
+    base = 2 * s.g
+    total = {m: sum(map(abs, cs)) for m, (_, cs) in words.items()}
+    none = (np.zeros((0, 0), dtype=np.int64), [])
+    for m in range(s.cutoff + 1):
+        rows, cs = words.get(m, none)
+        for k in range(m + 1):
+            if not cs and (k not in words or m - k not in words):
+                continue
+            (lrows, lcs), (rrows, rcs) = words.get(k, none), words.get(m - k, none)
+            bound = scale * total.get(m, 0) * comb(m, k) + total.get(k, 0) * total.get(m - k, 0)
+            delta = _delta_terms(rows, _exact_values(cs, bound) * scale, m, k, base)
+            square = _square_terms(
+                lrows, _exact_values(lcs, bound), rrows, _exact_values(rcs, bound), base)
+            if not _vanishes(chain(delta, square)):
+                return False
+    return True
 
 
-def left_bracketing(t: Tensor) -> Tensor:
-    """The Dynkin map: x1...xm -> [[...[x1,x2],...],xm], extended linearly.
+def _delta_terms(rows: np.ndarray, vals: np.ndarray, m: int, k: int, base: int):
+    """The (k, m - k) block of Delta on the weight-m words with values vals."""
+    if not len(rows):
+        return
+    CellTooLarge.check(f"the split table of weight {m} into ({k}, {m - k})", comb(m, k) * m)
+    table = _split_table(m, k)
+    for part in _chunks(len(rows), table.size):
+        words = rows[part]
+        yield (_word_keys(words[:, table].reshape(len(words) * len(table), m), base),
+               np.repeat(vals[part], len(table)))
 
-    By the Dynkin-Specht-Wever criterion a homogeneous weight-m tensor t is
-    a Lie element iff left_bracketing(t) == m*t.
-    """
-    out: dict[W.WordKey, Coeff] = {}
-    for w, c in t.terms.items():
-        if not w:
-            continue
-        acc = {w[:1]: c}
-        for x in w[1:]:
-            x = (x,)
-            nxt = {u + x: v for u, v in acc.items()}  # [u, x] = u.x - x.u
-            axpy(nxt, -1, ((x + u, v) for u, v in acc.items()))
-            acc = nxt
-        axpy(out, 1, acc.items())
-    return t._like(out)
+
+def _square_terms(lrows: np.ndarray, lvals: np.ndarray, rrows: np.ndarray, rvals: np.ndarray,
+                  base: int):
+    """Minus the outer product of the words and values of two weights."""
+    if not len(lrows) or not len(rrows):
+        return
+    width = lrows.shape[1] + rrows.shape[1]
+    for part in _chunks(len(lrows), len(rrows) * width):
+        u = lrows[part]
+        uv = np.concatenate([np.repeat(u, len(rrows), axis=0), np.tile(rrows, (len(u), 1))], axis=1)
+        yield _word_keys(uv, base), -np.multiply.outer(lvals[part], rvals).ravel()
 
 
 def is_lie_element(t: Tensor) -> bool:
     """True iff every homogeneous component of t is a Lie element (no
-    weight-0 part allowed unless zero)."""
+    weight-0 part allowed unless zero).
+
+    By the Dynkin-Specht-Wever criterion a weight-m tensor t is a Lie
+    element iff its left bracketing, word by word x_1...x_m ->
+    [[..[x_1, x_2], ..], x_m], is m*t.  With N = L*t integral, each word of
+    N is taken through the 2^(m-1) position orders and signs of
+    ``_dynkin_table`` and the image compared with m*N."""
     if t.coefficient(()) != 0:
         return False
-    for m in t.weight_support():
-        comp = t.component(m)
-        if left_bracketing(comp) != comp.scale(m):
+    _, words = _numerators(t)
+    base = 2 * t.g
+    for m, (rows, cs) in words.items():
+        CellTooLarge.check(f"the Dynkin table of weight {m}", m << (m - 1))
+        order, signs = _dynkin_table(m)
+        vals = _exact_values(cs, sum(map(abs, cs)) * (len(signs) + m))
+        image = (
+            (_word_keys(rows[part][:, order].reshape(-1, m), base),
+             np.multiply.outer(vals[part], signs).ravel())
+            for part in _chunks(len(rows), order.size)
+        )
+        if not _vanishes(chain(image, [(_word_keys(rows, base), -m * vals)])):
             return False
     return True

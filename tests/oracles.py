@@ -27,7 +27,9 @@ from necklaces.lie import (
     necklace_normal_form,
 )
 from necklaces.linalg import _int_scale_column, _reduce_int, column_echelon_int, int_values
-from necklaces.tensors import PairTensor, Tensor, TruncatedSeries, axpy, exp_series
+from necklaces.tensors import (
+    Coeff, PairTensor, Tensor, TruncatedSeries, axpy, coproduct, exp_series,
+)
 
 
 # -- per-monomial emitters ------------------------------------------------------
@@ -625,8 +627,68 @@ def oracle_series_mul(x, y):
     return TruncatedSeries(x.tensor._like({k: v for k, v in out.items() if v != 0}), d)
 
 
+# -- Fraction certificates ------------------------------------------------------
+#
+# The outer square and the Dynkin map on Fraction term maps, that
+# tensors.is_grouplike and tensors.is_lie_element compared with
+# (coproduct(s) == outer_square(s), left_bracketing(t) == m*t) before they
+# summed integer word arrays.
+
+
+def outer_square(s: TruncatedSeries) -> PairTensor:
+    """s (x) s truncated to total weight <= cutoff.  Each left term visits
+    only the right terms that fit beside it, as in the series product."""
+    terms = s.tensor.terms.items()
+    fits: dict[int, list] = {}  # room -> terms of weight <= room, in order
+    out: dict[tuple[W.WordKey, W.WordKey], Coeff] = {}
+    for wx, cx in terms:
+        room = s.cutoff - len(wx)
+        if room < 0:
+            continue
+        ys = fits.get(room)
+        if ys is None:
+            ys = fits[room] = [(wy, cy) for wy, cy in terms if len(wy) <= room]
+        for wy, cy in ys:
+            out[(wx, wy)] = cx * cy
+    return PairTensor(s.g, out)
+
+
+def left_bracketing(t: Tensor) -> Tensor:
+    """The Dynkin map: x1...xm -> [[...[x1,x2],...],xm], extended linearly.
+
+    By the Dynkin-Specht-Wever criterion a homogeneous weight-m tensor t is
+    a Lie element iff left_bracketing(t) == m*t.
+    """
+    out: dict[W.WordKey, Coeff] = {}
+    for w, c in t.terms.items():
+        if not w:
+            continue
+        acc = {w[:1]: c}
+        for x in w[1:]:
+            x = (x,)
+            nxt = {u + x: v for u, v in acc.items()}  # [u, x] = u.x - x.u
+            axpy(nxt, -1, ((x + u, v) for u, v in acc.items()))
+            acc = nxt
+        axpy(out, 1, acc.items())
+    return t._like(out)
+
+
+def oracle_is_grouplike(s: TruncatedSeries) -> bool:
+    return coproduct(s) == outer_square(s)
+
+
+def oracle_is_lie_element(t: Tensor) -> bool:
+    if t.coefficient(()) != 0:
+        return False
+    for m in t.weight_support():
+        comp = t.component(m)
+        if left_bracketing(comp) != comp.scale(m):
+            return False
+    return True
+
+
 def oracle_outer_square(s):
-    """The outer square that tensors.outer_square replaced: every pair of
+    """The outer square that outer_square replaced: every pair of
     terms is visited, and the pairs over the cutoff skipped."""
     terms = s.tensor.terms.items()
     return PairTensor(s.g, {
@@ -649,7 +711,7 @@ def oracle_coproduct(s):
 
 
 def oracle_left_bracketing(t):
-    """The Dynkin map that tensors.left_bracketing replaced: the brackets
+    """The Dynkin map that left_bracketing replaced: the brackets
     taken on Tensor objects, one letter at a time."""
     out = Tensor.zero(t.g)
     for w, c in t.terms.items():
@@ -661,6 +723,27 @@ def oracle_left_bracketing(t):
             acc = acc * xt - xt * acc
         out = out + acc
     return out
+
+
+def oracle_correction_system(g: int, n: int, defect):
+    """The correction columns and target that expansion._correct_logs
+    built from Tensor products: [v, b_i] and [a_i, v] for every Lyndon
+    basis element v, rows numbered in word order."""
+    basis = E.lie_basis(g, n)
+    columns = []
+    for l in range(2 * g):
+        partner_letter = Tensor.letter(g, l ^ 1)
+        for elt in basis:
+            if l % 2 == 0:
+                col = elt * partner_letter - partner_letter * elt
+            else:
+                col = partner_letter * elt - elt * partner_letter
+            columns.append(col)
+    keys = sorted(set().union(*(set(c.terms) for c in columns), set(defect.terms)))
+    key_pos = {k: i for i, k in enumerate(keys)}
+    col_vecs = [{key_pos[wd]: c for wd, c in col.terms.items()} for col in columns]
+    target = {key_pos[wd]: -c for wd, c in defect.terms.items()}
+    return col_vecs, target
 
 
 def oracle_symplectic_expansion(g: int, cutoff: int):

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from necklaces import expansion
-from necklaces.errors import InconsistentExpansions
+from necklaces import expansion, tensors
+from necklaces.errors import CellTooLarge, InconsistentExpansions, PrecisionError
 from necklaces.expansion import (
     Expansion,
     abelianization,
@@ -25,7 +25,10 @@ from necklaces.expansion import (
 from necklaces.lie import DerivationElem, exp_derivation
 from necklaces.linalg import solve_columns
 from necklaces.tensors import (
+    Tensor,
     TruncatedSeries,
+    exp_series,
+    is_grouplike,
     is_lie_element,
     log_series,
     omega,
@@ -33,6 +36,9 @@ from necklaces.tensors import (
 from oracles import (
     exact,
     oracle_compare_expansions,
+    oracle_correction_system,
+    oracle_is_grouplike,
+    oracle_is_lie_element,
     oracle_solve_columns,
     oracle_symplectic_expansion,
 )
@@ -57,6 +63,15 @@ class TestGroupWords:
         assert w == (1, -2, 1)
         assert group_word_name(w) == "x1 x2^-1 x1"
         assert parse_group_word("1") == ()
+
+
+class TestExpansionPrecision:
+    def test_a_series_below_the_cutoff_is_refused(self):
+        a1, b1 = Tensor.letter(1, A1), Tensor.letter(1, B1)
+        series = {0: exp_series(TruncatedSeries(a1, 2)), 1: exp_series(TruncatedSeries(b1, 5))}
+        with pytest.raises(PrecisionError, match="x1 is known to weight 2, below the cutoff 5"):
+            Expansion(1, 5, series)
+        assert [s.cutoff for s in Expansion(1, 2, series).series.values()] == [2, 2]
 
 
 class TestEvaluate:
@@ -162,6 +177,65 @@ class TestSolver:
         symplectic_expansion(2, 6)
         assert sizes == [24, 80, 240, 816]
 
+    def test_correction_columns_match_tensor_products(self, monkeypatch):
+        # the columns from rank arithmetic are the dict columns that the
+        # Tensor products [v, b_i] and [a_i, v] gave, row for row
+        systems = []
+
+        def recorded(columns, target):
+            systems.append((columns, target))
+            return solve_columns(columns, target)
+
+        monkeypatch.setattr(expansion, "solve_columns", recorded)
+        for g, cutoff in ((1, 6), (2, 5)):
+            logs = {l: Tensor.letter(g, l) for l in range(2 * g)}
+            for n in range(2, cutoff):
+                series = {l: exp_series(TruncatedSeries(logs[l], n + 1)) for l in range(2 * g)}
+                defect = Expansion(g, n + 1, series).boundary_log_defect().component(n + 1)
+                if defect.is_zero():
+                    continue
+                want = oracle_correction_system(g, n, defect)
+                expansion._correct_logs(g, n, logs, defect)
+                columns, target = systems.pop()
+                assert columns == want[0] and target == want[1]
+                assert {type(v) for c in columns for v in c.values()} == {int}
+
+    def test_small_budget_chunks_the_tables(self, monkeypatch):
+        # every table of theta(g=1, D=6) fits in 256 entries, so nothing is
+        # refused; the source words then go through in chunks of one or two
+        want = symplectic_expansion(1, 6)
+        parts = []
+        folded = tensors._folded
+
+        def counted(stream):
+            stream = list(stream)
+            parts.append(len(stream))
+            return folded(stream)
+
+        monkeypatch.setattr(tensors, "_folded", counted)
+        monkeypatch.setattr(expansion, "_folded", counted)
+        monkeypatch.setattr(CellTooLarge, "BUDGET", 256)
+        got = symplectic_expansion(1, 6)
+        assert got.to_json_dict() == want.to_json_dict()
+        assert got.check_grouplike()
+        assert all(is_lie_element(log_series(s).tensor) for s in got.series.values())
+        assert max(parts) > 8
+        monkeypatch.setattr(CellTooLarge, "BUDGET", 16)
+        with pytest.raises(CellTooLarge, match="correction columns of one weight-2 word"):
+            symplectic_expansion(2, 3)
+
+    def test_letter_keys_and_python_ints(self, monkeypatch):
+        # with the int64 limit at 16, the words of length >= 2 at g=2 (>= 4
+        # at g=1) are keyed by their letters and every value is a Python
+        # int: the same expansions
+        want = [symplectic_expansion(g, d).to_json_dict() for g, d in ((1, 5), (2, 4))]
+        monkeypatch.setattr(tensors, "_INT64_SAFE", 16)
+        got = [symplectic_expansion(g, d) for g, d in ((1, 5), (2, 4))]
+        assert [th.to_json_dict() for th in got] == want
+        assert all(th.check_grouplike() for th in got)
+        bent = TruncatedSeries(got[1].series[0].tensor + Tensor.word(2, (0, 1, 2), 1), 4)
+        assert not is_grouplike(bent) and not oracle_is_grouplike(bent)
+
     @pytest.mark.parametrize(
         "g,cutoff", [(1, d) for d in range(2, 8)] + [(2, d) for d in range(2, 7)]
     )
@@ -192,6 +266,30 @@ class TestSolver:
         th2 = Expansion.from_json_dict(th.to_json_dict())
         assert th2.to_json_dict() == th.to_json_dict()
         assert th2.is_symplectic()
+
+
+@pytest.fixture(scope="module")
+def theta27():
+    return symplectic_expansion(2, 7)
+
+
+class TestCertificateVerdicts:
+    """The verdicts of is_grouplike and is_lie_element on the four g=2 D=7
+    thetas and their logs agree with the Fraction paths, and a one-term
+    perturbation turns both to False."""
+
+    def test_thetas_and_perturbations(self, theta27):
+        rng = random.Random(38)
+        for s in theta27.series.values():
+            assert is_grouplike(s) and oracle_is_grouplike(s)
+            log = log_series(s).tensor
+            assert is_lie_element(log) and oracle_is_lie_element(log)
+            for _ in range(3):
+                word = tuple(rng.randrange(4) for _ in range(rng.randint(2, 7)))
+                extra = Tensor.word(2, word, Fraction(rng.choice([-1, 1]), rng.choice([1, 7])))
+                bent = TruncatedSeries(s.tensor + extra, 7)
+                assert not is_grouplike(bent) and not oracle_is_grouplike(bent)
+                assert not is_lie_element(log + extra) and not oracle_is_lie_element(log + extra)
 
 
 class TestCompare:

@@ -103,3 +103,38 @@ def test_per_monomial_emitters_live_in_the_tests():
         if name in moved
     ]
     assert not found, f"per-monomial emitters in the package: {found}"
+
+
+def test_expansion_certificates_form_no_fraction_terms():
+    # is_grouplike, is_lie_element and _correct_logs, and every function of
+    # tensors.py and expansion.py that they reach by name, sum integer word
+    # arrays: none names the term-by-term coproduct, outer square, Dynkin map
+    # or Tensor product, and the last two live only in tests/oracles.py
+    defs: dict = {}
+    for module in ("tensors.py", "expansion.py"):
+        for node in ast.parse((SRC / module).read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.FunctionDef):
+                defs.setdefault(node.name, []).append(node)
+    forbidden = {"coproduct", "outer_square", "left_bracketing", "concat_mul"}
+    seen, todo, found = set(), ["is_grouplike", "is_lie_element", "_correct_logs"], []
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for fn in defs.get(name, ()):
+            for node in ast.walk(fn):
+                ref = getattr(node, "id", getattr(node, "attr", None))
+                if ref in forbidden:
+                    found.append(f"{ref} in {name} at line {node.lineno}")
+                elif ref in defs:
+                    todo.append(ref)
+    assert not found, f"term-by-term Fraction paths in the certificates: {found}"
+    assert {"_delta_terms", "_square_terms", "_bracket_terms", "_folded", "lie_basis"} <= seen
+    defined = [
+        f"{node.name} in {path.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef) and node.name in ("left_bracketing", "outer_square")
+    ]
+    assert not defined, f"Fraction certificate paths defined in the package: {defined}"

@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from necklaces import tensors
 from necklaces import (
+    CellTooLarge,
     GenusMismatch,
     PrecisionError,
     Tensor,
@@ -19,14 +21,17 @@ from necklaces import (
     omega,
     pairing,
 )
-from necklaces.tensors import left_bracketing, outer_square
 from necklaces.words import Letter, parse_word, word_name
 from oracles import (
     exact,
+    left_bracketing,
     oracle_coproduct,
+    oracle_is_grouplike,
+    oracle_is_lie_element,
     oracle_left_bracketing,
     oracle_outer_square,
     oracle_series_mul,
+    outer_square,
 )
 
 A1, B1, A2, B2 = 0, 1, 2, 3
@@ -314,6 +319,104 @@ class TestAgainstReferencePaths:
             got, want = left_bracketing(t), oracle_left_bracketing(t)
             assert got.g == want.g
             assert exact([got.terms]) == exact([want.terms])
+
+
+def rand_lie(rng, g, fractions):
+    """A random Lie element of weights 1..4: letters and brackets of them."""
+    letters = [Tensor.letter(g, l) for l in range(2 * g)]
+    out = Tensor.zero(g)
+    for _ in range(rng.randint(1, 4)):
+        x = rng.choice(letters)
+        for _ in range(rng.randint(0, 3)):
+            y = rng.choice(letters)
+            x = x * y - y * x
+        out = out + x.scale(rand_coeff(rng, fractions))
+    return out
+
+
+HUGE = Fraction(2**70 + 1, 3)
+
+
+class TestCertificateVerdicts:
+    """is_grouplike and is_lie_element on integer word arrays give the
+    verdicts of the Fraction paths: coproduct(s) == outer_square(s), and
+    left_bracketing(t) == m*t on every weight m."""
+
+    def test_random_series(self):
+        rng = random.Random(36)
+        for _ in range(300):
+            g = rng.choice([1, 2, 3])
+            s = rand_series(rng, g, rng.randint(0, 8), rng.random() < 0.5)
+            assert is_grouplike(s) == oracle_is_grouplike(s)
+            assert is_lie_element(s.tensor) == oracle_is_lie_element(s.tensor)
+
+    def test_exponentials_of_lie_elements(self):
+        rng = random.Random(37)
+        for _ in range(40):
+            g = rng.choice([1, 2, 3])
+            fractions = rng.random() < 0.5
+            x = rand_lie(rng, g, fractions)
+            s = exp_series(TruncatedSeries(x, rng.randint(0, 8)))
+            assert is_grouplike(s) and oracle_is_grouplike(s)
+            assert is_lie_element(x) and oracle_is_lie_element(x)
+            word = tuple(rng.randrange(2 * g) for _ in range(rng.randint(1, 4)))
+            bent = TruncatedSeries(s.tensor + Tensor.word(g, word, rand_coeff(rng, fractions)), s.cutoff)
+            assert is_grouplike(bent) == oracle_is_grouplike(bent)
+            y = x + Tensor.word(g, word, rand_coeff(rng, fractions))
+            assert is_lie_element(y) == oracle_is_lie_element(y)
+
+    def test_zero_and_scalar(self):
+        for d in (0, 3):
+            zero = TruncatedSeries(Tensor.zero(2), d)
+            two = TruncatedSeries(Tensor(2, {(): 2}), d)
+            assert is_grouplike(zero) and oracle_is_grouplike(zero)
+            assert not is_grouplike(two) and not oracle_is_grouplike(two)
+        assert is_lie_element(Tensor.zero(2))
+        assert not is_lie_element(Tensor(2, {(): 2}))
+
+    def test_huge_coefficients_take_exact_ints(self, monkeypatch):
+        dtypes = []
+        values = tensors._exact_values
+
+        def recorded(vals, bound):
+            out = values(vals, bound)
+            dtypes.append(out.dtype)
+            return out
+
+        monkeypatch.setattr(tensors, "_exact_values", recorded)
+        a, b = Tensor.letter(1, A1), Tensor.letter(1, B1)
+        s = exp_series(TruncatedSeries(a.scale(HUGE) + b, 4))
+        assert is_grouplike(s) and oracle_is_grouplike(s)
+        bent = TruncatedSeries(s.tensor + T(1, ((A1, B1), 1)), 4)
+        assert not is_grouplike(bent) and not oracle_is_grouplike(bent)
+        x = (a * b - b * a).scale(HUGE) + a.scale(HUGE * HUGE)
+        assert is_lie_element(x) and oracle_is_lie_element(x)
+        y = x + T(1, ((A1, A1, B1), HUGE))
+        assert not is_lie_element(y) and not oracle_is_lie_element(y)
+        assert object in dtypes
+
+    def test_words_longer_than_a_rank(self):
+        # (2g)^16 = 2^64 at g=8: weight-16 words are keyed by their letters
+        a1, b8 = Tensor.letter(8, 0), Tensor.letter(8, 15)
+        s = exp_series(TruncatedSeries(b8, 16))
+        assert is_grouplike(s) and oracle_is_grouplike(s)
+        bent = TruncatedSeries(s.tensor + Tensor.word(8, (15,) * 16, Fraction(1, 7)), 16)
+        assert not is_grouplike(bent) and not oracle_is_grouplike(bent)
+        ad = b8
+        for _ in range(15):
+            ad = a1 * ad - ad * a1
+        assert len(ad.terms) == 16
+        assert is_lie_element(ad) and oracle_is_lie_element(ad)
+        assert not is_lie_element(ad + Tensor.word(8, (0,) * 15 + (15,), 1))
+        assert not is_lie_element(ad + Tensor.word(8, (15, 0) * 8, 1))
+
+    def test_tables_are_sized_first(self, monkeypatch):
+        s = exp_series(TruncatedSeries(Tensor.letter(1, A1) + Tensor.letter(1, B1), 6))
+        monkeypatch.setattr(CellTooLarge, "BUDGET", 64)
+        with pytest.raises(CellTooLarge, match="split table of weight 6"):
+            is_grouplike(s)
+        with pytest.raises(CellTooLarge, match="Dynkin table of weight 6"):
+            is_lie_element(s.tensor.component(6))
 
 
 class TestJsonAndInvariants:
