@@ -50,7 +50,7 @@ from . import words as W
 from .errors import CellTooLarge, GenusMismatch
 from .lie import DerivationElem, NecklaceContext, algebra, necklace_count
 from .linalg import SparseRationalMatrix, int_csc, int_values
-from .tensors import Coeff, TermMap, axpy, coeff_str, parse_coeff, _prune, _summed
+from .tensors import Coeff, TermMap, axpy, coeff_str, parse_coeff, _csr, _joined, _prune, _summed
 
 WedgeKey = tuple[int, ...]
 ModKey = tuple[W.WordKey, WedgeKey]
@@ -142,9 +142,10 @@ def _rows(rows: list) -> np.ndarray:
 
 def _delta_csr(ctx: NecklaceContext, m: int, table) -> tuple:
     """Cobracket rows of weight m (n - offset(m), a, b, coeff), checked, in
-    CSR form over the necklaces of weight m: (indptr, a, b, coeff).  Every
-    index must be in its range, a < b, the weights of a and b must sum to
-    m - 2, and every coefficient must be an int (``int_values``)."""
+    CSR form over the necklaces of weight m, summed (``tensors._csr``):
+    (indptr, a, b, coeff).  Every index must be in its range, a < b, the
+    weights of a and b must sum to m - 2, and every coefficient must be an
+    int (``int_values``)."""
     n, a, b = (np.asarray(row, dtype=np.int64) for row in table[:3])
     coeff = int_values(table[3])
     count = necklace_count(ctx.g, m)
@@ -156,9 +157,7 @@ def _delta_csr(ctx: NecklaceContext, m: int, table) -> tuple:
             raise ValueError(f"the cobracket table of weight {m} has a pair out of order")
         if not (ctx.weights(a) + ctx.weights(b) == m - 2).all():
             raise ValueError("the cobracket handle does not lower the weight by 2")
-    order = np.argsort(n, kind="stable")
-    indptr = np.searchsorted(n[order], np.arange(count + 1, dtype=np.int64))
-    return indptr, a[order], b[order], coeff[order]
+    return _csr([(n, a, b, coeff)], count, 2)
 
 
 def _mu_checked(g: int, k: int, table: Mapping[int, np.ndarray]) -> dict:
@@ -567,15 +566,6 @@ def _insert(rest: np.ndarray, new: np.ndarray):
     return np.sort(np.concatenate([rest, new], axis=1), axis=1), 1 - 2 * (below & 1), clash
 
 
-def _emitted(parts: list, p: int):
-    """Concatenate (source row, target tuples, coeff) blocks; none is the
-    empty emission (with no columns for p < 0: the boundary of p = 0)."""
-    if not parts:
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, np.zeros((0, max(p, 0)), dtype=np.int64), empty
-    return tuple(np.concatenate(col) for col in zip(*parts))
-
-
 def table_bracket(ctx: NecklaceContext, m1: int, first: np.ndarray, m2: int, second: np.ndarray):
     """The brackets of the necklace pairs (offset(m1) + first[q], offset(m2)
     + second[q]) from ``NecklaceContext.bracket_table(m1, m2)``: arrays
@@ -606,7 +596,7 @@ def boundary_terms(ctx: NecklaceContext, tuples: np.ndarray, bracket=table_brack
                     new, sign, clash = _insert(rest[src], target[:, None])
                     keep = ~clash
                     parts.append((src[keep], new[keep], (s0 * sign * coeff)[keep]))
-    return _emitted(parts, p - 1)
+    return _joined(parts, 0, (0, max(p - 1, 0)), 0)
 
 
 def cochain_terms(ctx: NecklaceContext, table, tuples: np.ndarray):
@@ -629,7 +619,7 @@ def cochain_terms(ctx: NecklaceContext, table, tuples: np.ndarray):
             new, sign, clash = _insert(rest[src], np.stack([a[at], b[at]], axis=1))
             keep = ~clash
             parts.append((src[keep], new[keep], (s0 * sign * coeff[at])[keep]))
-    return _emitted(parts, p + 1)
+    return _joined(parts, 0, (0, p + 1), 0)
 
 
 # -- operators on chain vectors ----------------------------------------------
@@ -659,14 +649,14 @@ def _act_pairs(ctx: NecklaceContext, k: int, m: int, ranks: np.ndarray, local: n
     rots = ctx.rotations(m, nu)[at]  # rotation a of pair q in [q, a]
     y = rots[:, :, 0] ^ 1  # the word letter that pairs with the first letter
     tail = rots[:, :, 1:] @ base ** np.arange(m - 2, -1, -1, dtype=np.int64)
-    parts = [np.zeros((3, 0), dtype=np.int64)]
+    parts = []
     for pos in range(k):
         low = base ** (k - 1 - pos)
         q, a = np.nonzero(y == (ranks // low % base)[:, None])
         r = ranks[q]
         tgt = (r // (low * base) * base ** (m - 1) + tail[q, a]) * low + r % low
-        parts.append(np.stack([q, tgt, np.where(y[q, a] % 2 == 1, 1, -1)]))
-    return tuple(np.concatenate(parts, axis=1))
+        parts.append((q, tgt, np.where(y[q, a] % 2 == 1, 1, -1)))
+    return _joined(parts, 0, 0, 0)
 
 
 def _mu_rows(handle: ComoduleHandle, k: int, ranks: Iterable[int]) -> dict:
@@ -704,9 +694,7 @@ def _ranked(g: int, p: int, w: int, tuples: np.ndarray) -> np.ndarray:
 def _image(cls, target, coeffs: list, parts: list):
     """The vector in target of the terms (q, target position, int coeff)
     of the parts, each times coeffs[q]."""
-    if not coeffs or not parts:
-        return cls(target)
-    q, pos, coeff = (np.concatenate(col) for col in zip(*parts))
+    q, pos, coeff = _joined(parts, 0, 0, 0)
     (pos, q), coeff = _summed((pos, q), coeff)
     acc: dict = {}
     for i, j, c in zip(pos.tolist(), q.tolist(), coeff.tolist()):
@@ -898,17 +886,6 @@ def assemble(
 # index arithmetic, so no module monomial and no word is ever enumerated.
 
 
-def _coo(rows: list, cols: list, vals: list):
-    """Concatenate (rows, cols, vals) blocks into three int64 arrays."""
-    if not rows:
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, empty, empty
-    return tuple(
-        np.concatenate([np.asarray(a, dtype=np.int64).ravel() for a in part])
-        for part in (rows, cols, vals)
-    )
-
-
 def action_table(ctx: NecklaceContext, k: int, m: int, local: np.ndarray | None = None):
     """The action of necklaces of weight m on the words of length k, as rank
     arrays (src, tgt, sign) of shape (necklaces, terms): row i is the
@@ -1072,12 +1049,10 @@ class CellOperators:
 
     def _module_coo(self, op: str, p: int, w: int, tp: int):
         src, dst = mod_layout(self.g, p, w), mod_layout(self.g, tp, w - 2)
-        rows, cols, vals = [], [], []
+        parts = []
 
         def put(k_src, k_tgt, r, c, v):
-            rows.append(dst.offsets[k_tgt] + r)
-            cols.append(src.offsets[k_src] + c)
-            vals.append(v)
+            parts.append(tuple(map(np.ravel, (dst.offsets[k_tgt] + r, src.offsets[k_src] + c, v))))
 
         for k, ds in enumerate(src.wedge_dims):
             if not ds:
@@ -1109,4 +1084,4 @@ class CellOperators:
                     keep = x != 0
                     put(k, kt, (tr[:, None] * dst.wedge_dims[kt] + e_tgt[:, nl].T)[keep],
                         (sr[:, None] * ds + np.arange(ds))[keep], x[keep])
-        return _coo(rows, cols, vals)
+        return _joined(parts, 0, 0, 0)

@@ -41,13 +41,13 @@ import numpy as np
 
 from . import complexes as C
 from . import words as W
-from .errors import ConditionFailed, MinWeightTooLow, NotInN
+from .errors import CellTooLarge, ConditionFailed, MinWeightTooLow, NotInN
 from .homology import HomologyEngine
 from .lie import (
     DerivationElem, algebra, bracket, exp_derivation, mu_alg, necklace_count, schedler_delta,
 )
-from .linalg import _INT64_SAFE, SparseRationalMatrix, common_denominator, kernel_basis
-from .tensors import Coeff, Tensor, _summed, axpy
+from .linalg import SparseRationalMatrix, common_denominator, kernel_basis
+from .tensors import Coeff, Tensor, _csr, _exact, _joined, _product, _summed, _vanishes, axpy
 
 
 # -- deformation elements -----------------------------------------------------
@@ -134,8 +134,7 @@ class _ScaledDeformation(DeformationElement):
     """factor * A with int coefficients, as the arrays the identity checks
     read: its pairs, its nabla, and per weight m the brackets of the
     necklaces of weight m with A's own necklaces and the sigma table.  Its
-    nabla is A's times factor.  A coefficient array is int64, or an object
-    array of Python ints where a value reaches 2**62 (``_exact``)."""
+    nabla is A's times factor; coefficient arrays are ``tensors._exact``."""
 
     def __init__(self, base: DeformationElement, factor: int):
         self.chain = C.ChainVector(base.chain.basis, _times(base.chain.coeffs, factor))
@@ -191,9 +190,7 @@ class _ScaledDeformation(DeformationElement):
                 keep = ~clash
                 c = _product(self.coeffs[q[which]][keep], (sgn * sign * coeff[at])[keep])
                 parts.append((x[which][keep], new[keep, 0], new[keep, 1], c))
-            n, a, b, c = (np.concatenate(col) for col in zip(*parts))
-            (n, a, b), c = _exact_sum((n, a, b), c)
-            self._sigma[m] = (np.searchsorted(n, np.arange(count + 1)), a, b, c)
+            self._sigma[m] = _csr(parts, count, 2)
         return self._sigma[m]
 
 
@@ -468,74 +465,23 @@ def check_coaction(delta_handle, mu_handle, max_weight: int, g: int,
 # action of necklaces on words by ``complexes.action_table``.  A side is
 # composed with the next operator by emitting that operator on the side's
 # target tuples, so the intermediate cell (p+2, w + wt A) is never built or
-# ranked.  The identity holds on a block of source rows iff the terms of
-# LHS - RHS sum to zero (``_cancels``).  The rows are taken _CHUNK
-# insertions at a time, and a check stops at the first block that fails.
-# The brackets of pairs with one of A's necklaces come from
-# ``_ScaledDeformation.brackets``, and the action on words is tabled for
-# the necklaces present only, so no whole-weight table is built for A's
-# weight.
-#
-# Coefficients are exact: an array stays int64 while a bound certifies
-# that no product or sum reaches 2**62, and is computed with Python ints
-# otherwise (``_product``, ``_exact_sum``).
+# ranked.  The identity holds on a block of source rows, _CHUNK insertions
+# at a time, iff the terms of LHS - RHS sum to zero (``tensors._vanishes``).
+# Brackets with A's necklaces come from ``_ScaledDeformation.brackets``,
+# the others from ``_plain_bracket``, and the action on words is tabled for
+# the necklaces present only, so no table over the budget is built.
 
 _CHUNK = 4096  # source rows times insertions per block of an identity check
 
 
-def _exact(values) -> np.ndarray:
-    """Python ints as an int64 array, or as an object array of the ints
-    themselves where one reaches 2**62 in absolute value."""
-    values = list(values)
-    small = all(-_INT64_SAFE < v < _INT64_SAFE for v in values)
-    return np.array(values, dtype=np.int64 if small else object)
-
-
-def _max_abs(x: np.ndarray) -> int:
-    return int(np.abs(x).max()) if x.size else 0
-
-
-def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x * y elementwise, exactly: in int64 where max|x| * max|y| < 2**62
-    certifies every product, and in Python ints otherwise."""
-    if x.dtype != object and y.dtype != object and _max_abs(x) * _max_abs(y) < _INT64_SAFE:
-        return x * y
-    return x.astype(object) * y.astype(object)
-
-
-def _exact_sum(keys: tuple[np.ndarray, ...], coeff: np.ndarray):
-    """``tensors._summed``, in int64 where len * max|coeff| < 2**62 certifies
-    every partial sum, and in Python ints otherwise."""
-    if coeff.dtype != object and len(coeff) * _max_abs(coeff) >= _INT64_SAFE:
-        coeff = coeff.astype(object)
-    return _summed(keys, coeff)
-
-
-def _cancels(*parts) -> bool:
-    """Whether terms (source row, target columns (n, c), coeff) sum to zero
-    for every source row and target.  The columns are summed as one
-    mixed-radix key where their ranges allow it."""
-    parts = [part for part in parts if len(part[0])]
-    if not parts:
-        return True
-    src, target, coeff = (np.concatenate(col) for col in zip(*parts))
-    keys, key, top = (src, *target.T), np.zeros(len(src), dtype=np.int64), 1
-    for col in keys:
-        radix = int(col.max()) + 1
-        top *= radix
-        if top >= _INT64_SAFE:
-            break
-        key = key * radix + col
-    else:
-        keys = (key,)
-    return not len(_exact_sum(keys, coeff)[1])
-
-
-def _joined(parts: list, n: int):
-    """Concatenate blocks of n int64 arrays; none is n empty arrays."""
-    if not parts:
-        return (np.zeros(0, dtype=np.int64),) * n
-    return tuple(np.concatenate(col) for col in zip(*parts))
+def _plain_bracket(ctx, m1: int, first: np.ndarray, m2: int, second: np.ndarray):
+    """``complexes.table_bracket``, or where that table is over the
+    ``CellTooLarge`` budget (refused from its size alone) the brackets of
+    the pairs asked for only (``complexes._pair_bracket``)."""
+    try:
+        return C.table_bracket(ctx, m1, first, m2, second)
+    except CellTooLarge:
+        return C._pair_bracket(ctx, m1, first, m2, second)
 
 
 def _wedge_into(tuples: np.ndarray, factors: np.ndarray, coeffs: np.ndarray):
@@ -553,7 +499,7 @@ def _bracket_source(a: "_ScaledDeformation"):
     """The bracket source of ``complexes.boundary_terms`` for tuples that
     hold A's necklaces: a pair (N_i, N_j) with N_j one of them reads row
     (i, j) of ``a.brackets``, a pair with only N_i one of them reads -[N_j,
-    N_i] there, and any other pair the whole-weight table."""
+    N_i] there, and any other pair ``_plain_bracket``."""
     necks = a.necklaces
 
     def member(idx):
@@ -567,7 +513,7 @@ def _bracket_source(a: "_ScaledDeformation"):
         parts = []
         plain = np.flatnonzero(~(in_i | in_j))
         if len(plain):
-            which, target, coeff = C.table_bracket(ctx, m1, first[plain], m2, second[plain])
+            which, target, coeff = _plain_bracket(ctx, m1, first[plain], m2, second[plain])
             parts.append((plain[which], target, coeff))
         for sel, m, other, pos, sgn in ((in_j, m1, first, pos_j, 1), (in_i, m2, second, pos_i, -1)):
             sel = np.flatnonzero(sel)
@@ -575,7 +521,7 @@ def _bracket_source(a: "_ScaledDeformation"):
                 indptr, target, coeff = a.brackets(m)
                 which, at = C._gather(indptr, other[sel] * len(necks) + pos[sel])
                 parts.append((sel[which], target[at], sgn * coeff[at]))
-        return _joined(parts, 3)
+        return _joined(parts, 0, 0, 0)
 
     return bracket
 
@@ -600,14 +546,15 @@ def homotopy_check(a: DeformationElement | C.ChainVector, p: int, w: int) -> boo
         x = cell[lo:lo + step]
         row, _, ax, c_ax = _wedge_into(x, a.pairs, a.coeffs)  # A ^ x
         i, t1, c1 = C.boundary_terms(ctx, ax, bracket)  # boundary(A ^ x)
-        j, bx, c_bx = C.boundary_terms(ctx, x)
+        j, bx, c_bx = C.boundary_terms(ctx, x, _plain_bracket)
         k, _, t2, c2 = _wedge_into(bx, a.pairs, a.coeffs)  # A ^ boundary(x)
         n, _, t3, c3 = _wedge_into(x, a.nabla_factors, a.nabla_coeffs)  # (nabla A) ^ x
         r, t4, c4 = C.cochain_terms(ctx, a.sigma_csr, x)  # the sigma sum
-        if not _cancels((row[i], t1, _product(c_ax[i], c1)),
-                        (j[k], t2, -_product(c_bx[k], c2)),
-                        (n, t3, c3),
-                        (r, t4, -c4)):
+        src, target, coeff = _joined([(row[i], t1, _product(c_ax[i], c1)),
+                                      (j[k], t2, -_product(c_bx[k], c2)),
+                                      (n, t3, c3),
+                                      (r, t4, -c4)], 0, (0, p + 1), 0)
+        if not _vanishes([((src, *target.T), coeff)]):
             return False
     return True
 
@@ -620,7 +567,7 @@ def assemble_sigma_piece(a: DeformationElement, p: int, w: int) -> SparseRationa
     A's denominators."""
     den, tw = a._denominator, w + a.weight - 2
     src, new, coeff = C.cochain_terms(algebra(a.g), a.scaled(den).sigma_csr, C.wedge_cell(a.g, p, w))
-    (tgt, src), coeff = _exact_sum((C.cell_positions(a.g, p + 1, tw, new), src), coeff)
+    (tgt, src), coeff = _summed((C.cell_positions(a.g, p + 1, tw, new), src), coeff)
     values = coeff.tolist() if den == 1 else [Fraction(v, den) for v in coeff.tolist()]
     return SparseRationalMatrix.from_entries(
         C.wedge_dim(a.g, p + 1, tw), C.wedge_dim(a.g, p, w),
@@ -647,7 +594,7 @@ def _action_terms(ctx, k: int, necks: np.ndarray):
         nt = src.shape[1]
         parts.append((np.repeat(rows, nt), src.ravel(), np.full(len(rows) * nt, k + m - 2),
                       tgt.ravel(), sign.ravel()))
-    return _joined(parts, 5)
+    return _joined(parts, 0, 0, 0, 0, 0)
 
 
 def _gamma_terms(ctx, k: int, tuples: np.ndarray):
@@ -655,13 +602,12 @@ def _gamma_terms(ctx, k: int, tuples: np.ndarray):
     action of each factor X_i on the word, X_i removed with the sign (-1)^i
     (1-based) times the sign of the action; arrays (row, source word,
     target length, target word, target tuple, sign)."""
-    empty = np.zeros(0, dtype=np.int64)
-    parts = [(empty,) * 4 + (tuples[:0, 1:], empty)]
+    parts = []
     for ii in range(tuples.shape[1]):
         e, sw, tl, tw, sign = _action_terms(ctx, k, tuples[:, ii])
         s0 = -1 if ii % 2 == 0 else 1  # (-1)^i, 1-based
         parts.append((e, sw, tl, tw, np.delete(tuples, ii, axis=1)[e], s0 * sign))
-    return tuple(np.concatenate(col) for col in zip(*parts))
+    return _joined(parts, 0, 0, 0, 0, (0, max(tuples.shape[1] - 1, 0)), 0)
 
 
 def _on_words(g: int, k: int, rows: int, row, tuples, coeff):
@@ -715,7 +661,7 @@ def assemble_mod_piece(
     b, a = (_cleared(*elements) + [None])[:2]
     tw = w + b.weight - 2
     src, tgt, ctx = C.mod_layout(g, p, w), C.mod_layout(g, p + 1, tw), algebra(g)
-    rows, cols, vals = [], [], []
+    parts = []
     for k, ds in enumerate(src.wedge_dims):
         if not ds:
             continue
@@ -723,12 +669,10 @@ def assemble_mod_piece(
             for length in np.unique(target[:, 0]).tolist():
                 sel = target[:, 0] == length
                 pos = C.cell_positions(g, p + 1, tw - length, target[sel, 2:])
-                rows.append(tgt.offsets[length] + target[sel, 1] * tgt.wedge_dims[length] + pos)
-                cols.append(src.offsets[k] + s[sel])
-                vals.append(coeff[sel])
-    empty = np.zeros(0, dtype=np.int64)
-    (r, c), v = _exact_sum((np.concatenate(rows or [empty]), np.concatenate(cols or [empty])),
-                           np.concatenate(vals or [empty]))
+                parts.append((tgt.offsets[length] + target[sel, 1] * tgt.wedge_dims[length] + pos,
+                              src.offsets[k] + s[sel], coeff[sel]))
+    r, c, v = _joined(parts, 0, 0, 0)
+    (r, c), v = _summed((r, c), v)
     values = v.tolist() if den == 1 else [Fraction(x, den) for x in v.tolist()]
     return SparseRationalMatrix.from_entries(tgt.dim, src.dim, zip(r.tolist(), c.tolist(), values))
 
@@ -760,18 +704,19 @@ def mod_homotopy_check(
             row, _, bx, c_bx = _wedge_into(x, b.pairs, b.coeffs)  # m (x) B ^ xi
             i, t1, c1 = C.boundary_terms(ctx, bx, bracket)
             gi, gsw, gtl, gtw, gt, gs = _gamma_terms(ctx, k, bx)
-            j, dx, c_dx = C.boundary_terms(ctx, x)
+            j, dx, c_dx = C.boundary_terms(ctx, x, _plain_bracket)
             kk, _, t2, c2 = _wedge_into(dx, b.pairs, b.coeffs)
             hi, hsw, htl, htw, ht, hs = _gamma_terms(ctx, k, x)
             hk, _, ht2, hc = _wedge_into(ht, b.pairs, b.coeffs)
             piece = _mod_piece_terms(ctx, a, b, k, x)
-            if not _cancels(
+            src, target, coeff = _joined([
                 _on_words(a.g, k, len(x), row[i], t1, _product(c_bx[i], c1)),  # 1 (x) boundary
                 _moved(len(x), row[gi], gsw, gtl, gtw, gt, _product(c_bx[gi], gs)),  # Gamma
                 _on_words(a.g, k, len(x), j[kk], t2, -_product(c_dx[kk], c2)),  # - E_B (1 (x) boundary)
                 _moved(len(x), hi[hk], hsw[hk], htl[hk], htw[hk], ht2, -_product(hs[hk], hc)),  # - E_B Gamma
                 *((s, t, -c) for s, t, c in piece),
-            ):
+            ], 0, (0, p + 3), 0)
+            if not _vanishes([((src, *target.T), coeff)]):
                 return False
     return True
 

@@ -42,7 +42,7 @@ from .tensors import (
     Tensor,
     TruncatedSeries,
     _chunks,
-    _exact_values,
+    _exact,
     _folded,
     _word_keys,
     axpy,
@@ -414,8 +414,7 @@ def _correct_logs(g: int, n: int, logs: dict[int, Tensor], defect: Tensor) -> No
             elt.append(i)
             words.append(w)
             coeffs.append(c)
-    elt, rows = np.array(elt, dtype=np.int64), np.array(words, dtype=np.int64)
-    coeff = _exact_values(coeffs, 2 * max(map(abs, coeffs)))  # two terms meet at most
+    elt, rows, coeff = np.array(elt, dtype=np.int64), np.array(words, dtype=np.int64), _exact(coeffs)
     per = 2 * base * (n + 1)  # the words v.p and p.v for every generator
     CellTooLarge.check(f"the correction columns of one weight-{n} word (genus {g})", per)
     (col, *keys), vals = _folded(

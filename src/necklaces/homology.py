@@ -11,15 +11,16 @@ The operator matrices are the int64 matrices of ``complexes.CellOperators``.
 Their dict columns (``SparseRationalMatrix.from_int_csc``) are kept only
 where a kernel or a matrix-vector product needs them.
 
-Each boundary matrix is eliminated once, and the pass stops once its rank
-is proven.  Because boundary . boundary = 0, the rank of the boundary at
-(p, w) is at most the nullity of the boundary out of (p-1, w-2), so the
-echelon pass stops when its pivot count reaches that nullity; the later
-columns would all reduce to zero.  The bound is used only after the
-product of the two int64 boundaries has been certified to be exactly
-zero under the ``product_bound_ok`` overflow guard.  If the product
-cannot be certified, or it is not zero, the pass stops only at the row
-count.  Either way the echelon form is the same.
+The echelon pass over each boundary matrix runs once (``homology()`` runs
+``kernel_basis`` over it as well) and stops once its rank is proven.
+Because boundary . boundary = 0, the rank of the boundary at (p, w) is at
+most the nullity of the boundary out of (p-1, w-2), so the echelon pass
+stops when its pivot count reaches that nullity; the later columns would
+all reduce to zero.  The bound is used only after the product of the two
+int64 boundaries has been certified to be exactly zero under the
+``product_bound_ok`` overflow guard.  If the product cannot be certified,
+or it is not zero, the pass stops only at the row count.  Either way the
+echelon form is the same.
 
 The coboundary induced by an involutive cobracket maps H(p, w) to
 H(p+1, w-2); before descending to homology the engine verifies the
@@ -101,8 +102,8 @@ class InducedMap:
 class HomologyEngine:
     """Caches the operator matrices, the column echelon forms of the
     boundaries and the homology spaces per cell for a fixed genus,
-    cobracket handle and comodule handle; each boundary matrix is
-    eliminated at most once."""
+    cobracket handle and comodule handle.  The echelon pass over a boundary
+    matrix runs at most once; ``homology()`` adds a ``kernel_basis`` pass."""
 
     def __init__(self, g: int, delta=None, mu=None, module: bool = False):
         self.g = g

@@ -45,7 +45,7 @@ import numpy as np
 from . import words as W
 from .errors import CellTooLarge, GenusMismatch, NotCyclic
 from .tensors import Coeff, Tensor, TermMap, axpy, coeff_str, cyclicize, parse_coeff, _prune
-from .tensors import _summed, by_total_weight, by_weight
+from .tensors import _csr, _joined, _summed, by_total_weight, by_weight
 
 
 def _as_int_if_whole(c: Coeff) -> Coeff:
@@ -471,8 +471,7 @@ class NecklaceContext:
                     right = self.necklace_of_rank(outer)[r % low * base**ii + r // base ** (m - ii)]
                     sign = 1 - 2 * (digits[src, ii] & 1)
                     parts.append((src, left, right, np.where(left < right, sign, -sign)))
-            empty = np.zeros(0, dtype=np.int64)
-            src, left, right, coeff = map(np.concatenate, zip(*parts)) if parts else [empty] * 4
+            src, left, right, coeff = _joined(parts, 0, 0, 0, 0)
             keep = left != right
             keys = (src[keep], np.minimum(left, right)[keep], np.maximum(left, right)[keep])
             keys, coeff = _summed(keys, coeff[keep])
@@ -516,15 +515,6 @@ def _rotated(necks: np.ndarray) -> np.ndarray:
     row i in [i, a]."""
     m = necks.shape[1]
     return necks[:, (np.arange(m)[:, None] + np.arange(m)) % m]
-
-
-def _csr(parts: list, rows: int):
-    """Raw (row, target, coeff) terms summed into CSR rows over range(rows):
-    (indptr, target, coeff), each row's targets in index order."""
-    empty = np.zeros(0, dtype=np.int64)
-    row, target, coeff = map(np.concatenate, zip(*parts)) if parts else (empty,) * 3
-    (row, target), coeff = _summed((row, target), coeff)
-    return np.searchsorted(row, np.arange(rows + 1, dtype=np.int64)), target, coeff
 
 
 @lru_cache(maxsize=None)

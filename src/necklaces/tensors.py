@@ -458,36 +458,62 @@ def coproduct(s: TruncatedSeries) -> PairTensor:
     return PairTensor(s.g, out)
 
 
-# -- certificates on integer word arrays ----------------------------------------
+# -- exact term arithmetic ------------------------------------------------------
 #
-# is_grouplike and is_lie_element test identities that are homogeneous in
-# the coefficients, so they scale them by the lcm of the denominators and
-# work on integer numerators, kept per weight beside an int64 array of the
-# words' letters.  Each side of an identity becomes (word keys, values)
-# terms, and the identity holds iff the terms sum to zero key by key.  A
-# word of length m is keyed by its base-2g rank where (2g)^m < 2**62, and
-# by its letter columns otherwise.  Values are int64 only where a Python-int
-# bound on the sum of their absolute values certifies every partial sum;
-# otherwise the same arrays hold exact Python ints (dtype object).  Tables
-# are sized with CellTooLarge before they are built, and applied to the
-# source words in chunks of at most CellTooLarge.BUDGET entries.
+# Every identity check, table and operator of the package that sums terms
+# does it here: (int64 key columns, coefficients) as numpy arrays.  The
+# coefficients are exact: int64 only where a bound certifies that no value,
+# product or partial sum reaches 2**62 (``_exact``, ``_product``,
+# ``_summed``), else Python ints (dtype object).  ``linalg.int_values``
+# is the other way into int64, and it refuses instead.
 
 _INT64_SAFE = 2**62
 
 
+def _exact(values) -> np.ndarray:
+    """Python ints as an int64 array, or as an object array of the ints
+    themselves where one reaches 2**62 in absolute value."""
+    values = list(values)
+    small = all(-_INT64_SAFE < v < _INT64_SAFE for v in values)
+    return np.array(values, dtype=np.int64 if small else object)
+
+
+def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x * y elementwise (broadcast), exactly: in int64 where max|x| *
+    max|y| < 2**62 certifies every product, and in Python ints otherwise."""
+    if x.dtype != object and y.dtype != object and (
+            int(np.abs(x).max(initial=0)) * int(np.abs(y).max(initial=0)) < _INT64_SAFE):
+        return x * y
+    return x.astype(object) * y.astype(object)
+
+
 def _summed(keys: tuple[np.ndarray, ...], coeff: np.ndarray):
     """The distinct rows of the key columns, in lexicographic order, with
-    the sums of their coefficients; the rows whose sum is 0 dropped."""
-    order = np.lexsort(keys[::-1])
-    keys, coeff = [k[order] for k in keys], coeff[order]
+    the sums of their coefficients; the rows whose sum is 0 dropped.  The
+    sums are int64 where len * max|coeff| < 2**62 certifies every partial
+    sum, else Python ints.  Nonnegative columns are sorted as one int64 key
+    of radix max + 1 per column, the first most significant, where the
+    radices multiply to less than 2**62: the order of ``np.lexsort``."""
     if not len(coeff):
         return tuple(keys), coeff
+    if coeff.dtype != object and len(coeff) * int(np.abs(coeff).max()) >= _INT64_SAFE:
+        coeff = coeff.astype(object)
+    packed, top = np.zeros(len(coeff), dtype=np.int64), 1
+    for col in keys:
+        radix = int(col.max()) + 1
+        top *= radix
+        if top >= _INT64_SAFE or col.min() < 0:
+            packed = None
+            break
+        packed = packed * radix + col
+    order = np.lexsort(keys[::-1]) if packed is None else np.argsort(packed)
+    runs = [k[order] for k in (keys if packed is None else (packed,))]
     new = np.ones(len(coeff), dtype=bool)
-    new[1:] = np.any([k[1:] != k[:-1] for k in keys], axis=0)
+    new[1:] = np.any([k[1:] != k[:-1] for k in runs], axis=0)
     starts = np.flatnonzero(new)
-    sums = np.add.reduceat(coeff, starts)
+    sums = np.add.reduceat(coeff[order], starts)
     keep = sums != 0
-    return tuple(k[starts][keep] for k in keys), sums[keep]
+    return tuple(k[order[starts[keep]]] for k in keys), sums[keep]
 
 
 def _folded(parts: Iterable[tuple[tuple[np.ndarray, ...], np.ndarray]]):
@@ -504,8 +530,40 @@ def _folded(parts: Iterable[tuple[tuple[np.ndarray, ...], np.ndarray]]):
 
 
 def _vanishes(parts) -> bool:
+    """Whether the (key columns, values) parts sum to zero on every key."""
     acc = _folded(parts)
     return acc is None or not len(acc[1])
+
+
+def _joined(parts: list, *empty) -> tuple:
+    """The columns of a list of term arrays, each concatenated over the
+    parts that hold a term (so an empty part's shapes need not agree); with
+    no such part, int64 zeros of the given shapes, one a column."""
+    parts = [part for part in parts if len(part[0])]
+    if not parts:
+        return tuple(np.zeros(shape, dtype=np.int64) for shape in empty)
+    return tuple(np.concatenate(col) for col in zip(*parts))
+
+
+def _csr(parts: list, rows: int, targets: int = 1):
+    """Raw (row, target..., coeff) terms, with that many target columns,
+    summed into CSR rows over range(rows): (indptr, target..., coeff), each
+    row's targets in lexicographic order."""
+    row, *target, coeff = _joined(parts, *(0,) * (targets + 2))
+    (row, *target), coeff = _summed((row, *target), coeff)
+    return (np.searchsorted(row, np.arange(rows + 1, dtype=np.int64)), *target, coeff)
+
+
+# -- certificates on integer word arrays ----------------------------------------
+#
+# is_grouplike and is_lie_element test identities that are homogeneous in
+# the coefficients, so they scale them by the lcm of the denominators and
+# work on integer numerators, kept per weight beside an int64 array of the
+# words' letters.  Each side of an identity becomes (word keys, values)
+# terms that must sum to zero (``_vanishes``).  A word of length m is keyed
+# by its base-2g rank where (2g)^m < 2**62, and by its letter columns
+# otherwise.  Tables are sized with CellTooLarge first, and applied to the
+# source words in chunks of at most CellTooLarge.BUDGET entries.
 
 
 def _chunks(count: int, per: int) -> Iterator[slice]:
@@ -525,15 +583,9 @@ def _word_keys(rows: np.ndarray, base: int) -> tuple[np.ndarray, ...]:
     return tuple(rows.T)
 
 
-def _exact_values(values: list[int], bound: int) -> np.ndarray:
-    """The ints as int64 if bound, a bound on every partial sum to be
-    formed from them, certifies it; else as exact Python ints."""
-    return np.array(values, dtype=np.int64 if bound < _INT64_SAFE else object)
-
-
-def _numerators(t: Tensor) -> tuple[int, dict[int, tuple[np.ndarray, list[int]]]]:
+def _numerators(t: Tensor) -> tuple[int, dict[int, tuple[np.ndarray, np.ndarray]]]:
     """(L, {m: (letters (n, m), numerators)}) with L the lcm of the
-    denominators of t and numerators L*c as Python ints, words in t's term
+    denominators of t and numerators L*c (``_exact``), words in t's term
     order."""
     scale = lcm(*{c.denominator for c in t.terms.values()})
     words: dict[int, tuple[list, list]] = {}
@@ -542,7 +594,8 @@ def _numerators(t: Tensor) -> tuple[int, dict[int, tuple[np.ndarray, list[int]]]
         ws.append(w)
         cs.append(int(c * scale))
     return scale, {
-        m: (np.array(ws, dtype=np.int64).reshape(len(ws), m), cs) for m, (ws, cs) in words.items()
+        m: (np.array(ws, dtype=np.int64).reshape(len(ws), m), _exact(cs))
+        for m, (ws, cs) in words.items()
     }
 
 
@@ -585,18 +638,16 @@ def is_grouplike(s: TruncatedSeries) -> bool:
     and weight-(m - k) numerators."""
     scale, words = _numerators(s.tensor)
     base = 2 * s.g
-    total = {m: sum(map(abs, cs)) for m, (_, cs) in words.items()}
-    none = (np.zeros((0, 0), dtype=np.int64), [])
+    none = (np.zeros((0, 0), dtype=np.int64), _exact([]))
     for m in range(s.cutoff + 1):
-        rows, cs = words.get(m, none)
+        rows, vals = words.get(m, none)
+        vals = _product(vals, _exact([scale]))
         for k in range(m + 1):
-            if not cs and (k not in words or m - k not in words):
+            if not len(vals) and (k not in words or m - k not in words):
                 continue
-            (lrows, lcs), (rrows, rcs) = words.get(k, none), words.get(m - k, none)
-            bound = scale * total.get(m, 0) * comb(m, k) + total.get(k, 0) * total.get(m - k, 0)
-            delta = _delta_terms(rows, _exact_values(cs, bound) * scale, m, k, base)
-            square = _square_terms(
-                lrows, _exact_values(lcs, bound), rrows, _exact_values(rcs, bound), base)
+            (lrows, lvals), (rrows, rvals) = words.get(k, none), words.get(m - k, none)
+            delta = _delta_terms(rows, vals, m, k, base)
+            square = _square_terms(lrows, lvals, rrows, rvals, base)
             if not _vanishes(chain(delta, square)):
                 return False
     return True
@@ -623,7 +674,7 @@ def _square_terms(lrows: np.ndarray, lvals: np.ndarray, rrows: np.ndarray, rvals
     for part in _chunks(len(lrows), len(rrows) * width):
         u = lrows[part]
         uv = np.concatenate([np.repeat(u, len(rrows), axis=0), np.tile(rrows, (len(u), 1))], axis=1)
-        yield _word_keys(uv, base), -np.multiply.outer(lvals[part], rvals).ravel()
+        yield _word_keys(uv, base), -_product(lvals[part][:, None], rvals).ravel()
 
 
 def is_lie_element(t: Tensor) -> bool:
@@ -639,15 +690,14 @@ def is_lie_element(t: Tensor) -> bool:
         return False
     _, words = _numerators(t)
     base = 2 * t.g
-    for m, (rows, cs) in words.items():
+    for m, (rows, vals) in words.items():
         CellTooLarge.check(f"the Dynkin table of weight {m}", m << (m - 1))
         order, signs = _dynkin_table(m)
-        vals = _exact_values(cs, sum(map(abs, cs)) * (len(signs) + m))
         image = (
             (_word_keys(rows[part][:, order].reshape(-1, m), base),
-             np.multiply.outer(vals[part], signs).ravel())
+             _product(vals[part][:, None], signs).ravel())
             for part in _chunks(len(rows), order.size)
         )
-        if not _vanishes(chain(image, [(_word_keys(rows, base), -m * vals)])):
+        if not _vanishes(chain(image, [(_word_keys(rows, base), _product(vals, _exact([-m])))])):
             return False
     return True

@@ -6,7 +6,7 @@ import pytest
 import numpy as np
 
 from necklaces import deform as D
-from necklaces.complexes import ChainVector, action_table, wedge_basis
+from necklaces.complexes import ChainVector, action_table, mod_layout, wedge_basis
 from necklaces.deform import (
     DeformationElement,
     assemble_sigma_piece,
@@ -24,7 +24,8 @@ from necklaces.deform import (
     verify_deformation_invariance,
 )
 from necklaces.errors import CellTooLarge, ConditionFailed, MinWeightTooLow, NotInN
-from necklaces.lie import DerivationElem, algebra
+from necklaces.lie import DerivationElem, algebra, necklace_count
+from necklaces.tensors import _joined, _product, _summed
 from oracles import (
     oracle_homotopy_check,
     oracle_mod_homotopy_check,
@@ -317,12 +318,54 @@ class TestArrayChecks:
 
     def test_exact_arithmetic_falls_back_to_python_ints(self):
         big = np.array([2**40, -(2**40)], dtype=np.int64)
-        assert D._product(big, np.array([2**30, 3])).dtype == object
+        assert _product(big, np.array([2**30, 3])).dtype == object
+        # the products switch to Python ints at 2**62
+        below = _product(np.array([2**31 - 1]), np.array([-(2**31)]))
+        assert below.dtype == np.int64 and below.tolist() == [-(2**62) + 2**31]
+        past = _product(np.array([[2**31], [3]]), np.array([2**31, -1]))
+        assert past.dtype == object and past.tolist() == [[2**62, -(2**31)], [3 * 2**31, -3]]
         # eight terms of 2**60 sum past int64 on one key
-        (_,), sums = D._exact_sum((np.zeros(8, dtype=np.int64),), np.full(8, 2**60, dtype=np.int64))
+        (_,), sums = _summed((np.zeros(8, dtype=np.int64),), np.full(8, 2**60, dtype=np.int64))
         assert sums.dtype == object and sums.tolist() == [2**63]
-        (_,), sums = D._exact_sum((np.arange(3),), np.array([1, -2, 3]))
+        (_,), sums = _summed((np.arange(3),), np.array([1, -2, 3]))
         assert sums.dtype == np.int64 and sums.tolist() == [1, -2, 3]
+        # packed keys (small radices) and lexsort (a radix product past
+        # 2**62, or a negative column) sum as the plain dict sum, in order
+        rng = np.random.default_rng(15)
+        for highs in [(5, 7, 3), (9,), (2**40, 2**21, 3), (2**21, 2**21, 2**21), (-4, 6)]:
+            pool = np.stack([rng.integers(min(h, 0), abs(h), 40) for h in highs], axis=1)
+            rows = pool[rng.integers(0, 40, 400)]
+            for coeff in (rng.integers(-3, 4, 400), np.array([2**70, -(2**70), 1, 0] * 100, dtype=object)):
+                keys, sums = _summed(tuple(rows.T), coeff)
+                acc: dict = {}
+                for row, c in zip(map(tuple, rows.tolist()), coeff.tolist()):
+                    acc[row] = acc.get(row, 0) + c
+                want = sorted((row, c) for row, c in acc.items() if c)
+                assert list(zip(zip(*(k.tolist() for k in keys)), sums.tolist())) == want
+                assert sums.dtype == coeff.dtype
+        keys, sums = _summed((np.zeros(0, dtype=np.int64),) * 2, np.zeros(0, dtype=np.int64))
+        assert [k.shape for k in keys] == [(0,), (0,)] and sums.shape == (0,)
+        # no part: empty columns of the given shapes
+        empty = _joined([], 0, (0, 3), 0)
+        assert [(e.shape, e.dtype) for e in empty] == [((0,), np.int64), ((0, 3), np.int64), ((0,), np.int64)]
+
+    def test_plain_brackets_over_the_budget_come_from_the_pairs(self, monkeypatch):
+        # with the budget between the module cell (2, 4) (397 entries) and
+        # the bracket table of weights 2 and 2 (400), the pairs of a tuple's
+        # own necklaces are bracketed as pairs present instead of refused
+        a = DeformationElement(n_space_basis(2, 2)[0])
+        pairs = [(DeformationElement(a.chain.scale(s)), s == -1) for s in (-1, 1)]
+        lie_want = [oracle_homotopy_check(a, p, w) for p, w in [(1, 3), (2, 4)]]
+        mod_want = [oracle_mod_homotopy_check(a, b, 2, 4) for b, _ in pairs]
+        assert lie_want == [True, True] and mod_want == [ok for _, ok in pairs]
+        budget = mod_layout(2, 2, 4).dim
+        assert necklace_count(2, 2) ** 2 * 4 > budget
+        monkeypatch.setattr(CellTooLarge, "BUDGET", budget)
+        monkeypatch.setattr(algebra(2), "_bracket_table_memo", {})
+        with pytest.raises(CellTooLarge, match="bracket table of weights 2 and 2"):
+            algebra(2).bracket_table(2, 2)
+        assert [homotopy_check(a, p, w) for p, w in [(1, 3), (2, 4)]] == lie_want
+        assert [mod_homotopy_check(a, b, 2, 4) for b, _ in pairs] == mod_want
 
     @pytest.mark.parametrize("g", [1, 2])
     def test_sigma_piece_matches_emitter(self, g):

@@ -138,3 +138,24 @@ def test_expansion_certificates_form_no_fraction_terms():
         if isinstance(node, ast.FunctionDef) and node.name in ("left_bracketing", "outer_square")
     ]
     assert not defined, f"Fraction certificate paths defined in the package: {defined}"
+
+
+def test_exact_term_arithmetic_lives_in_tensors():
+    # one kernel of exact term arithmetic: its helpers are defined in
+    # tensors.py only, and the per-module copies they replaced nowhere
+    kernel = {"_exact", "_product", "_summed", "_folded", "_vanishes", "_joined", "_csr",
+              "_INT64_SAFE"}
+    gone = {"_exact_values", "_exact_sum", "_cancels", "_max_abs", "_emitted", "_coo"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            found += [f"{name} in {path.name} at line {node.lineno}" for name in names
+                      if name in gone or name in kernel and path.name != "tensors.py"]
+    assert not found, f"exact term arithmetic outside tensors.py: {found}"

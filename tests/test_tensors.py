@@ -376,14 +376,14 @@ class TestCertificateVerdicts:
 
     def test_huge_coefficients_take_exact_ints(self, monkeypatch):
         dtypes = []
-        values = tensors._exact_values
+        values = tensors._exact
 
-        def recorded(vals, bound):
-            out = values(vals, bound)
+        def recorded(vals):
+            out = values(vals)
             dtypes.append(out.dtype)
             return out
 
-        monkeypatch.setattr(tensors, "_exact_values", recorded)
+        monkeypatch.setattr(tensors, "_exact", recorded)
         a, b = Tensor.letter(1, A1), Tensor.letter(1, B1)
         s = exp_series(TruncatedSeries(a.scale(HUGE) + b, 4))
         assert is_grouplike(s) and oracle_is_grouplike(s)
