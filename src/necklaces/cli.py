@@ -39,8 +39,6 @@ from .lie import (
     TensorDerivElem,
     algebra,
     bracket,
-    mu_alg,
-    schedler_delta,
 )
 from .tensors import Tensor, axpy
 from .verify import bialgebra_suite, bimodule_suite, matrix_identity_suite
@@ -334,15 +332,12 @@ def _cmd_cobracket(args) -> int:
     if not isinstance(x, DerivationElem):
         raise ParseError("cobracket expects a necklace element", 0)
     handle = delta_handle_from_flag(args.delta, args.g)
-    if isinstance(handle, AlgCobracket):
-        result = schedler_delta(x)
-    else:
-        acc: dict = {}
-        for nw, c in x.terms.items():
-            wedge = handle.delta_word(nw)
-            axpy(acc, c, wedge.items())
-            axpy(acc, -c, (((wb, wa), c2) for (wa, wb), c2 in wedge.items()))
-        result = BiDerivationElem(args.g, acc)
+    acc: dict = {}
+    for nw, c in x.terms.items():
+        wedge = handle.delta_word(nw)
+        axpy(acc, c, wedge.items())
+        axpy(acc, -c, (((wb, wa), c2) for (wa, wb), c2 in wedge.items()))
+    result = BiDerivationElem(args.g, acc)
     _emit({"op": "cobracket", "delta": args.delta, "result": _element_json(result)}, args)
     return 0
 
@@ -352,13 +347,10 @@ def _cmd_mu(args) -> int:
     if not isinstance(x, Tensor):
         raise ParseError("mu expects a tensor element (plain words)", 0)
     handle = mu_handle_from_flag(args.mu, args.g)
-    if isinstance(handle, AlgComodule):
-        result = mu_alg(x)
-    else:
-        acc: dict = {}
-        for wd, c in x.terms.items():
-            axpy(acc, c, handle.mu_word(wd).items())
-        result = TensorDerivElem(args.g, acc)
+    acc: dict = {}
+    for wd, c in x.terms.items():
+        axpy(acc, c, handle.mu_word(wd).items())
+    result = TensorDerivElem(args.g, acc)
     _emit({"op": "mu", "mu": args.mu, "result": _element_json(result)}, args)
     return 0
 
@@ -421,9 +413,27 @@ def _cmd_homology(args) -> int:
     return 0 if rep["euler_ok"] else 1
 
 
+def _parse_cells(flag: str, text: str | None, default: list) -> list[tuple[int, int]]:
+    """A --cells value: a JSON list of [p, w] pairs of ints >= 0."""
+    if not text:
+        return default
+    try:
+        cells = json.loads(text)
+    except ValueError:
+        cells = None
+    if not isinstance(cells, list) or not all(
+        isinstance(c, list) and len(c) == 2 and all(type(v) is int and v >= 0 for v in c)
+        for c in cells
+    ):
+        raise ParseError(f"{flag} needs a JSON list of [p, w] pairs of ints >= 0, got {text!r}", 0)
+    return [tuple(c) for c in cells]
+
+
 def _cmd_deform(args) -> int:
     if args.w_max < 1:
         raise ParseError(f"deform needs --w-max >= 1, got {args.w_max}", 0)
+    lie_cells = _parse_cells("--cells", args.cells, [(1, 3), (2, 4)])
+    mod_cells = _parse_cells("--mod-cells", args.mod_cells, [])
     if args.A_file:
         a_chain = _load_json(args.A_file, DeformationElement.from_json_dict).chain
     elif args.A:
@@ -437,7 +447,6 @@ def _cmd_deform(args) -> int:
         "in_kernel": a.in_n,
         "seed": args.seed,
     }
-    lie_cells = [tuple(c) for c in (json.loads(args.cells) if args.cells else [[1, 3], [2, 4]])]
     if args.check_lemma31 or args.check_all:
         hom_ok = all(homotopy_check(a, p, w) for (p, w) in lie_cells)
         report["homotopy_identity"] = hom_ok
@@ -452,7 +461,7 @@ def _cmd_deform(args) -> int:
             [a],
             [b],
             lie_cells=lie_cells,
-            mod_cells=[tuple(c) for c in json.loads(args.mod_cells)] if args.mod_cells else [],
+            mod_cells=mod_cells,
             check_weight=args.w_max,
             require_cojacobi=False,
         )

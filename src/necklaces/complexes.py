@@ -42,7 +42,7 @@ from bisect import bisect_right
 from functools import lru_cache
 from itertools import product
 from math import comb
-from typing import Iterable, Mapping, NamedTuple, Protocol, Sequence
+from typing import Iterable, Mapping, NamedTuple, Protocol
 
 import numpy as np
 
@@ -60,50 +60,51 @@ ModKey = tuple[W.WordKey, WedgeKey]
 
 
 class CobracketHandle(Protocol):
-    """A cobracket: every necklace of a weight at once (``delta_table``) for
-    ``CellOperators``, and necklace by necklace (``wedge_terms``) for
-    ``cochain_d``, ``mod_cochain_d``, ``delta_table_of`` and
-    ``DeformedCobracket.pieces``.  The two agree."""
+    """A cobracket.  At the index level it is one table form,
+    ``delta_table``: of every necklace of a weight for ``CellOperators``,
+    of the necklaces of a vector's support for ``cochain_d`` and
+    ``mod_cochain_d``.  ``delta_word`` is its value on a necklace word."""
 
     g: int
     name: str
     max_weight: int | None
 
-    def wedge_terms(self, idx: int) -> Sequence[tuple[int, int, Coeff]]:
-        """delta of the basis necklace as ((a, b, coeff), ...) with a < b."""
+    def delta_table(self, m: int, local: np.ndarray | None = None) -> np.ndarray:
+        """delta of every necklace n of weight m, or of those offset(m) +
+        local: rows (n - offset(m), a, b, coeff) with a < b, as in
+        ``NecklaceContext.delta_table``."""
         ...
 
-    def delta_table(self, m: int) -> np.ndarray:
-        """delta of every necklace n of weight m, for the matrix assembly:
-        rows (n - offset(m), a, b, coeff) with a < b, as in
-        ``NecklaceContext.delta_table``."""
+    def delta_word(self, nw: W.WordKey) -> dict[tuple[W.WordKey, W.WordKey], Coeff]:
+        """delta of N(nw) as a map (wa, wb) -> coeff, wa before wb in the
+        basis order."""
         ...
 
 
 class ComoduleHandle(Protocol):
-    """A comodule map: every word of a length at once (``mu_table``) for
-    ``CellOperators``, and word by word (``mu_terms``) for
-    ``mod_cochain_d``, ``DeformedComodule.pieces`` and its ``mu_word``.
-    The two agree."""
+    """A comodule map.  At the index level it is one table form,
+    ``mu_table``: of every word of a length for ``CellOperators``, of the
+    words of a vector's support for ``mod_cochain_d``.  ``mu_word`` is its
+    value on a word."""
 
     g: int
     name: str
     max_weight: int | None
 
-    def mu_terms(self, word: W.WordKey) -> Sequence[tuple[W.WordKey, int, Coeff]]:
-        """mu of a basis word as ((word, necklace index, coeff), ...)."""
+    def mu_table(self, k: int, local: np.ndarray | None = None) -> Mapping[int, np.ndarray]:
+        """mu of every word of length k, or of the words of the ranks in
+        local: the weight m of the split-off necklace n -> int64 rows
+        (source rank, n - offset(m), rank of the remaining word, coeff),
+        ranks as in ``NecklaceContext.mu_table``."""
         ...
 
-    def mu_table(self, k: int) -> Mapping[int, np.ndarray]:
-        """mu of every word of length k, for the matrix assembly: the
-        weight m of the split-off necklace n -> int64 rows (source rank,
-        n - offset(m), rank of the remaining word, coeff), ranks as in
-        ``NecklaceContext.mu_table``."""
+    def mu_word(self, word: W.WordKey) -> dict[tuple[W.WordKey, W.WordKey], Coeff]:
+        """mu of a word as a map (word, necklace word) -> coeff."""
         ...
 
 
 class AlgCobracket:
-    """The canonical necklace cobracket as an assembly handle."""
+    """The canonical necklace cobracket as a handle."""
 
     max_weight = None
     name = "alg"
@@ -112,32 +113,11 @@ class AlgCobracket:
         self.g = g
         self._ctx = algebra(g)
 
-    def wedge_terms(self, idx: int):
-        return self._ctx.delta_wedge(idx)
+    def delta_table(self, m: int, local: np.ndarray | None = None):
+        return self._ctx.delta_table(m, local)
 
-    def delta_table(self, m: int):
-        return self._ctx.delta_table(m)
-
-
-def delta_table_of(handle: CobracketHandle, m: int) -> np.ndarray:
-    """The ``delta_table(m)`` of a handle read off its ``wedge_terms``, one
-    call per necklace of weight m: rows (n - offset(m), a, b, coeff), the
-    coefficients as the handle gives them (an object array where they are
-    not all int; ``CellOperators`` refuses those)."""
-    return _delta_rows(handle, m, range(necklace_count(handle.g, m)))
-
-
-def _delta_rows(handle: CobracketHandle, m: int, local: Iterable[int]) -> np.ndarray:
-    """The rows of ``delta_table_of`` for the necklaces offset(m) + local."""
-    lo = algebra(handle.g).offset(m)
-    return _rows([(n, a, b, c) for n in local for a, b, c in handle.wedge_terms(lo + n)])
-
-
-def _rows(rows: list) -> np.ndarray:
-    """Table rows (..., coeff) as the columns of an int64 array, or of an
-    object array where a coefficient is not an int."""
-    dtype = np.int64 if all(type(row[-1]) is int for row in rows) else object
-    return np.array(rows, dtype=dtype).reshape(-1, 4).T
+    def delta_word(self, nw: W.WordKey):
+        return {(wa, wb): c for wa, wb, c in self._ctx.delta_word(nw)}
 
 
 def _delta_csr(ctx: NecklaceContext, m: int, table) -> tuple:
@@ -177,7 +157,7 @@ def _mu_checked(g: int, k: int, table: Mapping[int, np.ndarray]) -> dict:
 
 
 class AlgComodule:
-    """The canonical word-splitting comodule map as an assembly handle."""
+    """The canonical word-splitting comodule map as a handle."""
 
     max_weight = None
     name = "alg"
@@ -186,11 +166,13 @@ class AlgComodule:
         self.g = g
         self._ctx = algebra(g)
 
-    def mu_terms(self, word: W.WordKey):
-        return self._ctx.mu_terms(word)
+    def mu_table(self, k: int, local: np.ndarray | None = None):
+        return self._ctx.mu_table(k, local)
 
-    def mu_table(self, k: int):
-        return self._ctx.mu_table(k)
+    def mu_word(self, word: W.WordKey):
+        acc: dict = {}
+        axpy(acc, 1, (((rest, neck), s) for rest, neck, s in self._ctx.mu_word(word)))
+        return acc
 
 
 # -- bases ------------------------------------------------------------------
@@ -627,10 +609,10 @@ def cochain_terms(ctx: NecklaceContext, table, tuples: np.ndarray):
 # Each emits on the int64 tuples of the vector's support only, by the array
 # emissions above, and sums the terms times the coefficients (``_image``):
 # exact, whatever their type.  Brackets are those of the pairs present
-# (``_pair_bracket``); the cobracket and the comodule map are read from the
-# handles for the necklaces and words present (``wedge_terms``,
-# ``mu_terms``) and checked as ``CellOperators`` checks its tables.  So the
-# cost follows the support, and no whole-weight table is read.
+# (``_pair_bracket``); the cobracket and the comodule map are the handles'
+# tables of the necklaces and words present (``delta_table(m, local)``,
+# ``mu_table(k, local)``), checked as ``CellOperators`` checks its tables.
+# So the cost follows the support, and no whole-weight table is read.
 
 
 def _pair_bracket(ctx: NecklaceContext, m1: int, first: np.ndarray, m2: int, second: np.ndarray):
@@ -659,29 +641,16 @@ def _act_pairs(ctx: NecklaceContext, k: int, m: int, ranks: np.ndarray, local: n
     return _joined(parts, 0, 0, 0)
 
 
-def _mu_rows(handle: ComoduleHandle, k: int, ranks: Iterable[int]) -> dict:
-    """The rows of a ``mu_table(k)`` for the words of length k of the given
-    ranks, read off the handle's ``mu_terms``, one call per word."""
-    ctx, base = algebra(handle.g), 2 * handle.g
-    rows: dict[int, list] = {}
-    for r in ranks:
-        word = tuple(r // base**e % base for e in range(k - 1, -1, -1))
-        for rest, n, c in handle.mu_terms(word):
-            m = k - 2 - len(rest)  # an n of another weight is out of range
-            rank = sum(d * base**e for e, d in enumerate(reversed(rest)))
-            rows.setdefault(m, []).append((r, n - ctx.offset(max(m, 1)), rank, c))
-    return {m: _rows(part) for m, part in rows.items()}
-
-
 def _support_delta(ctx: NecklaceContext, handle: CobracketHandle, tuples: np.ndarray):
     """The ``cochain_terms`` table of a handle for the factors of tuples:
-    the cobracket of the necklaces present only, checked by ``_delta_csr``."""
+    the handle's ``delta_table`` of the necklaces present only, checked by
+    ``_delta_csr``."""
     present = np.unique(tuples)
 
     @lru_cache(maxsize=None)
     def table(m: int):
         local = present[ctx.weights(present) == m] - ctx.offset(m)
-        return _delta_csr(ctx, m, _delta_rows(handle, m, local.tolist()))
+        return _delta_csr(ctx, m, handle.delta_table(m, local))
 
     return table
 
@@ -762,7 +731,7 @@ def sigma_wedge(y: DerivationElem, x: ChainVector) -> ChainVector:
 
 def cochain_d(x: ChainVector, delta: CobracketHandle) -> ChainVector:
     """Cobracket-induced coboundary; lands in (p+1, w-2); 0 on scalars.
-    The handle's ``wedge_terms`` of the factors present are checked as
+    The handle's table of the factors present is checked as
     ``CellOperators`` checks a table: a coefficient that is not an int
     raises TypeError, and terms that do not lower the weight by 2 raise
     ValueError."""
@@ -800,7 +769,7 @@ def mod_cochain_d(
 ) -> ModChainVector:
     """Module coboundary mu(m)^xi - m (x) d xi, the minus constant in p (see
     ``mod_cochain_monomial`` in tests/oracles.py); lands in (p+1, w-2).
-    The handles' terms of the necklaces and words present are checked as
+    The handles' tables of the necklaces and words present are checked as
     by ``cochain_d``."""
     g, p, w = x.basis.g, x.basis.p, x.basis.w
     target = mod_wedge_basis(g, p + 1, max(w - 2, 0))
@@ -813,9 +782,11 @@ def mod_cochain_d(
         words, inv = np.unique(ranks, return_inverse=True)
         order = np.argsort(inv, kind="stable")
         indptr = np.searchsorted(inv[order], np.arange(len(words) + 1))
-        for m, (sr, nl, tr, c) in _mu_checked(g, k, _mu_rows(mu, k, words.tolist())).items():
-            which, at = _gather(indptr, np.searchsorted(words, sr))
-            rows = order[at]
+        for m, (sr, nl, tr, c) in _mu_checked(g, k, mu.mu_table(k, words)).items():
+            word_at = np.searchsorted(words, sr)
+            mine = np.flatnonzero(words.take(word_at, mode="clip") == sr)  # other words are not read
+            which, at = _gather(indptr, word_at[mine])
+            which, rows = mine[which], order[at]
             new, sign, clash = _insert(tuples[rows], nl[which, None] + ctx.offset(m))
             keep = ~clash
             parts.append((q[rows[keep]],

@@ -94,17 +94,18 @@ class DeformationElement:
             self._sigma_memo[x_idx] = memo
         return memo
 
-    # as a cobracket handle, A stands for its piece X -> sigma(X)(A)
-    wedge_terms = sigma_of
-
-    def delta_table(self, m: int) -> np.ndarray:
-        """The piece X -> sigma(X)(A) for every necklace X of weight m, in
-        the cobracket-handle rows (X - offset(m), a, b, coeff), a < b,
-        summed: the sigma table of L*A (``sigma_csr``, int coefficients)
-        with its coefficients divided by L = self._denominator."""
+    def delta_table(self, m: int, local: np.ndarray | None = None) -> np.ndarray:
+        """A as a cobracket handle, standing for its piece X -> sigma(X)(A):
+        for every necklace X of weight m, or for those offset(m) + local, the
+        rows (X - offset(m), a, b, coeff), a < b, summed: the sigma table of
+        L*A (``sigma_csr``, int coefficients) with its coefficients divided
+        by L = self._denominator."""
         den = self._denominator
         indptr, a, b, c = self.scaled(den).sigma_csr(m)
         n = np.repeat(np.arange(len(indptr) - 1, dtype=np.int64), np.diff(indptr))
+        if local is not None:
+            keep = np.isin(n, local)
+            n, a, b, c = n[keep], a[keep], b[keep], c[keep]
         if den != 1:
             c = np.array([Fraction(v, den) for v in c.tolist()], dtype=object)
         return np.stack([n, a, b, c])
@@ -274,23 +275,18 @@ class DeformedCobracket:
                         f"{d.nabla()!r}"
                     )
 
-    def wedge_terms(self, idx: int):
-        """Base piece only; valid when every deformation is trivial (the
+    def delta_table(self, m: int, local: np.ndarray | None = None):
+        """The base piece; valid when every deformation is trivial (the
         graded machinery uses pieces() instead)."""
         if self.deformations:
             raise ValueError(
                 "deformed cobracket is weight-inhomogeneous; use pieces()"
             )
-        return self.base.wedge_terms(idx)
-
-    def delta_table(self, m: int):
-        """The base piece for every necklace of weight m, read off
-        ``wedge_terms``; valid when every deformation is trivial."""
-        return C.delta_table_of(self, m)
+        return self.base.delta_table(m, local)
 
     def pieces(self) -> list[tuple[int, object]]:
         """(weight shift, term function idx -> wedge terms) per piece."""
-        out: list[tuple[int, object]] = [(-2, self.base.wedge_terms)]
+        out: list[tuple[int, object]] = [(-2, algebra(self.g).delta_wedge)]
         for d in self.deformations:
             out.append((d.weight - 2, d.sigma_of))
         return out
@@ -319,19 +315,13 @@ class DeformedComodule:
         # boundary(B) = -nabla(B)
         self._nablas = [d.nabla() for d in self.deformations]
 
-    def mu_terms(self, word: W.WordKey):
-        self._check_homogeneous()
-        return self.base.mu_terms(word)
-
-    def mu_table(self, k: int):
-        self._check_homogeneous()
-        return self.base.mu_table(k)
-
-    def _check_homogeneous(self) -> None:
+    def mu_table(self, k: int, local: np.ndarray | None = None):
+        """The base piece; valid when every deformation is trivial."""
         if self.deformations:
             raise ValueError(
                 "deformed comodule is weight-inhomogeneous; use pieces()"
             )
+        return self.base.mu_table(k, local)
 
     def piece_terms(self, d_index: int, word: W.WordKey):
         """The mu'(m) - mu(m) contribution of one deformation element."""
@@ -349,7 +339,10 @@ class DeformedComodule:
         return out
 
     def pieces(self) -> list[tuple[int, object]]:
-        out: list[tuple[int, object]] = [(-2, self.base.mu_terms)]
+        ctx = self._ctx
+        out: list[tuple[int, object]] = [
+            (-2, lambda word: [(rest, ctx.index_of_word(n), s) for rest, n, s in ctx.mu_word(word)])
+        ]
         for k, d in enumerate(self.deformations):
             out.append((d.weight - 2, lambda word, k=k: self.piece_terms(k, word)))
         return out
@@ -423,18 +416,7 @@ def check_coaction(delta_handle, mu_handle, max_weight: int, g: int,
     to the bound (our sign convention; see the verify module)."""
     from itertools import product
 
-    def mu_of(word):
-        if isinstance(mu_handle, DeformedComodule):
-            return mu_handle.mu_word(word)
-        ctx = algebra(g)
-        return {(w2, nk): c2 for w2, nk, c2 in ctx.mu_word(word)}
-
-    def delta_of(nw):
-        if isinstance(delta_handle, DeformedCobracket):
-            return delta_handle.delta_word(nw)
-        ctx = algebra(g)
-        return {(wa, wb): c for wa, wb, c in ctx.delta_word(nw)}
-
+    mu_of, delta_of = mu_handle.mu_word, delta_handle.delta_word
     words = sample_words
     if words is None:
         words = [()]

@@ -33,6 +33,9 @@ arithmetic and sized with ``CellTooLarge`` first:
   weights m1 and m2, as CSR rows over the pairs;
 * ``delta_table(m)``: the cobracket of every necklace of weight m;
 * ``mu_table(k)``: mu of every word of length k.
+
+The last two also take the necklaces or word ranks to split (``local``);
+those tables are sized on what they build and are not memoised.
 """
 
 from bisect import bisect_left
@@ -345,10 +348,6 @@ class NecklaceContext:
             self._delta_memo[idx] = memo
         return memo
 
-    def mu_terms(self, word: W.WordKey) -> list[tuple[W.WordKey, int, int]]:
-        """Index-level form of mu_word."""
-        return [(rest, self.index_of_word(neck), s) for rest, neck, s in self.mu_word(word)]
-
     # -- rank-level tables: every word of a length at once -------------------
     #
     # A word of length k is indexed by its rank, the base-2g number with its
@@ -445,20 +444,27 @@ class NecklaceContext:
             self._bracket_table_memo[key] = table
         return table
 
-    def delta_table(self, m: int) -> np.ndarray:
+    def delta_table(self, m: int, local: np.ndarray | None = None) -> np.ndarray:
         """The cobracket of every necklace of weight m, as int64 rows (n -
         offset(m), a, b, coeff), sorted: the rows of one necklace n are the
-        terms of ``delta_wedge(n)`` in order, a < b.  Each paired pair of
-        letter positions ii < jj splits a necklace into the words between
-        and around them, ranked and read through ``necklace_of_rank``; the
-        pair is swapped into index order with its sign flipped, and dropped
-        when both halves are the same necklace."""
-        table = self._delta_table_memo.get(m)
+        terms of ``delta_wedge(n)`` in order, a < b.  With ``local``, only
+        the necklaces offset(m) + local are split, and the table is not
+        memoised.  Each paired pair of letter positions ii < jj splits a
+        necklace into the words between and around them, ranked and read
+        through ``necklace_of_rank``; the pair is swapped into index order
+        with its sign flipped, and dropped when both halves are the same
+        necklace."""
+        table = self._delta_table_memo.get(m) if local is None else None
         if table is None:
             base = 2 * self.g
-            CellTooLarge.check(f"the cobracket table of weight {m} (genus {self.g})",
-                               necklace_count(self.g, m) * m * m)
-            digits = np.array(self.basis_words(m), dtype=np.int64).reshape(-1, m)
+            count = necklace_count(self.g, m) if local is None else len(local)
+            CellTooLarge.check(f"the cobracket table of weight {m} (genus {self.g})", count * m * m)
+            if local is None:
+                n, words = np.arange(count, dtype=np.int64), self.basis_words(m)
+            else:
+                n = np.unique(np.asarray(local, dtype=np.int64))
+                words = [self.word_at(self.offset(m) + i) for i in n.tolist()]
+            digits = np.array(words, dtype=np.int64).reshape(-1, m)
             rank = digits @ base ** np.arange(m - 1, -1, -1, dtype=np.int64)
             parts = []
             for ii in range(m):
@@ -470,26 +476,33 @@ class NecklaceContext:
                     left = self.necklace_of_rank(inner)[r // base ** (m - jj) % base**inner]
                     right = self.necklace_of_rank(outer)[r % low * base**ii + r // base ** (m - ii)]
                     sign = 1 - 2 * (digits[src, ii] & 1)
-                    parts.append((src, left, right, np.where(left < right, sign, -sign)))
+                    parts.append((n[src], left, right, np.where(left < right, sign, -sign)))
             src, left, right, coeff = _joined(parts, 0, 0, 0, 0)
             keep = left != right
             keys = (src[keep], np.minimum(left, right)[keep], np.maximum(left, right)[keep])
             keys, coeff = _summed(keys, coeff[keep])
             table = np.stack([*keys, coeff])
-            self._delta_table_memo[m] = table
+            if local is None:
+                self._delta_table_memo[m] = table
         return table
 
-    def mu_table(self, k: int) -> dict[int, np.ndarray]:
+    def mu_table(self, k: int, local: np.ndarray | None = None) -> dict[int, np.ndarray]:
         """mu of every word of length k, grouped by the weight m of the
         split-off necklace n: m -> int64 rows (source rank, n - offset(m),
         rank of the remaining word, coeff).  The rows of one source rank
-        are the terms of ``mu_terms`` of that word, up to order."""
-        table = self._mu_table_memo.get(k)
+        are the terms of ``mu_word`` of that word, up to order.  With
+        ``local``, only the words of those ranks are split, and the table
+        is not memoised."""
+        table = self._mu_table_memo.get(k) if local is None else None
         if table is None:
             base = 2 * self.g
+            count = base**k if local is None else len(local)
             CellTooLarge.check(f"the mu table of the words of length {k} (genus {self.g})",
-                               base**k * k)
-            rank = np.arange(base**k, dtype=np.int64)
+                               count * k)
+            if local is None:
+                rank = np.arange(count, dtype=np.int64)
+            else:
+                rank = np.unique(np.asarray(local, dtype=np.int64))
             digits = rank[:, None] // base ** np.arange(k - 1, -1, -1, dtype=np.int64) % base
             parts: dict[int, list[np.ndarray]] = {}
             for ii in range(k - 2):
@@ -506,7 +519,8 @@ class NecklaceContext:
                         1 - 2 * (digits[mask, ii] & 1),  # +1 when word[ii] is an a-letter
                     ]))
             table = {m: np.concatenate(rows, axis=1) for m, rows in sorted(parts.items())}
-            self._mu_table_memo[k] = table
+            if local is None:
+                self._mu_table_memo[k] = table
         return table
 
 

@@ -179,7 +179,7 @@ def int_values(values) -> np.ndarray:
     not an int (the cast would truncate a Fraction or a float) and
     OverflowError on one of 2**31 or more in absolute value."""
     arr = np.asarray(values)
-    big = arr.dtype.kind == "O" and all(type(x) is int for x in arr.flat)  # beyond int64
+    big = arr.dtype.kind == "O" and arr.size and all(type(x) is int for x in arr.flat)  # beyond int64
     if arr.size and arr.dtype.kind != "i" and not big:
         raise TypeError(f"the int64 fast path takes int values only, got {arr.dtype} values")
     if big or arr.size and not -(2**31) < arr.min() <= arr.max() < 2**31:

@@ -17,7 +17,7 @@ from necklaces import complexes as C
 from necklaces import deform as D
 from necklaces import expansion as E
 from necklaces import words as W
-from necklaces.complexes import CobracketHandle, ComoduleHandle, ModKey, WedgeKey, _CellVector
+from necklaces.complexes import ModKey, WedgeKey, _CellVector
 from necklaces.errors import InconsistentExpansions, NotCyclic
 from necklaces.lie import (
     DerivationElem,
@@ -95,10 +95,13 @@ def sigma_monomial(ctx: NecklaceContext, y_idx: int, tup: WedgeKey):
     return out
 
 
-def cochain_monomial(ctx: NecklaceContext, delta: CobracketHandle, tup: WedgeKey):
+def cochain_monomial(ctx: NecklaceContext, delta_terms, tup: WedgeKey):
+    """The cochain d of a wedge monomial, the cobracket of each factor
+    given by delta_terms(idx) as ((a, b, coeff), ...) with a < b (say
+    ``ctx.delta_wedge``, or ``oracle_sigma_of`` for a deformation piece)."""
     out = []
     for ii in range(len(tup)):
-        terms = delta.wedge_terms(tup[ii])
+        terms = delta_terms(tup[ii])
         if not terms:
             continue
         rest = tup[:ii] + tup[ii + 1 :]
@@ -130,17 +133,23 @@ def mod_boundary_monomial(ctx: NecklaceContext, mono: ModKey):
     return out
 
 
-def mod_cochain_monomial(
-    ctx: NecklaceContext, delta: CobracketHandle, mu: ComoduleHandle, mono: ModKey
-):
+def mod_cochain_monomial(ctx: NecklaceContext, delta_terms, mu_terms, mono: ModKey):
     # d(m (x) xi) = mu(m) ^ xi - m (x) d xi.  The relative minus (constant
     # in p) is forced: the unit-word part of d*boundary + boundary*d reduces
     # to a multiple of the wedge-level anticommutator only when the sign of
     # the m (x) d xi term does not depend on p, and the p = 0, 1 cells pin
     # it to -1 given our splitting conventions.  A p-dependent sign here
     # provably breaks the p = 2 module cells (genus 2, weight 6).
+    # mu_terms(word) gives mu(word) as ((word, necklace index, coeff), ...),
+    # say oracle_mu_terms
     word, tup = mono
-    return module_coboundary(mu.mu_terms(word), cochain_monomial(ctx, delta, tup), mono)
+    return module_coboundary(mu_terms(word), cochain_monomial(ctx, delta_terms, tup), mono)
+
+
+def oracle_mu_terms(ctx: NecklaceContext, word: W.WordKey) -> list:
+    """mu of a word at the index level, ((word, necklace index, coeff),
+    ...), from ``NecklaceContext.mu_word`` term by term."""
+    return [(rest, ctx.index_of_word(neck), s) for rest, neck, s in ctx.mu_word(word)]
 
 
 def module_coboundary(mu_terms, d_terms, mono: ModKey):
@@ -334,13 +343,13 @@ def emit_matrix(src, tgt, emit):
     return C.SparseRationalMatrix(tgt.dim(), src.dim(), columns)
 
 
-def _mod_piece_emit(ctx, mu_handle, a, d_index: int, mono):
+def _mod_piece_emit(ctx, mu_handle, sigma_terms, d_index: int, mono):
     """(mu' - mu)(m) ^ xi - m (x) (d' - d) xi for deformation d_index of
-    mu_handle, where a is the matching cobracket deformation (None when
-    the cobracket is not deformed)."""
+    mu_handle, where sigma_terms gives the matching cobracket piece per
+    necklace (None when the cobracket is not deformed)."""
     word, tup = mono
     mu_terms = mu_handle.piece_terms(d_index, word)
-    d_terms = cochain_monomial(ctx, a, tup) if a is not None else ()
+    d_terms = cochain_monomial(ctx, sigma_terms, tup) if sigma_terms is not None else ()
     return module_coboundary(mu_terms, d_terms, mono)
 
 
@@ -362,14 +371,6 @@ def oracle_sigma_of(a, x_idx: int) -> tuple:
     return tuple((i, j, c) for (i, j), c in sorted(acc.items()))
 
 
-class _OracleSigmaPiece:
-    """A as the cobracket handle of its piece X -> sigma(X)(A)."""
-
-    def __init__(self, a):
-        self.g = a.g
-        self.wedge_terms = partial(oracle_sigma_of, a)
-
-
 def oracle_homotopy_check(a, p: int, w: int) -> bool:
     """The Fraction path that deform.homotopy_check replaced: both sides
     of the identity in the coefficients of A itself."""
@@ -377,7 +378,7 @@ def oracle_homotopy_check(a, p: int, w: int) -> bool:
     bnd = partial(boundary_monomial, ctx)
     wedge_a = partial(_wedge_emit, a.wedge_pairs())
     nabla = [(ctx.index_of_word(nw), c) for nw, c in a.nabla().sorted_terms()]
-    sigma = _OracleSigmaPiece(a)
+    sigma = partial(oracle_sigma_of, a)
     for tup in C.wedge_basis(a.g, p, w).monomials:
         lhs: dict = {}
         _compose_into(lhs, 1, wedge_a, bnd, tup)  # boundary(A ^ x)
@@ -397,7 +398,7 @@ def oracle_mod_homotopy_check(a, b, p: int, w: int) -> bool:
     bnd = partial(mod_boundary_monomial, ctx)
     wedge_b = partial(_mod_wedge_emit, b.wedge_pairs())
     piece = partial(
-        _mod_piece_emit, ctx, D.DeformedComodule(a.g, [b]), _OracleSigmaPiece(a), 0
+        _mod_piece_emit, ctx, D.DeformedComodule(a.g, [b]), partial(oracle_sigma_of, a), 0
     )
     for mono in C.mod_wedge_basis(a.g, p, w).monomials:
         lhs: dict = {}
@@ -416,7 +417,7 @@ def oracle_sigma_piece(a, p: int, w: int):
     A standing for its piece X -> sigma(X)(A) as oracle_sigma_of gives it."""
     src = C.wedge_basis(a.g, p, w)
     tgt = C.wedge_basis(a.g, p + 1, w + a.weight - 2)
-    return emit_matrix(src, tgt, partial(cochain_monomial, algebra(a.g), _OracleSigmaPiece(a)))
+    return emit_matrix(src, tgt, partial(cochain_monomial, algebra(a.g), partial(oracle_sigma_of, a)))
 
 
 def oracle_mod_piece(mu_handle, delta_handle, d_index: int, p: int, w: int):
@@ -428,12 +429,13 @@ def oracle_mod_piece(mu_handle, delta_handle, d_index: int, p: int, w: int):
     src = C.mod_wedge_basis(g, p, w)
     tgt = C.mod_wedge_basis(g, p + 1, w + mu_handle.deformations[d_index].weight - 2)
     ad = delta_handle.deformations[d_index] if d_index < len(delta_handle.deformations) else None
-    sigma = _OracleSigmaPiece(ad) if ad is not None else None
+    sigma = partial(oracle_sigma_of, ad) if ad is not None else None
     return emit_matrix(src, tgt, partial(_mod_piece_emit, algebra(g), mu_handle, sigma, d_index))
 
 
-def oracle_assemble(op, g, p, w, delta=None, mu=None):
-    """The monomial-by-monomial assembly that complexes.assemble replaced:
+def oracle_assemble(op, g, p, w):
+    """The monomial-by-monomial assembly that complexes.assemble replaced,
+    for the canonical structure (``ctx.delta_wedge``, ``oracle_mu_terms``):
     every column emitted into a dict through the basis position maps, the
     module cells through a materialised ``ModWedgeBasis``."""
     module = op.startswith("mod_")
@@ -446,9 +448,9 @@ def oracle_assemble(op, g, p, w, delta=None, mu=None):
     else:
         tgt = basis(g, p + 1, w - 2) if w >= 2 else None
         emit = (
-            partial(mod_cochain_monomial, ctx, delta, mu)
+            partial(mod_cochain_monomial, ctx, ctx.delta_wedge, partial(oracle_mu_terms, ctx))
             if module
-            else partial(cochain_monomial, ctx, delta)
+            else partial(cochain_monomial, ctx, ctx.delta_wedge)
         )
     if tgt is None or not src.monomials:
         return C.SparseRationalMatrix(tgt.dim() if tgt else 0, src.dim())
@@ -486,7 +488,8 @@ def oracle_wedge_coo(ops, op: str, p: int, v: int):
     """The per-monomial emission that CellOperators._wedge_coo replaced:
     (rows, cols, vals) of a wedge operator out of (p, v), every monomial of
     the materialised basis emitted through boundary_monomial or
-    cochain_monomial and looked up in the target basis."""
+    cochain_monomial (with the canonical ``ctx.delta_wedge``) and looked up
+    in the target basis."""
     tp = p - 1 if op == "boundary" else p + 1
     r, c, vals = [], [], []
     # both operators vanish on p = 0 and on weights below 2
@@ -494,7 +497,7 @@ def oracle_wedge_coo(ops, op: str, p: int, v: int):
         if op == "boundary":
             emit = partial(boundary_monomial, ops.ctx)
         else:
-            emit = partial(cochain_monomial, ops.ctx, ops.delta)
+            emit = partial(cochain_monomial, ops.ctx, ops.ctx.delta_wedge)
         pos = C.wedge_basis(ops.g, tp, v - 2).position
         for j, mono in enumerate(C.wedge_basis(ops.g, p, v).monomials):
             for t, s in emit(mono):
@@ -504,15 +507,16 @@ def oracle_wedge_coo(ops, op: str, p: int, v: int):
     return tuple(np.asarray(a, dtype=np.int64) for a in (r, c, int_values(vals)))
 
 
-def oracle_mu_table(mu, g, k):
+def oracle_mu_table(mu_terms, g, k):
     """The word-by-word table that NecklaceContext.mu_table replaced: mu of
-    every word of length k through the handle's mu_terms, grouped by the
+    every word of length k through mu_terms (say ``oracle_mu_terms``), at
+    the index level, grouped by the
     weight m of the split-off necklace n: m -> (source rank, n - offset(m),
     rank of the remaining word, coeff)."""
     ctx, base = algebra(g), 2 * g
     terms, counts = [], []
     for word in product(range(base), repeat=k):
-        t = mu.mu_terms(word)
+        t = mu_terms(word)
         terms.extend(t)
         counts.append(len(t))
     ns = np.array([t[1] for t in terms], dtype=np.int64)

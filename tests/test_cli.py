@@ -107,6 +107,14 @@ class TestCliCommands:
             ["deform", "--g", "1", "--A", "N(a1)^N(b1)", "--w-max", "-1", "--check-all"],
             ["homology", "--g", "1", "--p=-1..1", "--w", "0..2"],
             ["homology", "--g", "1", "--w=-2..2"],
+            # --cells and --mod-cells take a JSON list of [p, w] pairs of ints >= 0
+            ["deform", "--g", "1", "--A", "N(a1)^N(b1)", "--cells", "notjson", "--check-all"],
+            ["deform", "--g", "1", "--A", "N(a1)^N(b1)", "--cells", "[[1]]", "--check-all"],
+            ["deform", "--g", "1", "--A", "N(a1)^N(b1)", "--cells", "[[-1,2]]", "--check-all"],
+            ["deform", "--g", "1", "--A", "N(a1)^N(b1)", "--cells", "[[true,2]]"],
+            ["deform", "--g", "1", "--A", "N(a1)^N(b1)", "--cells", "{}"],
+            ["deform", "--g", "1", "--A", "N(a1)^N(b1)", "--mod-cells", "[[1,2,3]]", "--check-all"],
+            ["deform", "--g", "1", "--A", "N(a1)^N(b1)", "--mod-cells", "[[0,1.5]]", "--check-all"],
         ],
     )
     def test_usage_error_exit_2(self, argv, capsys):

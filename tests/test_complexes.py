@@ -29,8 +29,10 @@ from necklaces.complexes import (
     wedge_dim,
 )
 from necklaces.complexes import _sort_wedge
+from necklaces.deform import DeformedCobracket, DeformedComodule
 from necklaces.lie import NecklaceContext, algebra
 from necklaces.linalg import SparseRationalMatrix, int_csc
+from necklaces.tensors import axpy
 from necklaces.verify import matrix_identity_suite
 from oracles import (
     _insert1,
@@ -43,6 +45,7 @@ from oracles import (
     mod_cochain_monomial,
     oracle_assemble,
     oracle_mu_table,
+    oracle_mu_terms,
     oracle_wedge_coo,
     oracle_wedge_tuples,
     sigma_monomial,
@@ -503,7 +506,7 @@ class TestMatrixSuites:
                             assert np.array_equal(got.indptr, ref.indptr), where
                             assert np.array_equal(got.indices, ref.indices), where
                             assert np.array_equal(got.data, ref.data), where
-                        oracle = oracle_assemble(pre + op, g, p, w, delta=delta, mu=mu)
+                        oracle = oracle_assemble(pre + op, g, p, w)
                         fast, ref = _canonical(mat), _canonical(_int_csc_of(oracle))
                         assert fast.shape == ref.shape, where
                         assert np.array_equal(fast.indptr, ref.indptr), where
@@ -553,7 +556,7 @@ class TestMatrixSuites:
         complexes._cell_keys.cache_clear()
         try:
             for g, w_max in ((1, 8), (2, 6)):
-                ops, delta = CellOperators(g, AlgCobracket(g)), AlgCobracket(g)
+                ops = CellOperators(g, AlgCobracket(g))
                 for w in range(w_max + 1):
                     for p in range(5):
                         cell = wedge_cell(g, p, w)
@@ -562,7 +565,7 @@ class TestMatrixSuites:
                             if op == "boundary" and p == 0:
                                 continue
                             got = _canonical(getattr(ops, op)(p, w))
-                            ref = _canonical(_int_csc_of(oracle_assemble(op, g, p, w, delta=delta)))
+                            ref = _canonical(_int_csc_of(oracle_assemble(op, g, p, w)))
                             assert (got != ref).nnz == 0, (g, op, p, w)
         finally:
             complexes._cell_keys.cache_clear()
@@ -645,7 +648,7 @@ class TestCoactionTables:
     @pytest.mark.parametrize("g, k", MU_CASES)
     def test_mu_table_equals_the_word_by_word_table(self, g, k):
         got = algebra(g).mu_table(k)
-        want = oracle_mu_table(AlgComodule(g), g, k)
+        want = oracle_mu_table(partial(oracle_mu_terms, algebra(g)), g, k)
         assert list(got) == sorted(want)
         for m, rows in got.items():
             assert rows.dtype == np.int64 and rows.shape[0] == 4
@@ -659,8 +662,28 @@ class TestCoactionTables:
         for m, (sr, nl, tr, c) in handle.mu_table(k).items():
             for r, n, t, v in zip(sr.tolist(), nl.tolist(), tr.tolist(), c.tolist()):
                 per_word[r].append((words[k - 2 - m][t], ctx.offset(m) + n, v))
-        for word, terms in zip(words[k], per_word):
-            assert sorted(terms) == sorted(handle.mu_terms(word)), word
+        for r, (word, terms) in enumerate(zip(words[k], per_word)):
+            assert sorted(terms) == sorted(oracle_mu_terms(ctx, word)), word
+            if r % 11 == 0:  # the handle's word-level form, on a spread of the words
+                summed: dict = {}
+                axpy(summed, 1, (((rest, ctx.word_at(n)), c) for rest, n, c in terms))
+                assert handle.mu_word(word) == summed, word
+
+    @pytest.mark.parametrize("g, k", MU_CASES)
+    def test_local_mu_table_is_the_whole_table_restricted(self, g, k):
+        ctx, rng = algebra(g), random.Random(170 + 10 * g + k)
+        whole = ctx.mu_table(k)
+        count = (2 * g) ** k
+        some = rng.sample(range(count), min(count, 9))
+        handles = (AlgComodule(g), DeformedComodule(g, []))
+        for local in (np.arange(count), np.zeros(0, dtype=np.int64),
+                      np.array(some + some[:1], dtype=np.int64)):
+            for got in [ctx.mu_table(k, local)] + [h.mu_table(k, local) for h in handles]:
+                assert list(got) == list(whole), local
+                for m, rows in whole.items():
+                    want = rows[:, np.isin(rows[0], local)]
+                    assert got[m].dtype == np.int64 and np.array_equal(got[m], want), (local, m)
+        assert ctx.mu_table(k) is whole
 
     def test_necklace_of_rank(self):
         for g, lmax in ((1, 10), (2, 8)):
@@ -729,12 +752,36 @@ class TestNecklaceTables:
             assert tuple(terms) == ctx.delta_wedge(ctx.offset(m) + n), n
             assert all(a < b for a, b, _ in terms)
 
-    def test_handle_tables_read_off_wedge_terms(self):
-        # the shared helper gives any handle the table of its wedge_terms
-        for g, m in ((1, 8), (2, 6)):
-            got = complexes.delta_table_of(AlgCobracket(g), m)
-            assert got.dtype == np.int64
-            assert np.array_equal(got, algebra(g).delta_table(m))
+    @pytest.mark.parametrize("g, m", DELTA_CASES)
+    def test_local_delta_table_is_the_whole_table_restricted(self, g, m):
+        # every necklace, none, and a seeded subset given out of order and
+        # with a repeat: the rows of those necklaces, in the same order, by
+        # the context and by each cobracket handle with that table
+        ctx, rng = algebra(g), random.Random(160 + 10 * g + m)
+        whole = ctx.delta_table(m)
+        count = necklace_count(g, m)
+        some = rng.sample(range(count), min(count, 7))
+        handles = (AlgCobracket(g), DeformedCobracket(g, []))
+        for local in (np.arange(count), np.zeros(0, dtype=np.int64),
+                      np.array(some + some[:1], dtype=np.int64)):
+            want = whole[:, np.isin(whole[0], local)]
+            for got in [ctx.delta_table(m, local)] + [h.delta_table(m, local) for h in handles]:
+                assert got.dtype == np.int64 and np.array_equal(got, want), local
+        assert ctx.delta_table(m) is whole
+
+    def test_local_delta_table_over_the_budget_is_delta_wedge(self):
+        # genus 2, weight 10: the whole table is refused, a local one is
+        # the rows of delta_wedge of its necklaces
+        ctx, rng = algebra(2), random.Random(180)
+        with pytest.raises(CellTooLarge):
+            ctx.delta_table(10)
+        ctx.basis_words(10)
+        local = np.array(sorted(rng.sample(range(necklace_count(2, 10)), 40)), dtype=np.int64)
+        got = ctx.delta_table(10, local)
+        want = [(n, a, b, c) for n in local.tolist()
+                for a, b, c in ctx.delta_wedge(ctx.offset(10) + n)]
+        assert want and list(map(tuple, got.T.tolist())) == want
+        assert 10 not in ctx._delta_table_memo
 
 
 def _fraction_vector(rng, cls, basis, nterms=4):
@@ -776,7 +823,7 @@ class TestChainVectorOperators:
                                           partial(boundary_monomial, ctx))
                         _same(boundary(x), ref, ("boundary", g, p, w))
                     ref = emit_vector(x, wedge_basis(g, p + 1, max(w - 2, 0)),
-                                      partial(cochain_monomial, ctx, delta))
+                                      partial(cochain_monomial, ctx, ctx.delta_wedge))
                     _same(cochain_d(x, delta), ref, ("cochain_d", g, p, w))
 
     @pytest.mark.parametrize("g", [1, 2])
@@ -795,7 +842,8 @@ class TestChainVectorOperators:
                                           partial(mod_boundary_monomial, ctx))
                         _same(mod_boundary(x), ref, ("mod_boundary", g, p, w))
                     ref = emit_vector(x, mod_wedge_basis(g, p + 1, max(w - 2, 0)),
-                                      partial(mod_cochain_monomial, ctx, delta, mu))
+                                      partial(mod_cochain_monomial, ctx, ctx.delta_wedge,
+                                              partial(oracle_mu_terms, ctx)))
                     _same(mod_cochain_d(x, delta, mu), ref, ("mod_cochain_d", g, p, w))
 
     @pytest.mark.parametrize("g, w_max", [(1, 8), (2, 6)])
@@ -842,7 +890,7 @@ class TestChainVectorOperators:
         i = next(i for i in range(basis.dim() // 2, basis.dim()) if ctx.delta_wedge(basis.monomial(i)[0]))
         x = ChainVector(basis, {i: Fraction(2, 3)})
         got = cochain_d(x, delta)
-        assert got and got == reference(x, got.basis, partial(cochain_monomial, ctx, delta))
+        assert got and got == reference(x, got.basis, partial(cochain_monomial, ctx, ctx.delta_wedge))
 
         basis = wedge_basis(g, 2, 11)
         x = ChainVector(basis, {basis.dim() // 2: 1, basis.dim() // 2 + 5: Fraction(-1, 2)})
@@ -855,12 +903,13 @@ class TestChainVectorOperators:
         got = mod_boundary(x)
         assert got and got == reference(x, got.basis, partial(mod_boundary_monomial, ctx))
         got = mod_cochain_d(x, delta, mu)
-        assert got and got == reference(x, got.basis, partial(mod_cochain_monomial, ctx, delta, mu))
+        assert got and got == reference(x, got.basis, partial(
+            mod_cochain_monomial, ctx, ctx.delta_wedge, partial(oracle_mu_terms, ctx)))
 
 
 class _HandleTwin:
-    """The canonical cobracket of genus 1 with the terms of the weight-m
-    necklaces replaced by terms."""
+    """The canonical cobracket of genus 1 with the terms of each weight-m
+    necklace replaced by terms."""
 
     g = 1
     name = "twin"
@@ -870,13 +919,13 @@ class _HandleTwin:
         self._ctx = algebra(1)
         self._m, self._terms = m, terms
 
-    def wedge_terms(self, idx):
-        if self._ctx.weight_of(idx) == self._m:
-            return self._terms
-        return self._ctx.delta_wedge(idx)
-
-    def delta_table(self, m):
-        return complexes.delta_table_of(self, m)
+    def delta_table(self, m, local=None):
+        if m != self._m:
+            return self._ctx.delta_table(m, local)
+        necks = range(necklace_count(1, m)) if local is None else local.tolist()
+        rows = [(n, a, b, c) for n in necks for a, b, c in self._terms]
+        dtype = np.int64 if all(type(row[-1]) is int for row in rows) else object
+        return np.array(rows, dtype=dtype).reshape(-1, 4).T
 
 
 class TestChainVectorHandles:
@@ -907,24 +956,82 @@ class TestChainVectorHandles:
                 mod_cochain_d(x, handle, AlgComodule(1))
 
     def test_mod_cochain_d_refuses_a_bad_comodule(self):
-        # the first term of mu(word) gets a coefficient 1/2, or keeps one
-        # letter too many (its necklace then has the wrong weight)
+        # a coefficient 1/2, or a necklace filed under a weight that does
+        # not lower the word length by 2 with the rest
         class BadMu(AlgComodule):
             def __init__(self, g, bad):
                 super().__init__(g)
                 self._bad = bad
 
-            def mu_terms(self, word):
-                terms = list(super().mu_terms(word))
-                return [self._bad(*terms[0])] + terms[1:] if terms else terms
+            def mu_table(self, k, local=None):
+                table = dict(super().mu_table(k, local))
+                return self._bad(table) if table else table
+
+        def half(table):  # the first row of the lightest necklaces gets 1/2
+            m = min(table)
+            table[m] = np.array(table[m].tolist(), dtype=object)
+            table[m][3, 0] = Fraction(1, 2)
+            return table
+
+        def heavier(table):  # the heaviest necklaces are filed one weight up
+            m = max(table)
+            table[m + 1] = table.pop(m)
+            return table
 
         basis = mod_wedge_basis(1, 0, 4)
         x = ModChainVector(basis, {basis.position[((0, 0, 1, 1), ())]: 1})
         assert mod_cochain_d(x, AlgCobracket(1), AlgComodule(1))
-        for error, bad in ((TypeError, lambda rest, n, c: (rest, n, Fraction(1, 2))),
-                           (ValueError, lambda rest, n, c: (rest + (0,), n, c))):
+        for error, bad in ((TypeError, half), (ValueError, heavier)):
             with pytest.raises(error):
                 mod_cochain_d(x, AlgCobracket(1), BadMu(1, bad))
+
+
+    def test_rows_outside_the_support_are_not_read(self):
+        # handles that give their whole table whatever local asks for: the
+        # rows of the necklaces and words that are not present change nothing
+        class WholeDelta(AlgCobracket):
+            def delta_table(self, m, local=None):
+                return super().delta_table(m)
+
+        class WholeMu(AlgComodule):
+            def mu_table(self, k, local=None):
+                return super().mu_table(k)
+
+        rng = random.Random(190)
+        for g, w in ((1, 9), (2, 7)):
+            delta, mu = AlgCobracket(g), AlgComodule(g)
+            for p in (0, 1, 2):
+                if p:
+                    x = _fraction_vector(rng, ChainVector, wedge_basis(g, p, w))
+                    assert cochain_d(x, WholeDelta(g)) == cochain_d(x, delta)
+                y = _fraction_vector(rng, ModChainVector, mod_wedge_basis(g, p, w))
+                want = mod_cochain_d(y, delta, mu)
+                assert want and mod_cochain_d(y, WholeDelta(g), WholeMu(g)) == want
+
+    def test_coboundaries_answer_where_the_whole_tables_are_refused(self, monkeypatch):
+        # genus 1, with the budget under the cobracket table of weight 8 and
+        # the mu table of length 8 (their memos emptied): cochain_d and
+        # mod_cochain_d on vectors that read both still answer, from the
+        # tables of the necklaces and words present, as the emitters do
+        ctx, delta, mu = algebra(1), AlgCobracket(1), AlgComodule(1)
+        x = ChainVector(wedge_basis(1, 2, 9), {0: 1, 3: Fraction(-1, 2)})
+        basis = mod_wedge_basis(1, 1, 9)
+        y = ModChainVector(basis, {basis.position[(w, t)]: c for w, t, c in (
+            ((1, 0, 0, 1, 1, 0, 1, 0), (ctx.offset(1),), 3),
+            ((0,), (ctx.offset(8) + 5,), Fraction(2, 3)))})
+        want_x = emit_vector(x, wedge_basis(1, 3, 7), partial(cochain_monomial, ctx, ctx.delta_wedge))
+        want_y = emit_vector(y, mod_wedge_basis(1, 2, 7), partial(
+            mod_cochain_monomial, ctx, ctx.delta_wedge, partial(oracle_mu_terms, ctx)))
+        assert necklace_count(1, 8) * 8 * 8 > 2000 and 2**8 * 8 > 2000 > basis.dim()
+        monkeypatch.setattr(CellTooLarge, "BUDGET", 2000)
+        monkeypatch.setattr(ctx, "_delta_table_memo", {})
+        monkeypatch.setattr(ctx, "_mu_table_memo", {})
+        for whole in (lambda: ctx.delta_table(8), lambda: ctx.mu_table(8)):
+            with pytest.raises(CellTooLarge):
+                whole()
+        assert cochain_d(x, delta) == want_x and want_x
+        assert mod_cochain_d(y, delta, mu) == want_y and want_y
+        assert 8 not in ctx._delta_table_memo and 8 not in ctx._mu_table_memo
 
 
 class TestCellTooLarge:

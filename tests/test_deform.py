@@ -6,13 +6,16 @@ import pytest
 import numpy as np
 
 from necklaces import deform as D
-from necklaces.complexes import ChainVector, action_table, mod_layout, wedge_basis
+from necklaces.complexes import (
+    AlgCobracket, AlgComodule, ChainVector, action_table, mod_layout, wedge_basis,
+)
 from necklaces.deform import (
     DeformationElement,
     assemble_sigma_piece,
     DeformedCobracket,
     DeformedComodule,
     ExpAdCobracket,
+    check_coaction,
     check_cojacobi,
     check_coskew,
     deform_delta,
@@ -100,6 +103,27 @@ class TestDeformedCobracket:
         ]
         assert fails, "expected some weight-3 deformation to break coJacobi"
         assert check_cojacobi(DeformedCobracket(1, [n_space_basis(1, 2)[0]]), 6)
+
+    def test_word_level_checks_read_the_handles(self):
+        # every handle gives its value on words (delta_word, mu_word), and
+        # the checks read it: the canonical handles pass, and handles whose
+        # values are doubled fail the coaction square, which is linear in
+        # delta and not homogeneous in mu
+        assert check_cojacobi(AlgCobracket(1), 6) and check_coskew(AlgCobracket(1), 6)
+        delta, mu = AlgCobracket(2), AlgComodule(2)
+        assert check_coaction(delta, mu, 6, 2)
+        assert check_coaction(DeformedCobracket(2, []), DeformedComodule(2, []), 6, 2)
+
+        class Doubled:
+            def __init__(self, handle, name):
+                self.g, self._value = handle.g, getattr(handle, name)
+                setattr(self, name, self._doubled)
+
+            def _doubled(self, key):
+                return {k: 2 * c for k, c in self._value(key).items()}
+
+        assert not check_coaction(delta, Doubled(mu, "mu_word"), 6, 2)
+        assert not check_coaction(Doubled(delta, "delta_word"), mu, 6, 2)
 
     def test_deform_delta_guard(self):
         bad = n_space_basis(1, 3)[1]
@@ -417,10 +441,14 @@ class TestArrayChecks:
         a = DeformationElement(_random_two_vector(rng, 2, 3, True))
         assert a._denominator > 1
         for m in (1, 2, 3):
-            rows = a.delta_table(m).T.tolist()
+            whole = a.delta_table(m)
+            rows = whole.T.tolist()
             for n in range(len(ctx.basis_words(m))):
                 got = tuple((x, y, c) for k, x, y, c in rows if k == n)
                 assert got == a.sigma_of(ctx.offset(m) + n) == oracle_sigma_of(a, ctx.offset(m) + n)
+            local = np.array(rng.sample(range(necklace_count(2, m)), 2), dtype=np.int64)
+            got = a.delta_table(m, local)
+            assert np.array_equal(got, whole[:, np.isin(whole[0].astype(np.int64), local)])
 
 
 class TestInvariance:

@@ -1,13 +1,13 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from necklaces import homology, linalg
-from necklaces.complexes import delta_table_of
 from necklaces.errors import NotChainMap
 from necklaces.homology import HomologyEngine, cohomology_of_homology, homology_report
-from necklaces.lie import algebra
+from necklaces.lie import algebra, necklace_count
 from necklaces.tensors import axpy
 from necklaces.linalg import (
     EchelonReducer,
@@ -154,13 +154,10 @@ class TestInducedMaps:
                 self._a = self._ctx.index_of_word((0,))
                 self._b = self._ctx.index_of_word((1,))
 
-            def wedge_terms(self, idx):
-                if self._ctx.weight_of(idx) == 4:
-                    return ((self._a, self._b, 1),)
-                return ()
-
-            def delta_table(self, m):
-                return delta_table_of(self, m)
+            def delta_table(self, m, local=None):
+                necks = range(necklace_count(1, m)) if local is None else local.tolist()
+                rows = [(n, self._a, self._b, 1) for n in necks if m == 4]
+                return np.array(rows, dtype=np.int64).reshape(-1, 4).T
 
         eng = HomologyEngine(1, delta=BrokenDelta())
         with pytest.raises(NotChainMap):
@@ -333,13 +330,10 @@ class TestElimination:
                 self._a = self._ctx.index_of_word((0,))
                 self._b = self._ctx.index_of_word((1,))
 
-            def wedge_terms(self, idx):
-                if self._ctx.weight_of(idx) == 4:
-                    return ((self._a, self._b, Fraction(1, 2)),)
-                return ()
-
-            def delta_table(self, m):
-                return delta_table_of(self, m)
+            def delta_table(self, m, local=None):
+                necks = range(necklace_count(1, m)) if local is None else local.tolist()
+                rows = [(n, self._a, self._b, Fraction(1, 2)) for n in necks if m == 4]
+                return np.array(rows, dtype=object if rows else np.int64).reshape(-1, 4).T
 
         eng = HomologyEngine(1, delta=HalfDelta())
         assert eng.homology_dim(1, 4) >= 0  # boundaries do not read the handle

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from necklaces.linalg import (
@@ -246,6 +247,9 @@ class TestIntCsc:
         m = int_csc(2, 3, [0, 1, 1], [0, 2, 2], [3, -2**31 + 1, 1])
         assert m.dtype.kind == "i" and m.toarray().tolist() == [[3, 0, 0], [0, 0, -2**31 + 2]]
         assert int_csc(2, 2, [], [], []).nnz == 0
+        # an empty object array, as a Fraction handle table with no rows
+        # gives, holds nothing too large
+        assert int_csc(2, 2, [], [], np.zeros(0, dtype=object)).nnz == 0
 
     @pytest.mark.parametrize(
         "values, error",

@@ -159,3 +159,20 @@ def test_exact_term_arithmetic_lives_in_tensors():
             found += [f"{name} in {path.name} at line {node.lineno}" for name in names
                       if name in gone or name in kernel and path.name != "tensors.py"]
     assert not found, f"exact term arithmetic outside tensors.py: {found}"
+
+
+def test_handles_have_one_index_level_form():
+    # a cobracket or comodule handle gives its index-level values as a
+    # table only (delta_table(m, local), mu_table(k, local)): no def,
+    # attribute or name in the package is a per-item form or the adapter
+    # that read a table off one
+    gone = {"wedge_terms", "mu_terms", "delta_table_of"}
+    found = [
+        f"{name} in {path.name} at line {node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        for name in (getattr(node, "name", None), getattr(node, "id", None),
+                     getattr(node, "attr", None))
+        if name in gone
+    ]
+    assert not found, f"per-item handle forms in the package: {found}"
