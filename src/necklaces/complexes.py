@@ -35,7 +35,9 @@ above.  No monomial is emitted one by one on this path, and no
 the matrices through ``SparseRationalMatrix.from_int_csc``.  The operators
 on chain vectors emit through the same ``boundary_terms`` and
 ``cochain_terms`` on the tuples of the vector's support only, and so do
-the deformation checks and pieces in ``necklaces.deform`` on theirs.
+the deformation checks and pieces in ``necklaces.deform`` on theirs; the
+checks read every bracket from ``table_bracket``, or from ``_pair_bracket``
+where that table is over the budget.
 """
 
 from bisect import bisect_right

@@ -34,7 +34,7 @@ equivalent deformation elements A_k = (1/k!) sigma(u)^{k-1}(delta u).
 """
 
 from fractions import Fraction
-from math import lcm
+from math import factorial, lcm
 from typing import Sequence
 
 import numpy as np
@@ -44,7 +44,7 @@ from . import words as W
 from .errors import CellTooLarge, ConditionFailed, MinWeightTooLow, NotInN
 from .homology import HomologyEngine
 from .lie import (
-    DerivationElem, algebra, bracket, exp_derivation, mu_alg, necklace_count, schedler_delta,
+    DerivationElem, algebra, bracket, exp_derivation, mu_alg, schedler_delta,
 )
 from .linalg import SparseRationalMatrix, common_denominator, kernel_basis
 from .tensors import Coeff, Tensor, _csr, _exact, _joined, _product, _summed, _vanishes, axpy
@@ -101,11 +101,11 @@ class DeformationElement:
         L*A (``sigma_csr``, int coefficients) with its coefficients divided
         by L = self._denominator."""
         den = self._denominator
-        indptr, a, b, c = self.scaled(den).sigma_csr(m)
+        rows = None if local is None else np.unique(np.asarray(local, dtype=np.int64))
+        indptr, a, b, c = self.scaled(den).sigma_csr(m, rows)
         n = np.repeat(np.arange(len(indptr) - 1, dtype=np.int64), np.diff(indptr))
-        if local is not None:
-            keep = np.isin(n, local)
-            n, a, b, c = n[keep], a[keep], b[keep], c[keep]
+        if rows is not None:
+            n = rows[n]
         if den != 1:
             c = np.array([Fraction(v, den) for v in c.tolist()], dtype=object)
         return np.stack([n, a, b, c])
@@ -133,8 +133,7 @@ class DeformationElement:
 
 class _ScaledDeformation(DeformationElement):
     """factor * A with int coefficients, as the arrays the identity checks
-    read: its pairs, its nabla, and per weight m the brackets of the
-    necklaces of weight m with A's own necklaces and the sigma table.  Its
+    read: its pairs, its nabla, and per weight m the sigma table.  Its
     nabla is A's times factor; coefficient arrays are ``tensors._exact``."""
 
     def __init__(self, base: DeformationElement, factor: int):
@@ -148,51 +147,48 @@ class _ScaledDeformation(DeformationElement):
         ctx = algebra(self.g)
         self.pairs = np.array([(a, b) for a, b, _ in self._wedge_pairs], dtype=np.int64).reshape(-1, 2)
         self.coeffs = _exact([c for _, _, c in self._wedge_pairs])
-        self.necklaces = np.unique(self.pairs)
         nabla = self._nabla.sorted_terms()
         self.nabla_factors = np.array(
             [ctx.index_of_word(nw) for nw, _ in nabla], dtype=np.int64).reshape(-1, 1)
         self.nabla_coeffs = _exact([c for _, c in nabla])
-        self._brackets: dict[int, tuple[np.ndarray, ...]] = {}
         self._sigma: dict[int, tuple[np.ndarray, ...]] = {}
 
     def scaled(self, factor: int) -> "_ScaledDeformation":
         return self if factor == 1 else super().scaled(factor)
 
-    def brackets(self, m: int):
-        """[X, N_s] for every necklace X of weight m and every s in
-        ``necklaces``, as CSR rows over (X - offset(m)) * len(necklaces) +
-        the position of s (``NecklaceContext.bracket_pairs``): only the
-        pairs with one of A's necklaces are spliced."""
-        if m not in self._brackets:
-            ctx = algebra(self.g)
-            xs = np.arange(ctx.offset(m), ctx.offset(m + 1), dtype=np.int64)
-            self._brackets[m] = ctx.bracket_pairs(
-                np.repeat(xs, len(self.necklaces)), np.tile(self.necklaces, len(xs)))
-        return self._brackets[m]
-
-    def sigma_csr(self, m: int):
+    def sigma_csr(self, m: int, local: np.ndarray | None = None):
         """sigma(X)(A) = sum over A's pairs of alpha ([X, N_a] ^ N_b + N_a ^
-        [X, N_b]) for every necklace X of weight m, in CSR form over them:
-        (indptr, a, b, coeff), a < b, summed; the table form that
-        ``complexes.cochain_terms`` reads.  The brackets come from
-        ``brackets(m)``."""
-        if m not in self._sigma:
-            count, nq = necklace_count(self.g, m), len(self.coeffs)
-            indptr, target, coeff = self.brackets(m)
-            x, q = np.repeat(np.arange(count), nq), np.tile(np.arange(nq), count)
-            pos = np.searchsorted(self.necklaces, self.pairs)
+        [X, N_b]) for every necklace X of weight m, or for those offset(m) +
+        local (sorted, distinct), in CSR form over them: (indptr, a, b,
+        coeff), a < b, summed; the table form that ``complexes.cochain_terms``
+        reads.  Only the necklaces asked for are bracketed with A's
+        (``complexes._pair_bracket``).  The whole weight is memoised; with
+        ``local``, the rows are gathered from it when it is memoised and
+        built alone otherwise, as in ``NecklaceContext.rotations``."""
+        table = self._sigma.get(m)
+        if table is not None and local is not None:
+            indptr, a, b, c = table
+            _, at = C._gather(indptr, local)
+            return np.concatenate([[0], np.cumsum(np.diff(indptr)[local])]), a[at], b[at], c[at]
+        if table is None:
+            ctx, nq = algebra(self.g), len(self.coeffs)
+            count = len(ctx.basis_words(m))  # an index names a necklace once its weight is enumerated
+            rows = np.arange(count, dtype=np.int64) if local is None else local
+            x, q = np.repeat(np.arange(len(rows)), nq), np.tile(np.arange(nq), len(rows))
             parts = []
             # each bracket term k is wedged with the other factor of the pair:
-            # k ^ N_b from [X, N_a], and N_a ^ k = -(k ^ N_a) from [X, N_b]
+            # k ^ N_b from [X, N_a], and N_a ^ k = -(k ^ N_a) from [X, N_b];
+            # A's necklaces are global indices (offset(0) is 0)
             for side, sgn in ((0, 1), (1, -1)):
-                which, at = C._gather(indptr, x * len(self.necklaces) + pos[q, side])
-                new, sign, clash = C._insert(self.pairs[q[which], 1 - side, None], target[at, None])
+                which, target, coeff = C._pair_bracket(ctx, m, rows[x], 0, self.pairs[q, side])
+                new, sign, clash = C._insert(self.pairs[q[which], 1 - side, None], target[:, None])
                 keep = ~clash
-                c = _product(self.coeffs[q[which]][keep], (sgn * sign * coeff[at])[keep])
+                c = _product(self.coeffs[q[which]][keep], (sgn * sign * coeff)[keep])
                 parts.append((x[which][keep], new[keep, 0], new[keep, 1], c))
-            self._sigma[m] = _csr(parts, count, 2)
-        return self._sigma[m]
+            table = _csr(parts, len(rows), 2)
+            if local is None:
+                self._sigma[m] = table
+        return table
 
 
 def _pairs(chain: C.ChainVector) -> tuple[tuple[int, int, Coeff], ...]:
@@ -277,27 +273,20 @@ class DeformedCobracket:
 
     def delta_table(self, m: int, local: np.ndarray | None = None):
         """The base piece; valid when every deformation is trivial (the
-        graded machinery uses pieces() instead)."""
+        deformation pieces are checked by verify_deformation_invariance)."""
         if self.deformations:
-            raise ValueError(
-                "deformed cobracket is weight-inhomogeneous; use pieces()"
-            )
+            raise ValueError("deformed cobracket is weight-inhomogeneous; "
+                             "use verify_deformation_invariance")
         return self.base.delta_table(m, local)
 
-    def pieces(self) -> list[tuple[int, object]]:
-        """(weight shift, term function idx -> wedge terms) per piece."""
-        out: list[tuple[int, object]] = [(-2, algebra(self.g).delta_wedge)]
-        for d in self.deformations:
-            out.append((d.weight - 2, d.sigma_of))
-        return out
-
     def delta_word(self, nw: W.WordKey) -> dict[tuple[W.WordKey, W.WordKey], Coeff]:
-        """Full (inhomogeneous) value on a necklace, word-level wedge map."""
+        """Full (inhomogeneous) value on a necklace, word-level wedge map:
+        the base cobracket plus sigma(N(nw))(A) of every element A."""
         ctx = algebra(self.g)
+        acc = self.base.delta_word(nw)
         idx = ctx.index_of_word(nw)
-        acc: dict = {}
-        for _, fn in self.pieces():
-            axpy(acc, 1, (((ctx.word_at(a), ctx.word_at(b)), c) for a, b, c in fn(idx)))
+        for d in self.deformations:
+            axpy(acc, 1, (((ctx.word_at(a), ctx.word_at(b)), c) for a, b, c in d.sigma_of(idx)))
         return acc
 
 
@@ -318,9 +307,8 @@ class DeformedComodule:
     def mu_table(self, k: int, local: np.ndarray | None = None):
         """The base piece; valid when every deformation is trivial."""
         if self.deformations:
-            raise ValueError(
-                "deformed comodule is weight-inhomogeneous; use pieces()"
-            )
+            raise ValueError("deformed comodule is weight-inhomogeneous; "
+                             "use verify_deformation_invariance")
         return self.base.mu_table(k, local)
 
     def piece_terms(self, d_index: int, word: W.WordKey):
@@ -338,20 +326,12 @@ class DeformedComodule:
             out.append((word, ctx.index_of_word(nw), -c))
         return out
 
-    def pieces(self) -> list[tuple[int, object]]:
-        ctx = self._ctx
-        out: list[tuple[int, object]] = [
-            (-2, lambda word: [(rest, ctx.index_of_word(n), s) for rest, n, s in ctx.mu_word(word)])
-        ]
-        for k, d in enumerate(self.deformations):
-            out.append((d.weight - 2, lambda word, k=k: self.piece_terms(k, word)))
-        return out
-
     def mu_word(self, word: W.WordKey) -> dict[tuple[W.WordKey, W.WordKey], Coeff]:
+        """mu'(word): the base comodule map plus every ``piece_terms``."""
         ctx = self._ctx
-        acc: dict = {}
-        for _, fn in self.pieces():
-            axpy(acc, 1, (((w2, ctx.word_at(k)), c) for w2, k, c in fn(word)))
+        acc = self.base.mu_word(word)
+        for k in range(len(self.deformations)):
+            axpy(acc, 1, (((w2, ctx.word_at(n)), c) for w2, n, c in self.piece_terms(k, word)))
         return acc
 
 
@@ -449,9 +429,10 @@ def check_coaction(delta_handle, mu_handle, max_weight: int, g: int,
 # target tuples, so the intermediate cell (p+2, w + wt A) is never built or
 # ranked.  The identity holds on a block of source rows, _CHUNK insertions
 # at a time, iff the terms of LHS - RHS sum to zero (``tensors._vanishes``).
-# Brackets with A's necklaces come from ``_ScaledDeformation.brackets``,
-# the others from ``_plain_bracket``, and the action on words is tabled for
-# the necklaces present only, so no table over the budget is built.
+# Every bracket comes from ``_plain_bracket``: the shared whole-weight
+# table, or the pairs present where that table is over the budget.  The
+# action on words is tabled for the necklaces present only, so no table
+# over the budget is built.
 
 _CHUNK = 4096  # source rows times insertions per block of an identity check
 
@@ -477,37 +458,6 @@ def _wedge_into(tuples: np.ndarray, factors: np.ndarray, coeffs: np.ndarray):
     return keep // nf, keep % nf, new[keep], _product(np.tile(coeffs, n)[keep], sign[keep])
 
 
-def _bracket_source(a: "_ScaledDeformation"):
-    """The bracket source of ``complexes.boundary_terms`` for tuples that
-    hold A's necklaces: a pair (N_i, N_j) with N_j one of them reads row
-    (i, j) of ``a.brackets``, a pair with only N_i one of them reads -[N_j,
-    N_i] there, and any other pair ``_plain_bracket``."""
-    necks = a.necklaces
-
-    def member(idx):
-        pos = np.searchsorted(necks, idx)
-        return pos, (necks.take(pos, mode="clip") == idx) if len(necks) else pos < 0
-
-    def bracket(ctx, m1, first, m2, second):
-        pos_i, in_i = member(first + ctx.offset(m1))
-        pos_j, in_j = member(second + ctx.offset(m2))
-        in_i &= ~in_j
-        parts = []
-        plain = np.flatnonzero(~(in_i | in_j))
-        if len(plain):
-            which, target, coeff = _plain_bracket(ctx, m1, first[plain], m2, second[plain])
-            parts.append((plain[which], target, coeff))
-        for sel, m, other, pos, sgn in ((in_j, m1, first, pos_j, 1), (in_i, m2, second, pos_i, -1)):
-            sel = np.flatnonzero(sel)
-            if len(sel):
-                indptr, target, coeff = a.brackets(m)
-                which, at = C._gather(indptr, other[sel] * len(necks) + pos[sel])
-                parts.append((sel[which], target[at], sgn * coeff[at]))
-        return _joined(parts, 0, 0, 0)
-
-    return bracket
-
-
 def homotopy_check(a: DeformationElement | C.ChainVector, p: int, w: int) -> bool:
     """The chain-homotopy identity at matrix level on cell (p, w):
 
@@ -522,12 +472,11 @@ def homotopy_check(a: DeformationElement | C.ChainVector, p: int, w: int) -> boo
     (a,) = _cleared(_as_deformation(a))
     ctx = algebra(a.g)
     cell = C.wedge_cell(a.g, p, w)
-    bracket = _bracket_source(a)
     step = max(1, _CHUNK // max(len(a.coeffs), 1))
     for lo in range(0, len(cell), step):
         x = cell[lo:lo + step]
         row, _, ax, c_ax = _wedge_into(x, a.pairs, a.coeffs)  # A ^ x
-        i, t1, c1 = C.boundary_terms(ctx, ax, bracket)  # boundary(A ^ x)
+        i, t1, c1 = C.boundary_terms(ctx, ax, _plain_bracket)  # boundary(A ^ x)
         j, bx, c_bx = C.boundary_terms(ctx, x, _plain_bracket)
         k, _, t2, c2 = _wedge_into(bx, a.pairs, a.coeffs)  # A ^ boundary(x)
         n, _, t3, c3 = _wedge_into(x, a.nabla_factors, a.nabla_coeffs)  # (nabla A) ^ x
@@ -675,7 +624,6 @@ def mod_homotopy_check(
     arithmetic; the caller's A and B are not changed."""
     a, b = _cleared(_as_deformation(a), _as_deformation(b))
     ctx = algebra(a.g)
-    bracket = _bracket_source(b)
     for k, ds in enumerate(C.mod_layout(a.g, p, w).wedge_dims):
         if not ds:
             continue
@@ -684,7 +632,7 @@ def mod_homotopy_check(
         for lo in range(0, len(cell), step):
             x = cell[lo:lo + step]
             row, _, bx, c_bx = _wedge_into(x, b.pairs, b.coeffs)  # m (x) B ^ xi
-            i, t1, c1 = C.boundary_terms(ctx, bx, bracket)
+            i, t1, c1 = C.boundary_terms(ctx, bx, _plain_bracket)
             gi, gsw, gtl, gtw, gt, gs = _gamma_terms(ctx, k, bx)
             j, dx, c_dx = C.boundary_terms(ctx, x, _plain_bracket)
             kk, _, t2, c2 = _wedge_into(dx, b.pairs, b.coeffs)
@@ -915,7 +863,7 @@ class ExpAdCobracket:
             }
             if not power:
                 break
-            axpy(total, Fraction(1, _factorial(k)), power.items())
+            axpy(total, Fraction(1, factorial(k)), power.items())
             k += 1
         # split by total weight into chain vectors
         ctx = algebra(g)
@@ -938,13 +886,6 @@ def _wedge_put(acc: dict, wa: W.WordKey, wb: W.WordKey, c: Coeff) -> None:
     if ka == kb:
         return
     axpy(acc, c, (((wa, wb), 1),) if ka < kb else (((wb, wa), -1),))
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
 
 
 class ExpAdComodule:

@@ -202,9 +202,6 @@ class NecklaceContext:
         """The weight of every index of an array of enumerated indices."""
         return np.searchsorted(np.asarray(self._offsets[1:], dtype=np.int64), idx, side="right")
 
-    def multidegree(self, idx: int) -> tuple[int, ...]:
-        return W.multidegree(self.word_at(idx), self.g)
-
     # -- rotation tables ------------------------------------------------
 
     def rot_first(self, word: W.WordKey) -> dict[int, tuple[W.WordKey, ...]]:

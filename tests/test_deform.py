@@ -27,7 +27,7 @@ from necklaces.deform import (
     verify_deformation_invariance,
 )
 from necklaces.errors import CellTooLarge, ConditionFailed, MinWeightTooLow, NotInN
-from necklaces.lie import DerivationElem, algebra, necklace_count
+from necklaces.lie import DerivationElem, NecklaceContext, algebra, necklace_count
 from necklaces.tensors import _joined, _product, _summed
 from oracles import (
     oracle_homotopy_check,
@@ -382,6 +382,13 @@ class TestArrayChecks:
         lie_want = [oracle_homotopy_check(a, p, w) for p, w in [(1, 3), (2, 4)]]
         mod_want = [oracle_mod_homotopy_check(a, b, 2, 4) for b, _ in pairs]
         assert lie_want == [True, True] and mod_want == [ok for _, ok in pairs]
+        # and so are the pairs that hold one of A's necklaces: on the cells
+        # (1, 2), whose tuples have one factor, a bracket of weights 2 and 2
+        # is one of the weight-2 necklace of A with the cell's necklace
+        a3 = DeformationElement(n_space_basis(2, 3)[0])
+        b3 = [DeformationElement(a3.chain.scale(s)) for s in (-1, 1)]
+        want3 = [oracle_homotopy_check(a3, 1, 2)] + [oracle_mod_homotopy_check(a3, b, 1, 2) for b in b3]
+        assert want3[:2] == [True, True] and a3.weight == 3
         budget = mod_layout(2, 2, 4).dim
         assert necklace_count(2, 2) ** 2 * 4 > budget
         monkeypatch.setattr(CellTooLarge, "BUDGET", budget)
@@ -390,6 +397,39 @@ class TestArrayChecks:
             algebra(2).bracket_table(2, 2)
         assert [homotopy_check(a, p, w) for p, w in [(1, 3), (2, 4)]] == lie_want
         assert [mod_homotopy_check(a, b, 2, 4) for b, _ in pairs] == mod_want
+        plain, seen = D._plain_bracket, []
+
+        def spy(ctx, m1, first, m2, second):
+            seen.append((m1, m2))
+            return plain(ctx, m1, first, m2, second)
+
+        monkeypatch.setattr(D, "_plain_bracket", spy)
+        assert homotopy_check(a3, 1, 2) is want3[0] and (2, 2) in seen
+        seen.clear()
+        assert [mod_homotopy_check(a3, b, 1, 2) for b in b3] == want3[1:] and (2, 2) in seen
+
+    def test_a_wrong_plain_bracket_is_caught(self, monkeypatch):
+        # one bracket term with its sign flipped, on the first call that
+        # returns a term: both checks read every bracket from
+        # _plain_bracket, so both fail on a cell that reads that term
+        a = DeformationElement(n_space_basis(2, 3)[0])
+        b = DeformationElement(a.chain.scale(-1))
+        cases = [(homotopy_check, (a, 2, 4)), (mod_homotopy_check, (a, b, 1, 2))]
+        assert all(check(*args) for check, args in cases)
+        plain = D._plain_bracket
+        for check, args in cases:
+            flipped = []
+
+            def wrong(ctx, m1, first, m2, second):
+                which, target, coeff = plain(ctx, m1, first, m2, second)
+                if len(coeff) and not flipped:
+                    coeff = coeff.copy()
+                    coeff[0] *= -1
+                    flipped.append((m1, m2))
+                return which, target, coeff
+
+            monkeypatch.setattr(D, "_plain_bracket", wrong)
+            assert check(*args) is False and flipped
 
     @pytest.mark.parametrize("g", [1, 2])
     def test_sigma_piece_matches_emitter(self, g):
@@ -449,6 +489,38 @@ class TestArrayChecks:
             local = np.array(rng.sample(range(necklace_count(2, m)), 2), dtype=np.int64)
             got = a.delta_table(m, local)
             assert np.array_equal(got, whole[:, np.isin(whole[0].astype(np.int64), local)])
+            # a fresh element builds the rows asked for alone, the same rows
+            fresh = DeformationElement(a.chain)
+            assert np.array_equal(fresh.delta_table(m, local), got)
+            assert m not in fresh.scaled(fresh._denominator)._sigma
+
+    def test_sigma_rows_of_a_weight_not_yet_enumerated(self, monkeypatch):
+        # on a context that has not enumerated weights 6 and 7, the whole
+        # sigma table of weight 6 and local rows of weight 7 enumerate their
+        # weight first, and equal those of the shared context
+        chain = n_space_basis(1, 2)[0]
+        a = DeformationElement(chain)
+        local = np.array([3, 1])
+        want = [a.delta_table(6), a.delta_table(7, local)]
+        fresh = NecklaceContext(1)
+        fresh.basis_words(2)  # the weights of A's necklaces
+        monkeypatch.setattr(D, "algebra", lambda g: fresh)
+        b = DeformationElement(chain)
+        assert len(fresh._bases) <= 6
+        got = [b.delta_table(6), b.delta_table(7, local)]
+        assert all(np.array_equal(x, y) for x, y in zip(got, want))
+
+    def test_local_sigma_rows_are_built_alone(self):
+        # one necklace of weight 10 at g = 2 is bracketed with A's necklaces
+        # alone: the whole-weight sigma table is neither built nor memoised
+        ctx = algebra(2)
+        ctx.basis_words(10)
+        a = DeformationElement(n_space_basis(2, 3)[0])
+        got = a.delta_table(10, np.array([5]))
+        rows = got.T.tolist()
+        assert rows and {n for n, *_ in rows} == {5}
+        assert tuple(tuple(r[1:]) for r in rows) == oracle_sigma_of(a, ctx.offset(10) + 5)
+        assert 10 not in a.scaled(a._denominator)._sigma
 
 
 class TestInvariance:

@@ -7,10 +7,11 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "necklaces"
 
 
 def test_no_assert_statements():
-    # python -O strips assert statements, so a guard must raise instead
+    # python -O strips assert statements, so a guard must raise instead:
+    # no module anywhere under src/ has one
     found = [
-        f"{path.name}:{node.lineno}"
-        for path in sorted(SRC.glob("*.py"))
+        f"{path.relative_to(SRC.parent)}:{node.lineno}"
+        for path in sorted(SRC.parent.rglob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Assert)
     ]
@@ -82,9 +83,22 @@ def test_identity_checks_emit_no_monomial():
                     found.append(f"{ref} in {name} at line {node.lineno}")
                 elif ref in defs:
                     todo.append(ref)
-    assert {"_wedge_into", "_bracket_source", "sigma_csr", "brackets", "_gamma_terms",
+    assert {"_wedge_into", "_plain_bracket", "sigma_csr", "_gamma_terms",
             "DeformationElement", "nabla_contract_chain"} <= seen
     assert not found, f"per-monomial emission in the identity checks: {found}"
+
+
+def test_deform_has_one_bracket_source():
+    # every bracket of the identity checks comes from _plain_bracket, and
+    # the deformed handles give their values without a per-piece list:
+    # deform.py defines no second bracket source and no pieces()
+    gone = {"_bracket_source", "brackets", "pieces"}
+    found = [
+        f"{node.name} at line {node.lineno}"
+        for node in ast.walk(ast.parse((SRC / "deform.py").read_text(encoding="utf-8")))
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in gone
+    ]
+    assert not found, f"removed bracket sources or piece lists in deform.py: {found}"
 
 
 def test_per_monomial_emitters_live_in_the_tests():
