@@ -11,16 +11,30 @@ The operator matrices are the int64 matrices of ``complexes.CellOperators``.
 Their dict columns (``SparseRationalMatrix.from_int_csc``) are kept only
 where a kernel or a matrix-vector product needs them.
 
-The echelon pass over each boundary matrix runs once (``homology()`` runs
-``kernel_basis`` over it as well) and stops once its rank is proven.
-Because boundary . boundary = 0, the rank of the boundary at (p, w) is at
-most the nullity of the boundary out of (p-1, w-2), so the echelon pass
-stops when its pivot count reaches that nullity; the later columns would
-all reduce to zero.  The bound is used only after the product of the two
-int64 boundaries has been certified to be exactly zero under the
-``product_bound_ok`` overflow guard.  If the product cannot be certified,
-or it is not zero, the pass stops only at the row count.  Either way the
-echelon form is the same.
+A Lie boundary rank is a sum of block ranks (``linalg.block_ranks``).
+A necklace's multidegree, the net a-minus-b letter count per symplectic
+pair (``words.multidegree``), is kept by the bracket, so no boundary entry
+joins two multidegrees of wedge tuples.  Because boundary . boundary = 0
+block by block, block L of the boundary at (p, w) has rank at most the
+rows of block L minus the rank of block L of the boundary out of
+(p-1, w-2); the bound is used only after the product of the two int64
+boundaries has been certified to be exactly zero under the
+``product_bound_ok`` overflow guard.  The signed pair permutations
+(a_i -> b_i, b_i -> -a_i, and the swaps of pairs) act on both cells; once
+the whole boundary is checked, entry for entry, to commute with the
+signed cell maps of each generator, one block per orbit is eliminated and
+its rank is reused for the orbit.  If a check fails, every block is.
+
+On module cells, and for the boundaries whose echelon form ``homology()``
+reduces representatives against, ranks come from the canonical echelon
+pass instead.  It runs at most once per boundary and stops at
+the nullity of the boundary below under the same certificate; if the
+product cannot be certified, or it is not zero, the pass stops only at
+the row count.  Either way the echelon form is the same.  ``homology()``
+computes the dimension first.  When it is 0 no kernel and no reducer are
+formed: class coordinates are [] and a vector that is not a cycle is
+refused.  Otherwise ``kernel_basis`` runs over the cell's boundary, a
+second pass over that matrix.
 
 The coboundary induced by an involutive cobracket maps H(p, w) to
 H(p+1, w-2); before descending to homology the engine verifies the
@@ -39,34 +53,55 @@ and the correction terms vanish when the diagonal is complete, giving the
 textbook Euler identity.
 """
 
+from collections import Counter
+from functools import partial
+from itertools import combinations
+
+import numpy as np
+
 from . import complexes as C
 from .errors import NotChainMap
+from .lie import algebra
 from .linalg import (
     EchelonReducer,
     SparseRationalMatrix,
+    block_ranks,
     certified_product,
     column_echelon_int,
     csc_is_zero,
+    int_csc,
     kernel_basis,
     rank,
 )
 from .tensors import Coeff
 
+Multidegree = tuple[int, ...]
+
 
 class HomologySpace:
-    """One homology cell: dimension plus canonical cycle representatives."""
+    """One homology cell: dimension plus canonical cycle representatives.
+    A cell whose homology vanishes has no reducer (None); it is given the
+    boundary matrix out of the cell instead, read when a class is asked
+    for, since there every cycle is a boundary."""
 
     def __init__(self, g: int, p: int, w: int, module: bool, dim: int,
-                 representatives: list, reducer: EchelonReducer, basis):
+                 representatives: list, reducer: EchelonReducer | None, basis,
+                 boundary=None):
         self.g, self.p, self.w = g, p, w
         self.module = module
         self.dim = dim
         self.representatives = representatives  # ChainVector / ModChainVector
         self._reducer = reducer
+        self._boundary = boundary
         self.basis = basis
 
     def class_coordinates(self, coeffs: dict[int, Coeff]) -> list[Coeff]:
-        """Coordinates of a cycle's class in the representative basis."""
+        """Coordinates of a cycle's class in the representative basis;
+        raises ValueError on a vector that is not a cycle."""
+        if self._reducer is None:
+            if self._boundary().matvec(coeffs):
+                raise ValueError("vector is not a cycle in this cell")
+            return []
         rem, used = self._reducer.reduce(coeffs)
         if rem:
             raise ValueError("vector is not a cycle in this cell")
@@ -100,10 +135,13 @@ class InducedMap:
 
 
 class HomologyEngine:
-    """Caches the operator matrices, the column echelon forms of the
-    boundaries and the homology spaces per cell for a fixed genus,
-    cobracket handle and comodule handle.  The echelon pass over a boundary
-    matrix runs at most once; ``homology()`` adds a ``kernel_basis`` pass."""
+    """Caches the operator matrices, the boundary ranks (multidegree block
+    ranks on the Lie complex), the column echelon forms that
+    ``homology()`` reduces against, and the homology spaces per cell for
+    a fixed genus, cobracket handle and comodule handle.  Each boundary is
+    block-ranked at most once and echelon-reduced at most once, and not
+    block-ranked once its echelon form is cached; ``homology()`` adds a
+    ``kernel_basis`` pass on the cells whose homology does not vanish."""
 
     def __init__(self, g: int, delta=None, mu=None, module: bool = False):
         self.g = g
@@ -114,6 +152,7 @@ class HomologyEngine:
         self._int: dict[tuple[str, int, int], object] = {}
         self._columns: dict[tuple[str, int, int], SparseRationalMatrix] = {}
         self._echelon: dict[tuple[int, int], dict[int, dict[int, int]]] = {}
+        self._ranks: dict[tuple[int, int], dict[Multidegree, int]] = {}
         self._hom: dict[tuple[int, int], HomologySpace] = {}
         self._anti_ok: dict[tuple[int, int], bool] = {}
 
@@ -161,44 +200,132 @@ class HomologyEngine:
                 self._echelon[key] = column_echelon_int(matrix, bound)
         return self._echelon[key]
 
-    def _rank_bound(self, p: int, w: int) -> int | None:
-        """The nullity of the boundary out of (p-1, w-2), which bounds the
-        rank of the boundary at (p, w) once their int64 product is
-        certified to be exactly zero.  None (no bound beyond the row count)
-        when the lower boundary is zero, the product cannot be certified,
-        or it is not zero."""
-        lower = len(self._boundary_echelon(p - 1, w - 2))
-        if lower == 0:
-            return None
+    def _product_vanishes(self, p: int, w: int) -> bool:
+        """Whether the int64 product of the boundaries out of (p-1, w-2)
+        and (p, w) is certified to be exactly zero (``product_bound_ok``)."""
         try:
             prod = certified_product(
                 self._operator("boundary", p - 1, w - 2), self._operator("boundary", p, w)
             )
         except OverflowError:
+            return False
+        return csc_is_zero(prod)
+
+    def _rank_bound(self, p: int, w: int) -> int | None:
+        """The nullity of the boundary out of (p-1, w-2), which bounds the
+        rank of the boundary at (p, w) once their int64 product is
+        certified to be exactly zero.  None (no bound beyond the row count)
+        when the product cannot be certified, it is not zero, or the lower
+        boundary is zero."""
+        if p < 2 or not self._product_vanishes(p, w):
             return None
-        if not csc_is_zero(prod):
-            return None
-        return self.cell_dim(p - 1, w - 2) - lower
+        lower = self.boundary_rank(p - 1, w - 2)
+        return self.cell_dim(p - 1, w - 2) - lower if lower else None
 
     def boundary_rank(self, p: int, w: int) -> int:
-        return len(self._boundary_echelon(p, w))
+        """The rank of the boundary at (p, w): the length of its echelon
+        form where that is cached, and on a module engine; otherwise the
+        sum of its multidegree block ranks (``_block_ranks``)."""
+        if self.module or (p, w) in self._echelon:
+            return len(self._boundary_echelon(p, w))
+        return sum(self._block_ranks(p, w).values())
+
+    def _block_ranks(self, p: int, w: int) -> dict[Multidegree, int]:
+        """{multidegree: rank} of the blocks of the Lie boundary at (p, w).
+        No entry of a boundary joins two multidegrees (``_necklace_labels``),
+        so its rank is the sum of its block ranks.  Read off the leads of
+        the cached echelon form if there is one; otherwise one
+        ``block_ranks`` pass over one block per orbit (``_orbit_reps``),
+        or over every block when the orbits are not certified.  Once the
+        product of this boundary and the one below it is certified zero,
+        block L is bounded by its rows minus the rank of block L below."""
+        key = (p, w)
+        if key in self._ranks:
+            return self._ranks[key]
+        ranks: dict[Multidegree, int] = {}
+        if p >= 1 and self.cell_dim(p, w) and self.cell_dim(p - 1, w - 2):
+            base = 2 * w + 1
+            words = _necklace_words(self.g, w - p + 1)
+            necks = _necklace_labels(words, base)
+            rows = necks[C.wedge_cell(self.g, p - 1, w - 2)].sum(axis=1)
+            if key in self._echelon:
+                leads = rows[np.fromiter(self._echelon[key], dtype=np.int64)]
+                ranks = dict(Counter(_multidegree(x, base, self.g) for x in leads.tolist()))
+            else:
+                m = self._operator("boundary", p, w)
+                cols = necks[C.wedge_cell(self.g, p, w)].sum(axis=1)
+                bounds = None
+                if p >= 2 and self._product_vanishes(p, w):
+                    lower = self._block_ranks(p - 1, w - 2)
+                    labels, counts = np.unique(rows, return_counts=True)
+                    bounds = {x: n - lower.get(_multidegree(x, base, self.g), 0)
+                              for x, n in zip(labels.tolist(), counts.tolist())}
+                reps = self._orbit_reps(p, w, m, cols, words)
+                if reps is None:
+                    found = block_ranks(m, rows, cols, bounds)
+                else:
+                    keep = np.isin(cols, list(set(reps.values())))
+                    done = block_ranks(m[:, keep], rows, cols[keep], bounds)
+                    found = {x: done[rep] for x, rep in reps.items()}
+                ranks = {_multidegree(x, base, self.g): r for x, r in found.items() if r}
+        self._ranks[key] = ranks
+        return ranks
+
+    def _orbit_reps(self, p: int, w: int, m, cols: np.ndarray, words: list) -> dict[int, int] | None:
+        """{label: the least label of its orbit} for the column labels of
+        the boundary m at (p, w), under the maps of ``_pair_generators``;
+        None unless every map is certified.  A generator's necklace map
+        gives signed maps of the two cells (``_cell_map``); it is certified
+        when both are bijections, m is equivariant under them entry for
+        entry, and they carry the columns of each block onto the columns of
+        one block, distinct blocks onto distinct blocks.  Block and image
+        block then have the same rank, so one block per orbit is ranked."""
+        labels, block = np.unique(cols, return_inverse=True)
+        reps = list(range(len(labels)))
+
+        def find(x):
+            while reps[x] != x:
+                x = reps[x]
+            return x
+
+        for image, sign in _pair_generators(self.g):
+            nmap, nsign = _necklace_map(self.g, words, image, sign)
+            tau, t = _cell_map(self.g, p, w, nmap, nsign)
+            sigma, s = _cell_map(self.g, p - 1, w - 2, nmap, nsign)
+            if tau is None or sigma is None:
+                return None
+            c = np.repeat(np.arange(m.shape[1]), np.diff(m.indptr))
+            moved = int_csc(*m.shape, sigma[m.indices], tau[c], s[m.indices] * t[c] * m.data)
+            if not csc_is_zero(moved - m):
+                return None
+            to = np.zeros(len(labels), dtype=np.int64)
+            to[block] = block[tau]
+            if not np.array_equal(to[block], block[tau]) or len(np.unique(to)) < len(labels):
+                return None
+            for x, y in enumerate(to.tolist()):
+                x, y = find(x), find(y)
+                reps[max(x, y)] = min(x, y)
+        return dict(zip(labels.tolist(), labels[[find(i) for i in range(len(labels))]].tolist()))
 
     # -- homology ---------------------------------------------------------
 
     def homology(self, p: int, w: int) -> HomologySpace:
+        """H(p, w) with its representatives.  Where the homology vanishes
+        this forms no kernel and no reducer: the space holds only the
+        boundary out of the cell, to test that a vector is a cycle."""
         key = (p, w)
         if key in self._hom:
             return self._hom[key]
         basis = self.cell_basis(p, w)
-        dim_cell = self.cell_dim(p, w)
-        if dim_cell == 0:
-            space = HomologySpace(self.g, p, w, self.module, 0, [], EchelonReducer(), basis)
+        if self.homology_dim(p, w) == 0:
+            space = HomologySpace(self.g, p, w, self.module, 0, [], None, basis,
+                                  partial(self.boundary_matrix, p, w))
             self._hom[key] = space
             return space
         ker = (
             kernel_basis(self.boundary_matrix(p, w))
             if p >= 1
-            else [{j: 1} for j in range(dim_cell)]
+            else [{j: 1} for j in range(self.cell_dim(p, w))]
         )
         reducer = EchelonReducer()
         pivots = self._boundary_echelon(p + 1, w + 2)
@@ -252,12 +379,10 @@ class HomologyEngine:
                 f"anticommutation fails near cell (p={p}, w={w}); the handle "
                 "does not descend to homology here"
             )
-        dmat = self.cochain_matrix(p, w)
-        bnd_tgt = self.boundary_matrix(p + 1, w - 2)
         cols = []
         for rep in src.representatives:
-            image = dmat.matvec(rep.coeffs)
-            if bnd_tgt.matvec(image):
+            image = self.cochain_matrix(p, w).matvec(rep.coeffs)
+            if self.boundary_matrix(p + 1, w - 2).matvec(image):
                 raise NotChainMap("image of a cycle is not a cycle")
             coords = tgt.class_coordinates(image)
             cols.append({i: c for i, c in enumerate(coords) if c != 0})
@@ -310,6 +435,74 @@ class HomologyEngine:
         if not ps:
             return None
         return (min(ps), max(ps))
+
+
+def _necklace_words(g: int, top: int) -> list[np.ndarray]:
+    """The letters of the basis necklaces of weights 1..top, one int64
+    array (count, m) per weight m, in index order."""
+    ctx = algebra(g)
+    return [np.array(ctx.basis_words(m), dtype=np.int64).reshape(-1, m) for m in range(1, top + 1)]
+
+
+def _necklace_labels(words: list[np.ndarray], base: int) -> np.ndarray:
+    """The ``words.multidegree`` of each necklace of ``_necklace_words`` as
+    one int, each letter a_i adding and b_i subtracting base**(i-1).  The
+    label of a wedge tuple is the sum over its necklaces.  Each component
+    of a tuple of weight at most w lies in [-w, w], so for base > 2w the
+    label is faithful (``_multidegree`` reads it back)."""
+    return np.concatenate([np.zeros(0, dtype=np.int64)]
+                          + [((1 - 2 * (d & 1)) * base ** (d >> 1)).sum(axis=1) for d in words])
+
+
+def _multidegree(label: int, base: int, g: int) -> Multidegree:
+    """The multidegree of a label of ``_necklace_labels`` or of a sum of
+    such labels over a wedge tuple."""
+    half = base // 2
+    label += half * sum(base**i for i in range(g))
+    return tuple(label // base**i % base - half for i in range(g))
+
+
+def _pair_generators(g: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Signed letter maps (image, sign), letter x to sign[x] * image[x],
+    that generate the signed pair permutations: a_1 -> b_1, b_1 -> -a_1,
+    and the swap of pairs i and i+1 for each i < g."""
+    gens = []
+    image, sign = np.arange(2 * g), np.ones(2 * g, dtype=np.int64)
+    image[:2], sign[1] = (1, 0), -1
+    gens.append((image, sign))
+    for i in range(g - 1):
+        image = np.arange(2 * g)
+        image[2 * i:2 * i + 4] = (2 * i + 2, 2 * i + 3, 2 * i, 2 * i + 1)
+        gens.append((image, np.ones(2 * g, dtype=np.int64)))
+    return gens
+
+
+def _necklace_map(g: int, words: list[np.ndarray], image: np.ndarray, sign: np.ndarray):
+    """The signed map of the necklaces of ``_necklace_words`` induced by a
+    signed letter map: (index, sign) arrays, necklace n going to nsign[n]
+    times necklace nmap[n], the canonical rotation of its image word."""
+    ctx = algebra(g)
+    nmap, nsign = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    for m, d in enumerate(words, start=1):
+        nmap.append(ctx.necklace_of_rank(m)[image[d] @ (2 * g) ** np.arange(m - 1, -1, -1)])
+        nsign.append(sign[d].prod(axis=1))
+    return np.concatenate(nmap), np.concatenate(nsign)
+
+
+def _cell_map(g: int, p: int, w: int, nmap: np.ndarray, nsign: np.ndarray):
+    """The signed map of the wedge cell (p, w) induced by a signed map of
+    necklaces (index nmap[n], sign nsign[n]): (position, sign) arrays over
+    the cell, each image tuple sorted with the sign of its permutation.
+    (None, None) if the map is not a bijection of the cell."""
+    cell = C.wedge_cell(g, p, w)
+    image = nmap[cell]
+    inversions = sum((image[:, i] > image[:, j] for i, j in combinations(range(p), 2)),
+                     np.zeros(len(cell), dtype=np.int64))
+    sign = nsign[cell].prod(axis=1) * (1 - 2 * (inversions & 1))
+    pos = C.cell_positions(g, p, w, np.sort(image, axis=1))
+    if np.bincount(pos, minlength=len(cell)).max(initial=0) > 1:
+        return None, None
+    return pos, sign
 
 
 def cohomology_of_homology(engine: HomologyEngine, p0: int, w0: int, steps: int) -> dict:

@@ -199,7 +199,10 @@ class NecklaceContext:
         return len(self.word_at(idx))
 
     def weights(self, idx: np.ndarray) -> np.ndarray:
-        """The weight of every index of an array of enumerated indices."""
+        """The weight of every index of an array of necklace indices; the
+        bases up to the weight of the largest are enumerated first."""
+        while idx.size and idx.max() >= self._offsets[-1]:
+            self.basis_words(len(self._bases))
         return np.searchsorted(np.asarray(self._offsets[1:], dtype=np.int64), idx, side="right")
 
     # -- rotation tables ------------------------------------------------
@@ -368,7 +371,7 @@ class NecklaceContext:
         their own words, so the whole weight is not rotated."""
         table = self._rotations_memo.get(m)
         if table is None and local is not None:
-            words = [self.word_at(self.offset(m) + i) for i in local.tolist()]
+            words = list(map(self.basis_words(m).__getitem__, local.tolist()))
             return _rotated(np.array(words, dtype=np.int64).reshape(-1, m))
         if table is None:
             table = _rotated(np.array(self.basis_words(m), dtype=np.int64).reshape(-1, m))
@@ -460,7 +463,7 @@ class NecklaceContext:
                 n, words = np.arange(count, dtype=np.int64), self.basis_words(m)
             else:
                 n = np.unique(np.asarray(local, dtype=np.int64))
-                words = [self.word_at(self.offset(m) + i) for i in n.tolist()]
+                words = list(map(self.basis_words(m).__getitem__, n.tolist()))
             digits = np.array(words, dtype=np.int64).reshape(-1, m)
             rank = digits @ base ** np.arange(m - 1, -1, -1, dtype=np.int64)
             parts = []

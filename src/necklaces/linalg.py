@@ -15,7 +15,13 @@ variables to 0.  Each forms one Fraction per nonzero entry at the end.
 and reduces by the same steps, carrying one rational scale per step.
 Because all our matrices decompose into blocks with disjoint row/column
 supports (the multidegree grading), sparse elimination never mixes
-blocks, which keeps fill-in local.
+blocks, which keeps fill-in local.  ``block_ranks`` takes that split as
+int labels on the rows and columns of an int64 matrix and ranks each
+block by its own echelon pass, sparsest column first and stopped at a
+per-block bound (the grading split and sparsity order of Dumas,
+Elbaz-Vincent, Giorgi and Urbańska, PASCO 2007); the homology engine
+ranks its Lie boundaries this way, one block per certified orbit of the
+signed pair permutations.
 
 No floating point is used anywhere; numpy/scipy enter only through
 ``int_csc`` as an exact int64 engine for large matrix products, with the
@@ -28,7 +34,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import islice
 from math import gcd, lcm
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 import scipy.sparse as _sp
@@ -66,6 +72,15 @@ class SparseRationalMatrix:
         return cls(rows, cols, columns)
 
     @classmethod
+    def _built(cls, rows: int, cols: int, columns: list[Vec]) -> "SparseRationalMatrix":
+        """A matrix of columns built in this module, which hold no zero
+        entry and no row out of range (``axpy`` deletes the keys it zeroes),
+        so ``__init__``'s filter and range check are skipped."""
+        out = cls.__new__(cls)
+        out.rows, out.cols, out.columns = rows, cols, columns
+        return out
+
+    @classmethod
     def from_int_csc(cls, m) -> "SparseRationalMatrix":
         """An int64 csc matrix (``int_csc``) as dict columns with int
         values, its explicit zeros dropped; m is not changed.  The columns
@@ -74,10 +89,7 @@ class SparseRationalMatrix:
         counts = np.diff(np.concatenate(([0], np.cumsum(keep)))[m.indptr]).tolist()
         rows = list(range(m.shape[0]))
         entries = zip(map(rows.__getitem__, m.indices[keep].tolist()), m.data[keep].tolist())
-        out = cls.__new__(cls)
-        out.rows, out.cols = m.shape
-        out.columns = [dict(islice(entries, n)) for n in counts]
-        return out
+        return cls._built(*m.shape, [dict(islice(entries, n)) for n in counts])
 
     def nnz(self) -> int:
         return sum(len(c) for c in self.columns)
@@ -105,8 +117,7 @@ class SparseRationalMatrix:
     def __matmul__(self, other: "SparseRationalMatrix") -> "SparseRationalMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        cols = [self.matvec(col) for col in other.columns]
-        return SparseRationalMatrix(self.rows, other.cols, cols)
+        return self._built(self.rows, other.cols, [self.matvec(col) for col in other.columns])
 
     def __add__(self, other: "SparseRationalMatrix") -> "SparseRationalMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -116,12 +127,10 @@ class SparseRationalMatrix:
             c = dict(a)
             axpy(c, 1, b.items())
             cols.append(c)
-        return SparseRationalMatrix(self.rows, self.cols, cols)
+        return self._built(self.rows, self.cols, cols)
 
     def __neg__(self) -> "SparseRationalMatrix":
-        return SparseRationalMatrix(
-            self.rows, self.cols, [{r: -v for r, v in c.items()} for c in self.columns]
-        )
+        return self._built(self.rows, self.cols, [{r: -v for r, v in c.items()} for c in self.columns])
 
     def __sub__(self, other: "SparseRationalMatrix") -> "SparseRationalMatrix":
         return self + (-other)
@@ -139,7 +148,7 @@ class SparseRationalMatrix:
         for j, col in enumerate(self.columns):
             for i, v in col.items():
                 cols[i][j] = v
-        return SparseRationalMatrix(self.cols, self.rows, cols)
+        return self._built(self.cols, self.rows, cols)
 
     def __repr__(self) -> str:
         return f"SparseRationalMatrix({self.rows}x{self.cols}, nnz={self.nnz()})"
@@ -295,15 +304,57 @@ def column_echelon_int(matrix: SparseRationalMatrix, bound: int | None = None) -
     the rank (None: the row count).
     """
     stop = matrix.rows if bound is None else min(bound, matrix.rows)
+    return _echelon_pass((_int_scale_column(col)[0] for col in matrix.columns), stop)
+
+
+def _echelon_pass(columns: Iterable[dict[int, int]], stop: int) -> dict[int, dict[int, int]]:
+    """The pass of ``column_echelon_int`` over integer columns, left to
+    right: each is reduced by ``_reduce_int`` and, if a remainder survives,
+    stored under its lead with a positive lead entry.  Stops once the pivot
+    count reaches ``stop``, without reading another column."""
     pivots: dict[int, dict[int, int]] = {}
-    for col0 in matrix.columns:
-        if len(pivots) >= stop:
-            break
-        col = _reduce_int(_int_scale_column(col0)[0], pivots)
+    if stop <= 0:
+        return pivots
+    for col in columns:
+        col = _reduce_int(col, pivots)
         if col:
             lead = min(col)
             pivots[lead] = col if col[lead] > 0 else {r: -v for r, v in col.items()}
+            if len(pivots) >= stop:
+                break
     return pivots
+
+
+def block_ranks(m, row_labels, col_labels, bounds: Mapping[int, int] | None = None) -> dict[int, int]:
+    """The rank of each label block of an int64 CSC matrix whose nonzero
+    entries stay in their blocks: block L holds the rows and the columns
+    labelled L, and an entry between two labels raises ValueError.  Each
+    block is one ``_echelon_pass`` over its own columns, made primitive, in
+    ascending nnz order (ties in column order), which stops at the block's
+    row count or at ``bounds[L]``, a proven upper bound on its rank where
+    one is given.  Returns {L: rank} for every label of a column."""
+    row_labels, col_labels = np.asarray(row_labels), np.asarray(col_labels)
+    keep = m.data != 0
+    rows, vals = m.indices[keep], m.data[keep]
+    nnz = np.bincount(np.repeat(np.arange(m.shape[1]), np.diff(m.indptr))[keep], minlength=m.shape[1])
+    if np.any(row_labels[rows] != np.repeat(col_labels, nnz)):
+        raise ValueError("a nonzero entry lies between two label blocks")
+    start = np.cumsum(nnz) - nnz
+    # each column primitive: divided by the gcd of its entries
+    div = np.gcd.reduceat(np.abs(vals), start[nnz > 0]) if len(vals) else vals
+    vals = vals // np.repeat(div, nnz[nnz > 0])
+    order = np.lexsort((nnz, col_labels))
+    labels, firsts = np.unique(col_labels[order], return_index=True)
+    row_count = dict(zip(*(a.tolist() for a in np.unique(row_labels, return_counts=True))))
+    bounds = bounds or {}
+    out: dict[int, int] = {}
+    for label, cols in zip(labels.tolist(), np.split(order, firsts[1:])):
+        n = nnz[cols]
+        at = np.repeat(start[cols] - np.cumsum(n) + n, n) + np.arange(n.sum())
+        entries = zip(rows[at].tolist(), vals[at].tolist())
+        stop = min(row_count.get(label, 0), bounds.get(label, m.shape[0]))
+        out[label] = len(_echelon_pass((dict(islice(entries, k)) for k in n.tolist()), stop))
+    return out
 
 
 def rank(matrix: SparseRationalMatrix) -> int:

@@ -783,6 +783,27 @@ class TestNecklaceTables:
         assert want and list(map(tuple, got.T.tolist())) == want
         assert 10 not in ctx._delta_table_memo
 
+    # a fresh context has enumerated no weight yet: the local forms read
+    # the basis of the weight they are given, as the whole-weight ones do
+
+    def test_local_rotations_in_a_fresh_context(self):
+        fresh = NecklaceContext(2)
+        local = np.array([3, 0, 7], dtype=np.int64)
+        assert np.array_equal(fresh.rotations(5, local), algebra(2).rotations(5)[local])
+
+    def test_local_delta_table_in_a_fresh_context(self):
+        fresh, whole = NecklaceContext(2), algebra(2).delta_table(7)
+        got = fresh.delta_table(7, np.array([5]))
+        assert got.shape[1] and np.array_equal(got, whole[:, whole[0] == 5])
+
+    def test_bracket_pairs_in_a_fresh_context(self):
+        ctx = algebra(1)
+        i = np.array([ctx.offset(1), ctx.offset(6) + 3], dtype=np.int64)
+        j = np.array([ctx.offset(6) + 5, ctx.offset(1) + 1], dtype=np.int64)
+        got = NecklaceContext(1).bracket_pairs(i, j)
+        want = ctx.bracket_pairs(i, j)
+        assert len(got[1]) and all(np.array_equal(a, b) for a, b in zip(got, want))
+
 
 def _fraction_vector(rng, cls, basis, nterms=4):
     """A random vector of the cell with Fraction coefficients."""

@@ -4,7 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from necklaces import homology, linalg
+from necklaces import complexes, homology, linalg
+from necklaces import words as W
 from necklaces.errors import NotChainMap
 from necklaces.homology import HomologyEngine, cohomology_of_homology, homology_report
 from necklaces.lie import algebra, necklace_count
@@ -241,21 +242,46 @@ class TestElimination:
 
     @pytest.mark.parametrize("module", [False, True])
     def test_each_boundary_matrix_eliminated_once(self, module, monkeypatch):
-        seen = []
-
-        def counting(matrix, *args):
-            seen.append(matrix)  # kept alive, so ids stay distinct
-            return column_echelon_int(matrix, *args)
-
-        monkeypatch.setattr(homology, "column_echelon_int", counting)
+        # every elimination, an echelon pass or a block pass, is tagged with
+        # the cell the engine is working on: neither runs twice on a cell,
+        # and no block pass runs once the cell's echelon form is cached (a
+        # cell whose echelon homology() needs after its block ranks gets
+        # both, in that order)
         eng = HomologyEngine(1, module=module)
+        cell, seen = [], []
+
+        def on_cell(method):
+            def wrapped(p, w):
+                cell.append((p, w))
+                try:
+                    return method(p, w)
+                finally:
+                    cell.pop()
+            return wrapped
+
+        def counting(kind, original):
+            def wrapped(matrix, *args):
+                seen.append((kind, cell[-1], matrix))  # kept alive, so ids stay distinct
+                return original(matrix, *args)
+            return wrapped
+
+        monkeypatch.setattr(eng, "_boundary_echelon", on_cell(eng._boundary_echelon))
+        monkeypatch.setattr(eng, "_block_ranks", on_cell(eng._block_ranks))
+        monkeypatch.setattr(homology, "column_echelon_int", counting("echelon", column_echelon_int))
+        monkeypatch.setattr(homology, "block_ranks", counting("blocks", linalg.block_ranks))
         homology_report(eng, (0, 3), (0, 6))
         for p in range(0, 4):
             for w in range(0, 7):
                 eng.homology(p, w)
                 eng.boundary_rank(p, w)
-        ids = [id(m) for m in seen]
-        assert len(seen) >= 5 and len(set(ids)) == len(ids)
+        passes = [(kind, at) for kind, at, _ in seen]
+        ids = [id(m) for _, _, m in seen]
+        assert len(seen) >= 5 and len(set(passes)) == len(passes) and len(set(ids)) == len(ids)
+        for kind, at in passes:
+            if kind == "echelon":
+                assert ("blocks", at) not in passes[passes.index((kind, at)):], at
+        kinds = {kind for kind, _ in passes}
+        assert kinds == ({"echelon"} if module else {"echelon", "blocks"})
 
     @pytest.mark.parametrize(
         "g, module, w_max", [(1, False, 8), (2, False, 7), (1, True, 8), (2, True, 6)]
@@ -427,3 +453,192 @@ class TestIntegerReducer:
                 assert _exact_used(got[1]) == _exact_used(want[1]), (p, w, trial)
                 reduced += bool(want[1])
         assert len(cells) >= 10 and reduced >= 30
+
+
+def _labelled_boundary(eng: HomologyEngine, p: int, w: int):
+    """The int64 boundary at (p, w) with the engine's multidegree labels of
+    its rows and columns."""
+    necks = homology._necklace_labels(homology._necklace_words(eng.g, w - p + 1), 2 * w + 1)
+    rows = necks[complexes.wedge_cell(eng.g, p - 1, w - 2)].sum(axis=1)
+    cols = necks[complexes.wedge_cell(eng.g, p, w)].sum(axis=1)
+    return eng._operator("boundary", p, w), rows, cols
+
+
+def _flipped_generators(g: int, generators=homology._pair_generators):
+    """The pair generators with the sign of the letter a_1 flipped in the
+    first: a_1 -> -b_1, b_1 -> -a_1, which reverses the pairing."""
+    gens = generators(g)
+    image, sign = gens[0]
+    sign = sign.copy()
+    sign[0] = -sign[0]
+    return [(image, sign)] + gens[1:]
+
+
+class TestBlockRanks:
+    @pytest.mark.parametrize("g, w_max", [(1, 8), (2, 7)])
+    def test_block_ranks_match_the_full_pass(self, g, w_max):
+        # per block: the engine's ranks (one block per orbit, sparsest
+        # column first, bounded), every block in ascending nnz order, and
+        # every block in column order; their sum is the oracle's rank
+        eng = HomologyEngine(g)
+        cells = boundary_cells(eng, w_max)
+        for p, w in cells:
+            m, rows, cols = _labelled_boundary(eng, p, w)
+            every = linalg.block_ranks(m, rows, cols)
+            in_order = {}
+            for label in np.unique(cols).tolist():
+                block = SparseRationalMatrix.from_int_csc(m[:, cols == label])
+                in_order[label] = len(column_echelon_int(block))
+            assert every == in_order, (p, w)
+            base = 2 * w + 1
+            decoded = {homology._multidegree(x, base, g): r for x, r in every.items() if r}
+            assert eng._block_ranks(p, w) == decoded, (p, w)
+            want = len(oracle_column_echelon_int(SparseRationalMatrix.from_int_csc(m)))
+            assert eng.boundary_rank(p, w) == sum(every.values()) == want, (p, w)
+        assert len(cells) >= 10
+
+    def test_labels_are_the_multidegrees_of_the_tuples(self):
+        ctx, (p, w) = algebra(2), (3, 7)
+        _, _, cols = _labelled_boundary(HomologyEngine(2), p, w)
+        for t, label in zip(complexes.wedge_cell(2, p, w).tolist()[::97], cols[::97].tolist()):
+            degs = [W.multidegree(ctx.word_at(n), 2) for n in t]
+            assert homology._multidegree(label, 2 * w + 1, 2) == tuple(map(sum, zip(*degs)))
+
+    def test_an_entry_between_blocks_raises(self):
+        m = linalg.int_csc(2, 4, [0, 1, 1, 0], [0, 1, 2, 3], [2, 4, 6, 0])  # an explicit zero at (0, 3)
+        assert linalg.block_ranks(m, [5, 6], [5, 6, 6, 6]) == {5: 1, 6: 1}
+        assert linalg.block_ranks(m, [5, 6], [5, 6, 6, 6], {6: 0}) == {5: 1, 6: 0}
+        with pytest.raises(ValueError):
+            linalg.block_ranks(m, [5, 6], [6, 6, 6, 6])
+
+    def test_orbits_reuse_certified_blocks(self, monkeypatch):
+        # one block per orbit is eliminated, and its rank is the rank of
+        # every block of the orbit
+        eng = HomologyEngine(2)
+        ranked = []
+
+        def spy(m, rows, cols, bounds=None):
+            ranked.append(set(np.unique(cols).tolist()))
+            return linalg.block_ranks(m, rows, cols, bounds)
+
+        monkeypatch.setattr(homology, "block_ranks", spy)
+        m, rows, cols = _labelled_boundary(eng, 3, 7)
+        eng.boundary_rank(2, 5)
+        ranked.clear()
+        assert eng.boundary_rank(3, 7) == len(column_echelon_int(SparseRationalMatrix.from_int_csc(m)))
+        (done,) = ranked
+        assert len(done) < len(np.unique(cols)) / 3
+        reps = eng._orbit_reps(3, 7, m, cols, homology._necklace_words(2, 5))
+        assert set(reps.values()) == done
+
+    @pytest.mark.parametrize("p, w", [(2, 6), (3, 7), (4, 8)])
+    def test_a_flipped_generator_sign_fails_the_check(self, p, w, monkeypatch):
+        # a_1 -> -b_1 reverses the pairing, so the boundary is not
+        # equivariant under it: no orbit is certified, every block is
+        # eliminated, and the ranks are those of the full pass
+        eng = HomologyEngine(2)
+        m, rows, cols = _labelled_boundary(eng, p, w)
+        words = homology._necklace_words(2, w - p + 1)
+        assert eng._orbit_reps(p, w, m, cols, words) is not None
+        monkeypatch.setattr(homology, "_pair_generators", _flipped_generators)
+        assert eng._orbit_reps(p, w, m, cols, words) is None
+        ranked = []
+
+        def spy(m, rows, cols, bounds=None):
+            ranked.append(set(np.unique(cols).tolist()))
+            return linalg.block_ranks(m, rows, cols, bounds)
+
+        monkeypatch.setattr(homology, "block_ranks", spy)
+        eng.boundary_rank(p - 1, w - 2)
+        ranked.clear()
+        want = linalg.block_ranks(m, rows, cols)
+        assert eng.boundary_rank(p, w) == sum(want.values())
+        assert ranked == [set(np.unique(cols).tolist())]
+        base = 2 * w + 1
+        assert eng._block_ranks(p, w) == {homology._multidegree(x, base, 2): r for x, r in want.items() if r}
+
+    def test_certified_bounds_are_used(self, monkeypatch):
+        eng = HomologyEngine(1)
+        seen = []
+
+        def spy(m, rows, cols, bounds=None):
+            seen.append((rows, bounds))
+            return linalg.block_ranks(m, rows, cols, bounds)
+
+        monkeypatch.setattr(homology, "block_ranks", spy)
+        assert eng.boundary_rank(3, 8) == len(column_echelon_int(eng.boundary_matrix(3, 8)))
+        rows, bounds = seen[-1]
+        labels, counts = np.unique(rows, return_counts=True)
+        assert bounds is not None and any(bounds[x] < n for x, n in zip(labels.tolist(), counts.tolist()))
+
+    @pytest.mark.parametrize("broken", ["nonzero_product", "uncertified"])
+    def test_block_bounds_need_the_certificate(self, broken, monkeypatch):
+        # as in test_rank_bound_falls_back_to_the_full_pass: a lower
+        # boundary of larger rank, or a product that cannot be certified,
+        # leaves every block unbounded, and the ranks still hold
+        p, w = 3, 8
+        want = len(column_echelon_int(HomologyEngine(1).boundary_matrix(p, w)))
+        eng = HomologyEngine(1)
+        if broken == "nonzero_product":
+            lower = eng._operator("boundary", p - 1, w - 2)
+            rows, cols = lower.shape
+            patched = lower + linalg.int_csc(rows, cols, [j % rows for j in range(cols)], range(cols), [1] * cols)
+            real = eng._operator
+            monkeypatch.setattr(
+                eng, "_operator",
+                lambda name, q, v: patched if (name, q, v) == ("boundary", p - 1, w - 2) else real(name, q, v),
+            )
+        else:
+            monkeypatch.setattr(linalg, "product_bound_ok", lambda a, b: False)
+        seen = []
+
+        def spy(m, rows, cols, bounds=None):
+            seen.append(bounds)
+            return linalg.block_ranks(m, rows, cols, bounds)
+
+        monkeypatch.setattr(homology, "block_ranks", spy)
+        assert eng.boundary_rank(p, w) == want
+        assert seen and seen[-1] is None
+
+
+class TestVanishingCells:
+    @pytest.mark.parametrize("p, w", [(2, 6), (3, 6)])
+    def test_class_coordinates_test_the_cycle(self, p, w):
+        eng = HomologyEngine(2)
+        h = eng.homology(p, w)
+        assert h.dim == 0 and h.representatives == []
+        upper = eng.boundary_matrix(p + 1, w + 2)
+        for j in range(0, upper.cols, max(1, upper.cols // 5)):
+            assert h.class_coordinates(upper.column(j)) == []
+        bnd = eng.boundary_matrix(p, w)
+        j = next(j for j in range(bnd.cols) if bnd.columns[j])
+        with pytest.raises(ValueError):
+            h.class_coordinates({j: Fraction(1, 2)})
+
+    @pytest.mark.parametrize("module", [False, True])
+    def test_no_kernel_or_reducer_on_a_vanishing_cell(self, module, monkeypatch):
+        calls = []
+
+        def spying(name, original):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(homology, "kernel_basis", spying("kernel", kernel_basis))
+        monkeypatch.setattr(EchelonReducer, "insert", spying("insert", EchelonReducer.insert))
+        eng = HomologyEngine(1, module=module)
+        vanishing, carrying = ((2, 4), (2, 2)) if not module else ((1, 4), (2, 4))
+        assert eng.homology(*vanishing).dim == 0 and calls == []
+        assert eng.homology(*carrying).dim == 1 and "insert" in calls
+
+    def test_a_map_that_splits_a_block_is_refused(self, monkeypatch):
+        # a_1 <-> a_2 with the b-letters fixed is a bijection of necklaces
+        # under which the zero boundary out of (1, 2) is equivariant, but it
+        # sends the tuples of one multidegree to several: not certified
+        eng = HomologyEngine(2)
+        m, rows, cols = _labelled_boundary(eng, 1, 2)
+        assert m.count_nonzero() == 0
+        image = np.array([2, 1, 0, 3])
+        monkeypatch.setattr(homology, "_pair_generators", lambda g: [(image, np.ones(4, dtype=np.int64))])
+        assert eng._orbit_reps(1, 2, m, cols, homology._necklace_words(2, 2)) is None
