@@ -11,30 +11,29 @@ The operator matrices are the int64 matrices of ``complexes.CellOperators``.
 Their dict columns (``SparseRationalMatrix.from_int_csc``) are kept only
 where a kernel or a matrix-vector product needs them.
 
-A Lie boundary rank is a sum of block ranks (``linalg.block_ranks``).
-A necklace's multidegree, the net a-minus-b letter count per symplectic
-pair (``words.multidegree``), is kept by the bracket, so no boundary entry
-joins two multidegrees of wedge tuples.  Because boundary . boundary = 0
-block by block, block L of the boundary at (p, w) has rank at most the
-rows of block L minus the rank of block L of the boundary out of
-(p-1, w-2); the bound is used only after the product of the two int64
-boundaries has been certified to be exactly zero under the
-``product_bound_ok`` overflow guard.  The signed pair permutations
-(a_i -> b_i, b_i -> -a_i, and the swaps of pairs) act on both cells; once
-the whole boundary is checked, entry for entry, to commute with the
-signed cell maps of each generator, one block per orbit is eliminated and
-its rank is reused for the orbit.  If a check fails, every block is.
+A boundary rank, on the Lie complex and on the module complex alike, is
+a sum of block ranks (``linalg.block_ranks``).  A necklace's multidegree,
+the net a-minus-b letter count per symplectic pair (``words.multidegree``),
+is kept by the bracket and by the action on words, so no boundary entry
+joins two multidegrees of wedge tuples, or of (word, tuple) pairs counting
+the word's letters too.  Because boundary . boundary = 0 block by block,
+block L of the boundary at (p, w) has rank at most the rows of block L
+minus the rank of block L of the boundary out of (p-1, w-2); the bound is
+used only after the product of the two int64 boundaries has been
+certified to be exactly zero under the ``product_bound_ok`` overflow
+guard.  On the Lie complex the signed pair permutations (a_i -> b_i,
+b_i -> -a_i, and the swaps of pairs) act on both cells; once the whole
+boundary is checked, entry for entry, to commute with the signed cell maps
+of each generator, one block per orbit is eliminated and its rank is
+reused for the orbit.  If a check fails, every block is, as on a module
+cell.
 
-On module cells, and for the boundaries whose echelon form ``homology()``
-reduces representatives against, ranks come from the canonical echelon
-pass instead.  It runs at most once per boundary and stops at
-the nullity of the boundary below under the same certificate; if the
-product cannot be certified, or it is not zero, the pass stops only at
-the row count.  Either way the echelon form is the same.  ``homology()``
-computes the dimension first.  When it is 0 no kernel and no reducer are
-formed: class coordinates are [] and a vector that is not a cycle is
-refused.  Otherwise ``kernel_basis`` runs over the cell's boundary, a
-second pass over that matrix.
+``homology()`` computes the dimension first.  When it is 0 no kernel and
+no reducer are formed: class coordinates are [] and a vector that is not
+a cycle is refused.  Otherwise ``kernel_basis`` runs over the cell's
+boundary, and the representatives are reduced against the canonical
+echelon form of the boundary above, one ``column_echelon_int`` pass
+stopped at that boundary's rank, which is known by then.
 
 The coboundary induced by an involutive cobracket maps H(p, w) to
 H(p+1, w-2); before descending to homology the engine verifies the
@@ -53,7 +52,6 @@ and the correction terms vanish when the diagonal is complete, giving the
 textbook Euler identity.
 """
 
-from collections import Counter
 from functools import partial
 from itertools import combinations
 
@@ -136,12 +134,11 @@ class InducedMap:
 
 class HomologyEngine:
     """Caches the operator matrices, the boundary ranks (multidegree block
-    ranks on the Lie complex), the column echelon forms that
-    ``homology()`` reduces against, and the homology spaces per cell for
-    a fixed genus, cobracket handle and comodule handle.  Each boundary is
-    block-ranked at most once and echelon-reduced at most once, and not
-    block-ranked once its echelon form is cached; ``homology()`` adds a
-    ``kernel_basis`` pass on the cells whose homology does not vanish."""
+    ranks) and the homology spaces per cell for a fixed genus, cobracket
+    handle and comodule handle.  Each boundary is block-ranked once.  On
+    a cell whose homology does not vanish, ``homology()`` adds a
+    ``kernel_basis`` pass over the cell's boundary and one echelon pass,
+    stopped at the known rank, over the boundary above."""
 
     def __init__(self, g: int, delta=None, mu=None, module: bool = False):
         self.g = g
@@ -151,7 +148,6 @@ class HomologyEngine:
         self._ops = C.CellOperators(g, self.delta, self.mu if module else None)
         self._int: dict[tuple[str, int, int], object] = {}
         self._columns: dict[tuple[str, int, int], SparseRationalMatrix] = {}
-        self._echelon: dict[tuple[int, int], dict[int, dict[int, int]]] = {}
         self._ranks: dict[tuple[int, int], dict[Multidegree, int]] = {}
         self._hom: dict[tuple[int, int], HomologySpace] = {}
         self._anti_ok: dict[tuple[int, int], bool] = {}
@@ -187,18 +183,16 @@ class HomologyEngine:
 
     def _boundary_echelon(self, p: int, w: int) -> dict[int, dict[int, int]]:
         """``column_echelon_int`` of the boundary matrix at (p, w), stopped
-        at the rank bound of ``_rank_bound`` (the same dict)."""
-        key = (p, w)
-        if key not in self._echelon:
-            if p < 1 or self.cell_dim(p, w) == 0 or self.cell_dim(p - 1, w - 2) == 0:
-                self._echelon[key] = {}
-            else:
-                bound = self._rank_bound(p, w)
-                matrix = self._columns.get(("boundary", p, w))
-                if matrix is None:  # not kept: only the echelon form is
-                    matrix = SparseRationalMatrix.from_int_csc(self._operator("boundary", p, w))
-                self._echelon[key] = column_echelon_int(matrix, bound)
-        return self._echelon[key]
+        at its rank (``boundary_rank``): the same dict, and {} at rank 0.
+        The dict columns are built for the pass and kept only if a kernel
+        or a matrix-vector product has already asked for them."""
+        bound = self.boundary_rank(p, w)
+        if bound == 0:
+            return {}
+        matrix = self._columns.get(("boundary", p, w))
+        if matrix is None:
+            matrix = SparseRationalMatrix.from_int_csc(self._operator("boundary", p, w))
+        return column_echelon_int(matrix, bound)
 
     def _product_vanishes(self, p: int, w: int) -> bool:
         """Whether the int64 product of the boundaries out of (p-1, w-2)
@@ -211,34 +205,42 @@ class HomologyEngine:
             return False
         return csc_is_zero(prod)
 
-    def _rank_bound(self, p: int, w: int) -> int | None:
-        """The nullity of the boundary out of (p-1, w-2), which bounds the
-        rank of the boundary at (p, w) once their int64 product is
-        certified to be exactly zero.  None (no bound beyond the row count)
-        when the product cannot be certified, it is not zero, or the lower
-        boundary is zero."""
-        if p < 2 or not self._product_vanishes(p, w):
-            return None
-        lower = self.boundary_rank(p - 1, w - 2)
-        return self.cell_dim(p - 1, w - 2) - lower if lower else None
-
     def boundary_rank(self, p: int, w: int) -> int:
-        """The rank of the boundary at (p, w): the length of its echelon
-        form where that is cached, and on a module engine; otherwise the
-        sum of its multidegree block ranks (``_block_ranks``)."""
-        if self.module or (p, w) in self._echelon:
-            return len(self._boundary_echelon(p, w))
+        """The rank of the boundary at (p, w): the sum of its multidegree
+        block ranks (``_block_ranks``)."""
         return sum(self._block_ranks(p, w).values())
 
+    def _cell_labels(self, p: int, w: int, necks: np.ndarray) -> np.ndarray:
+        """The multidegree label of each basis element of cell (p, w), in
+        basis order, from the necklace labels ``necks``
+        (``_necklace_labels``).  A wedge tuple's label is the sum over its
+        necklaces.  A module element (word, tuple) adds the letters of its
+        word, block by block of ``mod_layout``, the words of each block in
+        ``product(range(2g), repeat=k)`` order."""
+        def tuples(v: int) -> np.ndarray:
+            return necks[C.wedge_cell(self.g, p, v)].sum(axis=1)
+
+        if not self.module:
+            return tuples(w)
+        letters = necks[:2 * self.g]  # the weight-1 necklaces, in letter order
+        dims = C.mod_layout(self.g, p, w).wedge_dims
+        word, blocks = np.zeros(1, dtype=np.int64), [np.zeros(0, dtype=np.int64)]
+        for k, d in enumerate(dims):
+            if d:
+                blocks.append((word[:, None] + tuples(w - k)).ravel())
+            if any(dims[k + 1:]):  # the words of length k + 1
+                word = (word[:, None] + letters).ravel()
+        return np.concatenate(blocks)
+
     def _block_ranks(self, p: int, w: int) -> dict[Multidegree, int]:
-        """{multidegree: rank} of the blocks of the Lie boundary at (p, w).
-        No entry of a boundary joins two multidegrees (``_necklace_labels``),
-        so its rank is the sum of its block ranks.  Read off the leads of
-        the cached echelon form if there is one; otherwise one
-        ``block_ranks`` pass over one block per orbit (``_orbit_reps``),
-        or over every block when the orbits are not certified.  Once the
-        product of this boundary and the one below it is certified zero,
-        block L is bounded by its rows minus the rank of block L below."""
+        """{multidegree: rank} of the blocks of the boundary at (p, w).  No
+        entry of a boundary joins two multidegrees (``_cell_labels``), so
+        its rank is the sum of its block ranks: one ``block_ranks`` pass,
+        over one block per orbit (``_orbit_reps``) on a Lie cell, and over
+        every block on a module cell or when the orbits are not certified.
+        Once the product of this boundary and the one below it is
+        certified zero, block L is bounded by its rows minus the rank of
+        block L below."""
         key = (p, w)
         if key in self._ranks:
             return self._ranks[key]
@@ -247,27 +249,23 @@ class HomologyEngine:
             base = 2 * w + 1
             words = _necklace_words(self.g, w - p + 1)
             necks = _necklace_labels(words, base)
-            rows = necks[C.wedge_cell(self.g, p - 1, w - 2)].sum(axis=1)
-            if key in self._echelon:
-                leads = rows[np.fromiter(self._echelon[key], dtype=np.int64)]
-                ranks = dict(Counter(_multidegree(x, base, self.g) for x in leads.tolist()))
+            rows = self._cell_labels(p - 1, w - 2, necks)
+            cols = self._cell_labels(p, w, necks)
+            m = self._operator("boundary", p, w)
+            bounds = None
+            if p >= 2 and self._product_vanishes(p, w):
+                lower = self._block_ranks(p - 1, w - 2)
+                labels, counts = np.unique(rows, return_counts=True)
+                bounds = {x: n - lower.get(_multidegree(x, base, self.g), 0)
+                          for x, n in zip(labels.tolist(), counts.tolist())}
+            reps = None if self.module else self._orbit_reps(p, w, m, cols, words)
+            if reps is None:
+                found = block_ranks(m, rows, cols, bounds)
             else:
-                m = self._operator("boundary", p, w)
-                cols = necks[C.wedge_cell(self.g, p, w)].sum(axis=1)
-                bounds = None
-                if p >= 2 and self._product_vanishes(p, w):
-                    lower = self._block_ranks(p - 1, w - 2)
-                    labels, counts = np.unique(rows, return_counts=True)
-                    bounds = {x: n - lower.get(_multidegree(x, base, self.g), 0)
-                              for x, n in zip(labels.tolist(), counts.tolist())}
-                reps = self._orbit_reps(p, w, m, cols, words)
-                if reps is None:
-                    found = block_ranks(m, rows, cols, bounds)
-                else:
-                    keep = np.isin(cols, list(set(reps.values())))
-                    done = block_ranks(m[:, keep], rows, cols[keep], bounds)
-                    found = {x: done[rep] for x, rep in reps.items()}
-                ranks = {_multidegree(x, base, self.g): r for x, r in found.items() if r}
+                keep = np.isin(cols, list(set(reps.values())))
+                done = block_ranks(m[:, keep], rows, cols[keep], bounds)
+                found = {x: done[rep] for x, rep in reps.items()}
+            ranks = {_multidegree(x, base, self.g): r for x, r in found.items() if r}
         self._ranks[key] = ranks
         return ranks
 
@@ -455,8 +453,8 @@ def _necklace_labels(words: list[np.ndarray], base: int) -> np.ndarray:
 
 
 def _multidegree(label: int, base: int, g: int) -> Multidegree:
-    """The multidegree of a label of ``_necklace_labels`` or of a sum of
-    such labels over a wedge tuple."""
+    """The multidegree of a label of ``_necklace_labels`` or of a cell
+    label of ``HomologyEngine._cell_labels``."""
     half = base // 2
     label += half * sum(base**i for i in range(g))
     return tuple(label // base**i % base - half for i in range(g))

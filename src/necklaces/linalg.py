@@ -20,8 +20,8 @@ int labels on the rows and columns of an int64 matrix and ranks each
 block by its own echelon pass, sparsest column first and stopped at a
 per-block bound (the grading split and sparsity order of Dumas,
 Elbaz-Vincent, Giorgi and Urbańska, PASCO 2007); the homology engine
-ranks its Lie boundaries this way, one block per certified orbit of the
-signed pair permutations.
+ranks every boundary this way, Lie and module, and on the Lie complex
+only one block per certified orbit of the signed pair permutations.
 
 No floating point is used anywhere; numpy/scipy enter only through
 ``int_csc`` as an exact int64 engine for large matrix products, with the

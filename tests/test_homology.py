@@ -244,9 +244,8 @@ class TestElimination:
     def test_each_boundary_matrix_eliminated_once(self, module, monkeypatch):
         # every elimination, an echelon pass or a block pass, is tagged with
         # the cell the engine is working on: neither runs twice on a cell,
-        # and no block pass runs once the cell's echelon form is cached (a
-        # cell whose echelon homology() needs after its block ranks gets
-        # both, in that order)
+        # and on each cell the block pass comes before any echelon pass
+        # (a cell whose echelon homology() needs gets both, in that order)
         eng = HomologyEngine(1, module=module)
         cell, seen = [], []
 
@@ -279,16 +278,16 @@ class TestElimination:
         assert len(seen) >= 5 and len(set(passes)) == len(passes) and len(set(ids)) == len(ids)
         for kind, at in passes:
             if kind == "echelon":
-                assert ("blocks", at) not in passes[passes.index((kind, at)):], at
-        kinds = {kind for kind, _ in passes}
-        assert kinds == ({"echelon"} if module else {"echelon", "blocks"})
+                assert ("blocks", at) in passes[:passes.index((kind, at))], at
+        assert {kind for kind, _ in passes} == {"echelon", "blocks"}
 
     @pytest.mark.parametrize(
         "g, module, w_max", [(1, False, 8), (2, False, 7), (1, True, 8), (2, True, 6)]
     )
     def test_bounded_echelon_matches_full_pass(self, g, module, w_max, monkeypatch):
-        # the engine's echelon, stopped at its certified rank bound, is the
-        # full left-to-right pass: same leads, vectors, values and order
+        # the engine's echelon, stopped at the boundary's rank, is the full
+        # left-to-right pass: same leads, vectors, values and order; a
+        # boundary of rank 0 makes no echelon pass
         bounds = []
 
         def recording(matrix, bound=None):
@@ -298,28 +297,41 @@ class TestElimination:
         monkeypatch.setattr(homology, "column_echelon_int", recording)
         eng = HomologyEngine(g, module=module)
         cells = boundary_cells(eng, w_max)
+        stopped = []
         for p, w in cells:
+            bounds.clear()
             got = eng._boundary_echelon(p, w)
             want = oracle_column_echelon_int(eng.boundary_matrix(p, w))
             assert exact_pivots(got) == exact_pivots(want), (p, w)
-        assert len(bounds) == len(cells) >= 8
-        # the bound is below the row count on some cells, so the exit is exercised
-        assert any(b is not None and b < rows for rows, b in bounds)
+            assert [b for _, b in bounds] == ([len(want)] if want else []), (p, w)
+            stopped += [b < rows for rows, b in bounds]
+        assert len(cells) >= 8 and len(stopped) >= 6
+        # the rank is below the row count on some cells, so the exit is exercised
+        assert any(stopped)
 
     @pytest.mark.parametrize("broken", ["nonzero_product", "uncertified"])
     def test_rank_bound_falls_back_to_the_full_pass(self, broken, monkeypatch):
-        # lower boundary (2, 6), upper (3, 8) at g = 1: with a lower boundary
-        # of larger rank the nullity bound would be below the true rank, so
-        # only the certificate keeps the exit from truncating the echelon
+        # lower boundary (2, 6), upper (3, 8) at g = 1: the certified block
+        # bounds sum to the rank, and with a lower boundary of larger rank
+        # they would sum below it, so only the certificate keeps them from
+        # truncating the ranks and so the echelon
         p, w = 3, 8
         reference = HomologyEngine(1)
         want = column_echelon_int(reference.boundary_matrix(p, w))
         lower = reference._operator("boundary", p - 1, w - 2)
-        assert reference._rank_bound(p, w) == len(want) < reference.cell_dim(p - 1, w - 2)
+        seen = []
+
+        def spy(m, rows, cols, bounds=None):
+            seen.append(bounds)
+            return linalg.block_ranks(m, rows, cols, bounds)
+
+        monkeypatch.setattr(homology, "block_ranks", spy)
+        assert reference.boundary_rank(p, w) == len(want)
+        assert sum(seen[-1].values()) == len(want) < reference.cell_dim(p - 1, w - 2)
         eng = HomologyEngine(1)
         if broken == "nonzero_product":
             # the int64 lower operator, which the certificate and the lower
-            # echelon both read, plus 1 at (j mod rows, j) in every column j
+            # block ranks both read, plus 1 at (j mod rows, j) in every column j
             rows, cols = lower.shape
             patched = lower + linalg.int_csc(rows, cols, [j % rows for j in range(cols)], range(cols), [1] * cols)
             assert not linalg.csc_is_zero(patched @ reference._operator("boundary", p, w))
@@ -338,8 +350,9 @@ class TestElimination:
             return column_echelon_int(matrix, bound)
 
         monkeypatch.setattr(homology, "column_echelon_int", recording)
+        seen.clear()
         got = eng._boundary_echelon(p, w)
-        assert bounds[-1] is None
+        assert seen == [None] and bounds == [len(want)]
         assert exact_pivots(got) == exact_pivots(want)
         assert eng.boundary_rank(p, w) == len(want)
 
@@ -459,9 +472,7 @@ def _labelled_boundary(eng: HomologyEngine, p: int, w: int):
     """The int64 boundary at (p, w) with the engine's multidegree labels of
     its rows and columns."""
     necks = homology._necklace_labels(homology._necklace_words(eng.g, w - p + 1), 2 * w + 1)
-    rows = necks[complexes.wedge_cell(eng.g, p - 1, w - 2)].sum(axis=1)
-    cols = necks[complexes.wedge_cell(eng.g, p, w)].sum(axis=1)
-    return eng._operator("boundary", p, w), rows, cols
+    return eng._operator("boundary", p, w), eng._cell_labels(p - 1, w - 2, necks), eng._cell_labels(p, w, necks)
 
 
 def _flipped_generators(g: int, generators=homology._pair_generators):
@@ -475,12 +486,15 @@ def _flipped_generators(g: int, generators=homology._pair_generators):
 
 
 class TestBlockRanks:
-    @pytest.mark.parametrize("g, w_max", [(1, 8), (2, 7)])
-    def test_block_ranks_match_the_full_pass(self, g, w_max):
-        # per block: the engine's ranks (one block per orbit, sparsest
-        # column first, bounded), every block in ascending nnz order, and
-        # every block in column order; their sum is the oracle's rank
-        eng = HomologyEngine(g)
+    @pytest.mark.parametrize(
+        "g, module, w_max", [(1, False, 8), (2, False, 7), (1, True, 8), (2, True, 6)]
+    )
+    def test_block_ranks_match_the_full_pass(self, g, module, w_max):
+        # per block: the engine's ranks (one block per orbit on a Lie cell,
+        # sparsest column first, bounded), every block in ascending nnz
+        # order, and every block in column order; their sum is the oracle's
+        # rank
+        eng = HomologyEngine(g, module=module)
         cells = boundary_cells(eng, w_max)
         for p, w in cells:
             m, rows, cols = _labelled_boundary(eng, p, w)
@@ -498,11 +512,27 @@ class TestBlockRanks:
         assert len(cells) >= 10
 
     def test_labels_are_the_multidegrees_of_the_tuples(self):
-        ctx, (p, w) = algebra(2), (3, 7)
-        _, _, cols = _labelled_boundary(HomologyEngine(2), p, w)
-        for t, label in zip(complexes.wedge_cell(2, p, w).tolist()[::97], cols[::97].tolist()):
-            degs = [W.multidegree(ctx.word_at(n), 2) for n in t]
-            assert homology._multidegree(label, 2 * w + 1, 2) == tuple(map(sum, zip(*degs)))
+        # a module element (word, tuple) counts the word's letters too
+        for g, module, p, w in [(2, False, 3, 7), (1, True, 3, 8), (2, True, 2, 6)]:
+            ctx, eng = algebra(g), HomologyEngine(g, module=module)
+            _, _, cols = _labelled_boundary(eng, p, w)
+            basis = eng.cell_basis(p, w)
+            for i in range(0, len(cols), 97):
+                word, t = basis.monomial(i) if module else ((), basis.monomial(i))
+                degs = [W.multidegree(word, g)] + [W.multidegree(ctx.word_at(n), g) for n in t]
+                assert homology._multidegree(cols[i].item(), 2 * w + 1, g) == tuple(map(sum, zip(*degs)))
+        # module labels that leave out the word's letters join blocks
+        g, p, w = 2, 2, 6
+        m, _, cols = _labelled_boundary(HomologyEngine(g, module=True), p, w)
+        necks = homology._necklace_labels(homology._necklace_words(g, w - p + 1), 2 * w + 1)
+
+        def tuples_only(q, v):
+            return np.concatenate([np.tile(necks[complexes.wedge_cell(g, q, v - k)].sum(axis=1), (2 * g) ** k)
+                                   for k in range(v + 1)])
+
+        assert len(tuples_only(p, w)) == len(cols)
+        with pytest.raises(ValueError, match="between two label blocks"):
+            linalg.block_ranks(m, tuples_only(p - 1, w - 2), tuples_only(p, w))
 
     def test_an_entry_between_blocks_raises(self):
         m = linalg.int_csc(2, 4, [0, 1, 1, 0], [0, 1, 2, 3], [2, 4, 6, 0])  # an explicit zero at (0, 3)

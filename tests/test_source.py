@@ -101,6 +101,27 @@ def test_deform_has_one_bracket_source():
     assert not found, f"removed bracket sources or piece lists in deform.py: {found}"
 
 
+def test_homology_has_one_rank_path():
+    # every boundary rank, Lie or module, is a sum of block ranks:
+    # homology.py defines no whole-matrix rank bound, and boundary_rank
+    # neither forks on the engine kind nor reads a cached echelon form
+    tree = ast.parse((SRC / "homology.py").read_text(encoding="utf-8"))
+    found = [
+        f"_rank_bound at line {node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "_rank_bound"
+    ]
+    (rank,) = [node for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef) and node.name == "boundary_rank"]
+    found += [
+        f"self.{node.attr} in boundary_rank at line {node.lineno}"
+        for node in ast.walk(rank)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id == "self" and node.attr in {"module", "_echelon"}
+    ]
+    assert not found, f"a second rank path in homology.py: {found}"
+
+
 def test_per_monomial_emitters_live_in_the_tests():
     # the chain-vector operators are products with the CellOperators
     # matrices; the per-monomial emitters are the reference in
