@@ -23,6 +23,16 @@ rank arithmetic on the integer word arrays of the basis, and the final
 Lie check of the logs is the integer Dynkin certificate of
 ``tensors.is_lie_element``.
 
+The correction system splits by letter content (the fine grading of the
+free Lie algebra): column (l, i) has the content of its Lyndon word plus
+the partner letter of l, and only the columns whose content is that of a
+defect word are built and solved; the other entries of the solution are
+0, which is what pinning the free variables gives on a homogeneous block.
+The series arithmetic of the defect (``evaluate``, ``exp_series``,
+``log_series``, ``inverse_series``) runs through the series product of
+``tensors``, which multiplies integer numerators over one common
+denominator per operand.
+
 Step n needs only the weight-(n+1) part of the defect, so it computes the
 defect modulo weight > n + 1.  That is exact: truncation modulo weight > d
 is a ring map, and it commutes with exp, log and the geometric-series
@@ -133,7 +143,9 @@ def boundary_word(g: int) -> GroupWord:
 class Expansion:
     """Assignment of a truncated group-like series to each free-group
     generator; evaluation extends it multiplicatively with inverses via
-    the geometric series."""
+    the geometric series.  Each series must be over the genus g
+    (GenusMismatch otherwise) and known to the cutoff (PrecisionError
+    otherwise)."""
 
     def __init__(self, g: int, cutoff: int, series: dict[int, TruncatedSeries]):
         if cutoff < 1:
@@ -143,6 +155,8 @@ class Expansion:
         if set(series) != set(range(2 * g)):
             raise ValueError("need a series for each of the 2g generators")
         for l, s in sorted(series.items()):
+            if s.g != g:
+                raise GenusMismatch(f"the series of x{l + 1} is over genus {s.g}, not {g}")
             if s.cutoff < cutoff:
                 raise PrecisionError(f"the series of x{l + 1} is known to weight {s.cutoff}, "
                                      f"below the cutoff {cutoff}")
@@ -398,41 +412,12 @@ def symplectic_expansion(g: int, cutoff: int) -> Expansion:
 
 def _correct_logs(g: int, n: int, logs: dict[int, Tensor], defect: Tensor) -> None:
     """Add to logs the weight-n Lie corrections that cancel the weight-(n+1)
-    boundary defect; the solution pins free variables to zero.
-
-    Column (l, i) is [v_i, b] for a generator a (l even) and [a, v_i] for a
-    generator b (l odd), where v_i is the i-th Lyndon basis element and
-    b, a the partner letter p = l ^ 1: a word of v_i of rank r gives the
-    words v.p and p.v, of ranks r*2g + p and p*(2g)^n + r.  They are formed
-    from the integer terms of the basis in one array, summed per column,
-    and numbered as rows in word order together with the defect's words."""
+    boundary defect; the solution (``_correction``) pins free variables to
+    zero and is solved over only the letter-content blocks that the defect
+    touches."""
     basis = lie_basis(g, n)
-    base, dim = 2 * g, len(basis)
-    elt, words, coeffs = [], [], []
-    for i, h in enumerate(basis):
-        for w, c in h.terms.items():
-            elt.append(i)
-            words.append(w)
-            coeffs.append(c)
-    elt, rows, coeff = np.array(elt, dtype=np.int64), np.array(words, dtype=np.int64), _exact(coeffs)
-    per = 2 * base * (n + 1)  # the words v.p and p.v for every generator
-    CellTooLarge.check(f"the correction columns of one weight-{n} word (genus {g})", per)
-    (col, *keys), vals = _folded(
-        _bracket_terms(elt[part], rows[part], coeff[part], dim, base)
-        for part in _chunks(len(elt), per)
-    )
-    dwords = np.array(list(defect.terms), dtype=np.int64).reshape(len(defect.terms), n + 1)
-    words = [np.concatenate(pair) for pair in zip(keys, _word_keys(dwords, base))]
-    if len(words) == 1:  # ranks
-        row = np.unique(words[0], return_inverse=True)[1]
-    else:  # letter columns: the rows of their stack
-        row = np.unique(np.stack(words, axis=1), axis=0, return_inverse=True)[1]
-    row = row.reshape(-1).tolist()
-    ends = np.searchsorted(col, np.arange(2 * g * dim + 1)).tolist()
-    vals = vals.tolist()
-    columns = [dict(zip(row[a:b], vals[a:b])) for a, b in zip(ends, ends[1:])]
-    target = dict(zip(row[len(col):], (-c for c in defect.terms.values())))
-    sol = solve_columns(columns, target)
+    dim = len(basis)
+    sol = _correction(g, n, basis, defect)
     if sol is None:
         raise SolveFailed(
             f"no weight-{n} correction cancels the weight-{n + 1} defect"
@@ -449,15 +434,96 @@ def _correct_logs(g: int, n: int, logs: dict[int, Tensor], defect: Tensor) -> No
             raise SolveFailed("correction left a non-Lie log; internal bug")
 
 
-def _bracket_terms(elt: np.ndarray, rows: np.ndarray, coeff: np.ndarray, dim: int, base: int):
+def _correction(g: int, n: int, basis: list[Tensor], defect: Tensor) -> list | None:
+    """The solution x of sum x_(l, i) * column (l, i) = -defect whose free
+    variables are 0, entry l*dim + i for column (l, i); None if there is
+    none.  Nonzero entries are Fractions, the rest int 0.
+
+    Column (l, i) is [v_i, b] for a generator a (l even) and [a, v_i] for a
+    generator b (l odd), where v_i is the i-th Lyndon basis element and
+    b, a the partner letter p = l ^ 1: a word of v_i of rank r gives the
+    words v.p and p.v, of ranks r*2g + p and p*(2g)^n + r.  They are formed
+    from the integer terms of the basis in one array, summed per column,
+    and numbered as rows in word order together with the defect's words.
+
+    Every word of v_i has the letter content of the Lyndon word of v_i (a
+    term that does not raises SolveFailed), so every entry of column (l, i)
+    has the content content(v_i) + e_p.  The system is therefore a direct
+    sum of blocks, one per content, and only the columns whose content is
+    that of a defect word are built and solved, in their order.  That is
+    exact: a column is free iff it depends on the columns of its block
+    before it, and a block that no defect word touches is homogeneous, so
+    with its free variables pinned its solution is 0."""
+    base, dim = 2 * g, len(basis)
+    elt, words, coeffs = [], [], []
+    for i, h in enumerate(basis):
+        for w, c in h.terms.items():
+            elt.append(i)
+            words.append(w)
+            coeffs.append(c)
+    elt, rows, coeff = np.array(elt, dtype=np.int64), np.array(words, dtype=np.int64), _exact(coeffs)
+    label = _content(np.array(lyndon_words(base, n), dtype=np.int64).reshape(dim, n), base)
+    if (_content(rows, base) != label[elt]).any():
+        raise SolveFailed(f"a weight-{n} Lie basis term is outside its Lyndon word's letter content")
+    dwords = np.array(list(defect.terms), dtype=np.int64).reshape(len(defect.terms), n + 1)
+    partner = np.eye(base, dtype=np.int64)[np.arange(base) ^ 1]
+    content = (label[None, :, :] + partner[:, None, :]).reshape(base * dim, base)
+    touched = np.flatnonzero(_touched(content, _content(dwords, base)))
+    number = np.full(base * dim, -1, dtype=np.int64)
+    number[touched] = np.arange(len(touched))
+    per = 2 * base * (n + 1)  # the words v.p and p.v for every generator
+    CellTooLarge.check(f"the correction columns of one weight-{n} word (genus {g})", per)
+    (col, *keys), vals = _folded(
+        _bracket_terms(elt[part], rows[part], coeff[part], number, base)
+        for part in _chunks(len(elt), per)
+    )
+    words = [np.concatenate(pair) for pair in zip(keys, _word_keys(dwords, base))]
+    if len(words) == 1:  # ranks
+        row = np.unique(words[0], return_inverse=True)[1]
+    else:  # letter columns: the rows of their stack
+        row = np.unique(np.stack(words, axis=1), axis=0, return_inverse=True)[1]
+    row = row.reshape(-1).tolist()
+    ends = np.searchsorted(col, np.arange(len(touched) + 1)).tolist()
+    vals = vals.tolist()
+    columns = [dict(zip(row[a:b], vals[a:b])) for a, b in zip(ends, ends[1:])]
+    target = dict(zip(row[len(col):], (-c for c in defect.terms.values())))
+    sol = solve_columns(columns, target)
+    if sol is None:
+        return None
+    x: list = [0] * (base * dim)
+    for j, c in zip(touched.tolist(), sol):
+        x[j] = c
+    return x
+
+
+def _content(words: np.ndarray, base: int) -> np.ndarray:
+    """The letter content of each row of an int64 array of words: its
+    count of each of the base letters, one row per word."""
+    return (words[:, :, None] == np.arange(base)).sum(axis=1)
+
+
+def _touched(columns: np.ndarray, defect: np.ndarray) -> np.ndarray:
+    """Whether each column's letter content (a row of ``columns``) is the
+    content of a defect word (a row of ``defect``)."""
+    ids = np.unique(np.concatenate([columns, defect]), axis=0, return_inverse=True)[1].reshape(-1)
+    return np.isin(ids[:len(columns)], ids[len(columns):])
+
+
+def _bracket_terms(elt: np.ndarray, rows: np.ndarray, coeff: np.ndarray, number: np.ndarray,
+                   base: int):
     """(column, word key...) key columns and values of the column entries
     that the basis terms (element, letters, coeff) make for every
-    generator l: +-c on the word v.p and -+c on p.v, p = l ^ 1."""
+    generator l whose column (l, element) is built: +-c on the word v.p and
+    -+c on p.v, p = l ^ 1.  Column l*dim + i is numbered number[l*dim + i],
+    and not built where that is -1."""
+    dim = len(number) // base
     gens = np.repeat(np.arange(base, dtype=np.int64), len(elt))
+    col = number[gens * dim + np.tile(elt, base)]
+    pick = np.flatnonzero(col >= 0)
+    gens, col, src = gens[pick], col[pick], pick % len(elt)
     partner = (gens ^ 1)[:, None]
-    words = np.tile(rows, (base, 1))
-    col = gens * dim + np.tile(elt, base)
-    vals = np.tile(coeff, base) * (1 - 2 * (gens & 1))
+    words = rows[src]
+    vals = coeff[src] * (1 - 2 * (gens & 1))
     keys = _word_keys(np.concatenate([
         np.concatenate([words, partner], axis=1), np.concatenate([partner, words], axis=1),
     ]), base)

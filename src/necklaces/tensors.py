@@ -15,7 +15,11 @@ Conventions fixed here:
 * series operations silently drop weight > D terms, and mixing two cutoffs
   uses the minimum; the series product never forms such a term: a left
   word of weight k meets only the right terms of weight <= D - k, taken
-  in the right operand's own term order;
+  in the right operand's own term order; it scales each operand once to
+  integer numerators over the lcm L of its denominators, sums the pairs as
+  Python ints, and divides each sum by Lx*Ly once: an int where only pairs
+  of int-typed coefficients reached the word, else a Fraction, as Python
+  arithmetic on the coefficients themselves would give;
 * the coproduct routes the letters of a word one at a time, doubling the
   list of (left, right) splits per letter;
 * the certificates ``is_grouplike`` and ``is_lie_element`` form neither the
@@ -355,21 +359,28 @@ class TruncatedSeries:
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self.tensor._check_space(other.tensor)
         d = self._common_cutoff(other)
-        right = other.tensor.terms.items()
+        x, y = self.tensor.terms, other.tensor.terms
+        (left, sx), (right, sy) = _numerator_terms(x), _numerator_terms(y)
         fits: dict[int, list] = {}  # room -> right terms of weight <= room, in order
-        out: dict[W.WordKey, Coeff] = {}
-        for wx, cx in self.tensor.terms.items():
+        out: dict[W.WordKey, int] = {}
+        for wx, nx in left:
             room = d - len(wx)
             if room < 0:
                 continue
             ys = fits.get(room)
             if ys is None:
-                ys = fits[room] = [(wy, cy) for wy, cy in right if len(wy) <= room]
-            for wy, cy in ys:
+                ys = fits[room] = [(wy, ny) for wy, ny in right if len(wy) <= room]
+            for wy, ny in ys:
                 w = wx + wy
-                out[w] = out.get(w, 0) + cx * cy
+                out[w] = out.get(w, 0) + nx * ny
+        if all(type(c) is int for c in chain(x.values(), y.values())):
+            terms = _prune(out)
+        else:
+            ints, scale = _int_reached(x, y, d), sx * sy
+            terms = {w: v // scale if w in ints else Fraction(v, scale)
+                     for w, v in out.items() if v}
         prod = object.__new__(TruncatedSeries)  # no term is over d: nothing to truncate
-        prod.tensor, prod.cutoff = self.tensor._like(_prune(out)), d
+        prod.tensor, prod.cutoff = self.tensor._like(terms), d
         return prod
 
     def __eq__(self, other: object) -> bool:
@@ -393,6 +404,26 @@ class TruncatedSeries:
     @classmethod
     def from_json_dict(cls, data: dict) -> "TruncatedSeries":
         return cls(Tensor.from_json_dict(data), int(data["cutoff"]))
+
+
+def _numerator_terms(terms: dict) -> tuple[list, int]:
+    """((word, L*c) pairs in term order, L), with L the lcm of the
+    denominators of the coefficients; the numerators are ints."""
+    scale = lcm(*{c.denominator for c in terms.values()})
+    return [(w, c.numerator * (scale // c.denominator)) for w, c in terms.items()], scale
+
+
+def _int_reached(x: dict, y: dict, d: int) -> set:
+    """The words of the product of the term maps x and y under the cutoff
+    d that only pairs of int-typed coefficients reach: those whose Python
+    sum of products is an int, not a Fraction.  Each word that such a pair
+    makes is tested on all its splits into a word of x and one of y."""
+    reached = {wx + wy for wx, cx in x.items() if type(cx) is int
+               for wy, cy in y.items() if type(cy) is int and len(wx) + len(wy) <= d}
+    return {w for w in reached if all(
+        type(x[w[:k]]) is type(y[w[k:]]) is int
+        for k in range(len(w) + 1) if w[:k] in x and w[k:] in y
+    )}
 
 
 def exp_series(s: TruncatedSeries) -> TruncatedSeries:

@@ -731,8 +731,8 @@ def oracle_left_bracketing(t):
 
 def oracle_correction_system(g: int, n: int, defect):
     """The correction columns and target that expansion._correct_logs
-    built from Tensor products: [v, b_i] and [a_i, v] for every Lyndon
-    basis element v, rows numbered in word order."""
+    built from Tensor products, keyed by word: [v, b_i] and [a_i, v] for
+    every Lyndon basis element v, all of them, and minus the defect."""
     basis = E.lie_basis(g, n)
     columns = []
     for l in range(2 * g):
@@ -742,12 +742,8 @@ def oracle_correction_system(g: int, n: int, defect):
                 col = elt * partner_letter - partner_letter * elt
             else:
                 col = partner_letter * elt - elt * partner_letter
-            columns.append(col)
-    keys = sorted(set().union(*(set(c.terms) for c in columns), set(defect.terms)))
-    key_pos = {k: i for i, k in enumerate(keys)}
-    col_vecs = [{key_pos[wd]: c for wd, c in col.terms.items()} for col in columns]
-    target = {key_pos[wd]: -c for wd, c in defect.terms.items()}
-    return col_vecs, target
+            columns.append(dict(col.terms))
+    return columns, {wd: -c for wd, c in defect.terms.items()}
 
 
 def oracle_symplectic_expansion(g: int, cutoff: int):

@@ -220,6 +220,23 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv", [["loop", "--theta", "FILE", "--word", "x1"], ["compare", "FILE", "FILE"]]
+    )
+    def test_expansion_file_over_another_genus_exit_2(self, argv, tmp_path, capsys):
+        # "g": 2 with genus-1 tensors is refused when the file is read
+        th = tmp_path / "t.json"
+        assert main(["expand", "--g", "1", "--degree", "3", "--out", str(th)]) == 0
+        data = json.loads(th.read_text())
+        data["g"] = 2
+        data["theta"].update(x3=data["theta"]["x1"], x4=data["theta"]["x2"])
+        th.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main([a.replace("FILE", str(th)) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the series of x1 is over genus 1, not 2")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("content", ["{}", "not json", None])  # None: a directory
     @pytest.mark.parametrize(
         "argv",

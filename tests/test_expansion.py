@@ -1,10 +1,13 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from necklaces import expansion, tensors
-from necklaces.errors import CellTooLarge, InconsistentExpansions, PrecisionError
+from necklaces.errors import (
+    CellTooLarge, GenusMismatch, InconsistentExpansions, PrecisionError, SolveFailed,
+)
 from necklaces.expansion import (
     Expansion,
     abelianization,
@@ -72,6 +75,28 @@ class TestExpansionPrecision:
         with pytest.raises(PrecisionError, match="x1 is known to weight 2, below the cutoff 5"):
             Expansion(1, 5, series)
         assert [s.cutoff for s in Expansion(1, 2, series).series.values()] == [2, 2]
+
+
+class TestExpansionGenus:
+    def test_series_over_another_genus_are_refused(self):
+        series = {l: exp_series(TruncatedSeries(Tensor.letter(1, l % 2), 3)) for l in range(4)}
+        with pytest.raises(GenusMismatch, match="x1 is over genus 1, not 2"):
+            Expansion(2, 3, series)
+
+    def test_a_file_over_another_genus_is_refused(self):
+        data = genus_one_file_of_genus_two()
+        with pytest.raises(GenusMismatch, match="x1 is over genus 1, not 2"):
+            Expansion.from_json_dict(data)
+        data["g"] = 1
+        assert Expansion.from_json_dict(data).check_normalization()
+
+
+def genus_one_file_of_genus_two() -> dict:
+    """An expansion file that says g = 2 and holds genus-1 tensors."""
+    data = symplectic_expansion(1, 3).to_json_dict()
+    data["g"] = 2
+    data["theta"].update(x3=data["theta"]["x1"], x4=data["theta"]["x2"])
+    return data
 
 
 class TestEvaluate:
@@ -162,7 +187,8 @@ class TestSolver:
         assert a.to_json_dict() == b.to_json_dict()
 
     def test_correction_systems_match_fraction_oracle(self, monkeypatch):
-        # every real correction system up to g=2, cutoff 6 (816 columns)
+        # every real correction system up to g=2, cutoff 6: the columns of
+        # the touched letter-content blocks, 138 of 816 at the last step
         sizes = []
 
         def checked(columns, target):
@@ -175,11 +201,13 @@ class TestSolver:
 
         monkeypatch.setattr(expansion, "solve_columns", checked)
         symplectic_expansion(2, 6)
-        assert sizes == [24, 80, 240, 816]
+        assert sizes == [4, 16, 38, 138]
 
     def test_correction_columns_match_tensor_products(self, monkeypatch):
         # the columns from rank arithmetic are the dict columns that the
-        # Tensor products [v, b_i] and [a_i, v] gave, row for row
+        # Tensor products [v, b_i] and [a_i, v] gave, word for word, at the
+        # columns whose letter content is that of a defect word; the rows
+        # are those columns' words and the defect's, in word order
         systems = []
 
         def recorded(columns, target):
@@ -187,6 +215,7 @@ class TestSolver:
             return solve_columns(columns, target)
 
         monkeypatch.setattr(expansion, "solve_columns", recorded)
+        skipped = 0
         for g, cutoff in ((1, 6), (2, 5)):
             logs = {l: Tensor.letter(g, l) for l in range(2 * g)}
             for n in range(2, cutoff):
@@ -194,11 +223,21 @@ class TestSolver:
                 defect = Expansion(g, n + 1, series).boundary_log_defect().component(n + 1)
                 if defect.is_zero():
                     continue
-                want = oracle_correction_system(g, n, defect)
+                want_columns, want_target = oracle_correction_system(g, n, defect)
+                contents = {tuple(sorted(w)) for w in defect.terms}
+                touched = [
+                    col for col in want_columns if {tuple(sorted(w)) for w in col} <= contents
+                ]
+                assert touched
+                skipped += len(want_columns) - len(touched)
+                words = sorted(set().union(*touched, want_target))
                 expansion._correct_logs(g, n, logs, defect)
                 columns, target = systems.pop()
-                assert columns == want[0] and target == want[1]
+                assert [{words[r]: v for r, v in c.items()} for c in columns] == touched
+                assert {words[r]: v for r, v in target.items()} == want_target
+                assert set().union(*columns, target) == set(range(len(words)))
                 assert {type(v) for c in columns for v in c.values()} == {int}
+        assert skipped > 0
 
     def test_small_budget_chunks_the_tables(self, monkeypatch):
         # every table of theta(g=1, D=6) fits in 256 entries, so nothing is
@@ -266,6 +305,86 @@ class TestSolver:
         th2 = Expansion.from_json_dict(th.to_json_dict())
         assert th2.to_json_dict() == th.to_json_dict()
         assert th2.is_symplectic()
+
+
+@pytest.fixture(scope="module")
+def corrections():
+    """(g, n, basis, defect, x) of every correction step of g = 1 and of
+    g = 2 with D <= 8, x as the touched-block solve gave it."""
+    out = []
+    real = expansion._correction
+
+    def recorded(g, n, basis, defect):
+        x = real(g, n, basis, defect)
+        out.append((g, n, basis, defect, x))
+        return x
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(expansion, "_correction", recorded)
+        for g in (1, 2):
+            symplectic_expansion(g, 8)
+    return out
+
+
+def whole_system(g, n, basis, defect):
+    """_correction with every column built: solve_columns on the whole
+    correction system."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(expansion, "_touched", lambda columns, defect: np.ones(len(columns), bool))
+        return expansion._correction(g, n, basis, defect)
+
+
+class TestBlockSolve:
+    """The correction solved over the letter-content blocks that the defect
+    touches, scattered into x, against the solve of the whole system."""
+
+    def test_blocks_match_the_whole_system(self, corrections):
+        assert {(g, n) for g, n, *_ in corrections} >= {(2, n) for n in range(2, 8)}
+        for g, n, basis, defect, x in corrections:
+            want = whole_system(g, n, basis, defect)
+            assert exact([dict(enumerate(x))]) == exact([dict(enumerate(want))])
+        # defects that no correction cancels: a word that is not a Lie
+        # element, and one whose content no column has
+        for g, n, word in ((1, 3, (0, 1, 0, 1)), (1, 3, (0, 0, 0, 0)), (2, 4, (0, 2, 1, 3, 3))):
+            basis, defect = lie_basis(g, n), Tensor.word(g, word)
+            assert expansion._correction(g, n, basis, defect) is None
+            assert whole_system(g, n, basis, defect) is None
+
+    def test_dropping_a_touched_block_is_seen(self, corrections, monkeypatch):
+        touched = expansion._touched
+
+        def dropped(columns, defect):
+            mask = touched(columns, defect)
+            first = columns[np.flatnonzero(mask)[0]]
+            return mask & (columns != first).any(axis=1)
+
+        monkeypatch.setattr(expansion, "_touched", dropped)
+        for g, n, basis, defect, x in corrections:
+            got = expansion._correction(g, n, basis, defect)
+            assert got is None or exact([dict(enumerate(got))]) != exact([dict(enumerate(x))])
+        with pytest.raises(SolveFailed, match="no weight-2 correction"):
+            symplectic_expansion(2, 3)
+
+    def test_a_term_off_its_content_raises(self, monkeypatch):
+        # one word of one basis element moved to a neighbouring word, which
+        # has another letter content
+        lie = expansion.lie_basis
+
+        def bent(g, n):
+            basis = lie(g, n)
+            terms = dict(basis[-1].terms)
+            for w in list(terms):
+                near = w[:-1] + ((w[-1] + 1) % (2 * g),)
+                if near not in terms:
+                    terms[near] = terms.pop(w)
+                    break
+            basis[-1] = Tensor(g, terms)
+            return basis
+
+        monkeypatch.setattr(expansion, "lie_basis", bent)
+        for g in (1, 2):
+            with pytest.raises(SolveFailed, match="outside its Lyndon word's letter content"):
+                symplectic_expansion(g, 4)
 
 
 @pytest.fixture(scope="module")

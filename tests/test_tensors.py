@@ -266,6 +266,23 @@ def rand_series(rng, g, cutoff, fractions):
     return TruncatedSeries(Tensor(g, terms), cutoff)
 
 
+def mixed_series(rng, g, cutoff, int_share):
+    """A random series over weights 0..3 whose coefficients are ints with
+    probability int_share and Fractions otherwise, half of those whole; a
+    third of the numerators, and of the denominators, exceed 2**62."""
+    terms = {}
+    for _ in range(rng.randint(1, 12)):
+        w = tuple(rng.randrange(2 * g) for _ in range(rng.randint(0, 3)))
+        num = rng.choice([-3, -2, -1, 1, 2, 3]) * (2**63 + rng.randrange(5) if rng.random() < 1 / 3 else 1)
+        if rng.random() < int_share:
+            terms[w] = num
+        elif rng.random() < 0.5:
+            terms[w] = Fraction(num)
+        else:
+            terms[w] = Fraction(num, rng.choice([2, 3, 7]) * (2**64 + 1 if rng.random() < 1 / 3 else 1))
+    return TruncatedSeries(Tensor(g, terms), cutoff)
+
+
 class TestAgainstReferencePaths:
     """The weight-bounded product and outer square, the doubling coproduct
     and the dict-level Dynkin map against the paths they replaced: the same
@@ -281,6 +298,30 @@ class TestAgainstReferencePaths:
             got, want = x * y, oracle_series_mul(x, y)
             assert got.cutoff == want.cutoff
             assert exact([got.tensor.terms]) == exact([want.tensor.terms])
+
+    def test_series_product_of_mixed_types(self):
+        # ints, whole Fractions and Fractions in one series, some past 2**62
+        # in numerator or denominator; the two factors mix the types in
+        # different shares, and the unit and zero series come in too
+        rng = random.Random(37)
+        seen = set()
+        for _ in range(400):
+            g, d = rng.choice([1, 2]), rng.randint(0, 5)
+            x, y = (mixed_series(rng, g, d, rng.random()) for _ in range(2))
+            unit, zero = TruncatedSeries.unit(g, d), TruncatedSeries(Tensor.zero(g), d)
+            for pair in ((x, y), (y, x), (unit, y), (x, unit), (zero, x), (y, zero)):
+                got, want = pair[0] * pair[1], oracle_series_mul(*pair)
+                assert got.cutoff == want.cutoff
+                assert exact([got.tensor.terms]) == exact([want.tensor.terms])
+                seen.update(
+                    (type(c), c.denominator == 1, abs(c.numerator) > 2**62, c.denominator > 2**62)
+                    for c in got.tensor.terms.values()
+                )
+        assert {
+            (int, True, False, False), (int, True, True, False),
+            (Fraction, True, False, False), (Fraction, True, True, False),
+            (Fraction, False, True, True),
+        } <= seen
 
     def test_series_product_of_exponentials(self):
         # dense operands: every weight up to the cutoff is present
