@@ -9,6 +9,7 @@ byte-identical output.  Exit codes: 0 success, 1 verification failure,
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -47,13 +48,14 @@ from .verify import bialgebra_suite, bimodule_suite, matrix_identity_suite
 # -- element grammar ----------------------------------------------------------
 #
 #   element  := [sign] term { sign term }
-#   term     := [coeff] (necklace | word | "1")
+#   term     := [coeff] (necklace | word | wedge) | coeff
 #   necklace := "N(" letters ")"
 #   word     := letters            (space-separated a<i>/b<i>)
+#   wedge    := necklace "^" necklace
 #   coeff    := integer or p/q
 #
 # Terms must be all-necklace or all-word; the result is a DerivationElem
-# or a Tensor accordingly.
+# or a Tensor accordingly.  A 2-vector (parse_wedge) has wedge terms only.
 
 
 def _tokenize(text: str):
@@ -67,6 +69,9 @@ def _tokenize(text: str):
             continue
         if ch in "+-":
             tokens.append(("sign", ch, i + 1))
+            i += 1
+        elif ch == "^":
+            tokens.append(("wedge", ch, i + 1))
             i += 1
         elif ch == "N" and i + 1 < n and text[i + 1] == "(":
             j = text.find(")", i + 2)
@@ -93,12 +98,23 @@ def _tokenize(text: str):
     return tokens
 
 
-def parse_element(text: str, g: int):
-    """Parse an element of the tensor algebra or of the necklace algebra."""
+def _necklace_word(token) -> W.WordKey:
+    _, text, off = token
+    # each letter's offset: the letters start after "N("
+    word = tuple(W.parse_letter(m[0], off + 2 + m.start()) for m in re.finditer(r"\S+", text))
+    if not word:
+        raise ParseError("empty necklace", off)
+    return word
+
+
+def _terms(text: str) -> list:
+    """The signed terms of an element, as (coeff, kind, payload, offset):
+    kind "necklace" or "word" with a word, or "wedge" with a pair of
+    necklace words."""
     tokens = _tokenize(text)
     if not tokens:
         raise ParseError("empty element", 0)
-    terms = []  # (coeff, kind, payload)
+    terms = []
     pos = 0
     sign = 1
     while pos < len(tokens):
@@ -117,36 +133,46 @@ def parse_element(text: str, g: int):
                 raise ParseError(f"bad rational {value!r}", off) from None
             pos += 1
         if pos < len(tokens) and tokens[pos][0] == "necklace":
-            word = W.parse_word(tokens[pos][1])
-            if not word:
-                raise ParseError("empty necklace", tokens[pos][2])
-            terms.append((coeff, "necklace", word))
+            word = _necklace_word(tokens[pos])
             pos += 1
+            if pos < len(tokens) and tokens[pos][0] == "wedge":
+                if pos + 1 == len(tokens) or tokens[pos + 1][0] != "necklace":
+                    raise ParseError("expected N(...) after '^'", tokens[pos][2])
+                terms.append((coeff, "wedge", (word, _necklace_word(tokens[pos + 1])), off))
+                pos += 2
+            else:
+                terms.append((coeff, "necklace", word, off))
         elif pos < len(tokens) and tokens[pos][0] == "letter":
             letters = []
             while pos < len(tokens) and tokens[pos][0] == "letter":
                 letters.append(W.parse_letter(tokens[pos][1], tokens[pos][2]))
                 pos += 1
-            terms.append((coeff, "word", tuple(letters)))
-        else:
+            terms.append((coeff, "word", tuple(letters), off))
+        elif kind == "number":
             # a bare coefficient: the unit word
-            terms.append((coeff, "word", ()))
+            terms.append((coeff, "word", (), off))
+        else:
+            raise ParseError("expected a term", off)
         sign = 1
-        if pos < len(tokens) and tokens[pos][0] not in ("sign",):
+        if pos < len(tokens) and tokens[pos][0] != "sign":
             raise ParseError("expected '+' or '-' between terms", tokens[pos][2])
-    kinds = {k for _, k, _ in terms}
-    if kinds == {"necklace"}:
-        acc: dict = {}
-        for c, _, wd in terms:
-            cw = W.canonical_rotation(wd)
-            acc[cw] = acc.get(cw, 0) + c
-        return DerivationElem(g, acc)
-    if "necklace" in kinds:
-        raise ParseError("cannot mix necklaces and plain words", 0)
-    acc = {}
-    for c, _, wd in terms:
-        acc[wd] = acc.get(wd, 0) + c
-    return Tensor(g, acc)
+    return terms
+
+
+def parse_element(text: str, g: int):
+    """Parse an element of the tensor algebra or of the necklace algebra."""
+    terms = _terms(text)
+    for _, kind, _, off in terms:
+        if kind == "wedge":
+            raise ParseError("a wedge N(...)^N(...) is a 2-vector, not an element", off)
+        if kind != terms[0][1]:
+            raise ParseError("cannot mix necklaces and plain words", off)
+    necklaces = terms[0][1] == "necklace"
+    acc: dict = {}
+    for c, _, wd, _ in terms:
+        key = W.canonical_rotation(wd) if necklaces else wd
+        acc[key] = acc.get(key, 0) + c
+    return DerivationElem(g, acc) if necklaces else Tensor(g, acc)
 
 
 def parse_wedge(text: str, g: int) -> ChainVector:
@@ -154,26 +180,15 @@ def parse_wedge(text: str, g: int) -> ChainVector:
     ctx = algebra(g)
     raw_terms = []
     weight = None
-    for chunk_sign, chunk in _split_signed(text):
-        parts = chunk.split("^")
-        if len(parts) != 2:
-            raise ParseError("wedge terms need exactly one '^'", 0)
-        head = parts[0].strip()
-        coeff = Fraction(chunk_sign)
-        if not head.startswith("N("):
-            cut = head.find("N(")
-            if cut < 0:
-                raise ParseError(f"expected N(...) in {chunk!r}", 0)
-            coeff *= Fraction(head[:cut].strip() or "1")
-            head = head[cut:]
-        first = _parse_necklace_text(head)
-        second = _parse_necklace_text(parts[1].strip())
+    for coeff, kind, pair, off in _terms(text):
+        if kind != "wedge":
+            raise ParseError("expected a wedge N(...)^N(...)", off)
+        first, second = (W.canonical_rotation(wd) for wd in pair)
         W.check_letters(first + second, g)
-        wgt = len(first) + len(second)
         if weight is None:
-            weight = wgt
-        elif weight != wgt:
-            raise ParseError("wedge terms have different total weights", 0)
+            weight = len(first) + len(second)
+        elif weight != len(first) + len(second):
+            raise ParseError("wedge terms have different total weights", off)
         ia, ib = ctx.index_of_word(first), ctx.index_of_word(second)
         if ia == ib:
             continue
@@ -181,46 +196,10 @@ def parse_wedge(text: str, g: int) -> ChainVector:
             ia, ib = ib, ia
             coeff = -coeff
         raw_terms.append(((ia, ib), coeff))
-    if weight is None:
-        raise ParseError("empty wedge element", 0)
     keys = np.array([key for key, _ in raw_terms], dtype=np.int64).reshape(-1, 2)
     coeffs: dict[int, Fraction] = {}
     axpy(coeffs, 1, zip(cell_positions(g, 2, weight, keys).tolist(), (c for _, c in raw_terms)))
     return ChainVector(wedge_basis(g, 2, weight), coeffs)
-
-
-def _split_signed(text: str):
-    out = []
-    sign = 1
-    cur = []
-    depth = 0
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if depth == 0 and ch in "+-" and cur and cur[-1] not in "(^":
-            chunk = "".join(cur).strip()
-            if chunk:
-                out.append((sign, chunk))
-            sign = 1 if ch == "+" else -1
-            cur = []
-        else:
-            cur.append(ch)
-    chunk = "".join(cur).strip()
-    if chunk:
-        out.append((sign, chunk))
-    return out
-
-
-def _parse_necklace_text(text: str) -> W.WordKey:
-    text = text.strip()
-    if not text.startswith("N(") or not text.endswith(")"):
-        raise ParseError(f"expected N(...), got {text!r}", 0)
-    word = W.parse_word(text[2:-1])
-    if not word:
-        raise ParseError("empty necklace", 0)
-    return W.canonical_rotation(word)
 
 
 def parse_range(text: str) -> tuple[int, int]:
@@ -311,10 +290,6 @@ def _render_table(data, indent: str = "") -> str:
     return "\n".join(x for x in lines if x.strip())
 
 
-def _element_json(val) -> dict:
-    return val.to_json_dict()
-
-
 # -- subcommand implementations ------------------------------------------------------
 
 
@@ -323,7 +298,7 @@ def _cmd_bracket(args) -> int:
     y = parse_element(args.elements[1], args.g)
     if not isinstance(x, DerivationElem) or not isinstance(y, DerivationElem):
         raise ParseError("bracket expects necklace elements N(...)", 0)
-    _emit({"op": "bracket", "result": _element_json(bracket(x, y))}, args)
+    _emit({"op": "bracket", "result": bracket(x, y).to_json_dict()}, args)
     return 0
 
 
@@ -338,7 +313,7 @@ def _cmd_cobracket(args) -> int:
         axpy(acc, c, wedge.items())
         axpy(acc, -c, (((wb, wa), c2) for (wa, wb), c2 in wedge.items()))
     result = BiDerivationElem(args.g, acc)
-    _emit({"op": "cobracket", "delta": args.delta, "result": _element_json(result)}, args)
+    _emit({"op": "cobracket", "delta": args.delta, "result": result.to_json_dict()}, args)
     return 0
 
 
@@ -351,7 +326,7 @@ def _cmd_mu(args) -> int:
     for wd, c in x.terms.items():
         axpy(acc, c, handle.mu_word(wd).items())
     result = TensorDerivElem(args.g, acc)
-    _emit({"op": "mu", "mu": args.mu, "result": _element_json(result)}, args)
+    _emit({"op": "mu", "mu": args.mu, "result": result.to_json_dict()}, args)
     return 0
 
 
@@ -391,16 +366,11 @@ def _cmd_homology(args) -> int:
     for flag, (lo, _) in (("--p", p_range), ("--w", w_range)):
         if lo < 0:
             raise ParseError(f"homology needs {flag} bounds >= 0, got {lo}", 0)
-    handle = delta_handle_from_flag(args.delta, args.g)
-    if not isinstance(handle, AlgCobracket) and handle.deformations:
-        raise ParseError(
-            "homology needs a weight-homogeneous cobracket; deformed handles "
-            "are compared via the deform subcommand",
-            0,
-        )
-    mu = mu_handle_from_flag(args.mu, args.g) if args.module else None
-    if args.module and not isinstance(mu, AlgComodule) and mu.deformations:
-        raise ParseError("homology needs the canonical comodule; see deform", 0)
+    # the grading needs the canonical structure maps: a deformed handle is
+    # refused before its file is read, and compared via deform instead
+    for flag, value in (("--delta", args.delta), ("--mu", args.mu)):
+        if value != "alg":
+            raise ParseError(f"homology needs {flag} alg, got {value!r}; see deform", 0)
     engine = HomologyEngine(
         args.g,
         delta=AlgCobracket(args.g),

@@ -7,6 +7,8 @@ reproducible from its seed.
 """
 
 import random
+from functools import partial
+from itertools import product
 
 from . import words as W
 from .lie import (
@@ -169,6 +171,33 @@ def _check(name: str, ok: bool, detail: str = "") -> dict:
     return {"name": name, "ok": bool(ok), "detail": detail}
 
 
+def _sweep(name: str, failures) -> dict:
+    """The check ``name``: failed with the first detail that the lazy iterable
+    ``failures`` yields, or passed if it yields none.  Nothing past the first
+    failure is computed or drawn, so the checks after it see the same draws."""
+    for detail in failures:
+        return _check(name, False, detail)
+    return _check(name, True)
+
+
+def _report(suite: str, checks: list, **fields) -> dict:
+    """A suite's report: its name, ``fields``, its checks and whether all passed."""
+    return {"suite": suite, **fields, "checks": checks, "ok": all(c["ok"] for c in checks)}
+
+
+def _draws(samples: int, *draws):
+    """``samples`` tuples of one value from each draw, drawn lazily in order."""
+    for _ in range(samples):
+        yield tuple(draw() for draw in draws)
+
+
+def _basis_necklaces(g: int, max_weight: int):
+    """Each basis necklace of weight 1..max_weight with its element, lazily."""
+    for m in range(1, max_weight + 1):
+        for n in necklace_basis(g, m):
+            yield n, DerivationElem(g, {n.word: 1})
+
+
 def bialgebra_suite(g: int, max_weight: int, seed: int, samples: int = 50) -> dict:
     """Skew, Jacobi, coskew, coJacobi, compatibility and involutivity for
     the necklace bialgebra at genus g.
@@ -177,167 +206,97 @@ def bialgebra_suite(g: int, max_weight: int, seed: int, samples: int = 50) -> di
     binary and ternary ones over seeded random pairs/triples.
     """
     rng = random.Random(seed)
-    checks = []
-
-    ok = True
-    detail = ""
-    for _ in range(samples):
-        u = random_derivation(rng, g, max_weight)
-        v = random_derivation(rng, g, max_weight)
-        if (bracket(u, v) + bracket(v, u)).terms:
-            ok, detail = False, f"skew fails on {u!r}, {v!r}"
-            break
-    checks.append(_check("bracket_skew", ok, detail))
-
-    ok, detail = True, ""
-    for _ in range(samples):
-        u = random_derivation(rng, g, max_weight)
-        v = random_derivation(rng, g, max_weight)
-        w = random_derivation(rng, g, max_weight)
-        jac = bracket(bracket(u, v), w) + bracket(bracket(v, w), u) + bracket(
-            bracket(w, u), v
-        )
-        if jac.terms:
-            ok, detail = False, "Jacobi fails"
-            break
-    checks.append(_check("bracket_jacobi", ok, detail))
-
-    ok, detail = True, ""
-    for _ in range(samples):
-        u = random_derivation(rng, g, max_weight)
-        v = random_derivation(rng, g, max_weight)
-        if commutator_action_mismatch(u, v):
-            ok, detail = False, "closed form != commutator of actions"
-            break
-    checks.append(_check("bracket_commutator_oracle", ok, detail))
-
+    der = partial(random_derivation, rng, g, max_weight)
     om = omega(g)
-    ok, detail = True, ""
-    for m in range(1, max_weight + 1):
-        for n in necklace_basis(g, m):
-            if not derivation_apply(DerivationElem(g, {n.word: 1}), om).is_zero():
-                ok, detail = False, f"{n!r} does not annihilate omega"
-                break
-        if not ok:
-            break
-    checks.append(_check("omega_annihilation", ok, detail))
-
-    ok, detail = True, ""
-    for m in range(1, max_weight + 1):
-        for n in necklace_basis(g, m):
-            d = schedler_delta(DerivationElem(g, {n.word: 1}))
-            if (d + d.swap()).terms:
-                ok, detail = False, f"coskew fails on {n!r}"
-                break
-        if not ok:
-            break
-    checks.append(_check("cobracket_coskew", ok, detail))
-
-    ok, detail = True, ""
-    for m in range(1, max_weight + 1):
-        for n in necklace_basis(g, m):
-            if cojacobi_defect(DerivationElem(g, {n.word: 1})):
-                ok, detail = False, f"coJacobi fails on {n!r}"
-                break
-        if not ok:
-            break
-    checks.append(_check("cobracket_cojacobi", ok, detail))
-
-    ok, detail = True, ""
-    for _ in range(samples):
-        x = random_derivation(rng, g, max_weight)
-        y = random_derivation(rng, g, max_weight)
-        if compatibility_defect(x, y).terms:
-            ok, detail = False, "cocycle compatibility fails"
-            break
-    checks.append(_check("bialgebra_compatibility", ok, detail))
-
-    ok, detail = True, ""
-    for m in range(1, max_weight + 1):
-        for n in necklace_basis(g, m):
-            if not nabla_contract(schedler_delta(DerivationElem(g, {n.word: 1}))).is_zero():
-                ok, detail = False, f"involutivity fails on {n!r}"
-                break
-        if not ok:
-            break
-    checks.append(_check("involutivity", ok, detail))
-
-    return {
-        "suite": "bialgebra",
-        "g": g,
-        "max_weight": max_weight,
-        "seed": seed,
-        "checks": checks,
-        "ok": all(c["ok"] for c in checks),
-    }
+    checks = [
+        _sweep("bracket_skew", (
+            f"skew fails on {u!r}, {v!r}"
+            for u, v in _draws(samples, der, der)
+            if (bracket(u, v) + bracket(v, u)).terms
+        )),
+        _sweep("bracket_jacobi", (
+            "Jacobi fails"
+            for u, v, w in _draws(samples, der, der, der)
+            if (bracket(bracket(u, v), w) + bracket(bracket(v, w), u) + bracket(
+                bracket(w, u), v
+            )).terms
+        )),
+        _sweep("bracket_commutator_oracle", (
+            "closed form != commutator of actions"
+            for u, v in _draws(samples, der, der)
+            if commutator_action_mismatch(u, v)
+        )),
+        _sweep("omega_annihilation", (
+            f"{n!r} does not annihilate omega"
+            for n, x in _basis_necklaces(g, max_weight)
+            if not derivation_apply(x, om).is_zero()
+        )),
+        _sweep("cobracket_coskew", (
+            f"coskew fails on {n!r}"
+            for n, x in _basis_necklaces(g, max_weight)
+            for d in [schedler_delta(x)]
+            if (d + d.swap()).terms
+        )),
+        _sweep("cobracket_cojacobi", (
+            f"coJacobi fails on {n!r}"
+            for n, x in _basis_necklaces(g, max_weight)
+            if cojacobi_defect(x)
+        )),
+        _sweep("bialgebra_compatibility", (
+            "cocycle compatibility fails"
+            for x, y in _draws(samples, der, der)
+            if compatibility_defect(x, y).terms
+        )),
+        _sweep("involutivity", (
+            f"involutivity fails on {n!r}"
+            for n, x in _basis_necklaces(g, max_weight)
+            if not nabla_contract(schedler_delta(x)).is_zero()
+        )),
+    ]
+    return _report("bialgebra", checks, g=g, max_weight=max_weight, seed=seed)
 
 
 def bimodule_suite(g: int, max_weight: int, seed: int, samples: int = 50) -> dict:
     """Module axiom, comodule axiom, bimodule compatibility and
     involutivity for the tensor algebra over the necklace bialgebra."""
     rng = random.Random(seed)
-    checks = []
+    der = partial(random_derivation, rng, g, max_weight)
+    ten = partial(random_tensor, rng, g, max_weight)
 
-    ok, detail = True, ""
-    for _ in range(samples):
-        x = random_derivation(rng, g, max_weight)
-        y = random_derivation(rng, g, max_weight)
-        t = random_tensor(rng, g, max_weight)
-        lhs = derivation_apply(bracket(x, y), t)
-        rhs = derivation_apply(x, derivation_apply(y, t)) - derivation_apply(
-            y, derivation_apply(x, t)
-        )
-        if lhs != rhs:
-            ok, detail = False, "module axiom fails"
-            break
-    checks.append(_check("module_axiom", ok, detail))
-
-    ok, detail = True, ""
-    if g == 1:
-        words = [()]
-        for m in range(1, max_weight + 1):
-            from itertools import product
-
-            words.extend(product(range(2), repeat=m))
-        for w in words:
-            if comodule_defect(Tensor.word(g, w)):
-                ok, detail = False, f"comodule axiom fails on {W.word_name(w)!r}"
-                break
-    else:
-        for _ in range(samples * 4):
-            m = rng.randint(0, max_weight)
-            w = tuple(rng.randrange(2 * g) for _ in range(m))
-            if comodule_defect(Tensor.word(g, w)):
-                ok, detail = False, f"comodule axiom fails on {W.word_name(w)!r}"
-                break
-    checks.append(_check("comodule_axiom", ok, detail))
-
-    ok, detail = True, ""
-    for _ in range(samples):
-        t = random_tensor(rng, g, max_weight)
-        y = random_derivation(rng, g, max_weight)
-        if bimodule_compat_defect(t, y).terms:
-            ok, detail = False, "bimodule compatibility fails"
-            break
-    checks.append(_check("bimodule_compatibility", ok, detail))
-
-    ok, detail = True, ""
-    for _ in range(samples * 4):
+    def word() -> W.WordKey:
         m = rng.randint(0, max_weight)
-        w = tuple(rng.randrange(2 * g) for _ in range(m))
-        if not sigma_bar_mu(Tensor.word(g, w)).is_zero():
-            ok, detail = False, f"sigma_bar . mu != 0 on {W.word_name(w)!r}"
-            break
-    checks.append(_check("bimodule_involutivity", ok, detail))
+        return tuple(rng.randrange(2 * g) for _ in range(m))
 
-    return {
-        "suite": "bimodule",
-        "g": g,
-        "max_weight": max_weight,
-        "seed": seed,
-        "checks": checks,
-        "ok": all(c["ok"] for c in checks),
-    }
+    checks = [
+        _sweep("module_axiom", (
+            "module axiom fails"
+            for x, y, t in _draws(samples, der, der, ten)
+            if derivation_apply(bracket(x, y), t) != derivation_apply(
+                x, derivation_apply(y, t)
+            ) - derivation_apply(y, derivation_apply(x, t))
+        )),
+        # at genus 1 every word up to max_weight, else seeded random words
+        _sweep("comodule_axiom", (
+            f"comodule axiom fails on {W.word_name(w)!r}"
+            for w in (
+                (w for m in range(max_weight + 1) for w in product(range(2), repeat=m))
+                if g == 1
+                else (word() for _ in range(samples * 4))
+            )
+            if comodule_defect(Tensor.word(g, w))
+        )),
+        _sweep("bimodule_compatibility", (
+            "bimodule compatibility fails"
+            for t, y in _draws(samples, ten, der)
+            if bimodule_compat_defect(t, y).terms
+        )),
+        _sweep("bimodule_involutivity", (
+            f"sigma_bar . mu != 0 on {W.word_name(w)!r}"
+            for w in (word() for _ in range(samples * 4))
+            if not sigma_bar_mu(Tensor.word(g, w)).is_zero()
+        )),
+    ]
+    return _report("bimodule", checks, g=g, max_weight=max_weight, seed=seed)
 
 
 def bracket_oracle_sweep(g: int, max_weight_sum: int) -> dict:
@@ -350,64 +309,45 @@ def bracket_oracle_sweep(g: int, max_weight_sum: int) -> dict:
     ctx = algebra(g)
     letters = [(y,) for y in range(2 * g)]
     pairs_checked = 0
-    ok = True
-    detail = ""
-    for m in range(1, max_weight_sum):
-        for n in range(m, max_weight_sum - m + 1):
-            basis_m = ctx.basis_words(m)
-            basis_n = ctx.basis_words(n)
-            for i, wu in enumerate(basis_m):
-                vs = basis_n[i:] if n == m else basis_n
-                for wv in vs:
-                    cl = ctx.bracket_words(wu, wv)
-                    rev = ctx.bracket_words(wv, wu)
-                    if {k: -c for k, c in cl.items()} != rev:
-                        ok, detail = False, f"skew fails on {wu}, {wv}"
-                        break
-                    for y in letters:
-                        lhs: dict = {}
-                        for k, c in cl.items():
-                            axpy(lhs, c, ctx.act_word(k, y))
-                        rhs: dict = {}
-                        for w1, s1 in ctx.act_word(wv, y):
-                            axpy(rhs, s1, ctx.act_word(wu, w1))
-                        for w1, s1 in ctx.act_word(wu, y):
-                            axpy(rhs, -s1, ctx.act_word(wv, w1))
+
+    def oracle_failures():
+        # a pair that fails skew is not counted; one that fails the oracle is
+        nonlocal pairs_checked
+        for m in range(1, max_weight_sum):
+            for n in range(m, max_weight_sum - m + 1):
+                basis_n = ctx.basis_words(n)
+                for i, wu in enumerate(ctx.basis_words(m)):
+                    for wv in basis_n[i:] if n == m else basis_n:
+                        cl = ctx.bracket_words(wu, wv)
+                        if {k: -c for k, c in cl.items()} != ctx.bracket_words(wv, wu):
+                            yield f"skew fails on {wu}, {wv}"
+                        for y in letters:
+                            lhs: dict = {}
+                            for k, c in cl.items():
+                                axpy(lhs, c, ctx.act_word(k, y))
+                            rhs: dict = {}
+                            for w1, s1 in ctx.act_word(wv, y):
+                                axpy(rhs, s1, ctx.act_word(wu, w1))
+                            for w1, s1 in ctx.act_word(wu, y):
+                                axpy(rhs, -s1, ctx.act_word(wv, w1))
+                            if lhs != rhs:
+                                break
+                        pairs_checked += 1
+                        # unequal only if the letter loop stopped at a mismatch
                         if lhs != rhs:
-                            ok, detail = False, f"oracle mismatch on {wu}, {wv}"
-                            break
-                    pairs_checked += 1
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
+                            yield f"oracle mismatch on {wu}, {wv}"
 
     om = omega(g)
-    omega_ok = True
-    max_single = max_weight_sum - 1
-    for m in range(1, max_single + 1):
-        for nw in ctx.basis_words(m):
-            if not derivation_apply(DerivationElem(g, {nw: 1}), om).is_zero():
-                omega_ok = False
-                detail = f"omega not annihilated by N({W.word_name(nw)})"
-                break
-        if not omega_ok:
-            break
-    return {
-        "suite": "bracket_oracle",
-        "g": g,
-        "max_weight_sum": max_weight_sum,
-        "pairs_checked": pairs_checked,
-        "checks": [
-            _check("closed_form_equals_commutator", ok, detail if not ok else ""),
-            _check("omega_annihilation", omega_ok, detail if not omega_ok else ""),
-        ],
-        "ok": ok and omega_ok,
-    }
+    checks = [
+        _sweep("closed_form_equals_commutator", oracle_failures()),
+        _sweep("omega_annihilation", (
+            f"omega not annihilated by {n!r}"
+            for n, x in _basis_necklaces(g, max_weight_sum - 1)
+            if not derivation_apply(x, om).is_zero()
+        )),
+    ]
+    return _report("bracket_oracle", checks, g=g, max_weight_sum=max_weight_sum,
+                   pairs_checked=pairs_checked)
 
 
 # -- matrix-level identity suites -------------------------------------------

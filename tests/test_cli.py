@@ -1,4 +1,5 @@
 import json
+import random
 import subprocess
 import sys
 import time
@@ -7,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from necklaces import DerivationElem, ParseError, Tensor
+from necklaces import words as W
 from necklaces.cli import main, parse_element, parse_range, parse_wedge
 from necklaces.complexes import ChainVector, wedge_basis
 from necklaces.lie import algebra
@@ -61,6 +63,65 @@ class TestParseElement:
         a1, x, y = (ctx.index_of_word(w) for w in ((0,), (3, 4, 5, 4), (1, 2, 4, 5)))
         assert v == ChainVector.from_terms(basis, [((a1, x), -3), ((a1, y), 1)])
 
+    def test_parse_wedge_matches_its_terms(self):
+        # seeded: 2-vectors written out from known terms, with leading
+        # signs, int and p/q coefficients, rotated or swapped factors and
+        # any spacing, parse to the ChainVector of those terms
+        rng = random.Random(2718)
+        for _ in range(300):
+            g, w = rng.choice((1, 2)), rng.randint(2, 7)
+            ctx = algebra(g)
+            terms, parts = [], []
+            for k in range(rng.randint(1, 4)):
+                m = rng.randint(1, w - 1)
+                u, v = rng.choice(ctx.basis_words(m)), rng.choice(ctx.basis_words(w - m))
+                c = rng.choice((1, -1)) * Fraction(rng.randint(1, 9), rng.choice((1, 2, 3)))
+                ia, ib = ctx.index_of_word(u), ctx.index_of_word(v)
+                if ia != ib:
+                    terms.append(((ia, ib), c) if ia < ib else ((ib, ia), -c))
+                r = rng.randrange(m)
+                left, right = f"N({W.word_name(u[r:] + u[:r])})", f"N({W.word_name(v)})"
+                if rng.random() < 0.5:
+                    left, right, c = right, left, -c
+                sign = "-" if c < 0 else rng.choice(("+", "") if k == 0 else ("+",))
+                size = "" if abs(c) == 1 and rng.random() < 0.5 else str(abs(c))
+                pad = [rng.choice(("", " ", "  ")) for _ in range(5)]
+                parts.append(f"{pad[0]}{sign}{pad[1]}{size}{pad[2]}{left}{pad[3]}^{pad[4]}{right}")
+            text = "".join(parts)
+            got = parse_wedge(text, g)
+            assert got == ChainVector.from_terms(wedge_basis(g, 2, w), terms), text
+            assert all(type(c) is Fraction for c in got.coeffs.values()), text
+
+    @pytest.mark.parametrize(
+        "text, offset",
+        [
+            ("foo N(a1)^N(b1)", 1),
+            ("2/0 N(a1)^N(b1)", 1),
+            ("N(a1)^N(b1)+", 12),
+            ("N(a1)^N(c1)", 9),
+            ("N(a1)^N(b1)^N(a1)", 12),
+            ("N(a1)^", 6),
+            ("N(a1) + N(a1)^N(b1)", 1),
+            ("1 + + N(a1)^N(b1)", 5),
+            ("N(a1 a1)^N(b1) + N(a1)^N(b1)", 18),
+        ],
+    )
+    def test_parse_wedge_error_offsets(self, text, offset):
+        with pytest.raises(ParseError) as err:
+            parse_wedge(text, 1)
+        assert err.value.position == offset
+
+    @pytest.mark.parametrize(
+        "text, offset",
+        [("N(a1) + a1 b1", 9), ("N(a1)^N(b1)", 1), ("1 + + a1", 5), ("N(a1 b1 x1)", 9)],
+    )
+    def test_parse_element_error_offsets(self, text, offset):
+        # a term of the other kind, a wedge, a sign with no term, a letter
+        # inside N(...)
+        with pytest.raises(ParseError) as err:
+            parse_element(text, 1)
+        assert err.value.position == offset
+
     def test_parse_range(self):
         assert parse_range("0..3") == (0, 3)
         assert parse_range("2") == (2, 2)
@@ -98,6 +159,10 @@ class TestCliCommands:
             ["bracket", "--g", "0", "N(a1)", "N(b1)"],
             ["bracket", "--g", "1", "N(a2)", "N(b1)"],
             ["deform", "--g", "1", "--A", "N(a3)^N(b1)"],
+            ["deform", "--g", "1", "--A", "foo N(a1)^N(b1)"],
+            ["deform", "--g", "1", "--A", "2/0 N(a1)^N(b1)"],
+            ["deform", "--g", "1", "--A", "N(a1)^N(b1)+"],
+            ["homology", "--g", "1", "--mu", "bogus"],
             ["verify", "--suite", "bialgebra", "--g", "1", "--w-max", "0"],
             ["verify", "--suite", "bialgebra", "--g", "1", "--w-max", "-1"],
             ["verify", "--suite", "ce-matrix", "--g", "1", "--w-max", "-1"],
@@ -140,6 +205,26 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "over the budget" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("text, coeff", [("-N(a1)^N(b1)", "-1"), ("+N(a1)^N(b1)", "1"),
+                                             ("- 2 N(a1)^N(b1)", "-2")])
+    def test_deform_leading_sign(self, text, coeff, capsys):
+        assert main(["deform", "--g", "1", f"--A={text}"]) == 0
+        assert json.loads(capsys.readouterr().out)["A"]["terms"][0]["coeff"] == coeff
+
+    @pytest.mark.parametrize("flags", [["--delta", "deformed:FILE"],
+                                       ["--module", "--mu", "deformed:FILE"]])
+    def test_homology_refuses_a_deformed_handle(self, flags, tmp_path, capsys):
+        # N(a1 a1)^N(b1) is not in the kernel, so reading it as a cobracket
+        # raises NotInN (exit 1); the flag is refused before the file is read
+        path = tmp_path / "a.json"
+        path.write_text(json.dumps(
+            {"g": 1, "p": 2, "w": 3, "terms": [{"coeff": "1", "wedge": ["a1 a1", "b1"]}]}
+        ))
+        argv = ["homology", "--g", "1", "--p", "0..1", "--w", "0..3"]
+        assert main(argv + [f.replace("FILE", str(path)) for f in flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: homology needs --") and "Traceback" not in err
 
     def test_verify_exit_0(self, capsys):
         rc = main(

@@ -211,3 +211,33 @@ def test_handles_have_one_index_level_form():
         if name in gone
     ]
     assert not found, f"per-item handle forms in the package: {found}"
+
+
+def test_cli_has_one_element_grammar():
+    # parse_wedge reads its terms through _tokenize and the term loop of
+    # parse_element: cli.py defines no hand-split wedge parser
+    gone = {"_split_signed", "_parse_necklace_text"}
+    found = [
+        f"{node.name} at line {node.lineno}"
+        for node in ast.walk(ast.parse((SRC / "cli.py").read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef) and node.name in gone
+    ]
+    assert not found, f"a second element parser in cli.py: {found}"
+
+
+def test_suites_keep_no_first_failure_flags():
+    # every first-failure check is a lazy generator read by _sweep: no suite
+    # function of verify.py, nor anything nested in one, binds an ok or a
+    # detail local
+    suites = {"bialgebra_suite", "bimodule_suite", "bracket_oracle_sweep", "matrix_identity_suite"}
+    tree = ast.parse((SRC / "verify.py").read_text(encoding="utf-8"))
+    fns = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name in suites]
+    assert {fn.name for fn in fns} == suites
+    found = [
+        f"{node.id} in {fn.name} at line {node.lineno}"
+        for fn in fns
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+        and node.id in {"ok", "detail"}
+    ]
+    assert not found, f"first-failure flags in the suites: {found}"
