@@ -113,7 +113,7 @@ def _terms(text: str) -> list:
     necklace words."""
     tokens = _tokenize(text)
     if not tokens:
-        raise ParseError("empty element", 0)
+        raise ParseError("empty element")
     terms = []
     pos = 0
     sign = 1
@@ -208,9 +208,9 @@ def parse_range(text: str) -> tuple[int, int]:
     try:
         lo, hi = int(lo), int(hi)
     except ValueError:
-        raise ParseError(f"bad range {text!r}; expected 'n' or 'lo..hi'", 0) from None
+        raise ParseError(f"bad range {text!r}; expected 'n' or 'lo..hi'") from None
     if lo > hi:
-        raise ParseError(f"empty range {text!r}", 0)
+        raise ParseError(f"empty range {text!r}")
     return lo, hi
 
 
@@ -226,13 +226,13 @@ def _load_json(path: str, loader):
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc.strerror}", 0) from None
+        raise ParseError(f"cannot read {path}: {exc.strerror}") from None
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-        raise ParseError(f"{path} is not JSON: {exc}", 0) from None
+        raise ParseError(f"{path} is not JSON: {exc}") from None
     try:
         return loader(data)
     except (LookupError, TypeError, ValueError, AttributeError, ZeroDivisionError) as exc:
-        raise ParseError(f"{path} is malformed: {exc.__class__.__name__}: {exc}", 0) from None
+        raise ParseError(f"{path} is malformed: {exc.__class__.__name__}: {exc}") from None
 
 
 def delta_handle_from_flag(flag: str, g: int):
@@ -241,7 +241,7 @@ def delta_handle_from_flag(flag: str, g: int):
     if flag.startswith("deformed:"):
         elem = _load_json(flag.split(":", 1)[1], DeformationElement.from_json_dict)
         return DeformedCobracket(g, [elem])
-    raise ParseError(f"bad --delta value {flag!r}", 0)
+    raise ParseError(f"bad --delta value {flag!r}")
 
 
 def mu_handle_from_flag(flag: str, g: int):
@@ -250,7 +250,7 @@ def mu_handle_from_flag(flag: str, g: int):
     if flag.startswith("deformed:"):
         elem = _load_json(flag.split(":", 1)[1], DeformationElement.from_json_dict)
         return DeformedComodule(g, [elem])
-    raise ParseError(f"bad --mu value {flag!r}", 0)
+    raise ParseError(f"bad --mu value {flag!r}")
 
 
 # -- rendering ---------------------------------------------------------------------
@@ -297,7 +297,7 @@ def _cmd_bracket(args) -> int:
     x = parse_element(args.elements[0], args.g)
     y = parse_element(args.elements[1], args.g)
     if not isinstance(x, DerivationElem) or not isinstance(y, DerivationElem):
-        raise ParseError("bracket expects necklace elements N(...)", 0)
+        raise ParseError("bracket expects necklace elements N(...)")
     _emit({"op": "bracket", "result": bracket(x, y).to_json_dict()}, args)
     return 0
 
@@ -305,7 +305,7 @@ def _cmd_bracket(args) -> int:
 def _cmd_cobracket(args) -> int:
     x = parse_element(args.element, args.g)
     if not isinstance(x, DerivationElem):
-        raise ParseError("cobracket expects a necklace element", 0)
+        raise ParseError("cobracket expects a necklace element")
     handle = delta_handle_from_flag(args.delta, args.g)
     acc: dict = {}
     for nw, c in x.terms.items():
@@ -320,7 +320,7 @@ def _cmd_cobracket(args) -> int:
 def _cmd_mu(args) -> int:
     x = parse_element(args.element, args.g)
     if not isinstance(x, Tensor):
-        raise ParseError("mu expects a tensor element (plain words)", 0)
+        raise ParseError("mu expects a tensor element (plain words)")
     handle = mu_handle_from_flag(args.mu, args.g)
     acc: dict = {}
     for wd, c in x.terms.items():
@@ -337,7 +337,7 @@ def _cmd_verify(args) -> int:
         ("--samples", args.samples, 1),
     ):
         if value < least:
-            raise ParseError(f"verify needs {flag} >= {least}, got {value}", 0)
+            raise ParseError(f"verify needs {flag} >= {least}, got {value}")
     reports = []
     suites = (
         ["bialgebra", "bimodule", "ce-matrix", "module-matrix"]
@@ -355,7 +355,7 @@ def _cmd_verify(args) -> int:
         elif name == "module-matrix":
             reports.append(matrix_identity_suite(args.g, pmax, args.w_max, module=True))
         else:
-            raise ParseError(f"unknown suite {name!r}", 0)
+            raise ParseError(f"unknown suite {name!r}")
     ok = all(r["ok"] for r in reports)
     _emit({"seed": args.seed, "suites": reports, "ok": ok}, args)
     return 0 if ok else 1
@@ -365,12 +365,12 @@ def _cmd_homology(args) -> int:
     p_range, w_range = parse_range(args.p), parse_range(args.w)
     for flag, (lo, _) in (("--p", p_range), ("--w", w_range)):
         if lo < 0:
-            raise ParseError(f"homology needs {flag} bounds >= 0, got {lo}", 0)
+            raise ParseError(f"homology needs {flag} bounds >= 0, got {lo}")
     # the grading needs the canonical structure maps: a deformed handle is
     # refused before its file is read, and compared via deform instead
     for flag, value in (("--delta", args.delta), ("--mu", args.mu)):
         if value != "alg":
-            raise ParseError(f"homology needs {flag} alg, got {value!r}; see deform", 0)
+            raise ParseError(f"homology needs {flag} alg, got {value!r}; see deform")
     engine = HomologyEngine(
         args.g,
         delta=AlgCobracket(args.g),
@@ -395,13 +395,13 @@ def _parse_cells(flag: str, text: str | None, default: list) -> list[tuple[int, 
         isinstance(c, list) and len(c) == 2 and all(type(v) is int and v >= 0 for v in c)
         for c in cells
     ):
-        raise ParseError(f"{flag} needs a JSON list of [p, w] pairs of ints >= 0, got {text!r}", 0)
+        raise ParseError(f"{flag} needs a JSON list of [p, w] pairs of ints >= 0, got {text!r}")
     return [tuple(c) for c in cells]
 
 
 def _cmd_deform(args) -> int:
     if args.w_max < 1:
-        raise ParseError(f"deform needs --w-max >= 1, got {args.w_max}", 0)
+        raise ParseError(f"deform needs --w-max >= 1, got {args.w_max}")
     lie_cells = _parse_cells("--cells", args.cells, [(1, 3), (2, 4)])
     mod_cells = _parse_cells("--mod-cells", args.mod_cells, [])
     if args.A_file:
@@ -409,7 +409,7 @@ def _cmd_deform(args) -> int:
     elif args.A:
         a_chain = parse_wedge(args.A, args.g)
     else:
-        raise ParseError("deform needs --A or --A-file", 0)
+        raise ParseError("deform needs --A or --A-file")
     a = DeformationElement(a_chain)
     report: dict = {
         "g": args.g,
@@ -445,7 +445,7 @@ def _cmd_deform(args) -> int:
 
 def _cmd_expand(args) -> int:
     if args.degree < 2:
-        raise ParseError("expand needs --degree >= 2", 0)
+        raise ParseError("expand needs --degree >= 2")
     theta = symplectic_expansion(args.g, args.degree)
     rep = theta.to_json_dict()
     rep["checks"] = {
@@ -470,7 +470,7 @@ def _cmd_loop(args) -> int:
     try:
         word = parse_group_word(args.word)
     except ValueError as exc:
-        raise ParseError(f"--word: {exc}", 0) from None
+        raise ParseError(f"--word: {exc}") from None
     _emit({"op": "loop", "word": args.word, "result": loop_tensor(theta, word).to_json_dict()}, args)
     return 0
 
@@ -569,7 +569,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         if args.g < 1:
-            raise ParseError(f"--g must be >= 1, got {args.g}", 0)
+            raise ParseError(f"--g must be >= 1, got {args.g}")
         return args.func(args)
     except (ParseError, FileNotFoundError, GenusMismatch, CellTooLarge) as exc:
         # a letter outside the alphabet of --g, or a range with a cell over

@@ -69,7 +69,6 @@ class CobracketHandle(Protocol):
 
     g: int
     name: str
-    max_weight: int | None
 
     def delta_table(self, m: int, local: np.ndarray | None = None) -> np.ndarray:
         """delta of every necklace n of weight m, or of those offset(m) +
@@ -91,7 +90,6 @@ class ComoduleHandle(Protocol):
 
     g: int
     name: str
-    max_weight: int | None
 
     def mu_table(self, k: int, local: np.ndarray | None = None) -> Mapping[int, np.ndarray]:
         """mu of every word of length k, or of the words of the ranks in
@@ -108,7 +106,6 @@ class ComoduleHandle(Protocol):
 class AlgCobracket:
     """The canonical necklace cobracket as a handle."""
 
-    max_weight = None
     name = "alg"
 
     def __init__(self, g: int):
@@ -161,7 +158,6 @@ def _mu_checked(g: int, k: int, table: Mapping[int, np.ndarray]) -> dict:
 class AlgComodule:
     """The canonical word-splitting comodule map as a handle."""
 
-    max_weight = None
     name = "alg"
 
     def __init__(self, g: int):

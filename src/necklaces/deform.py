@@ -21,12 +21,13 @@ handled the same way on module cells.
 
 Both identities are linear: in A, and in (A, B) jointly on module cells.
 Multiplying A (and B) by a nonzero L multiplies both sides of every column
-by L, so comparing the columns of L*A decides the identity for A.  The
-checks take L as the lcm of the coefficient denominators and run on the
-int 2-vectors L*A and L*B (``DeformationElement.scaled``); every product
-in their emission is then an int product.  An element's own sigma values
-are likewise those of L*A divided by L.  The elements a caller passes in,
-and every value reported about them, are never scaled.
+by L, so comparing the columns of L*A decides the identity for A.  A
+``DeformationElement`` holds A itself and, for L the lcm of its
+coefficient denominators, the int arrays of L*A: its pairs, its nabla and
+per weight its sigma table.  The checks read those arrays (for A and B
+together, both over their joint lcm), so every product in their emission
+is an int product.  The rational values, sigma(X)(A) and the difference
+pieces, are those of L*A divided by L.
 
 Conjugation by exp(ad u) for u of weight >= 3 is evaluated lazily per
 element below a weight cutoff; it is a coboundary deformation with
@@ -54,8 +55,13 @@ from .tensors import Coeff, Tensor, _csr, _exact, _joined, _product, _summed, _v
 
 
 class DeformationElement:
-    """A 2-vector at a fixed weight, with its bracket contraction and the
-    flag telling whether it is an admissible deformation direction."""
+    """A 2-vector A at a fixed weight, with its bracket contraction and the
+    flag telling whether it is an admissible deformation direction.  It
+    also holds the int arrays of L*A that the identity checks read, L =
+    ``_denominator`` the lcm of A's coefficient denominators: ``pairs``
+    and ``coeffs``, its terms; ``nabla_factors`` and ``nabla_coeffs``,
+    those of nabla(L*A); and per weight the sigma table (``sigma_csr``).
+    Coefficient arrays are ``tensors._exact``."""
 
     def __init__(self, chain: C.ChainVector):
         if chain.basis.p != 2:
@@ -65,26 +71,28 @@ class DeformationElement:
         self.weight = chain.basis.w
         self._nabla = nabla_contract_chain(chain)
         self.in_n = self._nabla.is_zero()
-        self._denominator = common_denominator(chain.coeffs.values())
-        self._wedge_pairs = _pairs(chain)
+        self._denominator = den = common_denominator(chain.coeffs.values())
+        terms, nabla = chain.terms(), self._nabla.sorted_terms()
+        self.pairs = np.array([t for t, _ in terms], dtype=np.int64).reshape(-1, 2)
+        self.coeffs = _exact([int(c * den) for _, c in terms])
+        self.nabla_factors = np.array(
+            [algebra(self.g).index_of_word(nw) for nw, _ in nabla], dtype=np.int64).reshape(-1, 1)
+        self.nabla_coeffs = _exact([int(c * den) for _, c in nabla])
+        self._sigma: dict[int, tuple[np.ndarray, ...]] = {}
         self._sigma_memo: dict[int, tuple[tuple[int, int, Coeff], ...]] = {}
-        self._scaled: dict[int, _ScaledDeformation] = {}
 
     def nabla(self) -> DerivationElem:
         return self._nabla
 
-    def wedge_pairs(self) -> tuple[tuple[int, int, Coeff], ...]:
-        return self._wedge_pairs
-
     def sigma_of(self, x_idx: int) -> tuple[tuple[int, int, Coeff], ...]:
         """sigma(N_x)(A) in wedge coordinates ((a, b, coeff), a < b): the
-        row of N_x in the sigma table of L*A (``sigma_csr``), divided by L
-        = self._denominator."""
+        row of N_x in the whole-weight sigma table of L*A (``sigma_csr``),
+        divided by L."""
         memo = self._sigma_memo.get(x_idx)
         if memo is None:
             ctx, den = algebra(self.g), self._denominator
             m = ctx.weight_of(x_idx)
-            indptr, a, b, c = self.scaled(den).sigma_csr(m)
+            indptr, a, b, c = self.sigma_csr(m)
             n = x_idx - ctx.offset(m)
             lo, hi = indptr[n], indptr[n + 1]
             coeffs = c[lo:hi].tolist()
@@ -94,77 +102,16 @@ class DeformationElement:
             self._sigma_memo[x_idx] = memo
         return memo
 
-    def delta_table(self, m: int, local: np.ndarray | None = None) -> np.ndarray:
-        """A as a cobracket handle, standing for its piece X -> sigma(X)(A):
-        for every necklace X of weight m, or for those offset(m) + local, the
-        rows (X - offset(m), a, b, coeff), a < b, summed: the sigma table of
-        L*A (``sigma_csr``, int coefficients) with its coefficients divided
-        by L = self._denominator."""
-        den = self._denominator
-        rows = None if local is None else np.unique(np.asarray(local, dtype=np.int64))
-        indptr, a, b, c = self.scaled(den).sigma_csr(m, rows)
-        n = np.repeat(np.arange(len(indptr) - 1, dtype=np.int64), np.diff(indptr))
-        if rows is not None:
-            n = rows[n]
-        if den != 1:
-            c = np.array([Fraction(v, den) for v in c.tolist()], dtype=object)
-        return np.stack([n, a, b, c])
-
-    def scaled(self, factor: int) -> "_ScaledDeformation":
-        """factor * A with int coefficients, for a factor that clears every
-        denominator of A; memoised per factor, so its tables are reused
-        across cells.  This element is left as it is."""
-        out = self._scaled.get(factor)
-        if out is None:
-            out = self._scaled[factor] = _ScaledDeformation(self, factor)
-        return out
-
-    def to_json_dict(self) -> dict:
-        return self.chain.to_json_dict()
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "DeformationElement":
-        return cls(C.ChainVector.from_json_dict(data))
-
-    def __repr__(self) -> str:
-        tag = "in N(g)" if self.in_n else "NOT in N(g)"
-        return f"DeformationElement(w={self.weight}, {tag}: {self.chain!r})"
-
-
-class _ScaledDeformation(DeformationElement):
-    """factor * A with int coefficients, as the arrays the identity checks
-    read: its pairs, its nabla, and per weight m the sigma table.  Its
-    nabla is A's times factor; coefficient arrays are ``tensors._exact``."""
-
-    def __init__(self, base: DeformationElement, factor: int):
-        self.chain = C.ChainVector(base.chain.basis, _times(base.chain.coeffs, factor))
-        self.g, self.weight, self.in_n = base.g, base.weight, base.in_n
-        self._nabla = DerivationElem(base.g, _times(base.nabla().terms, factor))
-        self._denominator = 1
-        self._wedge_pairs = _pairs(self.chain)
-        self._sigma_memo = {}
-        self._scaled = {}
-        ctx = algebra(self.g)
-        self.pairs = np.array([(a, b) for a, b, _ in self._wedge_pairs], dtype=np.int64).reshape(-1, 2)
-        self.coeffs = _exact([c for _, _, c in self._wedge_pairs])
-        nabla = self._nabla.sorted_terms()
-        self.nabla_factors = np.array(
-            [ctx.index_of_word(nw) for nw, _ in nabla], dtype=np.int64).reshape(-1, 1)
-        self.nabla_coeffs = _exact([c for _, c in nabla])
-        self._sigma: dict[int, tuple[np.ndarray, ...]] = {}
-
-    def scaled(self, factor: int) -> "_ScaledDeformation":
-        return self if factor == 1 else super().scaled(factor)
-
     def sigma_csr(self, m: int, local: np.ndarray | None = None):
-        """sigma(X)(A) = sum over A's pairs of alpha ([X, N_a] ^ N_b + N_a ^
-        [X, N_b]) for every necklace X of weight m, or for those offset(m) +
-        local (sorted, distinct), in CSR form over them: (indptr, a, b,
-        coeff), a < b, summed; the table form that ``complexes.cochain_terms``
-        reads.  Only the necklaces asked for are bracketed with A's
-        (``complexes._pair_bracket``).  The whole weight is memoised; with
-        ``local``, the rows are gathered from it when it is memoised and
-        built alone otherwise, as in ``NecklaceContext.rotations``."""
+        """sigma(X)(L*A) = sum over the pairs of L*A of alpha ([X, N_a] ^
+        N_b + N_a ^ [X, N_b]) for every necklace X of weight m, or for
+        those offset(m) + local (sorted, distinct), in CSR form over them:
+        (indptr, a, b, coeff), a < b, summed, int coefficients; the table
+        form that ``complexes.cochain_terms`` reads.  Only the necklaces
+        asked for are bracketed with A's (``complexes._pair_bracket``).
+        The whole weight is memoised; with ``local``, the rows are gathered
+        from it when it is memoised and built alone otherwise, as in
+        ``NecklaceContext.rotations``."""
         table = self._sigma.get(m)
         if table is not None and local is not None:
             indptr, a, b, c = table
@@ -190,30 +137,26 @@ class _ScaledDeformation(DeformationElement):
                 self._sigma[m] = table
         return table
 
+    def to_json_dict(self) -> dict:
+        return self.chain.to_json_dict()
 
-def _pairs(chain: C.ChainVector) -> tuple[tuple[int, int, Coeff], ...]:
-    """The terms of a 2-vector as (a, b, coeff), sorted once."""
-    return tuple((a, b, c) for (a, b), c in chain.terms())
+    @classmethod
+    def from_json_dict(cls, data: dict) -> "DeformationElement":
+        return cls(C.ChainVector.from_json_dict(data))
 
-
-def _times(coeffs: dict, factor: int) -> dict:
-    """factor * coeffs as ints; a ValueError if factor leaves a fraction."""
-    out = {}
-    for k, c in coeffs.items():
-        v = c * factor
-        if type(v) is not int:
-            if v.denominator != 1:
-                raise ValueError(f"{factor} does not clear the denominator of {c}")
-            v = v.numerator
-        out[k] = v
-    return out
+    def __repr__(self) -> str:
+        tag = "in N(g)" if self.in_n else "NOT in N(g)"
+        return f"DeformationElement(w={self.weight}, {tag}: {self.chain!r})"
 
 
 def _cleared(*elements: DeformationElement) -> list[DeformationElement]:
-    """The elements times the lcm of all their denominators: int 2-vectors
-    with the same ratios among them."""
+    """The elements as int 2-vectors with the same ratios among them: each
+    times the lcm of all their denominators, in its arrays.  An element
+    whose own L is that lcm is returned as it is, with its memoised sigma
+    tables."""
     factor = lcm(*(d._denominator for d in elements))
-    return [d.scaled(factor) for d in elements]
+    return [d if d._denominator == factor else DeformationElement(d.chain.scale(factor))
+            for d in elements]
 
 
 def nabla_contract_chain(x: C.ChainVector) -> DerivationElem:
@@ -260,7 +203,6 @@ class DeformedCobracket:
     def __init__(self, g: int, deformations, name: str = "deformed", require_in_n: bool = True):
         self.g = g
         self.name = name
-        self.max_weight = None
         self.base = C.AlgCobracket(g)
         self.deformations = _as_deformations(deformations)
         if require_in_n:
@@ -270,14 +212,6 @@ class DeformedCobracket:
                         "deformation element has nonzero bracket contraction: "
                         f"{d.nabla()!r}"
                     )
-
-    def delta_table(self, m: int, local: np.ndarray | None = None):
-        """The base piece; valid when every deformation is trivial (the
-        deformation pieces are checked by verify_deformation_invariance)."""
-        if self.deformations:
-            raise ValueError("deformed cobracket is weight-inhomogeneous; "
-                             "use verify_deformation_invariance")
-        return self.base.delta_table(m, local)
 
     def delta_word(self, nw: W.WordKey) -> dict[tuple[W.WordKey, W.WordKey], Coeff]:
         """Full (inhomogeneous) value on a necklace, word-level wedge map:
@@ -296,7 +230,6 @@ class DeformedComodule:
     def __init__(self, g: int, deformations, name: str = "deformed"):
         self.g = g
         self.name = name
-        self.max_weight = None
         self.base = C.AlgComodule(g)
         self.deformations = _as_deformations(deformations)
         self._ctx = algebra(g)
@@ -304,19 +237,12 @@ class DeformedComodule:
         # boundary(B) = -nabla(B)
         self._nablas = [d.nabla() for d in self.deformations]
 
-    def mu_table(self, k: int, local: np.ndarray | None = None):
-        """The base piece; valid when every deformation is trivial."""
-        if self.deformations:
-            raise ValueError("deformed comodule is weight-inhomogeneous; "
-                             "use verify_deformation_invariance")
-        return self.base.mu_table(k, local)
-
     def piece_terms(self, d_index: int, word: W.WordKey):
         """The mu'(m) - mu(m) contribution of one deformation element."""
         ctx = self._ctx
         d = self.deformations[d_index]
         out = []
-        for a, b, beta in d.wedge_pairs():
+        for (a, b), beta in d.chain.terms():
             # Gamma(m (x) N_a ^ N_b) = -(N_a m) (x) N_b + (N_b m) (x) N_a
             for w2, s in ctx.act_word(ctx.word_at(a), word):
                 out.append((w2, b, -beta * s))
@@ -468,8 +394,8 @@ def homotopy_check(a: DeformationElement | C.ChainVector, p: int, w: int) -> boo
     the cell, a block of rows at a time, and compared as summed terms, so
     the large intermediate cell (p+2, w + wt A) is never materialized.
     Both sides are linear in A, so they are compared for L*A, L the lcm of
-    A's denominators, in int arithmetic; the caller's A is not changed."""
-    (a,) = _cleared(_as_deformation(a))
+    A's denominators, in int arithmetic: the element's own arrays."""
+    a = _as_deformation(a)
     ctx = algebra(a.g)
     cell = C.wedge_cell(a.g, p, w)
     step = max(1, _CHUNK // max(len(a.coeffs), 1))
@@ -490,19 +416,24 @@ def homotopy_check(a: DeformationElement | C.ChainVector, p: int, w: int) -> boo
     return True
 
 
+def _piece_matrix(rows: int, cols: int, tgt, src, coeff, den: int) -> SparseRationalMatrix:
+    """The (target, source, coeff) terms of L times a piece, summed and
+    divided by L, as a rows x cols matrix."""
+    (tgt, src), coeff = _summed((tgt, src), coeff)
+    values = coeff.tolist() if den == 1 else [Fraction(v, den) for v in coeff.tolist()]
+    return SparseRationalMatrix.from_entries(rows, cols, zip(tgt.tolist(), src.tolist(), values))
+
+
 def assemble_sigma_piece(a: DeformationElement, p: int, w: int) -> SparseRationalMatrix:
     """Matrix of x -> sum_i (-1)^i sigma(X_i)(A) ^ (rest): the difference
     d(delta') - d(delta) out of cell (p, w), landing in (p+1, w + wt(A) - 2).
     Emitted by ``complexes.cochain_terms`` over the sigma table of L*A,
     ranked by ``complexes.cell_positions`` and divided by L, L the lcm of
     A's denominators."""
-    den, tw = a._denominator, w + a.weight - 2
-    src, new, coeff = C.cochain_terms(algebra(a.g), a.scaled(den).sigma_csr, C.wedge_cell(a.g, p, w))
-    (tgt, src), coeff = _summed((C.cell_positions(a.g, p + 1, tw, new), src), coeff)
-    values = coeff.tolist() if den == 1 else [Fraction(v, den) for v in coeff.tolist()]
-    return SparseRationalMatrix.from_entries(
-        C.wedge_dim(a.g, p + 1, tw), C.wedge_dim(a.g, p, w),
-        zip(tgt.tolist(), src.tolist(), values))
+    tw = w + a.weight - 2
+    src, new, coeff = C.cochain_terms(algebra(a.g), a.sigma_csr, C.wedge_cell(a.g, p, w))
+    return _piece_matrix(C.wedge_dim(a.g, p + 1, tw), C.wedge_dim(a.g, p, w),
+                         C.cell_positions(a.g, p + 1, tw, new), src, coeff, a._denominator)
 
 
 # -- invariance of induced maps --------------------------------------------------
@@ -556,7 +487,7 @@ def _moved(rows: int, row, sw, tl, tw, tuples, coeff):
     return sw * rows + row, np.column_stack([tl, tw, tuples]), coeff
 
 
-def _mod_piece_terms(ctx, a, b: "_ScaledDeformation", k: int, x: np.ndarray):
+def _mod_piece_terms(ctx, a, b: DeformationElement, k: int, x: np.ndarray):
     """The piece (mu' - mu)(m) ^ xi - m (x) (d' - d) xi on every word m of
     length k times every row xi of x, mu' from B and d' from A (None when
     the cobracket is not deformed): a list of (source, target, coeff)
@@ -602,10 +533,7 @@ def assemble_mod_piece(
                 pos = C.cell_positions(g, p + 1, tw - length, target[sel, 2:])
                 parts.append((tgt.offsets[length] + target[sel, 1] * tgt.wedge_dims[length] + pos,
                               src.offsets[k] + s[sel], coeff[sel]))
-    r, c, v = _joined(parts, 0, 0, 0)
-    (r, c), v = _summed((r, c), v)
-    values = v.tolist() if den == 1 else [Fraction(x, den) for x in v.tolist()]
-    return SparseRationalMatrix.from_entries(tgt.dim, src.dim, zip(r.tolist(), c.tolist(), values))
+    return _piece_matrix(tgt.dim, src.dim, *_joined(parts, 0, 0, 0), den)
 
 
 def mod_homotopy_check(
@@ -800,7 +728,7 @@ class ExpAdCobracket:
             raise MinWeightTooLow("conjugator components must have weight >= 3")
         self.g = u.g
         self.u = u
-        self.max_weight = cutoff
+        self.cutoff = cutoff
         self.name = name
 
     def delta_word(self, nw: W.WordKey) -> dict[tuple[W.WordKey, W.WordKey], Coeff]:
@@ -811,7 +739,7 @@ class ExpAdCobracket:
         cobracket lowers weight by 2, so inner terms living exactly at the
         cutoff still contribute there, while anything higher would need
         inner terms we dropped.  Incomplete weights are not returned."""
-        g, cutoff = self.g, self.max_weight
+        g, cutoff = self.g, self.cutoff
         out_bound = cutoff - 2
         z = DerivationElem.necklace(g, nw)
         inner = _exp_ad_deriv(self.u.scale(-1), z, cutoff)
@@ -833,7 +761,7 @@ class ExpAdCobracket:
     def equivalent_deformations(self) -> list[DeformationElement]:
         """The coboundary elements sum_k (1/k!) sigma(u)^{k-1}(delta u),
         split into weight-homogeneous components and truncated."""
-        g, cutoff = self.g, self.max_weight
+        g, cutoff = self.g, self.cutoff
         # represent Lambda^2 elements as wedge-coefficient maps keyed by
         # necklace-word pairs (a < b in basis order)
         def sigma_u(pairs):
@@ -896,13 +824,13 @@ class ExpAdComodule:
             raise MinWeightTooLow("conjugator components must have weight >= 3")
         self.g = u.g
         self.u = u
-        self.max_weight = cutoff
+        self.cutoff = cutoff
         self.name = name
 
     def mu_word(self, word: W.WordKey) -> dict[tuple[W.WordKey, W.WordKey], Coeff]:
         """Complete up to total output weight cutoff - 2, as for the
         conjugated cobracket; incomplete weights are not returned."""
-        g, cutoff = self.g, self.max_weight
+        g, cutoff = self.g, self.cutoff
         out_bound = cutoff - 2
         inner = exp_derivation(self.u.scale(-1), Tensor.word(g, word), cutoff)
         acc: dict = {}

@@ -54,11 +54,12 @@ class SolveFailed(NecklacesError):
 
 
 class ParseError(NecklacesError):
-    """Element syntax error; carries the offset of the first bad token."""
+    """A usage error: bad element syntax, which carries the offset of the
+    first bad token, or a bad argument, which carries no position."""
 
-    def __init__(self, message: str, position: int):
+    def __init__(self, message: str, position: int | None = None):
         self.position = position
-        super().__init__(f"{message} (at offset {position})")
+        super().__init__(message if position is None else f"{message} (at offset {position})")
 
 
 class CellTooLarge(NecklacesError):

@@ -27,10 +27,6 @@ class Letter(NamedTuple):
     def code(self) -> int:
         return 2 * (self.index - 1) + (0 if self.kind == "a" else 1)
 
-    @classmethod
-    def from_code(cls, code: int) -> "Letter":
-        return cls("a" if code % 2 == 0 else "b", code // 2 + 1)
-
     def __str__(self) -> str:
         return f"{self.kind}{self.index}"
 
@@ -39,7 +35,7 @@ def letter_name(code: int) -> str:
     return ("a" if code % 2 == 0 else "b") + str(code // 2 + 1)
 
 
-def parse_letter(text: str, offset: int = 0) -> int:
+def parse_letter(text: str, offset: int | None = None) -> int:
     """Parse 'a3' or 'b1' into a letter code."""
     if len(text) < 2 or text[0] not in "ab" or not text[1:].isdigit():
         raise ParseError(f"expected a letter like 'a1' or 'b2', got {text!r}", offset)

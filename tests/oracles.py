@@ -301,21 +301,21 @@ def oracle_solve_columns(columns, target):
     return x
 
 
-def _wedge_emit(pairs, tup):
-    """A ^ x on one wedge monomial x, for A given as ((a, b, coeff), ...)
-    with a < b."""
+def _wedge_emit(terms, tup):
+    """A ^ x on one wedge monomial x, for A given as its ``chain.terms()``,
+    (((a, b), coeff), ...) with a < b."""
     out = []
-    for x, y, c in pairs:
+    for (x, y), c in terms:
         ins = _insert2(tup, x, y)
         if ins:
             out.append((ins[1], ins[0] * c))
     return out
 
 
-def _mod_wedge_emit(pairs, mono):
+def _mod_wedge_emit(terms, mono):
     """m (x) (A ^ xi) on one module monomial m (x) xi."""
     word, tup = mono
-    return [((word, t), c) for t, c in _wedge_emit(pairs, tup)]
+    return [((word, t), c) for t, c in _wedge_emit(terms, tup)]
 
 
 def _deriv_wedge_emit(terms, tup):
@@ -376,7 +376,7 @@ def oracle_homotopy_check(a, p: int, w: int) -> bool:
     of the identity in the coefficients of A itself."""
     ctx = algebra(a.g)
     bnd = partial(boundary_monomial, ctx)
-    wedge_a = partial(_wedge_emit, a.wedge_pairs())
+    wedge_a = partial(_wedge_emit, a.chain.terms())
     nabla = [(ctx.index_of_word(nw), c) for nw, c in a.nabla().sorted_terms()]
     sigma = partial(oracle_sigma_of, a)
     for tup in C.wedge_basis(a.g, p, w).monomials:
@@ -396,7 +396,7 @@ def oracle_mod_homotopy_check(a, b, p: int, w: int) -> bool:
     sides in the coefficients of A and B themselves."""
     ctx = algebra(a.g)
     bnd = partial(mod_boundary_monomial, ctx)
-    wedge_b = partial(_mod_wedge_emit, b.wedge_pairs())
+    wedge_b = partial(_mod_wedge_emit, b.chain.terms())
     piece = partial(
         _mod_piece_emit, ctx, D.DeformedComodule(a.g, [b]), partial(oracle_sigma_of, a), 0
     )

@@ -10,7 +10,7 @@ import pytest
 from necklaces import DerivationElem, ParseError, Tensor
 from necklaces import words as W
 from necklaces.cli import main, parse_element, parse_range, parse_wedge
-from necklaces.complexes import ChainVector, wedge_basis
+from necklaces.complexes import ChainVector, WedgeBasis, wedge_basis
 from necklaces.lie import algebra
 
 
@@ -52,13 +52,18 @@ class TestParseElement:
         v2 = parse_wedge("N(b1)^N(a1)", 1)
         assert v2 == v.scale(-1)
 
-    def test_parse_wedge_ranks_without_the_basis_maps(self):
-        # the parsed pairs are ranked by cell_positions: the cell's monomial
-        # list and position dict are not built (a genus-3 cell that no other
-        # test reads)
-        v = parse_wedge("N(a3 b3 a3 b2)^N(a1) - 2 N(a1)^N(b2 a3 b3 a3) + N(a1)^N(b1 a2 a3 b3)", 3)
+    def test_parse_wedge_ranks_without_the_basis_maps(self, monkeypatch):
+        # the parsed pairs are ranked by cell_positions: no basis's monomial
+        # list or position dict is read while parsing, whichever ones other
+        # tests have built on the shared (cached) bases
+        def refuse(basis):
+            raise AssertionError("parse_wedge read a basis's monomials or positions")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(WedgeBasis, "monomials", property(refuse))
+            patch.setattr(WedgeBasis, "position", property(refuse))
+            v = parse_wedge("N(a3 b3 a3 b2)^N(a1) - 2 N(a1)^N(b2 a3 b3 a3) + N(a1)^N(b1 a2 a3 b3)", 3)
         basis = wedge_basis(3, 2, 5)
-        assert basis._monomials is None and basis._position is None
         ctx = algebra(3)
         a1, x, y = (ctx.index_of_word(w) for w in ((0,), (3, 4, 5, 4), (1, 2, 4, 5)))
         assert v == ChainVector.from_terms(basis, [((a1, x), -3), ((a1, y), 1)])
@@ -185,6 +190,17 @@ class TestCliCommands:
     def test_usage_error_exit_2(self, argv, capsys):
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv, message", [
+        # a bad argument has no position; a syntax error names its offset
+        (["verify", "--suite", "bialgebra", "--g", "1", "--w-max", "0"],
+         "verify needs --w-max >= 1, got 0"),
+        (["homology", "--p", "3..1"], "empty range '3..1'"),
+        (["deform", "--g", "1", "--A", "N(a1)^N(b1)+"], "dangling sign (at offset 12)"),
+    ])
+    def test_usage_error_message(self, argv, message, capsys):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize(
         "argv",

@@ -29,7 +29,6 @@ from necklaces.complexes import (
     wedge_dim,
 )
 from necklaces.complexes import _sort_wedge
-from necklaces.deform import DeformedCobracket, DeformedComodule
 from necklaces.lie import NecklaceContext, algebra
 from necklaces.linalg import SparseRationalMatrix, int_csc
 from necklaces.tensors import axpy
@@ -675,7 +674,7 @@ class TestCoactionTables:
         whole = ctx.mu_table(k)
         count = (2 * g) ** k
         some = rng.sample(range(count), min(count, 9))
-        handles = (AlgComodule(g), DeformedComodule(g, []))
+        handles = (AlgComodule(g),)
         for local in (np.arange(count), np.zeros(0, dtype=np.int64),
                       np.array(some + some[:1], dtype=np.int64)):
             for got in [ctx.mu_table(k, local)] + [h.mu_table(k, local) for h in handles]:
@@ -761,7 +760,7 @@ class TestNecklaceTables:
         whole = ctx.delta_table(m)
         count = necklace_count(g, m)
         some = rng.sample(range(count), min(count, 7))
-        handles = (AlgCobracket(g), DeformedCobracket(g, []))
+        handles = (AlgCobracket(g),)
         for local in (np.arange(count), np.zeros(0, dtype=np.int64),
                       np.array(some + some[:1], dtype=np.int64)):
             want = whole[:, np.isin(whole[0], local)]
@@ -934,7 +933,6 @@ class _HandleTwin:
 
     g = 1
     name = "twin"
-    max_weight = None
 
     def __init__(self, m, terms):
         self._ctx = algebra(1)

@@ -270,14 +270,22 @@ def _weight9():
 
 
 def _flipped(a: DeformationElement, m: int) -> DeformationElement:
-    """The int element L*A with the sign of one entry of its weight-m sigma
-    table flipped."""
-    s = a.scaled(a._denominator)
-    indptr, x, y, c = s.sigma_csr(m)
+    """A with the sign of one entry of the weight-m sigma table of L*A
+    flipped."""
+    indptr, x, y, c = a.sigma_csr(m)
     c = c.copy()
     c[len(c) // 2] *= -1
-    s._sigma[m] = (indptr, x, y, c)
-    return s
+    a._sigma[m] = (indptr, x, y, c)
+    return a
+
+
+def _sigma_row(a: DeformationElement, table, n: int) -> tuple:
+    """Row n of a CSR sigma table of L*A, divided by L: ((x, y, coeff),
+    ...), as ``sigma_of`` gives it."""
+    indptr, x, y, c = table
+    lo, hi = indptr[n], indptr[n + 1]
+    return tuple(zip(x[lo:hi].tolist(), y[lo:hi].tolist(),
+                     (Fraction(v, a._denominator) for v in c[lo:hi].tolist())))
 
 
 class TestArrayChecks:
@@ -315,9 +323,10 @@ class TestArrayChecks:
         for g, w_a in [(1, 3), (2, 3)]:
             chain = _random_two_vector(rng, g, w_a, True)
             a = DeformationElement(chain)
-            # L*A and -L*A, both int: _cleared leaves them as they are
-            plus = a.scaled(a._denominator)
-            minus = DeformationElement(chain.scale(-1)).scaled(a._denominator)
+            # A and -A have one L: _cleared leaves them as they are, so the
+            # checks read the flipped table
+            plus = a
+            minus = DeformationElement(chain.scale(-1))
             assert homotopy_check(plus, 1, 2) and mod_homotopy_check(plus, minus, 1, 2)
             bad = _flipped(DeformationElement(chain), 2)
             assert not homotopy_check(bad, 1, 2)
@@ -330,7 +339,7 @@ class TestArrayChecks:
         rng = random.Random(8)
         chain = _random_two_vector(rng, 2, 3, False).scale(scale)
         a = DeformationElement(chain)
-        assert any(abs(c) > 2**39 for c in a.scaled(a._denominator).coeffs.tolist())
+        assert any(abs(c) > 2**39 for c in a.coeffs.tolist())
         for p, w in [(1, 3), (2, 4)]:
             assert homotopy_check(a, p, w) is oracle_homotopy_check(a, p, w) is True
         kernel = DeformationElement(_random_two_vector(rng, 2, 3, True).scale(scale))
@@ -475,24 +484,25 @@ class TestArrayChecks:
         for p, w in [(0, 2), (1, 3), (0, 4)]:
             assert mod_homotopy_check(a, b, p, w) is oracle_mod_homotopy_check(a, b, p, w) is True
 
-    def test_delta_table_is_sigma_of(self):
+    def test_sigma_csr_is_sigma_of(self):
         rng = random.Random(12)
         ctx = algebra(2)
         a = DeformationElement(_random_two_vector(rng, 2, 3, True))
         assert a._denominator > 1
         for m in (1, 2, 3):
-            whole = a.delta_table(m)
-            rows = whole.T.tolist()
+            whole = a.sigma_csr(m)
             for n in range(len(ctx.basis_words(m))):
-                got = tuple((x, y, c) for k, x, y, c in rows if k == n)
+                got = _sigma_row(a, whole, n)
                 assert got == a.sigma_of(ctx.offset(m) + n) == oracle_sigma_of(a, ctx.offset(m) + n)
-            local = np.array(rng.sample(range(necklace_count(2, m)), 2), dtype=np.int64)
-            got = a.delta_table(m, local)
-            assert np.array_equal(got, whole[:, np.isin(whole[0].astype(np.int64), local)])
+            local = np.array(sorted(rng.sample(range(necklace_count(2, m)), 2)), dtype=np.int64)
+            got = a.sigma_csr(m, local)
+            assert len(got[0]) == len(local) + 1
+            assert [_sigma_row(a, got, i) for i in range(len(local))] == [
+                _sigma_row(a, whole, n) for n in local.tolist()]
             # a fresh element builds the rows asked for alone, the same rows
             fresh = DeformationElement(a.chain)
-            assert np.array_equal(fresh.delta_table(m, local), got)
-            assert m not in fresh.scaled(fresh._denominator)._sigma
+            assert all(np.array_equal(x, y) for x, y in zip(fresh.sigma_csr(m, local), got))
+            assert m not in fresh._sigma
 
     def test_sigma_rows_of_a_weight_not_yet_enumerated(self, monkeypatch):
         # on a context that has not enumerated weights 6 and 7, the whole
@@ -500,15 +510,15 @@ class TestArrayChecks:
         # weight first, and equal those of the shared context
         chain = n_space_basis(1, 2)[0]
         a = DeformationElement(chain)
-        local = np.array([3, 1])
-        want = [a.delta_table(6), a.delta_table(7, local)]
+        local = np.array([1, 3])
+        want = [a.sigma_csr(6), a.sigma_csr(7, local)]
         fresh = NecklaceContext(1)
         fresh.basis_words(2)  # the weights of A's necklaces
         monkeypatch.setattr(D, "algebra", lambda g: fresh)
         b = DeformationElement(chain)
         assert len(fresh._bases) <= 6
-        got = [b.delta_table(6), b.delta_table(7, local)]
-        assert all(np.array_equal(x, y) for x, y in zip(got, want))
+        got = [b.sigma_csr(6), b.sigma_csr(7, local)]
+        assert all(np.array_equal(u, v) for x, y in zip(got, want) for u, v in zip(x, y))
 
     def test_local_sigma_rows_are_built_alone(self):
         # one necklace of weight 10 at g = 2 is bracketed with A's necklaces
@@ -516,11 +526,10 @@ class TestArrayChecks:
         ctx = algebra(2)
         ctx.basis_words(10)
         a = DeformationElement(n_space_basis(2, 3)[0])
-        got = a.delta_table(10, np.array([5]))
-        rows = got.T.tolist()
-        assert rows and {n for n, *_ in rows} == {5}
-        assert tuple(tuple(r[1:]) for r in rows) == oracle_sigma_of(a, ctx.offset(10) + 5)
-        assert 10 not in a.scaled(a._denominator)._sigma
+        got = a.sigma_csr(10, np.array([5]))
+        assert len(got[0]) == 2 and got[0][1] > 0
+        assert _sigma_row(a, got, 0) == oracle_sigma_of(a, ctx.offset(10) + 5)
+        assert 10 not in a._sigma
 
 
 class TestInvariance:

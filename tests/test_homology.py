@@ -148,7 +148,6 @@ class TestInducedMaps:
         class BrokenDelta:
             g = 1
             name = "broken"
-            max_weight = None
 
             def __init__(self):
                 self._ctx = algebra(1)
@@ -362,7 +361,6 @@ class TestElimination:
         class HalfDelta:
             g = 1
             name = "half"
-            max_weight = None
 
             def __init__(self):
                 self._ctx = algebra(1)

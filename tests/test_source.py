@@ -241,3 +241,25 @@ def test_suites_keep_no_first_failure_flags():
         and node.id in {"ok", "detail"}
     ]
     assert not found, f"first-failure flags in the suites: {found}"
+
+
+def test_one_deformation_element():
+    # a DeformationElement holds the int arrays of L*A itself: no class
+    # under src/ subclasses it, and it defines no scaled copy, no second
+    # sigma form and no copy of its chain's terms
+    found, classes = [], []
+    for path in sorted(SRC.parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            if any(ast.unparse(base).split(".")[-1] == "DeformationElement" for base in node.bases):
+                found.append(f"{node.name} subclasses it in {path.name} at line {node.lineno}")
+            if node.name == "DeformationElement":
+                classes.append(node)
+                found += [
+                    f"DeformationElement.{fn.name} at line {fn.lineno}"
+                    for fn in node.body
+                    if isinstance(fn, ast.FunctionDef) and fn.name in {"scaled", "delta_table", "wedge_pairs"}
+                ]
+    assert len(classes) == 1
+    assert not found, f"a second form of the deformation element: {found}"
