@@ -371,12 +371,7 @@ def _cmd_homology(args) -> int:
     for flag, value in (("--delta", args.delta), ("--mu", args.mu)):
         if value != "alg":
             raise ParseError(f"homology needs {flag} alg, got {value!r}; see deform")
-    engine = HomologyEngine(
-        args.g,
-        delta=AlgCobracket(args.g),
-        mu=AlgComodule(args.g) if args.module else None,
-        module=args.module,
-    )
+    engine = HomologyEngine(args.g, module=args.module)
     rep = homology_report(engine, p_range, w_range, with_induced=not args.no_induced)
     rep["euler_ok"] = all(e["ok"] for e in rep["euler_checks"])
     _emit(rep, args)
@@ -406,6 +401,8 @@ def _cmd_deform(args) -> int:
     mod_cells = _parse_cells("--mod-cells", args.mod_cells, [])
     if args.A_file:
         a_chain = _load_json(args.A_file, DeformationElement.from_json_dict).chain
+        if a_chain.basis.g != args.g:
+            raise GenusMismatch(f"--A-file holds a 2-vector of genus {a_chain.basis.g}, not {args.g}")
     elif args.A:
         a_chain = parse_wedge(args.A, args.g)
     else:

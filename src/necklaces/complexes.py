@@ -19,10 +19,12 @@ Operators, with 1-based signs as usual:
 * module boundary:  Gamma + 1 (x) boundary
 * module cochain d: mu(m) ^ xi - m (x) d xi
 
-The cobracket and comodule maps are supplied as handles so that deformed
-structures can be assembled through the same code path; the handles for
-the canonical (Schedler) structure are :class:`AlgCobracket` and
-:class:`AlgComodule`.
+Every operator here is that of the canonical (Schedler) structure: the
+cobracket and the comodule map are read from the tables of
+``NecklaceContext`` (``delta_table``, ``mu_table``).  A deformed structure
+is compared with it in ``necklaces.deform``, through its difference
+pieces.  :class:`AlgCobracket` and :class:`AlgComodule` give the canonical
+maps on words, for the CLI and the word-level identity checks.
 
 Boundary and coboundary matrices have one builder, :class:`CellOperators`
 (int64).  It reads a wedge cell as an int64 array of its index tuples
@@ -44,14 +46,14 @@ from bisect import bisect_right
 from functools import lru_cache
 from itertools import product
 from math import comb
-from typing import Iterable, Mapping, NamedTuple, Protocol
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
 from . import words as W
 from .errors import CellTooLarge, GenusMismatch
 from .lie import DerivationElem, NecklaceContext, algebra, necklace_count
-from .linalg import SparseRationalMatrix, int_csc, int_values
+from .linalg import SparseRationalMatrix, int_csc
 from .tensors import Coeff, TermMap, axpy, coeff_str, parse_coeff, _csr, _joined, _prune, _summed
 
 WedgeKey = tuple[int, ...]
@@ -61,113 +63,28 @@ ModKey = tuple[W.WordKey, WedgeKey]
 # -- handles ---------------------------------------------------------------
 
 
-class CobracketHandle(Protocol):
-    """A cobracket.  At the index level it is one table form,
-    ``delta_table``: of every necklace of a weight for ``CellOperators``,
-    of the necklaces of a vector's support for ``cochain_d`` and
-    ``mod_cochain_d``.  ``delta_word`` is its value on a necklace word."""
+class AlgCobracket:
+    """The canonical necklace cobracket on necklace words."""
 
-    g: int
-    name: str
-
-    def delta_table(self, m: int, local: np.ndarray | None = None) -> np.ndarray:
-        """delta of every necklace n of weight m, or of those offset(m) +
-        local: rows (n - offset(m), a, b, coeff) with a < b, as in
-        ``NecklaceContext.delta_table``."""
-        ...
+    def __init__(self, g: int):
+        self.g = g
+        self._ctx = algebra(g)
 
     def delta_word(self, nw: W.WordKey) -> dict[tuple[W.WordKey, W.WordKey], Coeff]:
         """delta of N(nw) as a map (wa, wb) -> coeff, wa before wb in the
         basis order."""
-        ...
-
-
-class ComoduleHandle(Protocol):
-    """A comodule map.  At the index level it is one table form,
-    ``mu_table``: of every word of a length for ``CellOperators``, of the
-    words of a vector's support for ``mod_cochain_d``.  ``mu_word`` is its
-    value on a word."""
-
-    g: int
-    name: str
-
-    def mu_table(self, k: int, local: np.ndarray | None = None) -> Mapping[int, np.ndarray]:
-        """mu of every word of length k, or of the words of the ranks in
-        local: the weight m of the split-off necklace n -> int64 rows
-        (source rank, n - offset(m), rank of the remaining word, coeff),
-        ranks as in ``NecklaceContext.mu_table``."""
-        ...
-
-    def mu_word(self, word: W.WordKey) -> dict[tuple[W.WordKey, W.WordKey], Coeff]:
-        """mu of a word as a map (word, necklace word) -> coeff."""
-        ...
-
-
-class AlgCobracket:
-    """The canonical necklace cobracket as a handle."""
-
-    name = "alg"
-
-    def __init__(self, g: int):
-        self.g = g
-        self._ctx = algebra(g)
-
-    def delta_table(self, m: int, local: np.ndarray | None = None):
-        return self._ctx.delta_table(m, local)
-
-    def delta_word(self, nw: W.WordKey):
         return {(wa, wb): c for wa, wb, c in self._ctx.delta_word(nw)}
 
 
-def _delta_csr(ctx: NecklaceContext, m: int, table) -> tuple:
-    """Cobracket rows of weight m (n - offset(m), a, b, coeff), checked, in
-    CSR form over the necklaces of weight m, summed (``tensors._csr``):
-    (indptr, a, b, coeff).  Every index must be in its range, a < b, the
-    weights of a and b must sum to m - 2, and every coefficient must be an
-    int (``int_values``)."""
-    n, a, b = (np.asarray(row, dtype=np.int64) for row in table[:3])
-    coeff = int_values(table[3])
-    count = necklace_count(ctx.g, m)
-    if n.size:
-        top = ctx.offset(max(m - 2, 0))  # a and b have weights below m - 2
-        if not (0 <= n.min() and n.max() < count and 0 <= a.min() and b.max() < top):
-            raise ValueError(f"the cobracket table of weight {m} has an index out of range")
-        if not (a < b).all():
-            raise ValueError(f"the cobracket table of weight {m} has a pair out of order")
-        if not (ctx.weights(a) + ctx.weights(b) == m - 2).all():
-            raise ValueError("the cobracket handle does not lower the weight by 2")
-    return _csr([(n, a, b, coeff)], count, 2)
-
-
-def _mu_checked(g: int, k: int, table: Mapping[int, np.ndarray]) -> dict:
-    """A comodule table of the words of length k, checked: every split-off
-    weight m lowers the word length k by m + 2, every index is in its
-    range, and every coefficient is an int (``int_values``)."""
-    base, out = 2 * g, {}
-    for m, (sr, nl, tr, c) in table.items():
-        if not 1 <= m <= k - 2:
-            raise ValueError("the comodule handle does not lower the weight by 2")
-        tops = (base**k, necklace_count(g, m), base ** (k - 2 - m))
-        for idx, top in zip((sr, nl, tr), tops):
-            if idx.size and not 0 <= idx.min() <= idx.max() < top:
-                raise ValueError(f"the comodule table of length {k} has an index out of range")
-        out[m] = (sr, nl, tr, int_values(c))
-    return out
-
-
 class AlgComodule:
-    """The canonical word-splitting comodule map as a handle."""
-
-    name = "alg"
+    """The canonical word-splitting comodule map on words."""
 
     def __init__(self, g: int):
         self.g = g
         self._ctx = algebra(g)
 
-    def mu_table(self, k: int, local: np.ndarray | None = None):
-        return self._ctx.mu_table(k, local)
-
-    def mu_word(self, word: W.WordKey):
+    def mu_word(self, word: W.WordKey) -> dict[tuple[W.WordKey, W.WordKey], Coeff]:
+        """mu of a word as a map (word, necklace word) -> coeff."""
         acc: dict = {}
         axpy(acc, 1, (((rest, neck), s) for rest, neck, s in self._ctx.mu_word(word)))
         return acc
@@ -583,7 +500,7 @@ def cochain_terms(ctx: NecklaceContext, table, tuples: np.ndarray):
     """The cochain d of each row of an int64 array of sorted index tuples
     (n, p): arrays (source row, target tuple (t, p+1), coeff).  table(m)
     gives the cobracket of the necklaces of weight m in CSR form over them,
-    (indptr, a, b, coeff) with a < b (``CellOperators._delta_table``); each
+    (indptr, a, b, coeff) with a < b (``_delta_csr``); each
     factor is deleted and both halves of its cobracket inserted: the sign
     is (-1)^i of the factor (1-based) times the insertion sign of
     ``_insert``."""
@@ -602,15 +519,21 @@ def cochain_terms(ctx: NecklaceContext, table, tuples: np.ndarray):
     return _joined(parts, 0, (0, p + 1), 0)
 
 
+def _delta_csr(ctx: NecklaceContext, m: int, local: np.ndarray | None = None) -> tuple:
+    """``NecklaceContext.delta_table(m, local)`` in CSR form over the
+    necklaces of weight m (``tensors._csr``): (indptr, a, b, coeff)."""
+    return _csr([tuple(ctx.delta_table(m, local))], necklace_count(ctx.g, m), 2)
+
+
 # -- operators on chain vectors ----------------------------------------------
 #
 # Each emits on the int64 tuples of the vector's support only, by the array
 # emissions above, and sums the terms times the coefficients (``_image``):
 # exact, whatever their type.  Brackets are those of the pairs present
-# (``_pair_bracket``); the cobracket and the comodule map are the handles'
+# (``_pair_bracket``); the cobracket and the comodule map are the context's
 # tables of the necklaces and words present (``delta_table(m, local)``,
-# ``mu_table(k, local)``), checked as ``CellOperators`` checks its tables.
-# So the cost follows the support, and no whole-weight table is read.
+# ``mu_table(k, local)``).  So the cost follows the support, and no
+# whole-weight table is read.
 
 
 def _pair_bracket(ctx: NecklaceContext, m1: int, first: np.ndarray, m2: int, second: np.ndarray):
@@ -639,16 +562,14 @@ def _act_pairs(ctx: NecklaceContext, k: int, m: int, ranks: np.ndarray, local: n
     return _joined(parts, 0, 0, 0)
 
 
-def _support_delta(ctx: NecklaceContext, handle: CobracketHandle, tuples: np.ndarray):
-    """The ``cochain_terms`` table of a handle for the factors of tuples:
-    the handle's ``delta_table`` of the necklaces present only, checked by
-    ``_delta_csr``."""
+def _support_delta(ctx: NecklaceContext, tuples: np.ndarray):
+    """The ``cochain_terms`` table for the factors of tuples: the
+    ``_delta_csr`` of the necklaces present only."""
     present = np.unique(tuples)
 
     @lru_cache(maxsize=None)
     def table(m: int):
-        local = present[ctx.weights(present) == m] - ctx.offset(m)
-        return _delta_csr(ctx, m, handle.delta_table(m, local))
+        return _delta_csr(ctx, m, present[ctx.weights(present) == m] - ctx.offset(m))
 
     return table
 
@@ -727,16 +648,12 @@ def sigma_wedge(y: DerivationElem, x: ChainVector) -> ChainVector:
     return _image(ChainVector, target, coeffs, parts)
 
 
-def cochain_d(x: ChainVector, delta: CobracketHandle) -> ChainVector:
-    """Cobracket-induced coboundary; lands in (p+1, w-2); 0 on scalars.
-    The handle's table of the factors present is checked as
-    ``CellOperators`` checks a table: a coefficient that is not an int
-    raises TypeError, and terms that do not lower the weight by 2 raise
-    ValueError."""
+def cochain_d(x: ChainVector) -> ChainVector:
+    """Cobracket-induced coboundary; lands in (p+1, w-2); 0 on scalars."""
     g, p, w = x.basis.g, x.basis.p, x.basis.w
     target = wedge_basis(g, p + 1, max(w - 2, 0))
     ctx, tuples = algebra(g), wedge_cell(g, p, w)[_support(x)]
-    src, new, coeff = cochain_terms(ctx, _support_delta(ctx, delta, tuples), tuples)
+    src, new, coeff = cochain_terms(ctx, _support_delta(ctx, tuples), tuples)
     return _image(ChainVector, target, list(x.coeffs.values()),
                   [(src, _ranked(g, p + 1, w - 2, new), coeff)])
 
@@ -762,25 +679,21 @@ def mod_boundary(x: ModChainVector) -> ModChainVector:
     return _image(ModChainVector, target, list(x.coeffs.values()), parts)
 
 
-def mod_cochain_d(
-    x: ModChainVector, delta: CobracketHandle, mu: ComoduleHandle
-) -> ModChainVector:
+def mod_cochain_d(x: ModChainVector) -> ModChainVector:
     """Module coboundary mu(m)^xi - m (x) d xi, the minus constant in p (see
-    ``mod_cochain_monomial`` in tests/oracles.py); lands in (p+1, w-2).
-    The handles' tables of the necklaces and words present are checked as
-    by ``cochain_d``."""
+    ``mod_cochain_monomial`` in tests/oracles.py); lands in (p+1, w-2)."""
     g, p, w = x.basis.g, x.basis.p, x.basis.w
     target = mod_wedge_basis(g, p + 1, max(w - 2, 0))
     dst, ctx, parts = mod_layout(g, p + 1, max(w - 2, 0)), algebra(g), []
     for k, q, ranks, pos in _blocks(mod_layout(g, p, w), _support(x)):
         tuples = wedge_cell(g, p, w - k)[pos]
-        src, new, coeff = cochain_terms(ctx, _support_delta(ctx, delta, tuples), tuples)
+        src, new, coeff = cochain_terms(ctx, _support_delta(ctx, tuples), tuples)
         parts.append((q[src], _at(dst, k, ranks[src], _ranked(g, p + 1, w - k - 2, new)), -coeff))
         # mu(m) ^ xi: each term of mu(word) meets every row of that word
         words, inv = np.unique(ranks, return_inverse=True)
         order = np.argsort(inv, kind="stable")
         indptr = np.searchsorted(inv[order], np.arange(len(words) + 1))
-        for m, (sr, nl, tr, c) in _mu_checked(g, k, mu.mu_table(k, words)).items():
+        for m, (sr, nl, tr, c) in ctx.mu_table(k, words).items():
             word_at = np.searchsorted(words, sr)
             mine = np.flatnonzero(words.take(word_at, mode="clip") == sr)  # other words are not read
             which, at = _gather(indptr, word_at[mine])
@@ -813,26 +726,14 @@ def wedge_product(x: ChainVector, y: ChainVector) -> ChainVector:
 _OPS = ("boundary", "cochain_d", "mod_boundary", "mod_cochain_d")
 
 
-def assemble(
-    op: str,
-    g: int,
-    p: int,
-    w: int,
-    delta: CobracketHandle | None = None,
-    mu: ComoduleHandle | None = None,
-) -> SparseRationalMatrix:
+def assemble(op: str, g: int, p: int, w: int) -> SparseRationalMatrix:
     """Matrix of an operator out of the (p, w) cell, in the enumerated
     bases: the ``CellOperators`` matrix as dict columns.  Column j is the
     image of the j-th source monomial."""
     if op not in _OPS:
         raise ValueError(f"unknown operator {op!r}; expected one of {_OPS}")
-    module = op.startswith("mod_")
-    name = op.removeprefix("mod_")
-    if name == "cochain_d" and (delta is None or module and mu is None):
-        raise ValueError(f"{op} needs a cobracket handle" + (" and a comodule handle" if module else ""))
-    # the module boundary reads the layout only, not mu
-    ops = CellOperators(g, delta, (mu or AlgComodule(g)) if module else None)
-    return SparseRationalMatrix.from_int_csc(getattr(ops, name)(p, w))
+    ops = CellOperators(g, module=op.startswith("mod_"))
+    return SparseRationalMatrix.from_int_csc(getattr(ops, op.removeprefix("mod_"))(p, w))
 
 
 # -- int64 operator matrices ---------------------------------------------------
@@ -846,9 +747,8 @@ def assemble(
 #
 # where A_n is the action of the necklace n on words (``action_table``),
 # iota_n removes n from a wedge tuple with the sign (-1)^i of its place i
-# (1-based), M_n is the part of mu that splits off n, read from the
-# comodule handle's ``mu_table`` (for the canonical handle,
-# ``NecklaceContext.mu_table`` computes it for every word of a length at
+# (1-based), M_n is the part of mu that splits off n, read from
+# ``NecklaceContext.mu_table`` (computed for every word of a length at
 # once, by rank arithmetic), and eps_n inserts n with the sign
 # (-1)^{#(factors below n)} (``_insert``).  The word-side tables are shared by every
 # cell; the wedge-side tables are small.  Their product over n is numpy
@@ -891,24 +791,22 @@ def action_table(ctx: NecklaceContext, k: int, m: int, local: np.ndarray | None 
 
 class CellOperators:
     """int64 csc matrices (``linalg.int_csc``) of the boundary and the
-    cochain d out of each cell: of the wedge cells, or of the module cells
-    when a comodule handle is given.  They are the matrices of the monomial
-    emitters, with explicit zeros where terms cancel, and of the right
-    shape for any (p, w), but built from tables by numpy index arithmetic:
-    a wedge cell is an int64 array of its tuples (``wedge_cell``), the
-    wedge operators are the array emissions ``boundary_terms`` (from the
-    bracket table) and ``cochain_terms`` (from the handle's
-    ``delta_table``), and the target tuples are ranked by
-    ``cell_positions``.  The module coboundary reads mu from the handle's
-    ``mu_table``.  Handle tables are checked, and their coefficients must
-    be ints.  A cell or table over the ``CellTooLarge`` budget raises
-    before it is built."""
+    cochain d of the canonical structure out of each cell: of the wedge
+    cells, or of the module cells when ``module`` is set.  They are the
+    matrices of the monomial emitters, with explicit zeros where terms
+    cancel, and of the right shape for any (p, w), but built from tables by
+    numpy index arithmetic: a wedge cell is an int64 array of its tuples
+    (``wedge_cell``), the wedge operators are the array emissions
+    ``boundary_terms`` (from ``NecklaceContext.bracket_table``) and
+    ``cochain_terms`` (from ``NecklaceContext.delta_table``), and the
+    target tuples are ranked by ``cell_positions``.  The module coboundary
+    reads mu from ``NecklaceContext.mu_table``.  A cell or table over the
+    ``CellTooLarge`` budget raises before it is built."""
 
-    def __init__(self, g: int, delta: CobracketHandle, mu: ComoduleHandle | None = None):
+    def __init__(self, g: int, module: bool = False):
         self.g = g
         self.ctx = algebra(g)
-        self.delta = delta
-        self.mu = mu
+        self.module = module
         self._wedge: dict = {}
         self._delta: dict = {}
         self._iota: dict = {}
@@ -917,7 +815,7 @@ class CellOperators:
 
     def dim(self, p: int, w: int) -> int:
         """The dimension of the cell, counted without enumerating it."""
-        if self.mu is not None:
+        if self.module:
             return mod_layout(self.g, p, w).dim
         dim = wedge_dim(self.g, p, w)
         _check_cell("wedge", self.g, p, w, dim)
@@ -933,10 +831,10 @@ class CellOperators:
 
     def _matrix(self, op: str, p: int, w: int, tp: int):
         rows_n, cols_n = self.dim(tp, w - 2), self.dim(p, w)
-        if self.mu is None:
-            r, c, v = self._wedge_coo(op, p, w)
-        else:
+        if self.module:
             r, c, v = self._module_coo(op, p, w, tp)
+        else:
+            r, c, v = self._wedge_coo(op, p, w)
         return int_csc(rows_n, cols_n, r, c, v)
 
     # -- wedge side -----------------------------------------------------------
@@ -961,9 +859,9 @@ class CellOperators:
         return self._wedge[key]
 
     def _delta_table(self, m: int):
-        """The handle's ``delta_table(m)``, by ``_delta_csr``."""
+        """``_delta_csr`` of every necklace of weight m, kept."""
         if m not in self._delta:
-            self._delta[m] = _delta_csr(self.ctx, m, self.delta.delta_table(m))
+            self._delta[m] = _delta_csr(self.ctx, m)
         return self._delta[m]
 
     def _iota_table(self, p: int, v: int) -> dict:
@@ -1010,10 +908,6 @@ class CellOperators:
             self._act[key] = action_table(self.ctx, k, m)
         return self._act[key]
 
-    def _mu_table(self, k: int) -> dict:
-        """The handle's ``mu_table(k)``, by ``_mu_checked``."""
-        return _mu_checked(self.g, k, self.mu.mu_table(k))
-
     # -- module operators -------------------------------------------------------
 
     def _module_coo(self, op: str, p: int, w: int, tp: int):
@@ -1044,7 +938,7 @@ class CellOperators:
                     put(k, kt, a_tgt[nl] * dst.wedge_dims[kt] + t[:, None],
                         a_src[nl] * ds + j[:, None], a_sign[nl] * sg[:, None])
             else:
-                for m, (sr, nl, tr, c) in self._mu_table(k).items():
+                for m, (sr, nl, tr, c) in self.ctx.mu_table(k).items():
                     kt = k - 2 - m
                     if not dst.wedge_dims[kt]:
                         continue

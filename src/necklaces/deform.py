@@ -35,6 +35,7 @@ equivalent deformation elements A_k = (1/k!) sigma(u)^{k-1}(delta u).
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, lcm
 from typing import Sequence
 
@@ -42,7 +43,7 @@ import numpy as np
 
 from . import complexes as C
 from . import words as W
-from .errors import CellTooLarge, ConditionFailed, MinWeightTooLow, NotInN
+from .errors import CellTooLarge, ConditionFailed, GenusMismatch, MinWeightTooLow, NotInN
 from .homology import HomologyEngine
 from .lie import (
     DerivationElem, algebra, bracket, exp_derivation, mu_alg, schedler_delta,
@@ -190,28 +191,32 @@ def _as_deformation(d) -> DeformationElement:
     return d if isinstance(d, DeformationElement) else DeformationElement(d)
 
 
-def _as_deformations(defs) -> list[DeformationElement]:
+def _as_deformations(defs, g: int | None = None) -> list[DeformationElement]:
+    """The elements as a list; with g, each must be of genus g
+    (GenusMismatch)."""
     if isinstance(defs, (C.ChainVector, DeformationElement)):
         defs = [defs]
-    return [_as_deformation(d) for d in defs]
+    out = [_as_deformation(d) for d in defs]
+    for d in out:
+        if g is not None and d.g != g:
+            raise GenusMismatch(f"a deformation element of genus {d.g} for a structure of genus {g}")
+    return out
 
 
 class DeformedCobracket:
     """delta' = delta_alg + sum_k sigma(.)(A_k): one homogeneous piece per
     deformation weight, on top of the degree -2 base."""
 
-    def __init__(self, g: int, deformations, name: str = "deformed", require_in_n: bool = True):
+    def __init__(self, g: int, deformations):
         self.g = g
-        self.name = name
         self.base = C.AlgCobracket(g)
-        self.deformations = _as_deformations(deformations)
-        if require_in_n:
-            for d in self.deformations:
-                if not d.in_n:
-                    raise NotInN(
-                        "deformation element has nonzero bracket contraction: "
-                        f"{d.nabla()!r}"
-                    )
+        self.deformations = _as_deformations(deformations, g)
+        for d in self.deformations:
+            if not d.in_n:
+                raise NotInN(
+                    "deformation element has nonzero bracket contraction: "
+                    f"{d.nabla()!r}"
+                )
 
     def delta_word(self, nw: W.WordKey) -> dict[tuple[W.WordKey, W.WordKey], Coeff]:
         """Full (inhomogeneous) value on a necklace, word-level wedge map:
@@ -227,11 +232,10 @@ class DeformedCobracket:
 class DeformedComodule:
     """mu' = mu_alg + boundary(. (x) B) for 2-vectors B."""
 
-    def __init__(self, g: int, deformations, name: str = "deformed"):
+    def __init__(self, g: int, deformations):
         self.g = g
-        self.name = name
         self.base = C.AlgComodule(g)
-        self.deformations = _as_deformations(deformations)
+        self.deformations = _as_deformations(deformations, g)
         self._ctx = algebra(g)
         # boundary(m (x) B) = Gamma(m (x) B) + m (x) boundary(B), and
         # boundary(B) = -nabla(B)
@@ -265,8 +269,7 @@ def deform_delta(a, require_cojacobi_weight: int | None = None) -> DeformedCobra
     """The cobracket deformed by a kernel 2-vector; raises NotInN otherwise.
 
     coJacobi for the result is NOT automatic; pass a weight bound to have
-    it checked here, or call check_cojacobi explicitly before using the
-    handle on homology."""
+    it checked here, or call check_cojacobi explicitly."""
     defs = _as_deformations(a)
     g = defs[0].g
     handle = DeformedCobracket(g, defs)
@@ -299,16 +302,18 @@ def check_coskew(handle: DeformedCobracket, max_weight: int) -> bool:
 
 def check_cojacobi(handle, max_weight: int) -> bool:
     """Cyclic sum of (delta (x) 1) delta = 0 on all basis necklaces up to
-    max_weight, for a possibly inhomogeneous cobracket handle."""
+    max_weight, for a possibly inhomogeneous cobracket handle.  Each value
+    of the handle is computed once per check."""
     ctx = algebra(handle.g)
+    delta_of = lru_cache(maxsize=None)(handle.delta_word)
     for m in range(1, max_weight + 1):
         for nw in ctx.basis_words(m):
             acc: dict = {}
             # expand the wedge value into the raw two-tensor and apply the
             # handle to the first factor
-            for (wa, wb), c in handle.delta_word(nw).items():
+            for (wa, wb), c in delta_of(nw).items():
                 for (u, v), s in (((wa, wb), c), ((wb, wa), -c)):
-                    for (u1, u2), c2 in handle.delta_word(u).items():
+                    for (u1, u2), c2 in delta_of(u).items():
                         for (x, y), s2 in (((u1, u2), c2), ((u2, u1), -c2)):
                             axpy(acc, s * s2, (((x, y, v), 1), ((y, v, x), 1), ((v, x, y), 1)))
             if acc:
@@ -319,10 +324,12 @@ def check_cojacobi(handle, max_weight: int) -> bool:
 def check_coaction(delta_handle, mu_handle, max_weight: int, g: int,
                    sample_words=None) -> bool:
     """(1 (x) delta') mu' + (1 (x) (1 - T))(mu' (x) 1) mu' = 0 on words up
-    to the bound (our sign convention; see the verify module)."""
+    to the bound (our sign convention; see the verify module).  Each value
+    of a handle is computed once per check."""
     from itertools import product
 
-    mu_of, delta_of = mu_handle.mu_word, delta_handle.delta_word
+    mu_of = lru_cache(maxsize=None)(mu_handle.mu_word)
+    delta_of = lru_cache(maxsize=None)(delta_handle.delta_word)
     words = sample_words
     if words is None:
         words = [()]
@@ -723,13 +730,12 @@ class ExpAdCobracket:
     """The conjugated cobracket (e^{ad u} (x) e^{ad u}) delta e^{-ad u},
     evaluated lazily below a weight cutoff."""
 
-    def __init__(self, u: DerivationElem, cutoff: int, name: str = "exp_ad"):
+    def __init__(self, u: DerivationElem, cutoff: int):
         if u.min_weight() < 3 and not u.is_zero():
             raise MinWeightTooLow("conjugator components must have weight >= 3")
         self.g = u.g
         self.u = u
         self.cutoff = cutoff
-        self.name = name
 
     def delta_word(self, nw: W.WordKey) -> dict[tuple[W.WordKey, W.WordKey], Coeff]:
         """Value on a necklace in wedge normal form (pairs ordered by the
@@ -819,13 +825,12 @@ def _wedge_put(acc: dict, wa: W.WordKey, wb: W.WordKey, c: Coeff) -> None:
 class ExpAdComodule:
     """The conjugated comodule map (e^{D_u} (x) e^{ad u}) mu e^{-D_u}."""
 
-    def __init__(self, u: DerivationElem, cutoff: int, name: str = "exp_ad"):
+    def __init__(self, u: DerivationElem, cutoff: int):
         if u.min_weight() < 3 and not u.is_zero():
             raise MinWeightTooLow("conjugator components must have weight >= 3")
         self.g = u.g
         self.u = u
         self.cutoff = cutoff
-        self.name = name
 
     def mu_word(self, word: W.WordKey) -> dict[tuple[W.WordKey, W.WordKey], Coeff]:
         """Complete up to total output weight cutoff - 2, as for the

@@ -35,11 +35,11 @@ boundary, and the representatives are reduced against the canonical
 echelon form of the boundary above, one ``column_echelon_int`` pass
 stopped at that boundary's rank, which is known by then.
 
-The coboundary induced by an involutive cobracket maps H(p, w) to
+The coboundary induced by the involutive cobracket maps H(p, w) to
 H(p+1, w-2); before descending to homology the engine verifies the
 anticommutation identity at the cells involved, as certified int64
-products, and raises NotChainMap on failure (which would signal a
-non-involutive handle).
+products, and raises NotChainMap on failure (which would signal a wrong
+operator table).
 
 The alternating-sum consistency check along a diagonal s = w - 2p uses
 rank-nullity telescoping: over any computed range a <= p <= b,
@@ -134,18 +134,17 @@ class InducedMap:
 
 class HomologyEngine:
     """Caches the operator matrices, the boundary ranks (multidegree block
-    ranks) and the homology spaces per cell for a fixed genus, cobracket
-    handle and comodule handle.  Each boundary is block-ranked once.  On
+    ranks) and the homology spaces per cell for a fixed genus, of the Lie
+    complex or, with ``module``, of the module complex of the canonical
+    structure.  Each boundary is block-ranked once.  On
     a cell whose homology does not vanish, ``homology()`` adds a
     ``kernel_basis`` pass over the cell's boundary and one echelon pass,
     stopped at the known rank, over the boundary above."""
 
-    def __init__(self, g: int, delta=None, mu=None, module: bool = False):
+    def __init__(self, g: int, module: bool = False):
         self.g = g
         self.module = module
-        self.delta = delta if delta is not None else C.AlgCobracket(g)
-        self.mu = mu if mu is not None else (C.AlgComodule(g) if module else None)
-        self._ops = C.CellOperators(g, self.delta, self.mu if module else None)
+        self._ops = C.CellOperators(g, module)
         self._int: dict[tuple[str, int, int], object] = {}
         self._columns: dict[tuple[str, int, int], SparseRationalMatrix] = {}
         self._ranks: dict[tuple[int, int], dict[Multidegree, int]] = {}
@@ -374,7 +373,7 @@ class HomologyEngine:
         tgt = self.homology(p + 1, w - 2)
         if not self.check_anticommutator(p, w) or not self.check_anticommutator(p + 1, w + 2):
             raise NotChainMap(
-                f"anticommutation fails near cell (p={p}, w={w}); the handle "
+                f"anticommutation fails near cell (p={p}, w={w}); the coboundary "
                 "does not descend to homology here"
             )
         cols = []
@@ -607,8 +606,8 @@ def homology_report(
     return {
         "g": engine.g,
         "module": engine.module,
-        "delta": engine.delta.name,
-        "mu": engine.mu.name if engine.mu is not None else None,
+        "delta": "alg",
+        "mu": "alg" if engine.module else None,
         "p_range": [p0, p1],
         "w_range": [w0, w1],
         "cells": cells,

@@ -358,7 +358,7 @@ def bracket_oracle_sweep(g: int, max_weight_sum: int) -> dict:
 # out of the cell.  The operator matrices are int64 csc matrices from
 # ``complexes.CellOperators``, which assembles a module operator from its
 # word and wedge factors; the products are computed by the certified int64
-# sparse engine (the operator matrices for the canonical handles have small
+# sparse engine (the operator matrices of the canonical structure have small
 # integer entries, and the overflow bound is checked before any product is
 # trusted).
 
@@ -366,7 +366,7 @@ def bracket_oracle_sweep(g: int, max_weight_sum: int) -> dict:
 def matrix_identity_suite(g: int, pmax: int, wmax: int, module: bool = False) -> dict:
     """boundary^2 = 0, d^2 = 0 and the anticommutator identity on every
     cell p <= pmax, w <= wmax, as exact matrix identities."""
-    ops = C.CellOperators(g, C.AlgCobracket(g), C.AlgComodule(g) if module else None)
+    ops = C.CellOperators(g, module)
     # size every cell the suite reads before building any operator, so that
     # a range with a cell over the budget fails at once (CellTooLarge)
     for w in range(wmax + 1):

@@ -13,6 +13,13 @@ from necklaces.cli import main, parse_element, parse_range, parse_wedge
 from necklaces.complexes import ChainVector, WedgeBasis, wedge_basis
 from necklaces.lie import algebra
 
+# 2-vectors in the kernel of the bracket contraction, of genus 1 and of genus 2
+KERNEL_FILES = {
+    "G1": {"g": 1, "p": 2, "w": 4, "terms": [{"wedge": ["a1", "a1 a1 a1"], "coeff": "1"}]},
+    "G2": {"g": 2, "p": 2, "w": 4, "terms": [{"wedge": ["a1", "a1 b1 a2"], "coeff": "-1"},
+                                             {"wedge": ["a1", "a1 a2 b1"], "coeff": "1"}]},
+}
+
 
 class TestParseElement:
     def test_necklace(self):
@@ -185,9 +192,20 @@ class TestCliCommands:
             ["deform", "--g", "1", "--A", "N(a1)^N(b1)", "--cells", "{}"],
             ["deform", "--g", "1", "--A", "N(a1)^N(b1)", "--mod-cells", "[[1,2,3]]", "--check-all"],
             ["deform", "--g", "1", "--A", "N(a1)^N(b1)", "--mod-cells", "[[0,1.5]]", "--check-all"],
+            # a deformation element whose genus is not --g (@G1, @G2: files of genus 1 and 2)
+            ["cobracket", "--g", "1", "N(a1 b1 a1 b1)", "--delta", "deformed:@G2"],
+            ["mu", "--g", "1", "a1 b1 a1 b1", "--mu", "deformed:@G2"],
+            ["cobracket", "--g", "2", "N(a1 b1 a2 b2 a1)", "--delta", "deformed:@G1"],
+            ["mu", "--g", "2", "a1 b1 a2 b2", "--mu", "deformed:@G1"],
+            ["deform", "--g", "1", "--A-file", "@G2", "--check-lemma31"],
+            ["deform", "--g", "1", "--A-file", "@G2"],
         ],
     )
-    def test_usage_error_exit_2(self, argv, capsys):
+    def test_usage_error_exit_2(self, argv, tmp_path, capsys):
+        for name, data in KERNEL_FILES.items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(data))
+            argv = [arg.replace(f"@{name}", str(path)) for arg in argv]
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
 

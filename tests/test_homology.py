@@ -37,6 +37,19 @@ def exact_pivots(pivots: dict) -> list:
     return [(lead, exact([vec])) for lead, vec in pivots.items()]
 
 
+def _broken_delta(eng: HomologyEngine, coeff) -> HomologyEngine:
+    """The genus-1 engine with the cobracket table of every weight-4
+    necklace replaced by coeff N(a1) ^ N(b1)."""
+    ctx, table = algebra(1), eng._ops._delta_table
+    count = necklace_count(1, 4)
+    broken = (np.arange(count + 1, dtype=np.int64),
+              np.full(count, ctx.index_of_word((0,)), dtype=np.int64),
+              np.full(count, ctx.index_of_word((1,)), dtype=np.int64),
+              np.array([coeff] * count))
+    eng._ops._delta_table = lambda m: broken if m == 4 else table(m)
+    return eng
+
+
 class TestLieHomology:
     def test_ground_field(self):
         for g in (1, 2):
@@ -145,21 +158,8 @@ class TestInducedMaps:
         )
 
     def test_not_chain_map_on_bad_handle(self):
-        class BrokenDelta:
-            g = 1
-            name = "broken"
-
-            def __init__(self):
-                self._ctx = algebra(1)
-                self._a = self._ctx.index_of_word((0,))
-                self._b = self._ctx.index_of_word((1,))
-
-            def delta_table(self, m, local=None):
-                necks = range(necklace_count(1, m)) if local is None else local.tolist()
-                rows = [(n, self._a, self._b, 1) for n in necks if m == 4]
-                return np.array(rows, dtype=np.int64).reshape(-1, 4).T
-
-        eng = HomologyEngine(1, delta=BrokenDelta())
+        # the anticommutation check refuses to descend to homology
+        eng = _broken_delta(HomologyEngine(1), 1)
         with pytest.raises(NotChainMap):
             eng.induced_d(1, 4)
 
@@ -356,24 +356,10 @@ class TestElimination:
         assert eng.boundary_rank(p, w) == len(want)
 
     def test_fraction_coefficient_raises(self):
-        # a handle coefficient that is not an int is refused on the way
-        # into int64, where the cast would have truncated 1/2 to 0
-        class HalfDelta:
-            g = 1
-            name = "half"
-
-            def __init__(self):
-                self._ctx = algebra(1)
-                self._a = self._ctx.index_of_word((0,))
-                self._b = self._ctx.index_of_word((1,))
-
-            def delta_table(self, m, local=None):
-                necks = range(necklace_count(1, m)) if local is None else local.tolist()
-                rows = [(n, self._a, self._b, Fraction(1, 2)) for n in necks if m == 4]
-                return np.array(rows, dtype=object if rows else np.int64).reshape(-1, 4).T
-
-        eng = HomologyEngine(1, delta=HalfDelta())
-        assert eng.homology_dim(1, 4) >= 0  # boundaries do not read the handle
+        # a table coefficient that is not an int is refused on the way into
+        # int64, where the cast would have truncated 1/2 to 0
+        eng = _broken_delta(HomologyEngine(1), Fraction(1, 2))
+        assert eng.homology_dim(1, 4) >= 0  # boundaries do not read the cobracket
         with pytest.raises(TypeError):
             eng.cochain_matrix(1, 4)
         with pytest.raises(TypeError):

@@ -197,10 +197,10 @@ def test_exact_term_arithmetic_lives_in_tensors():
 
 
 def test_handles_have_one_index_level_form():
-    # a cobracket or comodule handle gives its index-level values as a
-    # table only (delta_table(m, local), mu_table(k, local)): no def,
-    # attribute or name in the package is a per-item form or the adapter
-    # that read a table off one
+    # the index-level values of the structure maps are the tables of
+    # NecklaceContext only (delta_table(m, local), mu_table(k, local)): no
+    # def, attribute or name in the package is a per-item form or the
+    # adapter that read a table off a handle
     gone = {"wedge_terms", "mu_terms", "delta_table_of"}
     found = [
         f"{name} in {path.name} at line {node.lineno}"
@@ -263,3 +263,41 @@ def test_one_deformation_element():
                 ]
     assert len(classes) == 1
     assert not found, f"a second form of the deformation element: {found}"
+
+
+HANDLES = {"AlgCobracket", "AlgComodule", "DeformedCobracket", "DeformedComodule",
+           "ExpAdCobracket", "ExpAdComodule"}
+
+
+def test_matrix_path_reads_the_canonical_tables():
+    # the matrices and the chain-vector coboundaries read NecklaceContext's
+    # tables: no other class under src/ defines delta_table or mu_table, the
+    # matrix entry points take no cobracket or comodule handle, and no
+    # handle takes or keeps a name
+    entry = {("complexes.py", "CellOperators.__init__"), ("homology.py", "HomologyEngine.__init__"),
+             ("complexes.py", "assemble"), ("complexes.py", "cochain_d"),
+             ("complexes.py", "mod_cochain_d")}
+    found, seen, handles = [], set(), set()
+    for path in sorted(SRC.parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        fns = [(fn.name, fn) for fn in tree.body if isinstance(fn, ast.FunctionDef)]
+        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+            fns += [(f"{cls.name}.{fn.name}", fn) for fn in cls.body if isinstance(fn, ast.FunctionDef)]
+            found += [f"{cls.name}.{fn.name} in {path.name} at line {fn.lineno}" for fn in cls.body
+                      if isinstance(fn, ast.FunctionDef) and fn.name in {"delta_table", "mu_table"}
+                      and cls.name != "NecklaceContext"]
+            if cls.name in HANDLES:
+                handles.add(cls.name)
+                found += [f"{cls.name} name at line {node.lineno} in {path.name}"
+                          for node in ast.walk(cls)
+                          if isinstance(node, ast.arg) and node.arg == "name"
+                          or isinstance(node, ast.Attribute) and node.attr == "name"
+                          or isinstance(node, ast.Name) and node.id == "name"
+                          and isinstance(node.ctx, ast.Store)]
+        for name, fn in fns:
+            if (path.name, name) in entry:
+                seen.add((path.name, name))
+                found += [f"{name} takes {a.arg} in {path.name}" for a in ast.walk(fn.args)
+                          if isinstance(a, ast.arg) and a.arg in {"delta", "mu"}]
+    assert seen == entry and handles == HANDLES
+    assert not found, f"the table-handle extension point is back: {found}"
