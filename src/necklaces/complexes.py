@@ -39,7 +39,9 @@ on chain vectors emit through the same ``boundary_terms`` and
 ``cochain_terms`` on the tuples of the vector's support only, and so do
 the deformation checks and pieces in ``necklaces.deform`` on theirs; the
 checks read every bracket from ``table_bracket``, or from ``_pair_bracket``
-where that table is over the budget.
+where that table is over the budget.  Gamma and sigma have one emitter
+each, ``gamma_terms`` and ``sigma_terms``, read here and by
+``necklaces.deform``.
 """
 
 from bisect import bisect_right
@@ -441,7 +443,8 @@ def _sort_wedge(idxs: WedgeKey):
 # out as (source row, target tuples, coeff) arrays, the target tuples
 # sorted, and no term where an inserted index is already a factor.  The
 # bracket and the cobracket are read from the necklace tables of
-# ``NecklaceContext``, gathered per weight of the factors they act on.
+# ``NecklaceContext``, gathered per weight of the factors they act on;
+# Gamma and sigma rotate and bracket the necklaces present only.
 
 
 def _gather(indptr: np.ndarray, rows: np.ndarray):
@@ -519,6 +522,58 @@ def cochain_terms(ctx: NecklaceContext, table, tuples: np.ndarray):
     return _joined(parts, 0, (0, p + 1), 0)
 
 
+def _act_pairs(ctx: NecklaceContext, k: int, m: int, ranks: np.ndarray, local: np.ndarray):
+    """The action of the necklace offset(m) + local[q] on the word of
+    length k of rank ranks[q], for each q: arrays (q, target rank, sign),
+    the terms of ``action_table`` for those pairs only."""
+    base = 2 * ctx.g
+    nu, at = np.unique(local, return_inverse=True)
+    rots = ctx.rotations(m, nu)[at]  # rotation a of pair q in [q, a]
+    y = rots[:, :, 0] ^ 1  # the word letter that pairs with the first letter
+    tail = rots[:, :, 1:] @ base ** np.arange(m - 2, -1, -1, dtype=np.int64)
+    parts = []
+    for pos in range(k):
+        low = base ** (k - 1 - pos)
+        q, a = np.nonzero(y == (ranks // low % base)[:, None])
+        r = ranks[q]
+        tgt = (r // (low * base) * base ** (m - 1) + tail[q, a]) * low + r % low
+        parts.append((q, tgt, np.where(y[q, a] % 2 == 1, 1, -1)))
+    return _joined(parts, 0, 0, 0)
+
+
+def gamma_terms(ctx: NecklaceContext, k: int, ranks: np.ndarray, tuples: np.ndarray):
+    """Gamma on (the word of length k and rank ranks[q]) (x) tuples[q] for
+    each row q of an int64 array of sorted tuples (n, p), of any cells: each
+    X_i acts on the word (``_act_pairs``) and is removed with the sign (-1)^i
+    (1-based).  Arrays (q, target length, target rank, target tuple, sign)."""
+    p = tuples.shape[1]
+    parts = []
+    for ii in range(p if k else 0):
+        rest = np.delete(tuples, ii, axis=1)
+        s0 = -1 if ii % 2 == 0 else 1  # (-1)^i, 1-based
+        for m, rows, local in ctx.weight_groups(tuples[:, ii]):
+            j, tw, sign = _act_pairs(ctx, k, m, ranks[rows], local)
+            parts.append((rows[j], np.full(len(j), k + m - 2), tw, rest[rows[j]], s0 * sign))
+    return _joined(parts, 0, 0, 0, (0, max(p - 1, 0)), 0)
+
+
+def sigma_terms(ctx: NecklaceContext, necks: np.ndarray, tuples: np.ndarray):
+    """sigma(N_n)(t) = sum_i X_1 ^ ... ^ [N_n, X_i] ^ ... ^ X_p for each n =
+    necks[j] and each row t of an int64 array of sorted tuples (r, p):
+    arrays (pair j * r + row, target tuple, coeff).  Each bracket of a pair
+    present (``NecklaceContext.bracket_pairs``) is inserted by ``_insert``,
+    with the sign (-1)^{i-1} (1-based) of moving X_i to the front."""
+    r, p = tuples.shape
+    parts = []
+    for ii in range(p):
+        indptr, new, coeff = ctx.bracket_pairs(np.repeat(necks, r), np.tile(tuples[:, ii], len(necks)))
+        q = np.repeat(np.arange(len(necks) * r), np.diff(indptr))
+        new, sign, clash = _insert(np.delete(tuples, ii, axis=1)[q % r], new[:, None])
+        keep = ~clash
+        parts.append((q[keep], new[keep], ((-1) ** ii * sign * coeff)[keep]))
+    return _joined(parts, 0, (0, p), 0)
+
+
 def _delta_csr(ctx: NecklaceContext, m: int, local: np.ndarray | None = None) -> tuple:
     """``NecklaceContext.delta_table(m, local)`` in CSR form over the
     necklaces of weight m (``tensors._csr``): (indptr, a, b, coeff)."""
@@ -541,25 +596,6 @@ def _pair_bracket(ctx: NecklaceContext, m1: int, first: np.ndarray, m2: int, sec
     ``NecklaceContext.bracket_pairs``."""
     indptr, target, coeff = ctx.bracket_pairs(first + ctx.offset(m1), second + ctx.offset(m2))
     return np.repeat(np.arange(len(first)), np.diff(indptr)), target, coeff
-
-
-def _act_pairs(ctx: NecklaceContext, k: int, m: int, ranks: np.ndarray, local: np.ndarray):
-    """The action of the necklace offset(m) + local[q] on the word of
-    length k of rank ranks[q], for each q: arrays (q, target rank, sign),
-    the terms of ``action_table`` for those pairs only."""
-    base = 2 * ctx.g
-    nu, at = np.unique(local, return_inverse=True)
-    rots = ctx.rotations(m, nu)[at]  # rotation a of pair q in [q, a]
-    y = rots[:, :, 0] ^ 1  # the word letter that pairs with the first letter
-    tail = rots[:, :, 1:] @ base ** np.arange(m - 2, -1, -1, dtype=np.int64)
-    parts = []
-    for pos in range(k):
-        low = base ** (k - 1 - pos)
-        q, a = np.nonzero(y == (ranks // low % base)[:, None])
-        r = ranks[q]
-        tgt = (r // (low * base) * base ** (m - 1) + tail[q, a]) * low + r % low
-        parts.append((q, tgt, np.where(y[q, a] % 2 == 1, 1, -1)))
-    return _joined(parts, 0, 0, 0)
 
 
 def _support_delta(ctx: NecklaceContext, tuples: np.ndarray):
@@ -621,10 +657,8 @@ def boundary(x: ChainVector) -> ChainVector:
 
 
 def sigma_wedge(y: DerivationElem, x: ChainVector) -> ChainVector:
-    """Diagonal action of a weight-homogeneous derivation on a wedge cell:
-    each factor X_i of a monomial is replaced by the terms of [Y, X_i]
-    (``NecklaceContext.bracket_pairs``), inserted by ``_insert``, with the
-    sign (-1)^{i-1} (1-based) of moving X_i to the front."""
+    """Diagonal action of a weight-homogeneous derivation on a wedge cell,
+    emitted by ``sigma_terms`` on the vector's support."""
     ws = y.weight_support()
     if len(ws) > 1:
         raise ValueError("sigma_wedge needs a weight-homogeneous derivation")
@@ -632,20 +666,11 @@ def sigma_wedge(y: DerivationElem, x: ChainVector) -> ChainVector:
     if y.g != g:
         raise GenusMismatch(f"genus {y.g} != {g}")
     target = wedge_basis(g, p, max(w + ws[0] - 2, 0) if ws else w)
-    ctx, n = algebra(g), len(x.coeffs)
+    ctx = algebra(g)
     necks = np.array([ctx.index_of_word(nw) for nw in y.terms], dtype=np.int64)
-    tuples = wedge_cell(g, p, w)[_support(x)]
-    parts = []
-    for ii in range(p):
-        # pair q = (position of the necklace in y) * n + row of the tuple
-        indptr, new, coeff = ctx.bracket_pairs(
-            np.repeat(necks, n), np.tile(tuples[:, ii], len(necks)))
-        q = np.repeat(np.arange(len(necks) * n), np.diff(indptr))
-        new, sign, clash = _insert(np.delete(tuples, ii, axis=1)[q % n], new[:, None])
-        keep = ~clash
-        parts.append((q[keep], _ranked(g, p, target.w, new[keep]), ((-1) ** ii * sign * coeff)[keep]))
+    q, new, coeff = sigma_terms(ctx, necks, wedge_cell(g, p, w)[_support(x)])
     coeffs = [cy * cx for cy in y.terms.values() for cx in x.coeffs.values()]
-    return _image(ChainVector, target, coeffs, parts)
+    return _image(ChainVector, target, coeffs, [(q, _ranked(g, p, target.w, new), coeff)])
 
 
 def cochain_d(x: ChainVector) -> ChainVector:
@@ -669,13 +694,11 @@ def mod_boundary(x: ModChainVector) -> ModChainVector:
         tuples = wedge_cell(g, p, w - k)[pos]
         src, new, coeff = boundary_terms(ctx, tuples, _pair_bracket)
         parts.append((q[src], _at(dst, k, ranks[src], _ranked(g, p - 1, w - k - 2, new)), coeff))
-        for ii in range(p if k else 0):  # Gamma: X_i acts on the word
-            rest = np.delete(tuples, ii, axis=1)
-            s0 = -1 if ii % 2 == 0 else 1  # (-1)^i, 1-based
-            for m, rows, local in ctx.weight_groups(tuples[:, ii]):
-                j, tw, sign = _act_pairs(ctx, k, m, ranks[rows], local)
-                at = _ranked(g, p - 1, w - k - m, rest[rows[j]])
-                parts.append((q[rows[j]], _at(dst, k + m - 2, tw, at), s0 * sign))
+        j, tl, tw, rest, sign = gamma_terms(ctx, k, ranks, tuples)
+        for length in np.unique(tl).tolist():
+            at = np.flatnonzero(tl == length)
+            pos = _ranked(g, p - 1, w - 2 - length, rest[at])
+            parts.append((q[j[at]], _at(dst, length, tw[at], pos), sign[at]))
     return _image(ModChainVector, target, list(x.coeffs.values()), parts)
 
 
@@ -755,21 +778,19 @@ def assemble(op: str, g: int, p: int, w: int) -> SparseRationalMatrix:
 # index arithmetic, so no module monomial and no word is ever enumerated.
 
 
-def action_table(ctx: NecklaceContext, k: int, m: int, local: np.ndarray | None = None):
-    """The action of necklaces of weight m on the words of length k, as rank
-    arrays (src, tgt, sign) of shape (necklaces, terms): row i is the
-    necklace offset(m) + i, or offset(m) + local[i] when ``local`` is given
-    (then only those necklaces are rotated).  Each row has the same terms,
-    one per (position, rotation, word with the paired letter at that
-    position), as ``NecklaceContext.act_word`` lists them.  Sized with
-    ``CellTooLarge`` first."""
+def action_table(ctx: NecklaceContext, k: int, m: int):
+    """The action of the necklaces of weight m on the words of length k, as
+    rank arrays (src, tgt, sign) of shape (necklaces, terms): row i is the
+    necklace offset(m) + i.  Each row has the same terms, one per
+    (position, rotation, word with the paired letter at that position), as
+    ``NecklaceContext.act_word`` lists them.  Sized with ``CellTooLarge``
+    first."""
     base = 2 * ctx.g
-    count = necklace_count(ctx.g, m) if local is None else len(local)
     CellTooLarge.check(
         f"the action table of the weight-{m} necklaces on the words of length {k}",
-        count * m * k * base ** (k - 1),
+        necklace_count(ctx.g, m) * m * k * base ** (k - 1),
     )
-    rots = ctx.rotations(m, local)  # rotation a in row a
+    rots = ctx.rotations(m)  # rotation a in row a
     y = rots[:, :, :1] ^ 1  # the word letter that pairs with the first letter
     # rank of the tail, a base-2g number with its first letter most significant
     tail = (rots[:, :, 1:] @ base ** np.arange(m - 2, -1, -1, dtype=np.int64))[:, :, None]

@@ -62,7 +62,9 @@ class DeformationElement:
     ``_denominator`` the lcm of A's coefficient denominators: ``pairs``
     and ``coeffs``, its terms; ``nabla_factors`` and ``nabla_coeffs``,
     those of nabla(L*A); and per weight the sigma table (``sigma_csr``).
-    Coefficient arrays are ``tensors._exact``."""
+    Coefficient arrays are ``tensors._exact``.  The rational values, of
+    ``sigma_of`` and of the comodule pieces, are read from these arrays
+    and divided by L once."""
 
     def __init__(self, chain: C.ChainVector):
         if chain.basis.p != 2:
@@ -103,39 +105,20 @@ class DeformationElement:
             self._sigma_memo[x_idx] = memo
         return memo
 
-    def sigma_csr(self, m: int, local: np.ndarray | None = None):
-        """sigma(X)(L*A) = sum over the pairs of L*A of alpha ([X, N_a] ^
-        N_b + N_a ^ [X, N_b]) for every necklace X of weight m, or for
-        those offset(m) + local (sorted, distinct), in CSR form over them:
-        (indptr, a, b, coeff), a < b, summed, int coefficients; the table
-        form that ``complexes.cochain_terms`` reads.  Only the necklaces
-        asked for are bracketed with A's (``complexes._pair_bracket``).
-        The whole weight is memoised; with ``local``, the rows are gathered
-        from it when it is memoised and built alone otherwise, as in
-        ``NecklaceContext.rotations``."""
+    def sigma_csr(self, m: int):
+        """sigma(X)(L*A) for every necklace X of weight m, in CSR form over
+        them: (indptr, a, b, coeff), a < b, summed, int coefficients; the
+        table form that ``complexes.cochain_terms`` reads.  Emitted by
+        ``complexes.sigma_terms`` with A's pairs as the tuples, each term
+        times the coefficient of its pair, and memoised per weight."""
         table = self._sigma.get(m)
-        if table is not None and local is not None:
-            indptr, a, b, c = table
-            _, at = C._gather(indptr, local)
-            return np.concatenate([[0], np.cumsum(np.diff(indptr)[local])]), a[at], b[at], c[at]
         if table is None:
             ctx, nq = algebra(self.g), len(self.coeffs)
             count = len(ctx.basis_words(m))  # an index names a necklace once its weight is enumerated
-            rows = np.arange(count, dtype=np.int64) if local is None else local
-            x, q = np.repeat(np.arange(len(rows)), nq), np.tile(np.arange(nq), len(rows))
-            parts = []
-            # each bracket term k is wedged with the other factor of the pair:
-            # k ^ N_b from [X, N_a], and N_a ^ k = -(k ^ N_a) from [X, N_b];
-            # A's necklaces are global indices (offset(0) is 0)
-            for side, sgn in ((0, 1), (1, -1)):
-                which, target, coeff = C._pair_bracket(ctx, m, rows[x], 0, self.pairs[q, side])
-                new, sign, clash = C._insert(self.pairs[q[which], 1 - side, None], target[:, None])
-                keep = ~clash
-                c = _product(self.coeffs[q[which]][keep], (sgn * sign * coeff)[keep])
-                parts.append((x[which][keep], new[keep, 0], new[keep, 1], c))
-            table = _csr(parts, len(rows), 2)
-            if local is None:
-                self._sigma[m] = table
+            necks = ctx.offset(m) + np.arange(count, dtype=np.int64)
+            pair, new, coeff = C.sigma_terms(ctx, necks, self.pairs)
+            c = _product(self.coeffs[pair % nq], coeff)
+            table = self._sigma[m] = _csr([(pair // nq, new[:, 0], new[:, 1], c)], count, 2)
         return table
 
     def to_json_dict(self) -> dict:
@@ -237,24 +220,23 @@ class DeformedComodule:
         self.base = C.AlgComodule(g)
         self.deformations = _as_deformations(deformations, g)
         self._ctx = algebra(g)
-        # boundary(m (x) B) = Gamma(m (x) B) + m (x) boundary(B), and
-        # boundary(B) = -nabla(B)
-        self._nablas = [d.nabla() for d in self.deformations]
 
     def piece_terms(self, d_index: int, word: W.WordKey):
-        """The mu'(m) - mu(m) contribution of one deformation element."""
-        ctx = self._ctx
-        d = self.deformations[d_index]
+        """The mu'(m) - mu(m) contribution of one deformation element B:
+        boundary(m (x) B) = Gamma(m (x) B) + m (x) boundary(B), and
+        boundary(B) = -nabla(B).  Read from the int arrays of L*B and
+        divided by L once."""
+        ctx, d = self._ctx, self.deformations[d_index]
         out = []
-        for (a, b), beta in d.chain.terms():
+        for (a, b), beta in zip(d.pairs.tolist(), d.coeffs.tolist()):
             # Gamma(m (x) N_a ^ N_b) = -(N_a m) (x) N_b + (N_b m) (x) N_a
             for w2, s in ctx.act_word(ctx.word_at(a), word):
                 out.append((w2, b, -beta * s))
             for w2, s in ctx.act_word(ctx.word_at(b), word):
                 out.append((w2, a, beta * s))
-        for nw, c in self._nablas[d_index].terms.items():
-            out.append((word, ctx.index_of_word(nw), -c))
-        return out
+        out.extend((word, n, -c) for n, c in zip(d.nabla_factors[:, 0].tolist(), d.nabla_coeffs.tolist()))
+        den = d._denominator
+        return out if den == 1 else [(w2, n, Fraction(c, den)) for w2, n, c in out]
 
     def mu_word(self, word: W.WordKey) -> dict[tuple[W.WordKey, W.WordKey], Coeff]:
         """mu'(word): the base comodule map plus every ``piece_terms``."""
@@ -321,8 +303,7 @@ def check_cojacobi(handle, max_weight: int) -> bool:
     return True
 
 
-def check_coaction(delta_handle, mu_handle, max_weight: int, g: int,
-                   sample_words=None) -> bool:
+def check_coaction(delta_handle, mu_handle, max_weight: int, g: int) -> bool:
     """(1 (x) delta') mu' + (1 (x) (1 - T))(mu' (x) 1) mu' = 0 on words up
     to the bound (our sign convention; see the verify module).  Each value
     of a handle is computed once per check."""
@@ -330,11 +311,9 @@ def check_coaction(delta_handle, mu_handle, max_weight: int, g: int,
 
     mu_of = lru_cache(maxsize=None)(mu_handle.mu_word)
     delta_of = lru_cache(maxsize=None)(delta_handle.delta_word)
-    words = sample_words
-    if words is None:
-        words = [()]
-        for m in range(1, max_weight + 1):
-            words.extend(product(range(2 * g), repeat=m))
+    words = [()]
+    for m in range(1, max_weight + 1):
+        words.extend(product(range(2 * g), repeat=m))
     for word in words:
         acc: dict = {}
         mw = mu_of(word)
@@ -356,16 +335,16 @@ def check_coaction(delta_handle, mu_handle, max_weight: int, g: int,
 # its words by rank).  Every operator is emitted on an array of tuples as
 # (source row, target, coeff) terms: A ^ x by inserting A's pairs
 # (``_wedge_into``), the boundary by ``complexes.boundary_terms``, the
-# sigma sum by ``complexes.cochain_terms`` over A's sigma table, and the
-# action of necklaces on words by ``complexes.action_table``.  A side is
-# composed with the next operator by emitting that operator on the side's
-# target tuples, so the intermediate cell (p+2, w + wt A) is never built or
-# ranked.  The identity holds on a block of source rows, _CHUNK insertions
-# at a time, iff the terms of LHS - RHS sum to zero (``tensors._vanishes``).
-# Every bracket comes from ``_plain_bracket``: the shared whole-weight
-# table, or the pairs present where that table is over the budget.  The
-# action on words is tabled for the necklaces present only, so no table
-# over the budget is built.
+# sigma sum by ``complexes.cochain_terms`` over A's sigma table (itself
+# emitted by ``complexes.sigma_terms``), and Gamma by
+# ``complexes.gamma_terms``.  A side is composed with the next operator by
+# emitting that operator on the side's target tuples, so the intermediate
+# cell (p+2, w + wt A) is never built or ranked.  The identity holds on a
+# block of source rows, _CHUNK insertions at a time, iff the terms of LHS -
+# RHS sum to zero (``tensors._vanishes``).  Every bracket comes from
+# ``_plain_bracket``: the shared whole-weight table, or the pairs present
+# where that table is over the budget.  Gamma acts by the necklaces of the
+# pairs present only, so no action table over the budget is built.
 
 _CHUNK = 4096  # source rows times insertions per block of an identity check
 
@@ -451,32 +430,14 @@ def assemble_sigma_piece(a: DeformationElement, p: int, w: int) -> SparseRationa
 # word, tuple).
 
 
-def _action_terms(ctx, k: int, necks: np.ndarray):
-    """N_n acting on every word of length k, for each entry n of an int64
-    array of necklace indices: arrays (entry, source word, target length,
-    target word, sign), words by rank, from ``complexes.action_table`` of
-    the necklaces present (never of a whole weight)."""
-    parts = []
-    for m, rows, local in ctx.weight_groups(necks) if k else ():
-        present, at = np.unique(local, return_inverse=True)
-        src, tgt, sign = (t[at] for t in C.action_table(ctx, k, m, present))
-        nt = src.shape[1]
-        parts.append((np.repeat(rows, nt), src.ravel(), np.full(len(rows) * nt, k + m - 2),
-                      tgt.ravel(), sign.ravel()))
-    return _joined(parts, 0, 0, 0, 0, 0)
-
-
 def _gamma_terms(ctx, k: int, tuples: np.ndarray):
-    """Gamma on (every word of length k) (x) (every row of tuples): the
-    action of each factor X_i on the word, X_i removed with the sign (-1)^i
-    (1-based) times the sign of the action; arrays (row, source word,
-    target length, target word, target tuple, sign)."""
-    parts = []
-    for ii in range(tuples.shape[1]):
-        e, sw, tl, tw, sign = _action_terms(ctx, k, tuples[:, ii])
-        s0 = -1 if ii % 2 == 0 else 1  # (-1)^i, 1-based
-        parts.append((e, sw, tl, tw, np.delete(tuples, ii, axis=1)[e], s0 * sign))
-    return _joined(parts, 0, 0, 0, 0, (0, max(tuples.shape[1] - 1, 0)), 0)
+    """``complexes.gamma_terms`` on (every word of length k) (x) (every row
+    of tuples): arrays (row, source word, target length, target word,
+    target tuple, sign), words by rank."""
+    n = len(tuples)
+    words = (2 * ctx.g) ** k
+    q, tl, tw, rest, sign = C.gamma_terms(ctx, k, np.repeat(np.arange(words), n), np.tile(tuples, (words, 1)))
+    return q % n, q // n, tl, tw, rest, sign
 
 
 def _on_words(g: int, k: int, rows: int, row, tuples, coeff):
@@ -498,14 +459,13 @@ def _mod_piece_terms(ctx, a, b: DeformationElement, k: int, x: np.ndarray):
     """The piece (mu' - mu)(m) ^ xi - m (x) (d' - d) xi on every word m of
     length k times every row xi of x, mu' from B and d' from A (None when
     the cobracket is not deformed): a list of (source, target, coeff)
-    parts.  mu' - mu = boundary(m (x) B) is Gamma(m (x) N_a ^ N_b) = -(N_a
-    m) (x) N_b + (N_b m) (x) N_a per pair of B, plus m (x) -nabla(B)."""
-    acting = np.concatenate([b.pairs[:, 0], b.pairs[:, 1]])
-    partner = np.concatenate([b.pairs[:, 1], b.pairs[:, 0]])[:, None]
-    row, f, tup, coeff = _wedge_into(x, partner, np.concatenate([-b.coeffs, b.coeffs]))
-    e, sw, tl, tw, sign = _action_terms(ctx, k, acting[f])
+    parts.  mu' - mu = boundary(m (x) B) is Gamma(m (x) B), taken on B's
+    pairs with its remaining factor then wedged into xi, plus m (x)
+    -nabla(B)."""
+    e, sw, tl, tw, factor, sign = _gamma_terms(ctx, k, b.pairs)
+    row, f, tup, coeff = _wedge_into(x, factor, _product(b.coeffs[e], sign))
     n, _, t_nabla, c_nabla = _wedge_into(x, b.nabla_factors, -b.nabla_coeffs)
-    parts = [_moved(len(x), row[e], sw, tl, tw, tup[e], _product(coeff[e], sign)),
+    parts = [_moved(len(x), row, sw[f], tl[f], tw[f], tup, coeff),
              _on_words(ctx.g, k, len(x), n, t_nabla, c_nabla)]
     if a is not None:
         r, t_sigma, c_sigma = C.cochain_terms(ctx, a.sigma_csr, x)
@@ -644,30 +604,18 @@ def verify_deformation_invariance(
     # necklaces up to the bound.  This is the relation under which the
     # module coboundary difference is the commutator of the module boundary
     # with wedging by B (checked at matrix level by mod_homotopy_check), so
-    # it is what makes the module induced maps provably agree.
-    ctx = algebra(g)
-    neg = a_defs is not b_defs and (
-        len(a_defs) == len(b_defs)
-        and all(
-            da.weight == db.weight and da.chain == db.chain.scale(-1)
-            for da, db in zip(a_defs, b_defs)
-        )
-    )
-    if not neg:
-        def sigma_table(defs, x_idx, sign=1):
-            acc: dict = {}
-            for d in defs:
-                axpy(acc, sign, (((d.weight, x, y), c) for x, y, c in d.sigma_of(x_idx)))
-            return acc
-
-        for m in range(1, check_weight + 1):
-            for nw in ctx.basis_words(m):
-                x_idx = ctx.index_of_word(nw)
-                if sigma_table(b_defs, x_idx) != sigma_table(a_defs, x_idx, sign=-1):
-                    raise ConditionFailed(
-                        "sigma_AB",
-                        f"sigma(N({W.word_name(nw)}))(B) != -sigma(...)(A)",
-                    )
+    # it is what makes the module induced maps provably agree.  sigma(X) is
+    # linear, so it holds iff sigma(X) kills the sum of A's and B's chains
+    # of each weight: every sigma table of that sum is empty.
+    chains: dict = {}
+    for d in a_defs + b_defs:
+        chains[d.weight] = chains[d.weight] + d.chain if d.weight in chains else d.chain
+    sums = [DeformationElement(c) for c in chains.values() if not c.is_zero()]
+    for m in range(1, check_weight + 1):
+        rows = [n for d in sums for n in np.flatnonzero(np.diff(d.sigma_csr(m)[0]))[:1].tolist()]
+        if rows:
+            nw = algebra(g).basis_words(m)[min(rows)]
+            raise ConditionFailed("sigma_AB", f"sigma(N({W.word_name(nw)}))(B) != -sigma(...)(A)")
     checks.append({"name": "sigma_B_is_minus_sigma_A", "ok": True})
 
     cj = check_cojacobi(delta_handle, check_weight)

@@ -39,6 +39,7 @@ from oracles import (
     canon,
     cochain_monomial,
     emit_vector,
+    gamma_monomial,
     mod_boundary_monomial,
     mod_cochain_monomial,
     oracle_assemble,
@@ -213,6 +214,63 @@ class TestSigma:
             lhs = boundary(sigma_wedge(y, x))
             rhs = sigma_wedge(y, boundary(x))
             assert lhs == rhs
+
+
+def _seeded_tuples(rng, top: int, p: int, n: int = 6) -> list:
+    """n sorted p-sets of necklace indices below top: of mixed weights, so
+    the rows lie in no one cell."""
+    return [tuple(sorted(rng.sample(range(top), p))) for _ in range(n)]
+
+
+class TestEmitters:
+    """The array emitters gamma_terms and sigma_terms against the
+    per-monomial oracles, on seeded random tuples of weights up to 4; the
+    seed is in every failure message."""
+
+    @pytest.mark.parametrize("g", [1, 2])
+    def test_gamma_terms_is_gamma_monomial(self, g):
+        seed = 2400 + g
+        rng, ctx, base = random.Random(seed), algebra(g), 2 * g
+        top, compared = ctx.offset(5), 0
+        for k, p in product(range(4), range(4)):
+            rows = _seeded_tuples(rng, top, p)
+            ranks = [rng.randrange(base ** k) for _ in rows]
+            q, tl, tw, rest, sign = complexes.gamma_terms(
+                ctx, k, np.array(ranks, dtype=np.int64), np.array(rows, dtype=np.int64).reshape(len(rows), p))
+            got: dict = {}
+            axpy(got, 1, (((i, _word(base, n, r), tuple(t)), s) for i, n, r, t, s in zip(
+                q.tolist(), tl.tolist(), tw.tolist(), rest.tolist(), sign.tolist())))
+            want: dict = {}
+            for i, (r, t) in enumerate(zip(ranks, rows)):
+                axpy(want, 1, (((i, *key), c) for key, c in gamma_monomial(ctx, _word(base, k, r), t)))
+            assert got == want, f"seed {seed}: k={k}, p={p}"
+            compared += len(want)
+        assert compared, f"seed {seed}: no term compared"
+
+    @pytest.mark.parametrize("g", [1, 2])
+    def test_sigma_terms_is_sigma_monomial(self, g):
+        seed = 2500 + g
+        rng, ctx = random.Random(seed), algebra(g)
+        top, compared = ctx.offset(5), 0
+        for p in range(4):
+            rows = _seeded_tuples(rng, top, p)
+            necks = rng.sample(range(top), 3)
+            q, new, coeff = complexes.sigma_terms(
+                ctx, np.array(necks, dtype=np.int64), np.array(rows, dtype=np.int64).reshape(len(rows), p))
+            got: dict = {}
+            axpy(got, 1, (((i, tuple(t)), c) for i, t, c in zip(q.tolist(), new.tolist(), coeff.tolist())))
+            want: dict = {}
+            for j, n in enumerate(necks):
+                for r, t in enumerate(rows):
+                    axpy(want, 1, (((j * len(rows) + r, u), c) for u, c in sigma_monomial(ctx, n, t)))
+            assert got == want, f"seed {seed}: p={p}"
+            compared += len(want)
+        assert compared, f"seed {seed}: no term compared"
+
+
+def _word(base: int, length: int, rank: int) -> tuple:
+    """The word of that length and rank, its first letter most significant."""
+    return tuple(rank // base ** e % base for e in range(length - 1, -1, -1))
 
 
 class TestCochain:

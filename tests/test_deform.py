@@ -491,45 +491,29 @@ class TestArrayChecks:
         assert a._denominator > 1
         for m in (1, 2, 3):
             whole = a.sigma_csr(m)
+            assert len(whole[0]) == necklace_count(2, m) + 1
             for n in range(len(ctx.basis_words(m))):
                 got = _sigma_row(a, whole, n)
                 assert got == a.sigma_of(ctx.offset(m) + n) == oracle_sigma_of(a, ctx.offset(m) + n)
-            local = np.array(sorted(rng.sample(range(necklace_count(2, m)), 2)), dtype=np.int64)
-            got = a.sigma_csr(m, local)
-            assert len(got[0]) == len(local) + 1
-            assert [_sigma_row(a, got, i) for i in range(len(local))] == [
-                _sigma_row(a, whole, n) for n in local.tolist()]
-            # a fresh element builds the rows asked for alone, the same rows
+            # a fresh element builds the same table, and memoises it
             fresh = DeformationElement(a.chain)
-            assert all(np.array_equal(x, y) for x, y in zip(fresh.sigma_csr(m, local), got))
-            assert m not in fresh._sigma
+            assert all(np.array_equal(x, y) for x, y in zip(fresh.sigma_csr(m), whole))
+            assert fresh.sigma_csr(m) is fresh._sigma[m]
 
     def test_sigma_rows_of_a_weight_not_yet_enumerated(self, monkeypatch):
         # on a context that has not enumerated weights 6 and 7, the whole
-        # sigma table of weight 6 and local rows of weight 7 enumerate their
-        # weight first, and equal those of the shared context
+        # sigma tables of weights 6 and 7 enumerate their weight first, and
+        # equal those of the shared context
         chain = n_space_basis(1, 2)[0]
         a = DeformationElement(chain)
-        local = np.array([1, 3])
-        want = [a.sigma_csr(6), a.sigma_csr(7, local)]
+        want = [a.sigma_csr(6), a.sigma_csr(7)]
         fresh = NecklaceContext(1)
         fresh.basis_words(2)  # the weights of A's necklaces
         monkeypatch.setattr(D, "algebra", lambda g: fresh)
         b = DeformationElement(chain)
         assert len(fresh._bases) <= 6
-        got = [b.sigma_csr(6), b.sigma_csr(7, local)]
+        got = [b.sigma_csr(6), b.sigma_csr(7)]
         assert all(np.array_equal(u, v) for x, y in zip(got, want) for u, v in zip(x, y))
-
-    def test_local_sigma_rows_are_built_alone(self):
-        # one necklace of weight 10 at g = 2 is bracketed with A's necklaces
-        # alone: the whole-weight sigma table is neither built nor memoised
-        ctx = algebra(2)
-        ctx.basis_words(10)
-        a = DeformationElement(n_space_basis(2, 3)[0])
-        got = a.sigma_csr(10, np.array([5]))
-        assert len(got[0]) == 2 and got[0][1] > 0
-        assert _sigma_row(a, got, 0) == oracle_sigma_of(a, ctx.offset(10) + 5)
-        assert 10 not in a._sigma
 
 
 class TestInvariance:

@@ -301,3 +301,38 @@ def test_matrix_path_reads_the_canonical_tables():
                           if isinstance(a, ast.arg) and a.arg in {"delta", "mu"}]
     assert seen == entry and handles == HANDLES
     assert not found, f"the table-handle extension point is back: {found}"
+
+
+def test_deform_composes_the_complexes_emitters():
+    # Gamma and sigma are emitted by complexes.gamma_terms and sigma_terms
+    # only, and the element's int arrays are its one coefficient form:
+    # deform.py keeps no action helper of its own and never names
+    # action_table, DeformedComodule keeps no nabla list, action_table and
+    # sigma_csr take no local rows, check_coaction no sample words, and
+    # verify_deformation_invariance defines no inner sigma table
+    trees = {name: ast.parse((SRC / name).read_text(encoding="utf-8"))
+             for name in ("complexes.py", "deform.py")}
+    fns = {(name, fn.name): fn for name, tree in trees.items()
+           for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+    for name, tree in trees.items():
+        for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
+            fns.update({(name, f"{cls.name}.{fn.name}"): fn for fn in cls.body
+                        if isinstance(fn, ast.FunctionDef)})
+    deform = trees["deform.py"]
+    found = [f"_action_terms at line {fn.lineno}" for (name, f), fn in fns.items()
+             if name == "deform.py" and f == "_action_terms"]
+    found += [f"action_table at line {node.lineno}" for node in ast.walk(deform)
+              if getattr(node, "id", getattr(node, "attr", None)) == "action_table"]
+    found += [f"DeformedComodule._nablas at line {node.lineno}"
+              for node in ast.walk(fns["deform.py", "DeformedComodule.__init__"])
+              if isinstance(node, ast.Attribute) and node.attr == "_nablas"]
+    for key, arg in ((("complexes.py", "action_table"), "local"),
+                     (("deform.py", "DeformationElement.sigma_csr"), "local"),
+                     (("deform.py", "check_coaction"), "sample_words")):
+        found += [f"{key[1]} takes {arg}" for a in ast.walk(fns[key].args)
+                  if isinstance(a, ast.arg) and a.arg == arg]
+    verify = fns["deform.py", "verify_deformation_invariance"]
+    found += [f"{node.name} inside verify_deformation_invariance at line {node.lineno}"
+              for node in ast.walk(verify) if isinstance(node, ast.FunctionDef) and node is not verify]
+    assert not found, f"a private Gamma, sigma or Fraction path in deform.py: {found}"
+    assert {("complexes.py", "gamma_terms"), ("complexes.py", "sigma_terms")} <= set(fns)
