@@ -29,7 +29,7 @@ maps on words, for the CLI and the word-level identity checks.
 Boundary and coboundary matrices have one builder, :class:`CellOperators`
 (int64).  It reads a wedge cell as an int64 array of its index tuples
 (``wedge_cell``) and emits the wedge operators on such arrays
-(``boundary_terms``, ``cochain_terms``) from the necklace bracket and
+(``boundary_terms``, ``cochain_terms``) from the necklace brackets and
 cobracket tables, ranking the target tuples by ``cell_positions``; the
 module operators come from their word and wedge factors by the layout
 above.  No monomial is emitted one by one on this path, and no
@@ -37,11 +37,11 @@ above.  No monomial is emitted one by one on this path, and no
 the matrices through ``SparseRationalMatrix.from_int_csc``.  The operators
 on chain vectors emit through the same ``boundary_terms`` and
 ``cochain_terms`` on the tuples of the vector's support only, and so do
-the deformation checks and pieces in ``necklaces.deform`` on theirs; the
-checks read every bracket from ``table_bracket``, or from ``_pair_bracket``
-where that table is over the budget.  Gamma and sigma have one emitter
-each, ``gamma_terms`` and ``sigma_terms``, read here and by
-``necklaces.deform``.
+the deformation checks and pieces in ``necklaces.deform`` on theirs.
+Every bracket is read through ``NecklaceContext.brackets``, which alone
+chooses between a whole-weight table and the pairs asked.  Gamma and sigma
+have one emitter each, ``gamma_terms`` and ``sigma_terms``, read here and
+by ``necklaces.deform``.
 """
 
 from bisect import bisect_right
@@ -56,7 +56,7 @@ from . import words as W
 from .errors import CellTooLarge, GenusMismatch
 from .lie import DerivationElem, NecklaceContext, algebra, necklace_count
 from .linalg import SparseRationalMatrix, int_csc
-from .tensors import Coeff, TermMap, axpy, coeff_str, parse_coeff, _csr, _joined, _prune, _summed
+from .tensors import Coeff, TermMap, axpy, coeff_str, parse_coeff, _csr, _gather, _joined, _prune, _summed
 
 WedgeKey = tuple[int, ...]
 ModKey = tuple[W.WordKey, WedgeKey]
@@ -441,19 +441,10 @@ def _sort_wedge(idxs: WedgeKey):
 # The wedge operators on an int64 array of sorted index tuples, one tuple a
 # row (a whole cell, ``wedge_cell``, or any part of one): the terms come
 # out as (source row, target tuples, coeff) arrays, the target tuples
-# sorted, and no term where an inserted index is already a factor.  The
-# bracket and the cobracket are read from the necklace tables of
-# ``NecklaceContext``, gathered per weight of the factors they act on;
-# Gamma and sigma rotate and bracket the necklaces present only.
-
-
-def _gather(indptr: np.ndarray, rows: np.ndarray):
-    """For the given rows of a CSR table: the entries of all of them, as
-    (which row, entry position) arrays."""
-    start = indptr[rows]
-    count = indptr[rows + 1] - start
-    which = np.repeat(np.arange(len(rows)), count)
-    return which, np.arange(count.sum()) + np.repeat(start - np.cumsum(count) + count, count)
+# sorted, and no term where an inserted index is already a factor.  Every
+# bracket is read through ``NecklaceContext.brackets``; the cobracket is
+# gathered from a table per weight of the factors it acts on, and Gamma
+# rotates the necklaces present only.
 
 
 def _insert(rest: np.ndarray, new: np.ndarray):
@@ -466,36 +457,22 @@ def _insert(rest: np.ndarray, new: np.ndarray):
     return np.sort(np.concatenate([rest, new], axis=1), axis=1), 1 - 2 * (below & 1), clash
 
 
-def table_bracket(ctx: NecklaceContext, m1: int, first: np.ndarray, m2: int, second: np.ndarray):
-    """The brackets of the necklace pairs (offset(m1) + first[q], offset(m2)
-    + second[q]) from ``NecklaceContext.bracket_table(m1, m2)``: arrays
-    (q, target index, coeff), one per term."""
-    indptr, target, coeff = ctx.bracket_table(m1, m2)
-    which, at = _gather(indptr, first * necklace_count(ctx.g, m2) + second)
-    return which, target[at], coeff[at]
-
-
-def boundary_terms(ctx: NecklaceContext, tuples: np.ndarray, bracket=table_bracket):
+def boundary_terms(ctx: NecklaceContext, tuples: np.ndarray):
     """The boundary of each row of an int64 array of sorted index tuples
     (n, p): arrays (source row, target tuple (t, p-1), coeff).  For each
-    pair of factors the terms of their bracket are gathered, by default
-    from ``NecklaceContext.bracket_table`` (``table_bracket``; a caller may
-    pass another source of the same form), the two factors deleted and the
-    bracket inserted: the sign is (-1)^{i+j} of the pair of factors
-    (1-based) times the insertion sign of ``_insert``."""
+    pair of factors the terms of their bracket (``NecklaceContext.brackets``)
+    are inserted in place of the two factors: the sign is (-1)^{i+j} of the
+    pair of factors (1-based) times the insertion sign of ``_insert``."""
     n, p = tuples.shape
     parts = []
     for ii in range(p):
         for jj in range(ii + 1, p):
             rest = np.delete(tuples, (ii, jj), axis=1)
             s0 = -1 if (ii + jj) % 2 == 1 else 1  # (-1)^{i+j}, 1-based
-            for m1, rows, first in ctx.weight_groups(tuples[:, ii]):
-                for m2, sub, second in ctx.weight_groups(tuples[rows, jj]):
-                    which, target, coeff = bracket(ctx, m1, first[sub], m2, second)
-                    src = rows[sub][which]
-                    new, sign, clash = _insert(rest[src], target[:, None])
-                    keep = ~clash
-                    parts.append((src[keep], new[keep], (s0 * sign * coeff)[keep]))
+            src, target, coeff = ctx.brackets(tuples[:, ii], tuples[:, jj])
+            new, sign, clash = _insert(rest[src], target[:, None])
+            keep = ~clash
+            parts.append((src[keep], new[keep], (s0 * sign * coeff)[keep]))
     return _joined(parts, 0, (0, max(p - 1, 0)), 0)
 
 
@@ -561,13 +538,12 @@ def sigma_terms(ctx: NecklaceContext, necks: np.ndarray, tuples: np.ndarray):
     """sigma(N_n)(t) = sum_i X_1 ^ ... ^ [N_n, X_i] ^ ... ^ X_p for each n =
     necks[j] and each row t of an int64 array of sorted tuples (r, p):
     arrays (pair j * r + row, target tuple, coeff).  Each bracket of a pair
-    present (``NecklaceContext.bracket_pairs``) is inserted by ``_insert``,
+    present (``NecklaceContext.brackets``) is inserted by ``_insert``,
     with the sign (-1)^{i-1} (1-based) of moving X_i to the front."""
     r, p = tuples.shape
     parts = []
     for ii in range(p):
-        indptr, new, coeff = ctx.bracket_pairs(np.repeat(necks, r), np.tile(tuples[:, ii], len(necks)))
-        q = np.repeat(np.arange(len(necks) * r), np.diff(indptr))
+        q, new, coeff = ctx.brackets(np.repeat(necks, r), np.tile(tuples[:, ii], len(necks)))
         new, sign, clash = _insert(np.delete(tuples, ii, axis=1)[q % r], new[:, None])
         keep = ~clash
         parts.append((q[keep], new[keep], ((-1) ** ii * sign * coeff)[keep]))
@@ -584,18 +560,11 @@ def _delta_csr(ctx: NecklaceContext, m: int, local: np.ndarray | None = None) ->
 #
 # Each emits on the int64 tuples of the vector's support only, by the array
 # emissions above, and sums the terms times the coefficients (``_image``):
-# exact, whatever their type.  Brackets are those of the pairs present
-# (``_pair_bracket``); the cobracket and the comodule map are the context's
-# tables of the necklaces and words present (``delta_table(m, local)``,
-# ``mu_table(k, local)``).  So the cost follows the support, and no
-# whole-weight table is read.
-
-
-def _pair_bracket(ctx: NecklaceContext, m1: int, first: np.ndarray, m2: int, second: np.ndarray):
-    """``table_bracket`` of the pairs asked for only, by
-    ``NecklaceContext.bracket_pairs``."""
-    indptr, target, coeff = ctx.bracket_pairs(first + ctx.offset(m1), second + ctx.offset(m2))
-    return np.repeat(np.arange(len(first)), np.diff(indptr)), target, coeff
+# exact, whatever their type.  The cobracket and the comodule map are the
+# context's tables of the necklaces and words present (``delta_table(m,
+# local)``, ``mu_table(k, local)``), so their cost follows the support; the
+# brackets are ``NecklaceContext.brackets``, which reads a whole-weight
+# table only once the pairs asked of it add up to the table.
 
 
 def _support_delta(ctx: NecklaceContext, tuples: np.ndarray):
@@ -651,7 +620,7 @@ def boundary(x: ChainVector) -> ChainVector:
     if p < 1:
         raise ValueError("boundary needs p >= 1")
     target = wedge_basis(g, p - 1, max(w - 2, 0))
-    src, new, coeff = boundary_terms(algebra(g), wedge_cell(g, p, w)[_support(x)], _pair_bracket)
+    src, new, coeff = boundary_terms(algebra(g), wedge_cell(g, p, w)[_support(x)])
     return _image(ChainVector, target, list(x.coeffs.values()),
                   [(src, _ranked(g, p - 1, w - 2, new), coeff)])
 
@@ -692,7 +661,7 @@ def mod_boundary(x: ModChainVector) -> ModChainVector:
     dst, ctx, parts = mod_layout(g, p - 1, max(w - 2, 0)), algebra(g), []
     for k, q, ranks, pos in _blocks(mod_layout(g, p, w), _support(x)):
         tuples = wedge_cell(g, p, w - k)[pos]
-        src, new, coeff = boundary_terms(ctx, tuples, _pair_bracket)
+        src, new, coeff = boundary_terms(ctx, tuples)
         parts.append((q[src], _at(dst, k, ranks[src], _ranked(g, p - 1, w - k - 2, new)), coeff))
         j, tl, tw, rest, sign = gamma_terms(ctx, k, ranks, tuples)
         for length in np.unique(tl).tolist():
@@ -818,7 +787,7 @@ class CellOperators:
     cancel, and of the right shape for any (p, w), but built from tables by
     numpy index arithmetic: a wedge cell is an int64 array of its tuples
     (``wedge_cell``), the wedge operators are the array emissions
-    ``boundary_terms`` (from ``NecklaceContext.bracket_table``) and
+    ``boundary_terms`` (from ``NecklaceContext.brackets``) and
     ``cochain_terms`` (from ``NecklaceContext.delta_table``), and the
     target tuples are ranked by ``cell_positions``.  The module coboundary
     reads mu from ``NecklaceContext.mu_table``.  A cell or table over the

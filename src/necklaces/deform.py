@@ -43,7 +43,7 @@ import numpy as np
 
 from . import complexes as C
 from . import words as W
-from .errors import CellTooLarge, ConditionFailed, GenusMismatch, MinWeightTooLow, NotInN
+from .errors import ConditionFailed, GenusMismatch, MinWeightTooLow, NotInN
 from .homology import HomologyEngine
 from .lie import (
     DerivationElem, algebra, bracket, exp_derivation, mu_alg, schedler_delta,
@@ -303,12 +303,16 @@ def check_cojacobi(handle, max_weight: int) -> bool:
     return True
 
 
-def check_coaction(delta_handle, mu_handle, max_weight: int, g: int) -> bool:
+def check_coaction(delta_handle, mu_handle, max_weight: int) -> bool:
     """(1 (x) delta') mu' + (1 (x) (1 - T))(mu' (x) 1) mu' = 0 on words up
-    to the bound (our sign convention; see the verify module).  Each value
-    of a handle is computed once per check."""
+    to the bound (our sign convention; see the verify module), over the
+    handles' genus (GenusMismatch when they differ).  Each value of a
+    handle is computed once per check."""
     from itertools import product
 
+    g = mu_handle.g
+    if delta_handle.g != g:
+        raise GenusMismatch(f"a cobracket of genus {delta_handle.g} and a comodule of genus {g}")
     mu_of = lru_cache(maxsize=None)(mu_handle.mu_word)
     delta_of = lru_cache(maxsize=None)(delta_handle.delta_word)
     words = [()]
@@ -342,21 +346,12 @@ def check_coaction(delta_handle, mu_handle, max_weight: int, g: int) -> bool:
 # cell (p+2, w + wt A) is never built or ranked.  The identity holds on a
 # block of source rows, _CHUNK insertions at a time, iff the terms of LHS -
 # RHS sum to zero (``tensors._vanishes``).  Every bracket comes from
-# ``_plain_bracket``: the shared whole-weight table, or the pairs present
-# where that table is over the budget.  Gamma acts by the necklaces of the
-# pairs present only, so no action table over the budget is built.
+# ``NecklaceContext.brackets``, which reads a whole-weight table only once
+# the pairs asked of it add up to the table, so a few rows of a large
+# table are spliced as pairs.  Gamma acts by the necklaces of the pairs
+# present only, so no action table over the budget is built.
 
 _CHUNK = 4096  # source rows times insertions per block of an identity check
-
-
-def _plain_bracket(ctx, m1: int, first: np.ndarray, m2: int, second: np.ndarray):
-    """``complexes.table_bracket``, or where that table is over the
-    ``CellTooLarge`` budget (refused from its size alone) the brackets of
-    the pairs asked for only (``complexes._pair_bracket``)."""
-    try:
-        return C.table_bracket(ctx, m1, first, m2, second)
-    except CellTooLarge:
-        return C._pair_bracket(ctx, m1, first, m2, second)
 
 
 def _wedge_into(tuples: np.ndarray, factors: np.ndarray, coeffs: np.ndarray):
@@ -388,8 +383,8 @@ def homotopy_check(a: DeformationElement | C.ChainVector, p: int, w: int) -> boo
     for lo in range(0, len(cell), step):
         x = cell[lo:lo + step]
         row, _, ax, c_ax = _wedge_into(x, a.pairs, a.coeffs)  # A ^ x
-        i, t1, c1 = C.boundary_terms(ctx, ax, _plain_bracket)  # boundary(A ^ x)
-        j, bx, c_bx = C.boundary_terms(ctx, x, _plain_bracket)
+        i, t1, c1 = C.boundary_terms(ctx, ax)  # boundary(A ^ x)
+        j, bx, c_bx = C.boundary_terms(ctx, x)
         k, _, t2, c2 = _wedge_into(bx, a.pairs, a.coeffs)  # A ^ boundary(x)
         n, _, t3, c3 = _wedge_into(x, a.nabla_factors, a.nabla_coeffs)  # (nabla A) ^ x
         r, t4, c4 = C.cochain_terms(ctx, a.sigma_csr, x)  # the sigma sum
@@ -527,9 +522,9 @@ def mod_homotopy_check(
         for lo in range(0, len(cell), step):
             x = cell[lo:lo + step]
             row, _, bx, c_bx = _wedge_into(x, b.pairs, b.coeffs)  # m (x) B ^ xi
-            i, t1, c1 = C.boundary_terms(ctx, bx, _plain_bracket)
+            i, t1, c1 = C.boundary_terms(ctx, bx)
             gi, gsw, gtl, gtw, gt, gs = _gamma_terms(ctx, k, bx)
-            j, dx, c_dx = C.boundary_terms(ctx, x, _plain_bracket)
+            j, dx, c_dx = C.boundary_terms(ctx, x)
             kk, _, t2, c2 = _wedge_into(dx, b.pairs, b.coeffs)
             hi, hsw, htl, htw, ht, hs = _gamma_terms(ctx, k, x)
             hk, _, ht2, hc = _wedge_into(ht, b.pairs, b.coeffs)
@@ -623,7 +618,7 @@ def verify_deformation_invariance(
         raise ConditionFailed("cojacobi", "deformed cobracket fails coJacobi")
     checks.append({"name": "deformed_cojacobi", "ok": cj})
 
-    ca = check_coaction(delta_handle, mu_handle, min(check_weight, 6), g)
+    ca = check_coaction(delta_handle, mu_handle, min(check_weight, 6))
     if require_cojacobi and not ca:
         raise ConditionFailed("coaction", "deformed comodule fails the coaction square")
     checks.append({"name": "deformed_coaction", "ok": ca})

@@ -34,8 +34,11 @@ arithmetic and sized with ``CellTooLarge`` first:
 * ``delta_table(m)``: the cobracket of every necklace of weight m;
 * ``mu_table(k)``: mu of every word of length k.
 
-The last two also take the necklaces or word ranks to split (``local``);
-those tables are sized on what they build and are not memoised.
+Each also takes the pairs, necklaces or word ranks to split (``local``);
+those tables are sized on what they build and are not memoised.  Array
+code reads every bracket through ``brackets(i, j)``, which builds a whole
+``bracket_table`` only once the pairs asked of it add up to the table
+(rent or buy), and splices the distinct pairs asked until then.
 """
 
 from bisect import bisect_left
@@ -48,7 +51,7 @@ import numpy as np
 from . import words as W
 from .errors import CellTooLarge, GenusMismatch, NotCyclic
 from .tensors import Coeff, Tensor, TermMap, axpy, coeff_str, cyclicize, parse_coeff, _prune
-from .tensors import _csr, _joined, _summed, by_total_weight, by_weight
+from .tensors import _csr, _gather, _joined, _summed, by_total_weight, by_weight
 
 
 def _as_int_if_whole(c: Coeff) -> Coeff:
@@ -134,6 +137,7 @@ class NecklaceContext:
         self._neck_of_rank_memo: dict[int, np.ndarray] = {}
         self._rotations_memo: dict[int, np.ndarray] = {}
         self._bracket_table_memo: dict[tuple[int, int], tuple[np.ndarray, ...]] = {}
+        self._bracket_asked: dict[tuple[int, int], int] = {}  # distinct pairs asked, summed over calls
         self._delta_table_memo: dict[int, np.ndarray] = {}
         self._mu_table_memo: dict[int, dict[int, np.ndarray]] = {}
 
@@ -408,40 +412,55 @@ class NecklaceContext:
         sign = 1 - 2 * (first_u[iu, a] & 1)  # +1 when the first letter is an a-letter
         return q, targets, sign
 
-    def bracket_pairs(self, i: np.ndarray, j: np.ndarray):
+    def brackets(self, i: np.ndarray, j: np.ndarray):
         """[N_i[q], N_j[q]] for each q, for two int64 arrays of necklace
-        indices of one length: CSR rows over q, (indptr, target index,
-        coeff), row q holding the terms of ``bracket_idx(i[q], j[q])`` in
-        index order.  Only the necklaces present are rotated; this is the
-        splice routine of ``bracket_table`` too, restricted to the pairs
-        asked for."""
+        indices of one length and any weights: arrays (q, target index,
+        coeff), the terms of each q those of ``bracket_idx(i[q], j[q])`` in
+        index order.  Per pair of weights, the rows are gathered from the
+        memoised ``bracket_table``; until it is memoised, the distinct pairs
+        asked are counted, and spliced alone (``local``) until the count
+        reaches the table's pairs, when the table is built if the budget
+        allows.  So no sequence of calls splices more than about twice the
+        pairs of the better fixed choice (rent or buy)."""
         parts = []
         for m1, rows, first in self.weight_groups(i):
             for m2, sub, second in self.weight_groups(j[rows]):
-                at = rows[sub]
-                nu, qu = np.unique(first[sub], return_inverse=True)
-                nv, qv = np.unique(second, return_inverse=True)
-                q, targets, sign = self._splices(
-                    self.rotations(m1, nu), self.rotations(m2, nv), qu, qv)
-                parts.append((at[q], targets, sign))
-        return _csr(parts, len(i))
+                key, c1, c2 = (m1, m2), necklace_count(self.g, m1), necklace_count(self.g, m2)
+                pair, local = first[sub] * c2 + second, None
+                if key not in self._bracket_table_memo:
+                    asked, inverse = np.unique(pair, return_inverse=True)
+                    count = self._bracket_asked[key] = self._bracket_asked.get(key, 0) + len(asked)
+                    if count < c1 * c2 or c1 * c2 * m1 * m2 > CellTooLarge.BUDGET:
+                        pair, local = inverse, asked
+                indptr, target, coeff = self.bracket_table(m1, m2, local)
+                which, at = _gather(indptr, pair)
+                parts.append((rows[sub][which], target[at], coeff[at]))
+        return _joined(parts, 0, 0, 0)
 
-    def bracket_table(self, m1: int, m2: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def bracket_pairs(self, i: np.ndarray, j: np.ndarray):
+        """``brackets(i, j)`` as CSR rows over q: (indptr, target index,
+        coeff)."""
+        return _csr([self.brackets(i, j)], len(i))
+
+    def bracket_table(self, m1: int, m2: int, local: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
         """[N_i, N_j] for every necklace i of weight m1 and j of weight m2,
         as CSR rows over the pairs q = (i - offset(m1)) * count(m2) + (j -
         offset(m2)): (indptr, target index, coeff), int64, row q holding
-        the terms of ``bracket_idx(i, j)`` in index order.  The memoised
-        all-pairs case of ``bracket_pairs``, sized first."""
+        the terms of ``bracket_idx(i, j)`` in index order.  With ``local``,
+        sorted distinct pairs q, only their rows, in that order, and the
+        table is not memoised.  Sized first."""
         key = (m1, m2)
-        table = self._bracket_table_memo.get(key)
+        table = self._bracket_table_memo.get(key) if local is None else None
         if table is None:
             c1, c2 = necklace_count(self.g, m1), necklace_count(self.g, m2)
             CellTooLarge.check(f"the bracket table of weights {m1} and {m2} (genus {self.g})",
-                               c1 * c2 * m1 * m2)
-            qu = np.repeat(np.arange(c1, dtype=np.int64), c2)
-            qv = np.tile(np.arange(c2, dtype=np.int64), c1)
-            table = _csr([self._splices(self.rotations(m1), self.rotations(m2), qu, qv)], c1 * c2)
-            self._bracket_table_memo[key] = table
+                               (c1 * c2 if local is None else len(local)) * m1 * m2)
+            q = np.arange(c1 * c2, dtype=np.int64) if local is None else local
+            nu, qu = np.unique(q // c2, return_inverse=True)
+            nv, qv = np.unique(q % c2, return_inverse=True)
+            table = _csr([self._splices(self.rotations(m1, nu), self.rotations(m2, nv), qu, qv)], len(q))
+            if local is None:
+                self._bracket_table_memo[key] = table
         return table
 
     def delta_table(self, m: int, local: np.ndarray | None = None) -> np.ndarray:

@@ -585,6 +585,15 @@ def _csr(parts: list, rows: int, targets: int = 1):
     return (np.searchsorted(row, np.arange(rows + 1, dtype=np.int64)), *target, coeff)
 
 
+def _gather(indptr: np.ndarray, rows: np.ndarray):
+    """For the given rows of a CSR table: the entries of all of them, as
+    (which row, entry position) arrays."""
+    start = indptr[rows]
+    count = indptr[rows + 1] - start
+    which = np.repeat(np.arange(len(rows)), count)
+    return which, np.arange(count.sum()) + np.repeat(start - np.cumsum(count) + count, count)
+
+
 # -- certificates on integer word arrays ----------------------------------------
 #
 # is_grouplike and is_lie_element test identities that are homogeneous in

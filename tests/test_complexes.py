@@ -754,6 +754,73 @@ class TestNecklaceTables:
         if g == 2:
             assert 8 not in ctx._rotations_memo
 
+    @pytest.mark.parametrize("g", [1, 2])
+    def test_brackets_reads_each_way(self, g, monkeypatch):
+        # NecklaceContext.brackets on seeded pairs of mixed weights, shuffled,
+        # with repeats and swapped pairs, in fresh contexts: each way of
+        # reading the pairs of weights (2, 3) gives the rows of bracket_idx,
+        # and the table memo tells which way ran
+        seed, key = 700 + g, (2, 3)
+        rng, ref = random.Random(seed), algebra(g)
+        c2 = necklace_count(g, 3)
+        every = list(range(necklace_count(g, 2) * c2))  # q = i * c2 + j, local indices
+        rng.shuffle(every)
+        halves = [every[: len(every) // 2], every[len(every) // 2:]]
+
+        def fresh():
+            ctx = NecklaceContext(g)
+            ctx.basis_words(6)
+            return ctx
+
+        def of_key(qs):
+            return [(ref.offset(2) + q // c2, ref.offset(3) + q % c2) for q in qs]
+
+        def extras(n=40):
+            out = []
+            while len(out) < n:
+                m1, m2 = rng.randrange(1, 5), rng.randrange(1, 5)
+                if (m1, m2) != key:
+                    out.append((rng.randrange(ref.offset(m1), ref.offset(m1 + 1)),
+                                rng.randrange(ref.offset(m2), ref.offset(m2 + 1))))
+            return out
+
+        def read(ctx, pairs, where):
+            pairs = pairs + pairs[:3] + [pair[::-1] for pair in pairs[3:6]]
+            rng.shuffle(pairs)
+            i, j = np.array(pairs, dtype=np.int64).T
+            q, target, coeff = ctx.brackets(i, j)
+            got = [[] for _ in pairs]
+            for k, t, c in zip(q.tolist(), target.tolist(), coeff.tolist()):
+                got[k].append((t, c))
+            for k, (a, b) in enumerate(pairs):
+                assert tuple(got[k]) == ref.bracket_idx(a, b), (f"seed {seed}", where, a, b)
+
+        # a memoised table is gathered from
+        ctx = fresh()
+        table = ctx.bracket_table(*key)
+        read(ctx, of_key(halves[0]) + extras(), "memoised")
+        assert ctx._bracket_table_memo[key] is table
+        # the table is built once the distinct pairs asked reach its pairs
+        ctx = fresh()
+        read(ctx, of_key(halves[0]) + extras(), "first half")
+        assert key not in ctx._bracket_table_memo
+        read(ctx, of_key(halves[1]) + extras(), "second half")
+        assert key in ctx._bracket_table_memo
+        # a small ask is spliced as pairs
+        ctx = fresh()
+        read(ctx, of_key(every[:5]) + extras(), "small ask")
+        assert key not in ctx._bracket_table_memo
+        # so is every pair, when the whole table is over the budget
+        ctx, refused = fresh(), fresh()
+        monkeypatch.setattr(CellTooLarge, "BUDGET", len(every) * 2 * 3 - 1)
+        for n, half in enumerate(halves):
+            read(ctx, of_key(half), f"half {n} over the budget")
+        assert key not in ctx._bracket_table_memo and ctx._bracket_asked[key] == len(every)
+        # and distinct pairs over the budget themselves are refused
+        monkeypatch.setattr(CellTooLarge, "BUDGET", len(halves[0]) * 2 * 3 - 1)
+        with pytest.raises(CellTooLarge, match=f"weights 2 and 3 .* hold {len(halves[0]) * 6:,} "):
+            read(refused, of_key(halves[0]), "refused")
+
     @pytest.mark.parametrize("g, m", DELTA_CASES)
     def test_delta_table_rows_are_delta_wedge(self, g, m):
         ctx = algebra(g)

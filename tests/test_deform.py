@@ -26,7 +26,7 @@ from necklaces.deform import (
     nabla_contract_chain,
     verify_deformation_invariance,
 )
-from necklaces.errors import CellTooLarge, ConditionFailed, MinWeightTooLow, NotInN
+from necklaces.errors import CellTooLarge, ConditionFailed, GenusMismatch, MinWeightTooLow, NotInN
 from necklaces.lie import DerivationElem, NecklaceContext, algebra, necklace_count
 from necklaces.tensors import _joined, _product, _summed
 from oracles import (
@@ -111,8 +111,8 @@ class TestDeformedCobracket:
         # delta and not homogeneous in mu
         assert check_cojacobi(AlgCobracket(1), 6) and check_coskew(AlgCobracket(1), 6)
         delta, mu = AlgCobracket(2), AlgComodule(2)
-        assert check_coaction(delta, mu, 6, 2)
-        assert check_coaction(DeformedCobracket(2, []), DeformedComodule(2, []), 6, 2)
+        assert check_coaction(delta, mu, 6)
+        assert check_coaction(DeformedCobracket(2, []), DeformedComodule(2, []), 6)
 
         class Doubled:
             def __init__(self, handle, name):
@@ -122,8 +122,16 @@ class TestDeformedCobracket:
             def _doubled(self, key):
                 return {k: 2 * c for k, c in self._value(key).items()}
 
-        assert not check_coaction(delta, Doubled(mu, "mu_word"), 6, 2)
-        assert not check_coaction(Doubled(delta, "delta_word"), mu, 6, 2)
+        assert not check_coaction(delta, Doubled(mu, "mu_word"), 6)
+        assert not check_coaction(Doubled(delta, "delta_word"), mu, 6)
+
+    def test_coaction_handles_of_two_genera_are_refused(self):
+        # the words are those of the handles' genus: a genus-2 cobracket
+        # with a genus-3 comodule is refused, not checked on words in
+        # letters that one of them does not have
+        for delta, mu in ((AlgCobracket(2), AlgComodule(3)), (AlgCobracket(1), AlgComodule(2))):
+            with pytest.raises(GenusMismatch, match="genus"):
+                check_coaction(delta, mu, 4)
 
     def test_deform_delta_guard(self):
         bad = n_space_basis(1, 3)[1]
@@ -400,45 +408,63 @@ class TestArrayChecks:
         assert want3[:2] == [True, True] and a3.weight == 3
         budget = mod_layout(2, 2, 4).dim
         assert necklace_count(2, 2) ** 2 * 4 > budget
+        ctx = algebra(2)
         monkeypatch.setattr(CellTooLarge, "BUDGET", budget)
-        monkeypatch.setattr(algebra(2), "_bracket_table_memo", {})
+        monkeypatch.setattr(ctx, "_bracket_table_memo", {})
+        monkeypatch.setattr(ctx, "_bracket_asked", {})
         with pytest.raises(CellTooLarge, match="bracket table of weights 2 and 2"):
-            algebra(2).bracket_table(2, 2)
+            ctx.bracket_table(2, 2)
         assert [homotopy_check(a, p, w) for p, w in [(1, 3), (2, 4)]] == lie_want
         assert [mod_homotopy_check(a, b, 2, 4) for b, _ in pairs] == mod_want
-        plain, seen = D._plain_bracket, []
+        brackets, seen = ctx.brackets, set()
 
-        def spy(ctx, m1, first, m2, second):
-            seen.append((m1, m2))
-            return plain(ctx, m1, first, m2, second)
+        def spy(i, j):
+            seen.update(zip(ctx.weights(i).tolist(), ctx.weights(j).tolist()))
+            return brackets(i, j)
 
-        monkeypatch.setattr(D, "_plain_bracket", spy)
+        monkeypatch.setattr(ctx, "brackets", spy)
         assert homotopy_check(a3, 1, 2) is want3[0] and (2, 2) in seen
         seen.clear()
         assert [mod_homotopy_check(a3, b, 1, 2) for b in b3] == want3[1:] and (2, 2) in seen
+        assert (2, 2) not in ctx._bracket_table_memo
 
     def test_a_wrong_plain_bracket_is_caught(self, monkeypatch):
         # one bracket term with its sign flipped, on the first call that
         # returns a term: both checks read every bracket from
-        # _plain_bracket, so both fail on a cell that reads that term
+        # NecklaceContext.brackets, so both fail on a cell that reads that
+        # term
         a = DeformationElement(n_space_basis(2, 3)[0])
         b = DeformationElement(a.chain.scale(-1))
         cases = [(homotopy_check, (a, 2, 4)), (mod_homotopy_check, (a, b, 1, 2))]
         assert all(check(*args) for check, args in cases)
-        plain = D._plain_bracket
+        ctx = algebra(2)
+        brackets = ctx.brackets
         for check, args in cases:
             flipped = []
 
-            def wrong(ctx, m1, first, m2, second):
-                which, target, coeff = plain(ctx, m1, first, m2, second)
+            def wrong(i, j):
+                q, target, coeff = brackets(i, j)
                 if len(coeff) and not flipped:
                     coeff = coeff.copy()
                     coeff[0] *= -1
-                    flipped.append((m1, m2))
-                return which, target, coeff
+                    flipped.append(True)
+                return q, target, coeff
 
-            monkeypatch.setattr(D, "_plain_bracket", wrong)
+            monkeypatch.setattr(ctx, "brackets", wrong)
             assert check(*args) is False and flipped
+
+    def test_a_few_rows_build_no_whole_bracket_table(self, monkeypatch):
+        # a weight-4 A with a weight-3 necklace on the cell (1, 6): the
+        # check brackets A's weight-3 necklaces with the weight-6 ones of
+        # the cell, a share of the 16,800 pairs of weights 3 and 6 that
+        # never adds up to the whole table, so that table is not built
+        ctx = algebra(2)
+        monkeypatch.setattr(ctx, "_bracket_table_memo", {})
+        monkeypatch.setattr(ctx, "_bracket_asked", {}, raising=False)
+        a = next(x for x in n_space_basis(2, 4)
+                 if any(ctx.weight_of(i) == 3 for t, _ in x.terms() for i in t))
+        assert homotopy_check(a, 1, 6)
+        assert (3, 6) not in ctx._bracket_table_memo
 
     @pytest.mark.parametrize("g", [1, 2])
     def test_sigma_piece_matches_emitter(self, g):

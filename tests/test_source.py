@@ -83,15 +83,16 @@ def test_identity_checks_emit_no_monomial():
                     found.append(f"{ref} in {name} at line {node.lineno}")
                 elif ref in defs:
                     todo.append(ref)
-    assert {"_wedge_into", "_plain_bracket", "sigma_csr", "_gamma_terms",
+    assert {"_wedge_into", "sigma_csr", "_gamma_terms",
             "DeformationElement", "nabla_contract_chain"} <= seen
     assert not found, f"per-monomial emission in the identity checks: {found}"
 
 
 def test_deform_has_one_bracket_source():
-    # every bracket of the identity checks comes from _plain_bracket, and
-    # the deformed handles give their values without a per-piece list:
-    # deform.py defines no second bracket source and no pieces()
+    # every bracket of the identity checks comes from
+    # NecklaceContext.brackets, and the deformed handles give their values
+    # without a per-piece list: deform.py defines no bracket source of its
+    # own and no pieces()
     gone = {"_bracket_source", "brackets", "pieces"}
     found = [
         f"{node.name} at line {node.lineno}"
@@ -336,3 +337,22 @@ def test_deform_composes_the_complexes_emitters():
               for node in ast.walk(verify) if isinstance(node, ast.FunctionDef) and node is not verify]
     assert not found, f"a private Gamma, sigma or Fraction path in deform.py: {found}"
     assert {("complexes.py", "gamma_terms"), ("complexes.py", "sigma_terms")} <= set(fns)
+
+
+def test_one_bracket_reader():
+    # array code reads every bracket through NecklaceContext.brackets,
+    # which alone chooses between the whole table and the pairs: no module
+    # under src/ defines a bracket callback, boundary_terms takes none, and
+    # no module but lie.py names bracket_table
+    gone = {"table_bracket", "_pair_bracket", "_plain_bracket"}
+    found, boundary = [], []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef) and node.name in gone:
+                found.append(f"{node.name} in {path.name} at line {node.lineno}")
+            if isinstance(node, ast.FunctionDef) and node.name == "boundary_terms" and path.name == "complexes.py":
+                boundary.append([a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)])
+            if getattr(node, "id", getattr(node, "attr", None)) == "bracket_table" and path.name != "lie.py":
+                found.append(f"bracket_table in {path.name} at line {node.lineno}")
+    assert boundary == [["ctx", "tuples"]], boundary
+    assert not found, f"a bracket read outside NecklaceContext.brackets: {found}"
