@@ -28,16 +28,19 @@ free Lie algebra): column (l, i) has the content of its Lyndon word plus
 the partner letter of l, and only the columns whose content is that of a
 defect word are built and solved; the other entries of the solution are
 0, which is what pinning the free variables gives on a homogeneous block.
-The series arithmetic of the defect (``evaluate``, ``exp_series``,
-``log_series``, ``inverse_series``) runs through the series product of
-``tensors``, which multiplies integer numerators over one common
-denominator per operand.
+The series arithmetic of the defect runs on the one integer-numerator
+pair loop of ``tensors``: ``exp_series``, ``log_series`` and
+``inverse_series`` are each one nested Horner pass whose depth-k factor
+is formed modulo weight > D - k, and ``evaluate`` multiplies the
+generator series of a word on numerators over one running denominator;
+each term of a result becomes a Fraction once.
 
 Step n needs only the weight-(n+1) part of the defect, so it computes the
 defect modulo weight > n + 1.  That is exact: truncation modulo weight > d
-is a ring map, and it commutes with exp, log and the geometric-series
-inverse, since none of them lets a term of weight > d reach weight <= d.
-Only the returned expansion is built at the full cutoff.
+is a ring map, and it commutes with exp, log and the inverse (each a
+power series in a series without weight-0 term), since none of them lets
+a term of weight > d reach weight <= d.  Only the returned expansion is
+built at the full cutoff.
 """
 
 import numpy as np
@@ -54,8 +57,10 @@ from .tensors import (
     _chunks,
     _exact,
     _folded,
+    _series_product,
     _word_keys,
     axpy,
+    coeff_str,
     exp_series,
     inverse_series,
     is_grouplike,
@@ -142,10 +147,13 @@ def boundary_word(g: int) -> GroupWord:
 
 class Expansion:
     """Assignment of a truncated group-like series to each free-group
-    generator; evaluation extends it multiplicatively with inverses via
-    the geometric series.  Each series must be over the genus g
-    (GenusMismatch otherwise) and known to the cutoff (PrecisionError
-    otherwise)."""
+    generator; evaluation extends it multiplicatively, the inverse of a
+    generator's series being the geometric series in one nested Horner
+    pass (``inverse_series``), and multiplies the series of a word on
+    integer numerators over one running denominator.  Each series must be
+    over the genus g (GenusMismatch otherwise), known to the cutoff
+    (PrecisionError otherwise), and have weight-0 coefficient 1
+    (ValueError otherwise)."""
 
     def __init__(self, g: int, cutoff: int, series: dict[int, TruncatedSeries]):
         if cutoff < 1:
@@ -160,6 +168,9 @@ class Expansion:
             if s.cutoff < cutoff:
                 raise PrecisionError(f"the series of x{l + 1} is known to weight {s.cutoff}, "
                                      f"below the cutoff {cutoff}")
+            if s.weight_zero_coeff() != 1:
+                raise ValueError(f"the series of x{l + 1} has weight-0 coefficient "
+                                 f"{coeff_str(s.weight_zero_coeff())}, not 1")
         self.series = {l: TruncatedSeries(s.tensor, cutoff) for l, s in series.items()}
         self._inverses: dict[int, TruncatedSeries] = {}
 
@@ -188,18 +199,14 @@ class Expansion:
         return inv
 
     def evaluate(self, word: GroupWord) -> TruncatedSeries:
-        acc = TruncatedSeries.unit(self.g, self.cutoff)
-        for s in free_reduce(word):
-            acc = acc * self.generator_series(s)
-        return acc
+        return _series_product(self.g, self.cutoff, map(self.generator_series, free_reduce(word)))
 
     # -- the defining conditions -------------------------------------------
 
     def check_normalization(self) -> bool:
-        """theta(x) = 1 + [x] modulo weight >= 2, for every generator."""
+        """theta(x) = 1 + [x] modulo weight >= 2, for every generator (the
+        weight-0 coefficient 1 is checked when the expansion is made)."""
         for l, s in self.series.items():
-            if s.weight_zero_coeff() != 1:
-                return False
             if s.tensor.component(1) != Tensor.letter(self.g, l):
                 return False
         return True

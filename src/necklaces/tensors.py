@@ -13,13 +13,17 @@ Conventions fixed here:
   sign every necklace derivation annihilates the symplectic form, which is
   checked by the test suite;
 * series operations silently drop weight > D terms, and mixing two cutoffs
-  uses the minimum; the series product never forms such a term: a left
-  word of weight k meets only the right terms of weight <= D - k, taken
-  in the right operand's own term order; it scales each operand once to
-  integer numerators over the lcm L of its denominators, sums the pairs as
-  Python ints, and divides each sum by Lx*Ly once: an int where only pairs
-  of int-typed coefficients reached the word, else a Fraction, as Python
-  arithmetic on the coefficients themselves would give;
+  uses the minimum; all series arithmetic runs one pair loop on integer
+  numerators (``_pair_sums``), which never forms such a term: a left word
+  of weight k meets only the right terms of weight <= D - k, taken in the
+  right operand's own term order.  The series product scales each operand
+  once to integer numerators over the lcm L of its denominators and
+  divides each sum by Lx*Ly once: an int where only pairs of int-typed
+  coefficients reached the word, else a Fraction, as Python arithmetic on
+  the coefficients themselves would give.  exp, log and the inverse are
+  one nested Horner pass each (``_nested``), and a chain of factors is
+  multiplied over one running denominator (``_series_product``); their
+  results are built from numerators, one Fraction per term;
 * the coproduct routes the letters of a word one at a time, doubling the
   list of (left, right) splits per letter;
 * the certificates ``is_grouplike`` and ``is_lie_element`` form neither the
@@ -32,8 +36,8 @@ Conventions fixed here:
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations
-from math import comb, lcm
-from typing import Iterable, Iterator, Mapping
+from math import comb, factorial, lcm
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -361,27 +365,14 @@ class TruncatedSeries:
         d = self._common_cutoff(other)
         x, y = self.tensor.terms, other.tensor.terms
         (left, sx), (right, sy) = _numerator_terms(x), _numerator_terms(y)
-        fits: dict[int, list] = {}  # room -> right terms of weight <= room, in order
-        out: dict[W.WordKey, int] = {}
-        for wx, nx in left:
-            room = d - len(wx)
-            if room < 0:
-                continue
-            ys = fits.get(room)
-            if ys is None:
-                ys = fits[room] = [(wy, ny) for wy, ny in right if len(wy) <= room]
-            for wy, ny in ys:
-                w = wx + wy
-                out[w] = out.get(w, 0) + nx * ny
+        out = _pair_sums(left, right, d)
         if all(type(c) is int for c in chain(x.values(), y.values())):
             terms = _prune(out)
         else:
             ints, scale = _int_reached(x, y, d), sx * sy
             terms = {w: v // scale if w in ints else Fraction(v, scale)
                      for w, v in out.items() if v}
-        prod = object.__new__(TruncatedSeries)  # no term is over d: nothing to truncate
-        prod.tensor, prod.cutoff = self.tensor._like(terms), d
-        return prod
+        return _series(self.tensor._like(terms), d)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -406,11 +397,46 @@ class TruncatedSeries:
         return cls(Tensor.from_json_dict(data), int(data["cutoff"]))
 
 
+def _series(tensor: Tensor, d: int) -> TruncatedSeries:
+    """The series of a tensor with no term over the cutoff d: nothing to
+    truncate."""
+    out = object.__new__(TruncatedSeries)
+    out.tensor, out.cutoff = tensor, d
+    return out
+
+
 def _numerator_terms(terms: dict) -> tuple[list, int]:
     """((word, L*c) pairs in term order, L), with L the lcm of the
     denominators of the coefficients; the numerators are ints."""
     scale = lcm(*{c.denominator for c in terms.values()})
     return [(w, c.numerator * (scale // c.denominator)) for w, c in terms.items()], scale
+
+
+def _pair_sums(left: list, right: list, d: int) -> dict:
+    """The product of two lists of (word, int numerator) pairs under the
+    cutoff d, as word -> int sum (zeros kept): a left word of weight k
+    meets only the right terms of weight <= d - k, taken in the right
+    list's order.  Every series product of the package runs this loop."""
+    fits: dict[int, list] = {}  # room -> right terms of weight <= room, in order
+    out: dict[W.WordKey, int] = {}
+    for wx, nx in left:
+        room = d - len(wx)
+        if room < 0:
+            continue
+        ys = fits.get(room)
+        if ys is None:
+            ys = fits[room] = [(wy, ny) for wy, ny in right if len(wy) <= room]
+        for wy, ny in ys:
+            w = wx + wy
+            out[w] = out.get(w, 0) + nx * ny
+    return out
+
+
+def _series_over(g: int, d: int, pairs: list, den: int) -> TruncatedSeries:
+    """The series of the (word, int numerator) pairs over the denominator
+    den, one Fraction per term (ints where den is 1)."""
+    terms = dict(pairs) if den == 1 else {w: Fraction(v, den) for w, v in pairs}
+    return _series(Tensor.zero(g)._like(terms), d)
 
 
 def _int_reached(x: dict, y: dict, d: int) -> set:
@@ -426,48 +452,69 @@ def _int_reached(x: dict, y: dict, d: int) -> set:
     )}
 
 
+def _series_product(g: int, d: int, factors: Iterable[TruncatedSeries]) -> TruncatedSeries:
+    """The product of the factors, in order, modulo weight > d: the pair
+    loop runs on integer numerators over one running denominator, the
+    product of the factors' lcms, and each term of the result becomes a
+    Fraction once, at the end.  The values are those of the chain of
+    series products; every factor must be over the genus g."""
+    acc, den = [((), 1)], 1
+    for f in factors:
+        right, scale = _numerator_terms(f.tensor.terms)
+        acc = [(w, v) for w, v in _pair_sums(acc, right, d).items() if v]
+        den *= scale
+    return _series_over(g, d, acc, den)
+
+
+def _nested(u: TruncatedSeries, coeff: Callable[[int], Coeff]) -> TruncatedSeries:
+    """sum_k coeff(k) u^k modulo weight > D, for u with no weight-0 term,
+    in one nested Horner pass c_0 + u(c_1 + u(c_2 + ...)).
+
+    The depth-k factor h_k = c_k + u h_(k+1) is needed only modulo weight
+    > D - k, since u^k has no weight below k; with m the least weight of
+    u, u^k vanishes for k > K = D // m, so the pass starts at h_K = c_K.
+    The accumulator holds the integer numerators of Q L^(K-k) h_k, with Q
+    the lcm of the denominators of c_0..c_K and L that of u, so each step
+    is one pair loop, and each term of h_0 becomes a Fraction once."""
+    d, terms = u.cutoff, u.tensor.terms
+    top = d // min(map(len, terms)) if terms else 0
+    pairs, q = _numerator_terms({k: coeff(k) for k in range(top + 1)})
+    nums = dict(pairs)  # k -> Q c_k
+    left, lu = _numerator_terms(terms)
+    acc, scale = [((), nums[top])] if nums[top] else [], 1
+    for k in range(top - 1, -1, -1):
+        scale *= lu
+        c = nums[k] * scale  # u has no weight-0 term: () comes only from c_k
+        acc = ([((), c)] if c else []) + [
+            (w, v) for w, v in _pair_sums(left, acc, d - k).items() if v]
+    return _series_over(u.g, d, acc, q * scale)
+
+
 def exp_series(s: TruncatedSeries) -> TruncatedSeries:
-    """exp of a series with zero constant term, modulo the cutoff."""
+    """exp of a series with zero constant term, modulo the cutoff: the
+    coefficients 1/k! in one nested Horner pass (``_nested``)."""
     if s.weight_zero_coeff() != 0:
         raise PrecisionError("exp requires a series with zero weight-0 part")
-    acc = TruncatedSeries.unit(s.g, s.cutoff)
-    term = TruncatedSeries.unit(s.g, s.cutoff)
-    for k in range(1, s.cutoff + 1):
-        term = (term * s).scale(Fraction(1, k))
-        if term.tensor.is_zero():
-            break
-        acc = acc + term
-    return acc
+    return _nested(s, lambda k: Fraction(1, factorial(k)))
 
 
 def log_series(s: TruncatedSeries) -> TruncatedSeries:
-    """log of a series with constant term 1, modulo the cutoff."""
+    """log of a series with constant term 1, modulo the cutoff: the
+    coefficients (-1)^(k+1)/k of u = s - 1 (0 for k = 0) in one nested
+    Horner pass (``_nested``)."""
     if s.weight_zero_coeff() != 1:
         raise PrecisionError("log requires a series with weight-0 part equal to 1")
-    n = s - TruncatedSeries.unit(s.g, s.cutoff)
-    acc = TruncatedSeries(Tensor.zero(s.g), s.cutoff)
-    power = TruncatedSeries.unit(s.g, s.cutoff)
-    for k in range(1, s.cutoff + 1):
-        power = power * n
-        if power.tensor.is_zero():
-            break
-        acc = acc + power.scale(Fraction((-1) ** (k + 1), k))
-    return acc
+    return _nested(s - TruncatedSeries.unit(s.g, s.cutoff),
+                   lambda k: Fraction((-1) ** (k + 1), k) if k else 0)
 
 
 def inverse_series(s: TruncatedSeries) -> TruncatedSeries:
-    """Inverse of a series with constant term 1, via the geometric series."""
+    """Inverse of a series with constant term 1: the geometric series,
+    the coefficients (-1)^k of u = s - 1, in one nested Horner pass
+    (``_nested``)."""
     if s.weight_zero_coeff() != 1:
         raise PrecisionError("inverse requires a series with weight-0 part equal to 1")
-    n = s - TruncatedSeries.unit(s.g, s.cutoff)
-    acc = TruncatedSeries.unit(s.g, s.cutoff)
-    power = TruncatedSeries.unit(s.g, s.cutoff)
-    for k in range(1, s.cutoff + 1):
-        power = power * n
-        if power.tensor.is_zero():
-            break
-        acc = acc - power if k % 2 == 1 else acc + power
-    return acc
+    return _nested(s - TruncatedSeries.unit(s.g, s.cutoff), lambda k: (-1) ** k)
 
 
 def coproduct(s: TruncatedSeries) -> PairTensor:

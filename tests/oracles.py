@@ -18,7 +18,7 @@ from necklaces import deform as D
 from necklaces import expansion as E
 from necklaces import words as W
 from necklaces.complexes import ModKey, WedgeKey, _CellVector
-from necklaces.errors import InconsistentExpansions, NotCyclic
+from necklaces.errors import InconsistentExpansions, NotCyclic, PrecisionError
 from necklaces.lie import (
     DerivationElem,
     NecklaceContext,
@@ -629,6 +629,62 @@ def oracle_series_mul(x, y):
             w = wx + wy
             out[w] = out.get(w, 0) + cx * cy
     return TruncatedSeries(x.tensor._like({k: v for k, v in out.items() if v != 0}), d)
+
+
+# -- series power loops -----------------------------------------------------------
+#
+# The loops that tensors.exp_series, log_series and inverse_series ran
+# before their nested Horner pass: up to D full-cutoff products of growing
+# powers; and the unit-then-multiply loop of Expansion.evaluate before its
+# numerator chain.  Every product is TruncatedSeries.__mul__.
+
+
+def oracle_exp_series(s: TruncatedSeries) -> TruncatedSeries:
+    if s.weight_zero_coeff() != 0:
+        raise PrecisionError("exp requires a series with zero weight-0 part")
+    acc = TruncatedSeries.unit(s.g, s.cutoff)
+    term = TruncatedSeries.unit(s.g, s.cutoff)
+    for k in range(1, s.cutoff + 1):
+        term = (term * s).scale(Fraction(1, k))
+        if term.tensor.is_zero():
+            break
+        acc = acc + term
+    return acc
+
+
+def oracle_log_series(s: TruncatedSeries) -> TruncatedSeries:
+    if s.weight_zero_coeff() != 1:
+        raise PrecisionError("log requires a series with weight-0 part equal to 1")
+    n = s - TruncatedSeries.unit(s.g, s.cutoff)
+    acc = TruncatedSeries(Tensor.zero(s.g), s.cutoff)
+    power = TruncatedSeries.unit(s.g, s.cutoff)
+    for k in range(1, s.cutoff + 1):
+        power = power * n
+        if power.tensor.is_zero():
+            break
+        acc = acc + power.scale(Fraction((-1) ** (k + 1), k))
+    return acc
+
+
+def oracle_inverse_series(s: TruncatedSeries) -> TruncatedSeries:
+    if s.weight_zero_coeff() != 1:
+        raise PrecisionError("inverse requires a series with weight-0 part equal to 1")
+    n = s - TruncatedSeries.unit(s.g, s.cutoff)
+    acc = TruncatedSeries.unit(s.g, s.cutoff)
+    power = TruncatedSeries.unit(s.g, s.cutoff)
+    for k in range(1, s.cutoff + 1):
+        power = power * n
+        if power.tensor.is_zero():
+            break
+        acc = acc - power if k % 2 == 1 else acc + power
+    return acc
+
+
+def oracle_evaluate(theta, word) -> TruncatedSeries:
+    acc = TruncatedSeries.unit(theta.g, theta.cutoff)
+    for s in E.free_reduce(word):
+        acc = acc * theta.generator_series(s)
+    return acc
 
 
 # -- Fraction certificates ------------------------------------------------------

@@ -356,6 +356,33 @@ class TestCliCommands:
         assert err.startswith("error: the series of x1 is over genus 1, not 2")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("edit", ["2", None])  # None: the term is deleted
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["loop", "--theta", "FILE", "--word", "x1^-1"],
+            ["loop", "--theta", "FILE", "--word", "x1 x2"],
+            ["compare", "FILE", "FILE"],
+        ],
+    )
+    def test_expansion_file_with_a_bad_weight_0_coefficient_exit_2(self, argv, edit, tmp_path, capsys):
+        # a generator series whose empty-word coefficient is not 1 is not an
+        # expansion: refused when the file is read, before an inverse is taken
+        th = tmp_path / "t.json"
+        assert main(["expand", "--g", "1", "--degree", "3", "--out", str(th)]) == 0
+        data = json.loads(th.read_text())
+        terms = data["theta"]["x1"]["terms"]
+        if edit is None:
+            terms[:] = [t for t in terms if t["word"]]
+        else:
+            next(t for t in terms if not t["word"])["coeff"] = edit
+        th.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main([a.replace("FILE", str(th)) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert f"the series of x1 has weight-0 coefficient {edit or 0}, not 1" in err
+
     @pytest.mark.parametrize("content", ["{}", "not json", None])  # None: a directory
     @pytest.mark.parametrize(
         "argv",

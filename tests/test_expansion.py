@@ -77,6 +77,15 @@ class TestExpansionPrecision:
         assert [s.cutoff for s in Expansion(1, 2, series).series.values()] == [2, 2]
 
 
+class TestExpansionWeightZero:
+    @pytest.mark.parametrize("c", [2, 0, Fraction(1, 2)])
+    def test_a_series_without_constant_term_1_is_refused(self, c):
+        series = {l: exp_series(TruncatedSeries(Tensor.letter(1, l), 3)) for l in range(2)}
+        series[1] = series[1] + TruncatedSeries(Tensor.unit(1), 3).scale(c - 1)
+        with pytest.raises(ValueError, match=f"x2 has weight-0 coefficient {c}, not 1"):
+            Expansion(1, 3, series)
+
+
 class TestExpansionGenus:
     def test_series_over_another_genus_are_refused(self):
         series = {l: exp_series(TruncatedSeries(Tensor.letter(1, l % 2), 3)) for l in range(4)}

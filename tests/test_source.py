@@ -356,3 +356,33 @@ def test_one_bracket_reader():
                 found.append(f"bracket_table in {path.name} at line {node.lineno}")
     assert boundary == [["ctx", "tuples"]], boundary
     assert not found, f"a bracket read outside NecklaceContext.brackets: {found}"
+
+
+def test_series_arithmetic_has_one_product_loop():
+    # exp_series, log_series and inverse_series are one nested Horner pass
+    # (_nested) and Expansion.evaluate one numerator chain (_series_product):
+    # none of them loops, so no second product path comes back; the pair
+    # loop itself is _pair_sums, which __mul__, _nested and _series_product
+    # all run
+    def functions(module):
+        tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
+        return {f"{cls.name}.{fn.name}" if cls else fn.name: fn
+                for cls in [None] + [n for n in tree.body if isinstance(n, ast.ClassDef)]
+                for fn in (cls.body if cls else tree.body) if isinstance(fn, ast.FunctionDef)}
+
+    def loops(fn, kinds):
+        return [f"{type(n).__name__} in {fn.name} at line {n.lineno}" for n in ast.walk(fn)
+                if isinstance(n, kinds)]
+
+    def names(fn):
+        return {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(fn)}
+
+    tensors, expansion = functions("tensors.py"), functions("expansion.py")
+    found = [hit for name in ("exp_series", "log_series", "inverse_series")
+             for hit in loops(tensors[name], (ast.For, ast.While, ast.comprehension))]
+    found += loops(expansion["Expansion.evaluate"], (ast.For, ast.comprehension))
+    assert not found, f"a loop in the series functions: {found}"
+    assert all("_nested" in names(tensors[n]) for n in ("exp_series", "log_series", "inverse_series"))
+    assert "_series_product" in names(expansion["Expansion.evaluate"])
+    assert all("_pair_sums" in names(tensors[n])
+               for n in ("TruncatedSeries.__mul__", "_nested", "_series_product"))

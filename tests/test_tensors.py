@@ -6,6 +6,7 @@ import pytest
 from necklaces import tensors
 from necklaces import (
     CellTooLarge,
+    Expansion,
     GenusMismatch,
     PrecisionError,
     Tensor,
@@ -24,6 +25,10 @@ from necklaces import (
 from necklaces.words import Letter, parse_word, word_name
 from oracles import (
     exact,
+    oracle_evaluate,
+    oracle_exp_series,
+    oracle_inverse_series,
+    oracle_log_series,
     left_bracketing,
     oracle_coproduct,
     oracle_is_grouplike,
@@ -360,6 +365,56 @@ class TestAgainstReferencePaths:
             got, want = left_bracketing(t), oracle_left_bracketing(t)
             assert got.g == want.g
             assert exact([got.terms]) == exact([want.terms])
+
+
+class TestSeriesKernel:
+    """exp_series, log_series, inverse_series and Expansion.evaluate, on
+    the one numerator kernel, against the power loops and the product
+    chain that they replaced (tests/oracles.py)."""
+
+    def test_matches_the_reference_paths(self):
+        # seeded: the same values and cutoffs, and the same refusals, on
+        # mixed_series (ints, whole Fractions and Fractions past 2**62),
+        # rand_series, dense series with every letter and the zero and
+        # unit series, at g = 1, 2, 3 and every cutoff 0..8
+        seed = 2026
+        print(f"seed {seed}")
+        rng = random.Random(seed)
+        pairs = ((exp_series, oracle_exp_series), (log_series, oracle_log_series),
+                 (inverse_series, oracle_inverse_series))
+        for g in (1, 2, 3):
+            for d in range(9):
+                unit, zero = TruncatedSeries.unit(g, d), TruncatedSeries(Tensor.zero(g), d)
+                bases = [zero, unit]
+                bases += [mixed_series(rng, g, d, rng.random()) for _ in range(3)]
+                bases += [rand_series(rng, g, d, rng.random() < 0.5) for _ in range(3)]
+                if (2 * g) ** d <= 4096:  # every word of weight <= d appears in the powers
+                    bases.append(TruncatedSeries(Tensor(g, {
+                        (l,): rand_coeff(rng, True) for l in range(2 * g)}), d))
+                for case, base in enumerate(bases):
+                    where = f"seed {seed}, g={g}, D={d}, case {case}: {base!r}"
+                    low = TruncatedSeries(base.tensor - base.tensor.component(0), d)
+                    one = unit + low
+                    for (fn, oracle), arg, bad in zip(pairs, (low, one, one), (one, low, one + unit)):
+                        got, want = fn(arg), oracle(arg)
+                        assert got.cutoff == want.cutoff == d, f"{fn.__name__}, {where}"
+                        assert got == want, f"{fn.__name__}, {where}"
+                        with pytest.raises(PrecisionError) as refused:
+                            fn(bad)
+                        with pytest.raises(PrecisionError) as oracle_refused:
+                            oracle(bad)
+                        assert str(refused.value) == str(oracle_refused.value), where
+                    assert inverse_series(one) * one == unit, where
+                    assert log_series(exp_series(low)) == low, where
+                if d:  # an expansion of these series, evaluated on random group words
+                    theta = Expansion(g, d, {l: unit + TruncatedSeries(
+                        b.tensor - b.tensor.component(0), d) for l, b in enumerate(rng.choices(bases, k=2 * g))})
+                    for _ in range(4):
+                        word = tuple(rng.choice([1, -1]) * rng.randint(1, 2 * g)
+                                     for _ in range(rng.randint(0, 6)))
+                        got, want = theta.evaluate(word), oracle_evaluate(theta, word)
+                        where = f"seed {seed}, g={g}, D={d}, word {word}"
+                        assert got.cutoff == want.cutoff == d and got == want, where
 
 
 def rand_lie(rng, g, fractions):
