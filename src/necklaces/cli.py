@@ -464,6 +464,10 @@ def _cmd_compare(args) -> int:
 
 def _cmd_loop(args) -> int:
     theta = _load_json(args.theta, Expansion.from_json_dict)
+    bad = theta.unnormalized()  # a loop is read through a normalised expansion only
+    if bad is not None:
+        raise ParseError(f"{args.theta}: the series of x{bad + 1} is not normalised: "
+                         f"its weight-1 part is not {W.letter_name(bad)}")
     try:
         word = parse_group_word(args.word)
     except ValueError as exc:

@@ -28,6 +28,22 @@ free Lie algebra): column (l, i) has the content of its Lyndon word plus
 the partner letter of l, and only the columns whose content is that of a
 defect word are built and solved; the other entries of the solution are
 0, which is what pinning the free variables gives on a homogeneous block.
+
+Each block is solved on its Lyndon-word rows only.  The columns are Lie
+elements of weight n + 1, and the standard-bracketed Lyndon basis is
+unitriangular on the Lyndon words, P_l = l + (larger words) (Reutenauer,
+*Free Lie Algebras*, 1993, Thm 5.1), so a Lie element is fixed by its
+coefficients on the Lyndon words: projecting onto them is injective on
+weight n + 1.  The projected columns therefore have the same
+dependencies and the same free columns, and a solution of the whole
+system solves the projection, whose solution with those columns pinned
+is unique: the pinned solution is the same.  The candidate is checked on
+every row of the whole system.  Where that fails, the whole system has
+no solution (it would have been the candidate), and the answer is None,
+as the whole solve gives; that is the case of a defect that is not a
+Lie element.  At g = 2, D = 8 the last system goes from 12,560 word rows
+to 1,570, its rank.
+
 The series arithmetic of the defect runs on the one integer-numerator
 pair loop of ``tensors``: ``exp_series``, ``log_series`` and
 ``inverse_series`` are each one nested Horner pass whose depth-k factor
@@ -43,6 +59,8 @@ a term of weight > d reach weight <= d.  Only the returned expansion is
 built at the full cutoff.
 """
 
+from math import lcm
+
 import numpy as np
 
 from . import words as W
@@ -57,7 +75,9 @@ from .tensors import (
     _chunks,
     _exact,
     _folded,
+    _product,
     _series_product,
+    _vanishes,
     _word_keys,
     axpy,
     coeff_str,
@@ -206,10 +226,15 @@ class Expansion:
     def check_normalization(self) -> bool:
         """theta(x) = 1 + [x] modulo weight >= 2, for every generator (the
         weight-0 coefficient 1 is checked when the expansion is made)."""
-        for l, s in self.series.items():
+        return self.unnormalized() is None
+
+    def unnormalized(self) -> int | None:
+        """The letter of the first generator whose series has a weight-1
+        part other than its letter, or None if there is none."""
+        for l, s in sorted(self.series.items()):
             if s.tensor.component(1) != Tensor.letter(self.g, l):
-                return False
-        return True
+                return l
+        return None
 
     def check_grouplike(self) -> bool:
         return all(is_grouplike(s) for s in self.series.values())
@@ -460,7 +485,18 @@ def _correction(g: int, n: int, basis: list[Tensor], defect: Tensor) -> list | N
     that of a defect word are built and solved, in their order.  That is
     exact: a column is free iff it depends on the columns of its block
     before it, and a block that no defect word touches is homogeneous, so
-    with its free variables pinned its solution is 0."""
+    with its free variables pinned its solution is 0.
+
+    The rows kept are the words that are Lyndon (``_lyndon``), numbered in
+    word order, and ``solve_columns`` runs once on them.  The columns are
+    Lie elements, and a Lie element is fixed by its coefficients on the
+    Lyndon words, since the Lyndon basis is unitriangular on them (P_l = l
+    + larger words).  So the kept rows give the columns the same
+    dependencies and the same free columns, and a solution of the whole
+    system, which solves the kept rows, is the one pinned solution found.
+    The candidate is certified on every row of the whole system
+    (``_solves``); if that fails, the whole system has no solution either,
+    and the answer is None."""
     base, dim = 2 * g, len(basis)
     elt, words, coeffs = [], [], []
     for i, h in enumerate(basis):
@@ -486,21 +522,64 @@ def _correction(g: int, n: int, basis: list[Tensor], defect: Tensor) -> list | N
     )
     words = [np.concatenate(pair) for pair in zip(keys, _word_keys(dwords, base))]
     if len(words) == 1:  # ranks
-        row = np.unique(words[0], return_inverse=True)[1]
+        distinct, row = np.unique(words[0], return_inverse=True)
+        distinct = (distinct,)
     else:  # letter columns: the rows of their stack
-        row = np.unique(np.stack(words, axis=1), axis=0, return_inverse=True)[1]
-    row = row.reshape(-1).tolist()
-    ends = np.searchsorted(col, np.arange(len(touched) + 1)).tolist()
-    vals = vals.tolist()
-    columns = [dict(zip(row[a:b], vals[a:b])) for a, b in zip(ends, ends[1:])]
-    target = dict(zip(row[len(col):], (-c for c in defect.terms.values())))
+        distinct, row = np.unique(np.stack(words, axis=1), axis=0, return_inverse=True)
+        distinct = tuple(distinct.T)
+    row = row.reshape(-1)
+    lyndon = _lyndon(distinct, base, n + 1)
+    kept = (np.cumsum(lyndon) - 1)[row]  # the Lyndon rows numbered in word order
+    entry, dentry = np.flatnonzero(lyndon[row[:len(col)]]), np.flatnonzero(lyndon[row[len(col):]])
+    ends = np.searchsorted(col[entry], np.arange(len(touched) + 1)).tolist()
+    krow, kval = kept[entry].tolist(), vals[entry].tolist()
+    columns = [dict(zip(krow[a:b], kval[a:b])) for a, b in zip(ends, ends[1:])]
+    dcoeffs = list(defect.terms.values())
+    target = dict(zip(kept[len(col) + dentry].tolist(), (-dcoeffs[i] for i in dentry.tolist())))
     sol = solve_columns(columns, target)
-    if sol is None:
+    if sol is None or not _solves(sol, col, row, vals, dcoeffs):
         return None
     x: list = [0] * (base * dim)
     for j, c in zip(touched.tolist(), sol):
         x[j] = c
     return x
+
+
+def _lyndon(keys: tuple[np.ndarray, ...], base: int, m: int) -> np.ndarray:
+    """Whether each word of length m, given by its keys (``_word_keys``:
+    one rank column, or m letter columns), is a Lyndon word: strictly less
+    than each of its proper rotations.  A rank is rotated as in
+    ``NecklaceContext._enumerate``; letter columns are compared
+    lexicographically, at the first letter where the rotation differs."""
+    if len(keys) == 1:
+        rank = keys[0]
+        out, rot, top = np.ones(len(rank), dtype=bool), rank, base ** (m - 1)
+        for _ in range(m - 1):
+            rot = rot % top * base + rot // top  # the first letter moved to the end
+            out &= rank < rot
+        return out
+    letters = np.stack(keys, axis=1)
+    out, at = np.ones(len(letters), dtype=bool), np.arange(len(letters))
+    for k in range(1, m):
+        rot = np.roll(letters, -k, axis=1)
+        first = (letters != rot).argmax(axis=1)  # 0 where the rotation is the word
+        out &= letters[at, first] < rot[at, first]
+    return out
+
+
+def _solves(sol: list, col: np.ndarray, row: np.ndarray, vals: np.ndarray, dcoeffs: list) -> bool:
+    """Whether sum_j sol[j] * column j + defect is 0 on every row of the
+    whole system: the entries (col, row, vals) of the columns, then the
+    defect coefficients on the rows row[len(col):], read on integer
+    numerators over the lcm of all denominators.  Only the columns with
+    sol[j] != 0 are read."""
+    scale = lcm(*(c.denominator for c in sol), *(c.denominator for c in dcoeffs))
+    xs = _exact(int(c * scale) for c in sol)
+    pick = np.flatnonzero(xs[col] != 0)
+    terms = _product(xs[col[pick]], vals[pick])
+    dterms = _exact(int(c * scale) for c in dcoeffs)
+    return _vanishes([((np.concatenate([row[pick], row[len(col):]]),),
+                       np.concatenate([terms, dterms]))])
 
 
 def _content(words: np.ndarray, base: int) -> np.ndarray:

@@ -383,6 +383,26 @@ class TestCliCommands:
         assert err.startswith("error: ") and "Traceback" not in err
         assert f"the series of x1 has weight-0 coefficient {edit or 0}, not 1" in err
 
+    @pytest.mark.parametrize("edit", ["2", None])  # None: the term is deleted
+    def test_loop_on_an_expansion_file_that_is_not_normalised_exit_2(self, edit, tmp_path, capsys):
+        # theta(x1) must be 1 + a1 modulo weight 2: loop refuses the file,
+        # while compare reads it and finds it not symplectic (exit 1)
+        th = tmp_path / "t.json"
+        assert main(["expand", "--g", "1", "--degree", "3", "--out", str(th)]) == 0
+        data = json.loads(th.read_text())
+        terms = data["theta"]["x1"]["terms"]
+        if edit is None:
+            terms[:] = [t for t in terms if t["word"] != "a1"]
+        else:
+            next(t for t in terms if t["word"] == "a1")["coeff"] = edit
+        th.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["loop", "--g", "1", "--theta", str(th), "--word", "x1 x2"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {th}: the series of x1 is not normalised: its weight-1 part is not a1\n"
+        assert main(["compare", str(th), str(th)]) == 1
+        assert "the first expansion is not symplectic" in capsys.readouterr().err
+
     @pytest.mark.parametrize("content", ["{}", "not json", None])  # None: a directory
     @pytest.mark.parametrize(
         "argv",

@@ -1,4 +1,6 @@
+import itertools
 import random
+from bisect import bisect_left
 from fractions import Fraction
 
 import numpy as np
@@ -214,9 +216,10 @@ class TestSolver:
 
     def test_correction_columns_match_tensor_products(self, monkeypatch):
         # the columns from rank arithmetic are the dict columns that the
-        # Tensor products [v, b_i] and [a_i, v] gave, word for word, at the
-        # columns whose letter content is that of a defect word; the rows
-        # are those columns' words and the defect's, in word order
+        # Tensor products [v, b_i] and [a_i, v] gave, cut to their Lyndon
+        # words, word for word, at the columns whose letter content is that
+        # of a defect word; the rows are exactly the Lyndon words among
+        # those columns' words and the defect's, in word order
         systems = []
 
         def recorded(columns, target):
@@ -239,6 +242,9 @@ class TestSolver:
                 ]
                 assert touched
                 skipped += len(want_columns) - len(touched)
+                lyndon = set(lyndon_words(2 * g, n + 1))
+                touched = [{w: v for w, v in col.items() if w in lyndon} for col in touched]
+                want_target = {w: v for w, v in want_target.items() if w in lyndon}
                 words = sorted(set().union(*touched, want_target))
                 expansion._correct_logs(g, n, logs, defect)
                 columns, target = systems.pop()
@@ -394,6 +400,87 @@ class TestBlockSolve:
         for g in (1, 2):
             with pytest.raises(SolveFailed, match="outside its Lyndon word's letter content"):
                 symplectic_expansion(g, 4)
+
+
+def full_rows(columns, defect):
+    """The pinned solution of the whole correction system on every word
+    row: solve_columns on the oracle's columns, all of them, and minus the
+    defect, each word numbered in word order."""
+    target = {w: -c for w, c in defect.terms.items()}
+    number = {w: r for r, w in enumerate(sorted(set().union(*columns, target)))}
+    return solve_columns([{number[w]: v for w, v in col.items()} for col in columns],
+                         {number[w]: v for w, v in target.items()})
+
+
+class TestLyndonRows:
+    """The correction systems are solved on their Lyndon-word rows: the row
+    mask is Lyndon membership, and _correction gives the pinned solution of
+    the whole system on every row, or None where it has none."""
+
+    SEED = 2027
+
+    def test_row_mask_is_lyndon_membership(self, monkeypatch):
+        seed = self.SEED
+        print(f"seed {seed}")
+        rng = random.Random(seed)
+        # every word to length 6, then random words and random Lyndon words
+        # to length 12; lyndon_words lists them in word order, so membership
+        # is a bisection
+        lyndon = {(g, m): lyndon_words(2 * g, m) for g in (1, 2) for m in range(1, 13)}
+        for form in ("ranks", "letters"):
+            if form == "letters":
+                monkeypatch.setattr(tensors, "_INT64_SAFE", 2)
+            for (g, m), want in lyndon.items():
+                base = 2 * g
+                if m <= 6:
+                    words = list(itertools.product(range(base), repeat=m))
+                else:
+                    words = [tuple(rng.randrange(base) for _ in range(m)) for _ in range(400)]
+                    words += rng.sample(want, min(100, len(want)))
+                keys = tensors._word_keys(np.array(words, dtype=np.int64), base)
+                assert len(keys) == (1 if form == "ranks" else m)
+                got = expansion._lyndon(keys, base, m).tolist()
+                at = [bisect_left(want, w) for w in words]
+                bad = [w for w, i, y in zip(words, at, got) if y != (want[i:i + 1] == [w])]
+                assert not bad, f"seed {seed}, {form}, g={g}, m={m}: {bad[:5]}"
+
+    def test_correction_is_the_whole_solve(self):
+        # Lie targets (int combinations of the columns) have the whole
+        # system's pinned solution; the same plus one non-Lyndon word is not
+        # a Lie element, and no correction cancels it
+        seed = self.SEED
+        print(f"seed {seed}")
+        rng = random.Random(seed)
+        solved = refused = 0
+        for g, top in ((1, 6), (2, 4), (3, 3)):
+            base = 2 * g
+            for n in range(2, top + 1):
+                basis = lie_basis(g, n)
+                columns = oracle_correction_system(g, n, Tensor.zero(g))[0]
+                lyndon = set(lyndon_words(base, n + 1))
+                for case in range(3):
+                    terms: dict = {}
+                    for col in rng.sample(columns, rng.randint(1, len(columns))):
+                        c = rng.choice((-3, -2, -1, 1, 2, 3))
+                        for w, v in col.items():
+                            terms[w] = terms.get(w, 0) + c * v
+                    lie = Tensor(g, {w: v for w, v in terms.items() if v})
+                    word = min(lyndon)
+                    while word in lyndon:
+                        word = tuple(rng.randrange(base) for _ in range(n + 1))
+                    bent = lie + Tensor.word(g, word, rng.choice((-1, 1, Fraction(1, 2))))
+                    for defect in (lie, bent):
+                        if defect.is_zero():
+                            continue
+                        where = f"seed {seed}, g={g}, n={n}, case {case}, word {word}"
+                        want = full_rows(columns, defect)
+                        got = expansion._correction(g, n, basis, defect)
+                        assert got == want, where
+                        assert got is None or [type(v) for v in got] == [type(v) for v in want]
+                        assert whole_system(g, n, basis, defect) == want, where
+                        solved += want is not None
+                        refused += want is None
+        assert solved >= 20 and refused >= 20
 
 
 @pytest.fixture(scope="module")
